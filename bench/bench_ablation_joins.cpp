@@ -38,11 +38,11 @@ int main() {
       Variant variants[] = {
           {"universal", core::Pipeline::single(gwlb.universal),
            Representation::kUniversal},
-          {"goto", workloads::gwlb_goto_pipeline(gwlb),
+          {"goto", cp::pipeline_for(gwlb, cp::Representation::kGoto),
            Representation::kGoto},
-          {"metadata", workloads::gwlb_metadata_pipeline(gwlb),
+          {"metadata", cp::pipeline_for(gwlb, cp::Representation::kMetadata),
            Representation::kMetadata},
-          {"rematch", workloads::gwlb_rematch_pipeline(gwlb),
+          {"rematch", cp::pipeline_for(gwlb, cp::Representation::kRematch),
            Representation::kRematch},
       };
       for (Variant& v : variants) {
@@ -76,11 +76,11 @@ int main() {
   };
   const JoinCase cases[] = {
       {core::JoinKind::kGoto,
-       workloads::gwlb_goto_pipeline(paper).field_count()},
+       cp::pipeline_for(paper, cp::Representation::kGoto).field_count()},
       {core::JoinKind::kMetadata,
-       workloads::gwlb_metadata_pipeline(paper).field_count()},
+       cp::pipeline_for(paper, cp::Representation::kMetadata).field_count()},
       {core::JoinKind::kRematch,
-       workloads::gwlb_rematch_pipeline(paper).field_count()},
+       cp::pipeline_for(paper, cp::Representation::kRematch).field_count()},
   };
   for (const JoinCase& c : cases) {
     const auto out = core::normalize(

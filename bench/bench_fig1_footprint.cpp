@@ -5,6 +5,7 @@
 // ("roughly half the data-plane encoding size for M large enough").
 #include <iostream>
 
+#include "controlplane/representation.hpp"
 #include "core/equivalence.hpp"
 #include "util/format.hpp"
 #include "util/report.hpp"
@@ -17,9 +18,9 @@ using namespace maton;
 void paper_instance() {
   const auto gwlb = workloads::make_paper_example();
   const auto universal = core::Pipeline::single(gwlb.universal);
-  const auto goto_p = workloads::gwlb_goto_pipeline(gwlb);
-  const auto meta_p = workloads::gwlb_metadata_pipeline(gwlb);
-  const auto rematch_p = workloads::gwlb_rematch_pipeline(gwlb);
+  const auto goto_p = cp::pipeline_for(gwlb, cp::Representation::kGoto);
+  const auto meta_p = cp::pipeline_for(gwlb, cp::Representation::kMetadata);
+  const auto rematch_p = cp::pipeline_for(gwlb, cp::Representation::kRematch);
 
   ReportTable table("Fig. 1 instance: data-plane footprint by representation");
   table.set_header({"representation", "tables", "entries", "fields",
@@ -51,11 +52,12 @@ void formula_sweep() {
           {.num_services = n, .num_backends = m, .seed = 1});
       const std::size_t uni =
           core::Pipeline::single(gwlb.universal).field_count();
-      const std::size_t gt = workloads::gwlb_goto_pipeline(gwlb).field_count();
+      const std::size_t gt =
+          cp::pipeline_for(gwlb, cp::Representation::kGoto).field_count();
       const std::size_t meta =
-          workloads::gwlb_metadata_pipeline(gwlb).field_count();
+          cp::pipeline_for(gwlb, cp::Representation::kMetadata).field_count();
       const std::size_t rem =
-          workloads::gwlb_rematch_pipeline(gwlb).field_count();
+          cp::pipeline_for(gwlb, cp::Representation::kRematch).field_count();
       table.add_row({std::to_string(n), std::to_string(m),
                      std::to_string(uni), std::to_string(gt),
                      std::to_string(meta), std::to_string(rem),

@@ -7,8 +7,7 @@
 //   * bytes/rule of the flattened dp::Program vs the legacy
 //     vector-of-Rule layout, also measured same-run;
 //   * universal-table build time;
-//   * one full TANE FD mine plus the sharded mine (sharded by the
-//     service-identity column), checked bit-identical;
+//   * one full TANE FD mine;
 //   * per-intent incremental compile latency (universal representation)
 //     over a mixed churn trace, split into rule_diff / slice_merge /
 //     switch_apply phases via the trace ring, with the updates applied
@@ -129,7 +128,6 @@ struct SizePoint {
   std::size_t dp_bytes_per_rule_legacy = 0;
   double build_ms = 0.0;
   double mine_ms = 0.0;
-  double sharded_mine_ms = 0.0;
   std::size_t intents = 0;
   double inc_median_us = 0.0;
   double inc_p90_us = 0.0;
@@ -161,17 +159,6 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   const core::FdSet mined = core::mine_fds_tane(gwlb.universal);
   pt.mine_ms = ms_since(start);
   expects(!mined.fds().empty(), "scale mine found no dependencies");
-
-  // The sharded rung: shard by the service-identity column, per-shard
-  // TANE, deterministic merge — and it must reproduce the full mine
-  // bit-for-bit, at every size.
-  start = BenchClock::now();
-  const core::FdSet sharded = core::mine_fds_sharded(
-      gwlb.universal,
-      {.shards = 8, .shard_col = workloads::kGwlbIpDst, .mine = {}});
-  pt.sharded_mine_ms = ms_since(start);
-  expects(sharded.fds() == mined.fds(),
-          "sharded mine diverged from the full TANE mine");
 
   cp::GwlbBinding binding(std::move(gwlb), cp::Representation::kUniversal,
                           cp::CompileMode::kIncremental);
@@ -269,7 +256,7 @@ int main(int argc, char** argv) {
   ReportTable table("fleet-scale metrics per size");
   table.set_header({"services", "rules", "B/rule col", "B/rule rows",
                     "B/rule dp", "B/rule legacy", "build ms", "mine ms",
-                    "shard ms", "inc p50 us", "apply p50 us", "RSS MB"});
+                    "inc p50 us", "apply p50 us", "RSS MB"});
 
   std::vector<SizePoint> points;
   for (const std::size_t services : sizes) {
@@ -286,7 +273,6 @@ int main(int argc, char** argv) {
                    std::to_string(pt.dp_bytes_per_rule_legacy),
                    format_double(pt.build_ms, 1),
                    format_double(pt.mine_ms, 1),
-                   format_double(pt.sharded_mine_ms, 1),
                    format_double(pt.inc_median_us, 1),
                    format_double(pt.switch_apply_p50_us, 1),
                    std::to_string(pt.peak_rss_mb)});
@@ -315,8 +301,7 @@ int main(int argc, char** argv) {
          << ", \"dp_bytes_per_rule_legacy\": " << pt.dp_bytes_per_rule_legacy
          << ",\n"
          << "     \"universal_build_ms\": " << pt.build_ms
-         << ", \"full_mine_ms\": " << pt.mine_ms
-         << ", \"sharded_mine_ms\": " << pt.sharded_mine_ms << ",\n"
+         << ", \"full_mine_ms\": " << pt.mine_ms << ",\n"
          << "     \"peak_rss_mb\": " << pt.peak_rss_mb
          << ", \"drift\": " << pt.drift << ",\n"
          << "     \"phases\": {\"rule_diff_p50_us\": " << pt.rule_diff_p50_us

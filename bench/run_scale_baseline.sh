@@ -5,7 +5,7 @@
 #   - bytes/rule of the columnar universal table vs the row-of-vectors
 #     reference, and of the flattened dp::Program vs the legacy
 #     vector-of-Rule layout (both measured same-run);
-#   - universal build, full TANE mine, and sharded-mine wall times;
+#   - universal build and full TANE mine wall times;
 #   - per-intent incremental compile latency with the rule_diff /
 #     slice_merge / switch_apply phase split;
 #   - peak RSS per tier and the drift gate (patched program == fresh

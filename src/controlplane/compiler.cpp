@@ -39,30 +39,6 @@ std::string to_string(const Intent& intent) {
   return std::visit(Visitor{}, intent);
 }
 
-std::string_view to_string(Representation repr) noexcept {
-  switch (repr) {
-    case Representation::kUniversal: return "universal";
-    case Representation::kGoto: return "goto";
-    case Representation::kMetadata: return "metadata";
-    case Representation::kRematch: return "rematch";
-  }
-  return "unknown";
-}
-
-core::Pipeline pipeline_for(const Gwlb& gwlb, Representation repr) {
-  switch (repr) {
-    case Representation::kUniversal:
-      return core::Pipeline::single(gwlb.universal);
-    case Representation::kGoto:
-      return workloads::gwlb_goto_pipeline(gwlb);
-    case Representation::kMetadata:
-      return workloads::gwlb_metadata_pipeline(gwlb);
-    case Representation::kRematch:
-      return workloads::gwlb_rematch_pipeline(gwlb);
-  }
-  return core::Pipeline::single(gwlb.universal);
-}
-
 namespace {
 
 /// Hashes a rule's full content; `RuleT` is dp::Rule or dp::RuleView, so
@@ -187,29 +163,6 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
   if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify();
 }
 
-std::vector<core::AttrSet> decomposition_components(
-    Representation repr, const core::Schema& universal_schema) {
-  const core::AttrSet all = universal_schema.all();
-  const core::AttrSet selector =
-      core::AttrSet::single(workloads::kGwlbIpDst) |
-      core::AttrSet::single(workloads::kGwlbTcpDst);
-  switch (repr) {
-    case Representation::kUniversal:
-      return {all};
-    case Representation::kGoto:
-    case Representation::kMetadata:
-      // The second stage is entered with the full selector context (the
-      // goto target resp. the metadata tag are functions of ip_dst and
-      // tcp_dst), so its effective attribute set is the whole schema.
-      return {selector, all};
-    case Representation::kRematch:
-      // The second stage re-matches ip_dst but not tcp_dst: the join is
-      // lossless only because ip_dst → tcp_dst (Theorem 1 applied).
-      return {selector, all - core::AttrSet::single(workloads::kGwlbTcpDst)};
-  }
-  return {all};
-}
-
 void GwlbBinding::run_post_compile_analysis() {
   analysis::Input input;
   input.program = &program_;
@@ -309,7 +262,7 @@ void GwlbBinding::rebuild_universal() {
 
 Status GwlbBinding::rebuild_program() {
   // Rebuild the universal table from the service model first (the
-  // decomposed builders read services directly).
+  // decomposed stages read services directly).
   rebuild_universal();
   auto compiled = dp::compile(pipeline_for(gwlb_, repr_), &field_map_);
   if (!compiled.is_ok()) return compiled.status();
@@ -320,22 +273,29 @@ Status GwlbBinding::rebuild_program() {
 }
 
 void GwlbBinding::rebuild_provenance() {
+  // Re-emit every service's slice into its table and stable-sort each
+  // table's concatenation: per-slice pre-sorting commutes with the global
+  // stable sort, so the result must reproduce the compiled table exactly.
+  // This doubles as the cross-check that the slice emitter cannot drift
+  // from the pipeline builder.
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const std::size_t n = gwlb_.services.size();
   provenance_.assign(program_.tables.size(), {});
-  for (std::size_t t = 0; t < program_.tables.size(); ++t) {
-    // Re-emit every service's slice and stable-sort the concatenation:
-    // per-slice pre-sorting commutes with the global stable sort, so the
-    // result must reproduce the compiled table exactly. This doubles as
-    // the cross-check that the per-service emitters cannot drift from
-    // the pipeline builders.
-    std::vector<std::pair<Rule, std::uint32_t>> emitted;
-    for (std::size_t s = 0; s < gwlb_.services.size(); ++s) {
-      auto slice = service_slice(t, gwlb_.services[s], s);
+  std::vector<std::vector<std::pair<Rule, std::uint32_t>>> by_table(
+      program_.tables.size());
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t k = 0; k < desc.stages.size(); ++k) {
+      auto slice = service_slice(k, gwlb_.services[s], s);
       expects(slice.is_ok(), "service slice failed to lower: " +
                                  slice.status().message());
+      auto& emitted = by_table[desc.table_of(k, s, n)];
       for (Rule& rule : slice.value()) {
         emitted.emplace_back(std::move(rule), static_cast<std::uint32_t>(s));
       }
     }
+  }
+  for (std::size_t t = 0; t < program_.tables.size(); ++t) {
+    auto& emitted = by_table[t];
     std::stable_sort(emitted.begin(), emitted.end(),
                      [](const auto& a, const auto& b) {
                        return a.first.priority > b.first.priority;
@@ -395,118 +355,21 @@ void GwlbBinding::vip_remove(std::uint32_t vip, std::size_t service) {
 }
 
 Result<std::vector<Rule>> GwlbBinding::service_slice(
-    std::size_t table, const GwlbService& svc, std::size_t s) const {
+    std::size_t stage, const GwlbService& svc, std::size_t s) const {
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const StageDescriptor& sd = desc.stages[stage];
+  const std::optional<std::size_t> goto_target =
+      sd.link == StageLink::kGotoPerService
+          ? std::optional(desc.table_of(stage + 1, s, gwlb_.services.size()))
+          : std::nullopt;
   std::vector<Rule> rules;
-  const bool live = !svc.src_prefixes.empty();
-  const auto lower_into =
-      [&](const core::Schema& schema, const core::Row& row,
-          std::optional<std::size_t> goto_target) -> Status {
-    auto lowered = dp::lower_row(schema, row, field_map_, goto_target);
+  for (const core::Row& row : sd.rows(svc, s)) {
+    auto lowered = dp::lower_row(sd.schema, row, field_map_, goto_target);
     if (!lowered.is_ok()) return lowered.status();
     rules.push_back(std::move(lowered).value());
-    return Status::ok();
-  };
-
-  switch (repr_) {
-    case Representation::kUniversal: {
-      static const core::Schema schema = workloads::gwlb_universal_schema();
-      if (table != 0) break;
-      for (const core::Row& row : workloads::gwlb_universal_rows(svc)) {
-        if (Status st = lower_into(schema, row, std::nullopt); !st.is_ok()) {
-          return st;
-        }
-      }
-      break;
-    }
-    case Representation::kGoto: {
-      static const core::Schema service_schema =
-          workloads::gwlb_goto_service_schema();
-      static const core::Schema lb_schema = workloads::gwlb_goto_lb_schema();
-      if (table == 0) {
-        if (live) {
-          if (Status st = lower_into(service_schema,
-                                     workloads::gwlb_goto_service_row(svc),
-                                     1 + s);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      } else if (table == 1 + s) {
-        for (const core::Row& row : workloads::gwlb_goto_lb_rows(svc)) {
-          if (Status st = lower_into(lb_schema, row, std::nullopt);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      }
-      break;
-    }
-    case Representation::kMetadata: {
-      static const core::Schema service_schema =
-          workloads::gwlb_metadata_service_schema();
-      static const core::Schema lb_schema =
-          workloads::gwlb_metadata_lb_schema();
-      if (table == 0) {
-        if (live) {
-          if (Status st =
-                  lower_into(service_schema,
-                             workloads::gwlb_metadata_service_row(svc, s),
-                             std::nullopt);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      } else if (table == 1) {
-        for (const core::Row& row :
-             workloads::gwlb_metadata_lb_rows(svc, s)) {
-          if (Status st = lower_into(lb_schema, row, std::nullopt);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      }
-      break;
-    }
-    case Representation::kRematch: {
-      static const core::Schema service_schema =
-          workloads::gwlb_rematch_service_schema();
-      static const core::Schema lb_schema =
-          workloads::gwlb_rematch_lb_schema();
-      if (table == 0) {
-        if (live) {
-          if (Status st = lower_into(service_schema,
-                                     workloads::gwlb_rematch_service_row(svc),
-                                     std::nullopt);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      } else if (table == 1) {
-        for (const core::Row& row : workloads::gwlb_rematch_lb_rows(svc)) {
-          if (Status st = lower_into(lb_schema, row, std::nullopt);
-              !st.is_ok()) {
-            return st;
-          }
-        }
-      }
-      break;
-    }
   }
   sort_slice(rules);
   return rules;
-}
-
-std::vector<std::size_t> GwlbBinding::affected_tables(std::size_t s) const {
-  switch (repr_) {
-    case Representation::kUniversal:
-      return {0};
-    case Representation::kGoto:
-      return {0, 1 + s};  // ascending: the order the reference diff uses
-    case Representation::kMetadata:
-    case Representation::kRematch:
-      return {0, 1};
-  }
-  return {0};
 }
 
 std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
@@ -517,15 +380,22 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   const bool old_live = !old_svc.src_prefixes.empty();
   const bool new_live = !svc.src_prefixes.empty();
   struct Patch {
+    std::size_t stage = 0;
     std::size_t table = 0;
     std::vector<std::uint32_t> positions;  // ascending, pre-patch
     std::vector<Rule> before;
     std::vector<Rule> after;
     bool same_shape = false;
   };
+  // One patch per stage, in ascending table order: the order the
+  // reference diff uses.
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const std::size_t n = gwlb_.services.size();
   std::vector<Patch> patches;
-  for (const std::size_t t : affected_tables(service)) {
+  for (std::size_t stage = 0; stage < desc.stages.size(); ++stage) {
+    const std::size_t t = desc.table_of(stage, service, n);
     Patch patch;
+    patch.stage = stage;
     patch.table = t;
     const dp::FlatRules& rules = program_.tables[t].rules;
     if (const auto it =
@@ -538,14 +408,14 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
       }
     }
     // Validation: the slice extracted from the live program must equal
-    // what the emitters produce for the pre-intent service state. A
+    // what the descriptor emits for the pre-intent service state. A
     // mismatch means provenance drifted — fall back, nothing mutated.
-    auto want_before = service_slice(t, old_svc, service);
+    auto want_before = service_slice(stage, old_svc, service);
     if (!want_before.is_ok() || want_before.value() != patch.before) {
       last_fallback_cause_ = FallbackCause::kSliceValidation;
       return std::nullopt;
     }
-    auto after = service_slice(t, svc, service);
+    auto after = service_slice(stage, svc, service);
     if (!after.is_ok()) {
       last_fallback_cause_ = FallbackCause::kSliceValidation;
       return std::nullopt;
@@ -591,7 +461,10 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
       std::vector<Rule> self = patch.before;
       self.insert(self.end(), patch.after.begin(), patch.after.end());
       for (const std::uint32_t p : partners) {
-        auto partner = service_slice(patch.table, gwlb_.services[p], p);
+        // A partner with its own table in this stage holds no rules in
+        // this one: trivially disjoint.
+        if (desc.table_of(patch.stage, p, n) != patch.table) continue;
+        auto partner = service_slice(patch.stage, gwlb_.services[p], p);
         if (!partner.is_ok()) {
           last_fallback_cause_ = FallbackCause::kSliceValidation;
           return std::nullopt;
@@ -780,31 +653,36 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
 
 MonitorPlan GwlbBinding::monitor_plan(std::size_t service) const {
   expects(service < gwlb_.services.size(), "service index out of range");
-  const std::size_t backends =
-      gwlb_.services[service].src_prefixes.size();
-  if (repr_ == Representation::kUniversal) {
-    // One counter per backend entry, summed in the controller.
-    return {backends, backends == 0 ? 0 : backends - 1};
+  // All of the service's traffic passes its entries in the entry stage:
+  // one counter each, summed in the controller.
+  const std::size_t counters =
+      descriptor(repr_).stages.front().rows(gwlb_.services[service], service)
+          .size();
+  return {counters, std::max<std::size_t>(counters, 1) - 1};
+}
+
+std::vector<Rule> GwlbBinding::entry_rules(std::size_t service) const {
+  expects(service < gwlb_.services.size(), "service index out of range");
+  const auto& index = slice_index_[program_.entry];
+  const auto it = index.find(static_cast<std::uint32_t>(service));
+  if (it == index.end()) return {};
+  std::vector<Rule> rules;
+  rules.reserve(it->second.size());
+  for (const std::uint32_t pos : it->second) {
+    rules.push_back(program_.tables[program_.entry].rules[pos]);
   }
-  // All of the service's traffic flows through its single first-stage
-  // entry: one counter, no aggregation.
-  return {1, 0};
+  return rules;
 }
 
 std::size_t GwlbBinding::identity_entries(std::size_t service) const {
   expects(service < gwlb_.services.size(), "service index out of range");
-  const std::size_t backends =
-      gwlb_.services[service].src_prefixes.size();
-  switch (repr_) {
-    case Representation::kUniversal:
-      return backends;  // VIP:port repeated per backend entry
-    case Representation::kGoto:
-    case Representation::kMetadata:
-      return 1;  // stated once, in the service table
-    case Representation::kRematch:
-      return 1 + backends;  // re-matched VIP appears per backend again
+  std::size_t entries = 0;
+  for (const StageDescriptor& stage : descriptor(repr_).stages) {
+    if (stage.schema.find("ip_dst").has_value()) {
+      entries += stage.rows(gwlb_.services[service], service).size();
+    }
   }
-  return backends;
+  return entries;
 }
 
 }  // namespace maton::cp

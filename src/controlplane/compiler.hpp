@@ -8,10 +8,11 @@
 // whole program from the service model and diffs it against the previous
 // one. The *incremental* path (the default) exploits that every intent
 // names the single service it touches: it re-emits only that service's
-// rule slice per table — through the same per-service emitters the
-// pipeline builders use — diffs the slice, and patches the program (and
-// the universal table, cell-wise) in place. The two paths are
-// differentially tested to be bit-identical over randomized churn traces
+// rule slice per table — through the same representation descriptor the
+// pipeline builder reads (controlplane/representation.hpp) — diffs the
+// slice, and patches the program (and the universal table, cell-wise) in
+// place. The two paths are differentially tested to be bit-identical
+// over randomized churn traces
 // (tests/controlplane/test_incremental_compile.cpp).
 #pragma once
 
@@ -21,16 +22,12 @@
 
 #include "analysis/analysis.hpp"
 #include "controlplane/intent.hpp"
+#include "controlplane/representation.hpp"
 #include "core/fd_mine.hpp"
 #include "dataplane/switch.hpp"
 #include "workloads/gwlb.hpp"
 
 namespace maton::cp {
-
-/// The pipeline representations of Fig. 1.
-enum class Representation { kUniversal, kGoto, kMetadata, kRematch };
-
-[[nodiscard]] std::string_view to_string(Representation repr) noexcept;
 
 /// Which compilation path a binding uses for intents.
 enum class CompileMode {
@@ -137,11 +134,17 @@ class GwlbBinding {
       const Intent& intent);
 
   /// §2 monitorability: the plan for measuring one service's aggregate
-  /// traffic under this representation.
+  /// traffic under this representation — one counter per entry the
+  /// service holds in the entry stage, summed by the controller.
   [[nodiscard]] MonitorPlan monitor_plan(std::size_t service) const;
 
-  /// Entries that refer to the service's identity (VIP/port) — the state
-  /// that can become inconsistent mid-update. The §2 atomicity argument:
+  /// The service's rules in the entry table, in program order: the
+  /// counters monitor_plan counts. Empty for a removed service.
+  [[nodiscard]] std::vector<dp::Rule> entry_rules(std::size_t service) const;
+
+  /// Entries that refer to the service's identity (VIP/port): its rows in
+  /// every stage whose schema carries ip_dst — the state that can become
+  /// inconsistent mid-update. The §2 atomicity argument:
   /// an intent touching k entries has an inconsistency window of k − 1
   /// partially-applied states.
   [[nodiscard]] std::size_t identity_entries(std::size_t service) const;
@@ -186,13 +189,9 @@ class GwlbBinding {
   void run_post_compile_verify();
 
   /// Lowered, slice-sorted rules service `s` (in state `svc`) contributes
-  /// to program table `table`; empty when it contributes none.
+  /// to descriptor stage `stage`; empty when it contributes none.
   [[nodiscard]] Result<std::vector<dp::Rule>> service_slice(
-      std::size_t table, const workloads::GwlbService& svc,
-      std::size_t s) const;
-
-  /// Program tables that may hold rules of service `s`.
-  [[nodiscard]] std::vector<std::size_t> affected_tables(
+      std::size_t stage, const workloads::GwlbService& svc,
       std::size_t s) const;
 
   /// Why the most recent try_compile_incremental declined.
@@ -243,19 +242,6 @@ class GwlbBinding {
   AnalyzeMode analyze_ = AnalyzeMode::kOff;
   analysis::Report last_analysis_;
 };
-
-/// Builds the core pipeline for a representation (universal = single
-/// stage).
-[[nodiscard]] core::Pipeline pipeline_for(const workloads::Gwlb& gwlb,
-                                          Representation repr);
-
-/// Attribute-set components (over the universal schema) that each
-/// representation decomposes the universal table into, for the
-/// decomposition-safety analysis. Metadata registers are expanded to the
-/// attributes they are derived from, so every component is a subset of
-/// the universal schema (Theorem 1 reasons over the original relation).
-[[nodiscard]] std::vector<core::AttrSet> decomposition_components(
-    Representation repr, const core::Schema& universal_schema);
 
 /// Minimal update set turning `before` into `after`: per table, each old
 /// rule consumes the first unmatched equal new rule (hash-multiset, O(n)

@@ -17,23 +17,10 @@ Result<ServiceTraffic> TrafficMonitor::read_service(
     return failed_precondition("monitor targets a removed service");
   }
 
-  // All of the service's traffic is matched in the entry table by rules
-  // carrying its VIP:port pair — M per-backend rules on the universal
-  // representation, a single service rule on the normalized ones.
-  const dp::TableSpec& entry_table =
-      binding_.program().tables[binding_.program().entry];
-  std::vector<std::vector<dp::FieldMatch>> rules;
-  for (const auto rule : entry_table.rules) {
-    bool vip = false;
-    bool port = false;
-    for (const dp::FieldMatch m : rule.matches) {
-      if (m.field == dp::FieldId::kIpDst && m.value == svc.vip) vip = true;
-      if (m.field == dp::FieldId::kTcpDst && m.value == svc.port) {
-        port = true;
-      }
-    }
-    if (vip && port) rules.push_back(rule.matches);
-  }
+  // All of the service's traffic is matched by its entry-table rules — M
+  // per-backend rules on the universal representation, a single service
+  // rule on the normalized ones.
+  const std::vector<dp::Rule> rules = binding_.entry_rules(service);
   if (rules.empty()) {
     return internal_error("no entry-table rules carry the service's "
                           "identity; binding out of sync with program");
@@ -47,9 +34,9 @@ Result<ServiceTraffic> TrafficMonitor::read_service(
 
   const obs::TraceSpan span("monitor_read");
   ServiceTraffic traffic;
-  for (const std::vector<dp::FieldMatch>& matches : rules) {
+  for (const dp::Rule& rule : rules) {
     const auto count =
-        target_.read_rule_counter(binding_.program().entry, matches);
+        target_.read_rule_counter(binding_.program().entry, rule.matches);
     if (!count.is_ok()) return count.status();
     traffic.packets += count.value();
     ++traffic.counters_read;

@@ -483,147 +483,4 @@ FdSet mine_fds_tane(const Table& table, MineOptions opts) {
   return out;
 }
 
-namespace {
-
-/// Finalizer avalanche (murmur3) so consecutive key values spread across
-/// shards instead of striping.
-std::uint64_t shard_hash(Value v) noexcept {
-  std::uint64_t h = v;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 29;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 32;
-  return h;
-}
-
-}  // namespace
-
-FdSet mine_fds_sharded(const Table& table, ShardedMineOptions opts) {
-  static obs::Counter& mines =
-      obs::MetricRegistry::global().counter("maton_fdmine_sharded_mines_total");
-  const obs::TraceSpan span("sharded_mine");
-  ensure_minable(table);
-  const std::size_t k = table.num_cols();
-  const std::size_t n = table.num_rows();
-  if (k == 0) return {};
-  if (opts.shards <= 1 || n < 2 * opts.shards) {
-    return mine_fds_tane(table, opts.mine);
-  }
-  expects(opts.shard_col < k, "shard column out of range");
-  mines.add();
-
-  // 1. Hash-partition the rows. Equal key values colocate, so any FD
-  //    scoped to one key value survives sharding intact.
-  std::vector<Table> shards;
-  shards.reserve(opts.shards);
-  for (std::size_t s = 0; s < opts.shards; ++s) {
-    shards.emplace_back(table.name() + "#" + std::to_string(s),
-                        table.schema());
-    shards.back().reserve_rows(n / opts.shards + 1);
-  }
-  const Column& key_col = table.column(opts.shard_col);
-  Row row(k);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t c = 0; c < k; ++c) row[c] = table.at(r, c);
-    shards[shard_hash(key_col[r]) % opts.shards].add_row(row);
-  }
-
-  // 2. Per-shard TANE. The shard is the parallel grain: each pass runs
-  //    strictly sequentially (threads = 0 never touches the pool, so
-  //    fanning the passes over it cannot nest parallel_for). Results
-  //    land in per-shard slots; every merge below walks them in shard
-  //    order, keeping the output independent of completion order.
-  MineOptions per_shard = opts.mine;
-  per_shard.threads = 0;
-  const std::size_t workers = resolve_workers(opts.mine.threads);
-  util::ThreadPool* pool = workers > 1 ? &util::ThreadPool::shared() : nullptr;
-  std::vector<FdSet> shard_fds(shards.size());
-  for_each_index(pool, workers, shards.size(),
-                 [&](std::size_t s, std::size_t) {
-                   shard_fds[s] = mine_fds_tane(shards[s], per_shard);
-                 });
-
-  // 3. Candidate seeds: the union of shard-local minimal FDs, deduped.
-  //    `visited` doubles as the escalation guard: each (lhs, rhs) node
-  //    is enqueued at most once.
-  std::unordered_map<std::uint64_t, std::uint64_t> visited;  // lhs → rhs bits
-  const auto visit = [&](AttrSet lhs, std::size_t a) {
-    std::uint64_t& bits = visited[lhs.raw()];
-    const std::uint64_t bit = AttrSet::single(a).raw();
-    if ((bits & bit) != 0) return false;
-    bits |= bit;
-    return true;
-  };
-  const std::size_t max_lhs =
-      opts.mine.max_lhs == 0 ? k - 1 : std::min(opts.mine.max_lhs, k - 1);
-  std::vector<std::vector<Fd>> levels(max_lhs + 2);
-  for (const FdSet& fs : shard_fds) {
-    for (const Fd& fd : fs.fds()) {
-      if (fd.lhs.size() > max_lhs) continue;
-      for (std::size_t a : fd.rhs) {
-        if (visit(fd.lhs, a)) {
-          levels[fd.lhs.size()].push_back({fd.lhs, AttrSet::single(a)});
-        }
-      }
-    }
-  }
-
-  // 4. Level-wise global verification with one-attribute escalation.
-  //    A candidate dominated by an already-verified FD (same RHS,
-  //    subset LHS — necessarily from a shallower level) is non-minimal
-  //    and cannot sit below a minimal FD either, so it is dropped
-  //    without expansion. Verification fans out per level; fd_holds is
-  //    a pure read of the table.
-  const AttrSet universe = table.schema().all();
-  std::vector<Fd> verified;
-  std::vector<std::vector<AttrSet>> verified_by_rhs(k);
-  for (std::size_t level = 0; level < levels.size(); ++level) {
-    std::vector<Fd>& cands = levels[level];
-    std::sort(cands.begin(), cands.end());
-    std::vector<Fd> to_check;
-    to_check.reserve(cands.size());
-    for (const Fd& fd : cands) {
-      const std::size_t a = *fd.rhs.begin();
-      const bool dominated = std::any_of(
-          verified_by_rhs[a].begin(), verified_by_rhs[a].end(),
-          [&](AttrSet lhs) { return lhs.subset_of(fd.lhs); });
-      if (!dominated) to_check.push_back(fd);
-    }
-    std::vector<std::uint8_t> holds(to_check.size(), 0);
-    for_each_index(pool, workers, to_check.size(),
-                   [&](std::size_t i, std::size_t) {
-                     holds[i] = fd_holds(table, to_check[i]) ? 1 : 0;
-                   });
-    for (std::size_t i = 0; i < to_check.size(); ++i) {
-      const Fd& fd = to_check[i];
-      const std::size_t a = *fd.rhs.begin();
-      if (holds[i] != 0) {
-        verified.push_back(fd);
-        verified_by_rhs[a].push_back(fd.lhs);
-        continue;
-      }
-      if (level >= max_lhs) continue;
-      for (std::size_t b : universe - fd.lhs) {
-        if (b == a) continue;
-        AttrSet wider = fd.lhs;
-        wider.insert(b);
-        if (visit(wider, a)) levels[level + 1].push_back({wider, fd.rhs});
-      }
-    }
-  }
-
-  // 5. Canonical order — exactly mine_fds_tane's emission order: by
-  //    lattice level (|lhs| + 1), then ascending node key (lhs ∪ rhs),
-  //    then ascending RHS attribute.
-  std::sort(verified.begin(), verified.end(), [](const Fd& x, const Fd& y) {
-    if (x.lhs.size() != y.lhs.size()) return x.lhs.size() < y.lhs.size();
-    const std::uint64_t nx = x.lhs.raw() | x.rhs.raw();
-    const std::uint64_t ny = y.lhs.raw() | y.rhs.raw();
-    if (nx != ny) return nx < ny;
-    return x.rhs.raw() < y.rhs.raw();
-  });
-  return FdSet(std::move(verified));
-}
-
 }  // namespace maton::core

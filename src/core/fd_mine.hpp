@@ -66,40 +66,6 @@ struct MineOptions {
 /// lattice. Output is deterministic and independent of opts.threads.
 [[nodiscard]] FdSet mine_fds_tane(const Table& table, MineOptions opts = {});
 
-struct ShardedMineOptions {
-  /// Number of hash shards. Values ≤ 1 (or tables too small to split)
-  /// fall back to a single mine_fds_tane pass.
-  std::size_t shards = 8;
-
-  /// Column whose value assigns each row to a shard (hash mod shards).
-  /// Rows agreeing on this column always share a shard, so when it keys
-  /// service identity the per-shard instances mirror per-service
-  /// structure and shard-local FDs are rarely refuted globally.
-  std::size_t shard_col = 0;
-
-  /// Engine options. `mine.threads` bounds the shard fan-out and the
-  /// parallel verification rung; each shard's own TANE pass runs
-  /// strictly sequentially (the shard is the parallel grain).
-  /// `mine.cache` is shared across shards — PartitionCache is
-  /// thread-safe and shard tables key their own fingerprints.
-  MineOptions mine;
-};
-
-/// Sharded variant of mine_fds_tane for fleet-scale tables: hash-shards
-/// the rows, mines each shard independently (per-shard TANE over the
-/// shared partition cache), then promotes the union of shard-local FDs
-/// to global ones by level-wise verification against the full table,
-/// escalating refuted candidates one LHS attribute at a time.
-///
-/// Complete and minimal: a globally-minimal X → A holds on every row
-/// subset, so each shard emits some Y ⊆ X; every proper subset of X
-/// fails globally (minimality), so the escalation path from Y climbs
-/// through failing nodes until it reaches X. The result is bit-identical
-/// to mine_fds_tane(table) — same dependencies, same order — for every
-/// shard count and thread count.
-[[nodiscard]] FdSet mine_fds_sharded(const Table& table,
-                                     ShardedMineOptions opts = {});
-
 /// Stripped-partition machinery, exposed for tests and benchmarks.
 namespace tane {
 

@@ -9,7 +9,6 @@
 
 namespace maton::workloads {
 
-using core::AttrKind;
 using core::Row;
 using core::Schema;
 using core::Table;
@@ -53,98 +52,12 @@ Schema gwlb_universal_schema() {
   return schema;
 }
 
-Schema gwlb_goto_service_schema() {
-  Schema schema;
-  schema.add_match("ip_dst", ValueCodec::kIpv4, 32);
-  schema.add_match("tcp_dst", ValueCodec::kPort, 16);
-  return schema;
-}
-
-Schema gwlb_goto_lb_schema() {
-  Schema schema;
-  schema.add_match("ip_src", ValueCodec::kIpv4Prefix, 32);
-  schema.add_action("out", ValueCodec::kPort, 16);
-  return schema;
-}
-
-Schema gwlb_metadata_service_schema() {
-  Schema schema;
-  schema.add_match("ip_dst", ValueCodec::kIpv4, 32);
-  schema.add_match("tcp_dst", ValueCodec::kPort, 16);
-  schema.add_action("meta.tenant", ValueCodec::kPlain, 16);
-  return schema;
-}
-
-Schema gwlb_metadata_lb_schema() {
-  Schema schema;
-  schema.add_match("meta.tenant", ValueCodec::kPlain, 16);
-  schema.add_match("ip_src", ValueCodec::kIpv4Prefix, 32);
-  schema.add_action("out", ValueCodec::kPort, 16);
-  return schema;
-}
-
-Schema gwlb_rematch_service_schema() {
-  Schema schema;
-  schema.add_match("ip_dst", ValueCodec::kIpv4, 32);
-  schema.add_match("tcp_dst", ValueCodec::kPort, 16);
-  return schema;
-}
-
-Schema gwlb_rematch_lb_schema() {
-  Schema schema;
-  schema.add_match("ip_src", ValueCodec::kIpv4Prefix, 32);
-  schema.add_match("ip_dst", ValueCodec::kIpv4, 32);
-  schema.add_action("out", ValueCodec::kPort, 16);
-  return schema;
-}
-
 std::vector<Row> gwlb_universal_rows(const GwlbService& svc) {
   std::vector<Row> rows;
   rows.reserve(svc.src_prefixes.size());
   for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
     rows.push_back({svc.src_prefixes[b], svc.vip, svc.port,
                     svc.backends[b]});
-  }
-  return rows;
-}
-
-Row gwlb_goto_service_row(const GwlbService& svc) {
-  return {svc.vip, svc.port};
-}
-
-std::vector<Row> gwlb_goto_lb_rows(const GwlbService& svc) {
-  std::vector<Row> rows;
-  rows.reserve(svc.src_prefixes.size());
-  for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
-    rows.push_back({svc.src_prefixes[b], svc.backends[b]});
-  }
-  return rows;
-}
-
-Row gwlb_metadata_service_row(const GwlbService& svc, std::size_t s) {
-  return {svc.vip, svc.port, static_cast<Value>(s)};
-}
-
-std::vector<Row> gwlb_metadata_lb_rows(const GwlbService& svc,
-                                       std::size_t s) {
-  std::vector<Row> rows;
-  rows.reserve(svc.src_prefixes.size());
-  for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
-    rows.push_back({static_cast<Value>(s), svc.src_prefixes[b],
-                    svc.backends[b]});
-  }
-  return rows;
-}
-
-Row gwlb_rematch_service_row(const GwlbService& svc) {
-  return {svc.vip, svc.port};
-}
-
-std::vector<Row> gwlb_rematch_lb_rows(const GwlbService& svc) {
-  std::vector<Row> rows;
-  rows.reserve(svc.src_prefixes.size());
-  for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
-    rows.push_back({svc.src_prefixes[b], svc.vip, svc.backends[b]});
   }
   return rows;
 }
@@ -222,75 +135,6 @@ Gwlb make_paper_example() {
   services[2].backends = {6};  // vm6
 
   return assemble(std::move(services));
-}
-
-core::Pipeline gwlb_goto_pipeline(const Gwlb& gwlb) {
-  core::Pipeline pipeline;
-
-  Table t0("gwlb.services", gwlb_goto_service_schema());
-  const std::size_t first = pipeline.add_stage({std::move(t0), {}, {}});
-
-  // Removed services (no backends) keep their (empty, unreachable) LB
-  // table so stage indices stay stable across control-plane updates, but
-  // get no service entry.
-  std::vector<std::size_t> targets;
-  for (std::size_t s = 0; s < gwlb.services.size(); ++s) {
-    const GwlbService& svc = gwlb.services[s];
-    Table lb("gwlb.lb" + std::to_string(s), gwlb_goto_lb_schema());
-    for (Row& row : gwlb_goto_lb_rows(svc)) lb.add_row(std::move(row));
-    const std::size_t stage = pipeline.add_stage({std::move(lb), {}, {}});
-    if (!svc.src_prefixes.empty()) {
-      pipeline.stage(first).table.add_row(gwlb_goto_service_row(svc));
-      targets.push_back(stage);
-    }
-  }
-  pipeline.stage(first).goto_targets = std::move(targets);
-  pipeline.set_entry(first);
-  return pipeline;
-}
-
-core::Pipeline gwlb_metadata_pipeline(const Gwlb& gwlb) {
-  core::Pipeline pipeline;
-
-  Table t0("gwlb.services", gwlb_metadata_service_schema());
-  for (std::size_t s = 0; s < gwlb.services.size(); ++s) {
-    if (gwlb.services[s].src_prefixes.empty()) continue;  // removed
-    t0.add_row(gwlb_metadata_service_row(gwlb.services[s], s));
-  }
-
-  Table t1("gwlb.lb", gwlb_metadata_lb_schema());
-  for (std::size_t s = 0; s < gwlb.services.size(); ++s) {
-    for (Row& row : gwlb_metadata_lb_rows(gwlb.services[s], s)) {
-      t1.add_row(std::move(row));
-    }
-  }
-
-  const std::size_t first = pipeline.add_stage({std::move(t0), {}, {}});
-  const std::size_t second = pipeline.add_stage({std::move(t1), {}, {}});
-  pipeline.stage(first).next = second;
-  pipeline.set_entry(first);
-  return pipeline;
-}
-
-core::Pipeline gwlb_rematch_pipeline(const Gwlb& gwlb) {
-  core::Pipeline pipeline;
-
-  Table t0("gwlb.services", gwlb_rematch_service_schema());
-  for (const GwlbService& svc : gwlb.services) {
-    if (svc.src_prefixes.empty()) continue;  // removed service
-    t0.add_row(gwlb_rematch_service_row(svc));
-  }
-
-  Table t1("gwlb.lb", gwlb_rematch_lb_schema());
-  for (const GwlbService& svc : gwlb.services) {
-    for (Row& row : gwlb_rematch_lb_rows(svc)) t1.add_row(std::move(row));
-  }
-
-  const std::size_t first = pipeline.add_stage({std::move(t0), {}, {}});
-  const std::size_t second = pipeline.add_stage({std::move(t1), {}, {}});
-  pipeline.stage(first).next = second;
-  pipeline.set_entry(first);
-  return pipeline;
 }
 
 }  // namespace maton::workloads

@@ -3,17 +3,17 @@
 //
 // Routes tenants' services, addressed by public VIP:port pairs, to the
 // backend VMs running the workload; load is split across backends by
-// disjoint source-IP prefixes. Emits the universal single-table
-// representation plus the three hand-built decompositions of Fig. 1b–d,
-// and the model-level dependency set (ip_dst → tcp_dst: "a service lives
-// on exactly one port of its VIP").
+// disjoint source-IP prefixes. Emits the service model, its universal
+// single-table representation and the model-level dependency set (ip_dst
+// → tcp_dst: "a service lives on exactly one port of its VIP"). The
+// decompositions of Fig. 1b–d are described as data in
+// controlplane/representation.hpp.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "core/fd.hpp"
-#include "core/pipeline.hpp"
 #include "core/table.hpp"
 
 namespace maton::workloads {
@@ -59,53 +59,11 @@ inline constexpr std::size_t kGwlbOut = 3;
 /// 1:1:2) and 1 backends.
 [[nodiscard]] Gwlb make_paper_example();
 
-// Per-table schemas and per-service row emitters. The pipeline builders
-// below are defined in terms of these, and the incremental intent
-// compiler (controlplane/compiler) re-emits exactly one service's slice
-// through them to patch a compiled program in place — the two paths
-// cannot drift because they share the emitters.
-
 [[nodiscard]] core::Schema gwlb_universal_schema();
-[[nodiscard]] core::Schema gwlb_goto_service_schema();
-[[nodiscard]] core::Schema gwlb_goto_lb_schema();
-[[nodiscard]] core::Schema gwlb_metadata_service_schema();
-[[nodiscard]] core::Schema gwlb_metadata_lb_schema();
-[[nodiscard]] core::Schema gwlb_rematch_service_schema();
-[[nodiscard]] core::Schema gwlb_rematch_lb_schema();
 
 /// Universal-table rows of one service: {src_prefix, vip, port, backend}
 /// per backend, in backend order. Empty for a removed service.
 [[nodiscard]] std::vector<core::Row> gwlb_universal_rows(
     const GwlbService& svc);
-
-/// First-stage entry of one (live) service: {vip, port}.
-[[nodiscard]] core::Row gwlb_goto_service_row(const GwlbService& svc);
-/// Per-service LB-table rows: {src_prefix, backend} per backend.
-[[nodiscard]] std::vector<core::Row> gwlb_goto_lb_rows(
-    const GwlbService& svc);
-
-/// First-stage entry tagging service `s`: {vip, port, s}.
-[[nodiscard]] core::Row gwlb_metadata_service_row(const GwlbService& svc,
-                                                  std::size_t s);
-/// Shared-LB rows of service `s`: {s, src_prefix, backend} per backend.
-[[nodiscard]] std::vector<core::Row> gwlb_metadata_lb_rows(
-    const GwlbService& svc, std::size_t s);
-
-/// First-stage entry of one (live) service: {vip, port}.
-[[nodiscard]] core::Row gwlb_rematch_service_row(const GwlbService& svc);
-/// Re-matching LB rows: {src_prefix, vip, backend} per backend.
-[[nodiscard]] std::vector<core::Row> gwlb_rematch_lb_rows(
-    const GwlbService& svc);
-
-/// Fig. 1b: first stage matches (ip_dst, tcp_dst) and jumps to a
-/// per-service load-balancer table via goto_table.
-[[nodiscard]] core::Pipeline gwlb_goto_pipeline(const Gwlb& gwlb);
-
-/// Fig. 1c: the service stage writes an opaque tenant tag (meta.tenant);
-/// a single second stage matches the tag plus ip_src.
-[[nodiscard]] core::Pipeline gwlb_metadata_pipeline(const Gwlb& gwlb);
-
-/// Fig. 1d: the second stage simply re-matches ip_dst next to ip_src.
-[[nodiscard]] core::Pipeline gwlb_rematch_pipeline(const Gwlb& gwlb);
 
 }  // namespace maton::workloads

@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "controlplane/representation.hpp"
 #include "dataplane/program.hpp"
 #include "netkat/axioms.hpp"
 #include "netkat/eval.hpp"
@@ -242,11 +243,12 @@ TEST(CheckPrograms, PaperDecompositionsAreEquivalent) {
   const Gwlb gwlb = workloads::make_paper_example();
   const dp::Program universal =
       compiled(core::Pipeline::single(gwlb.universal));
-  const dp::Program goto_prog = compiled(workloads::gwlb_goto_pipeline(gwlb));
+  const dp::Program goto_prog =
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
   const dp::Program meta_prog =
-      compiled(workloads::gwlb_metadata_pipeline(gwlb));
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kMetadata));
   const dp::Program rematch_prog =
-      compiled(workloads::gwlb_rematch_pipeline(gwlb));
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kRematch));
 
   for (const dp::Program* p :
        {&goto_prog, &meta_prog, &rematch_prog}) {
@@ -264,7 +266,7 @@ TEST(CheckPrograms, RandomInstancesAreEquivalent) {
     const dp::Program universal =
         compiled(core::Pipeline::single(gwlb.universal));
     const dp::Program goto_prog =
-        compiled(workloads::gwlb_goto_pipeline(gwlb));
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
     const Result result = check_programs(universal, goto_prog);
     EXPECT_EQ(result.outcome, Outcome::kEquivalent) << result.note;
   }
@@ -274,9 +276,10 @@ TEST(CheckPrograms, MutatedBackendYieldsConfirmedCounterexample) {
   const Gwlb gwlb = workloads::make_paper_example();
   Gwlb mutated = gwlb;
   mutated.services[1].backends[0] ^= 1;  // reroute one backend
-  const dp::Program left = compiled(workloads::gwlb_goto_pipeline(gwlb));
+  const dp::Program left =
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
   const dp::Program right =
-      compiled(workloads::gwlb_goto_pipeline(mutated));
+      compiled(cp::pipeline_for(mutated, cp::Representation::kGoto));
 
   const Result result = check_programs(left, right);
   ASSERT_EQ(result.outcome, Outcome::kInequivalent);
@@ -318,7 +321,8 @@ TEST(CheckPrograms, TinyBudgetReportsUnknownNeverWrong) {
   const Gwlb gwlb = workloads::make_paper_example();
   const dp::Program universal =
       compiled(core::Pipeline::single(gwlb.universal));
-  const dp::Program goto_prog = compiled(workloads::gwlb_goto_pipeline(gwlb));
+  const dp::Program goto_prog =
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
   Options options;
   options.max_nodes = 8;
   const Result result = check_programs(universal, goto_prog, options);
@@ -335,8 +339,10 @@ TEST(CheckPrograms, EveryBudgetIsUnknownOrRight) {
   mutated.services[3].backends[2] ^= 1;
   const dp::Program universal =
       compiled(core::Pipeline::single(gwlb.universal));
-  const dp::Program goto_prog = compiled(workloads::gwlb_goto_pipeline(gwlb));
-  const dp::Program wrong = compiled(workloads::gwlb_goto_pipeline(mutated));
+  const dp::Program goto_prog =
+      compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
+  const dp::Program wrong =
+      compiled(cp::pipeline_for(mutated, cp::Representation::kGoto));
   const std::size_t full = check_programs(universal, wrong).stats.nodes;
   std::size_t unknowns = 0;
   for (std::size_t budget = 2; budget <= full + 1; budget += 1 + full / 64) {
@@ -358,9 +364,9 @@ TEST(CheckPrograms, EveryBudgetIsUnknownOrRight) {
 TEST(CheckPipelines, DecompositionsMatchUniversalTable) {
   const Gwlb gwlb = workloads::make_paper_example();
   for (const core::Pipeline& pipeline :
-       {workloads::gwlb_goto_pipeline(gwlb),
-        workloads::gwlb_metadata_pipeline(gwlb),
-        workloads::gwlb_rematch_pipeline(gwlb)}) {
+       {cp::pipeline_for(gwlb, cp::Representation::kGoto),
+        cp::pipeline_for(gwlb, cp::Representation::kMetadata),
+        cp::pipeline_for(gwlb, cp::Representation::kRematch)}) {
     const Result result =
         check_table_vs_pipeline(gwlb.universal, pipeline);
     EXPECT_EQ(result.outcome, Outcome::kEquivalent) << result.note;
@@ -372,7 +378,7 @@ TEST(CheckPipelines, MutationYieldsConfirmedCounterexample) {
   Gwlb mutated = gwlb;
   mutated.services[0].backends[1] ^= 1;
   const core::Pipeline pipeline =
-      workloads::gwlb_goto_pipeline(mutated);
+      cp::pipeline_for(mutated, cp::Representation::kGoto);
 
   const Result result = check_table_vs_pipeline(gwlb.universal, pipeline);
   ASSERT_EQ(result.outcome, Outcome::kInequivalent);

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "analysis/symbolic/engine.hpp"
+#include "controlplane/representation.hpp"
 #include "core/equivalence.hpp"
 #include "core/probe_oracle.hpp"
 #include "dataplane/program.hpp"
@@ -103,9 +104,9 @@ TEST(Differential, EquivalentRepresentationPairs) {
     const dp::Program universal =
         compiled(core::Pipeline::single(gwlb.universal));
     const dp::Program progs[] = {
-        compiled(workloads::gwlb_goto_pipeline(gwlb)),
-        compiled(workloads::gwlb_metadata_pipeline(gwlb)),
-        compiled(workloads::gwlb_rematch_pipeline(gwlb)),
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto)),
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kMetadata)),
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kRematch)),
     };
     for (const dp::Program& p : progs) {
       const Result result = check_programs(universal, p);
@@ -119,7 +120,8 @@ TEST(Differential, OneRuleMutated) {
   for (const std::uint64_t seed : kSeeds) {
     const Gwlb gwlb = workloads::make_gwlb(
         {.num_services = 8, .num_backends = 4, .seed = seed});
-    const dp::Program left = compiled(workloads::gwlb_goto_pipeline(gwlb));
+    const dp::Program left =
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
     dp::Program right = left;
     // Flip the output of one load-balancer rule.
     Rng rng(seed);
@@ -139,7 +141,8 @@ TEST(Differential, PrioritySwapped) {
   for (const std::uint64_t seed : kSeeds) {
     const Gwlb gwlb = workloads::make_gwlb(
         {.num_services = 8, .num_backends = 4, .seed = seed});
-    const dp::Program left = compiled(workloads::gwlb_goto_pipeline(gwlb));
+    const dp::Program left =
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
     dp::Program right = left;
     // Swap the scan order of two disjoint first-stage rules: the packet
     // function is unchanged, and canonicity must prove it.
@@ -162,7 +165,8 @@ TEST(Differential, MaskWidened) {
   for (const std::uint64_t seed : kSeeds) {
     const Gwlb gwlb = workloads::make_gwlb(
         {.num_services = 8, .num_backends = 4, .seed = seed});
-    const dp::Program left = compiled(workloads::gwlb_goto_pipeline(gwlb));
+    const dp::Program left =
+        compiled(cp::pipeline_for(gwlb, cp::Representation::kGoto));
     dp::Program right = left;
     // Widen one service-stage match: the rule now also claims keys it
     // previously missed or that belonged to lower-priority rules.
@@ -184,9 +188,9 @@ TEST(Differential, CorePipelinesAgainstProbeOracle) {
     const Gwlb gwlb = workloads::make_gwlb(
         {.num_services = 8, .num_backends = 4, .seed = seed});
     for (const core::Pipeline& pipeline :
-         {workloads::gwlb_goto_pipeline(gwlb),
-          workloads::gwlb_metadata_pipeline(gwlb),
-          workloads::gwlb_rematch_pipeline(gwlb)}) {
+         {cp::pipeline_for(gwlb, cp::Representation::kGoto),
+          cp::pipeline_for(gwlb, cp::Representation::kMetadata),
+          cp::pipeline_for(gwlb, cp::Representation::kRematch)}) {
       const Result symbolic =
           check_table_vs_pipeline(gwlb.universal, pipeline);
       const core::EquivalenceReport probed =
@@ -201,7 +205,8 @@ TEST(Differential, CorePipelinesAgainstProbeOracle) {
     Rng rng(seed);
     auto& svc = mutated.services[rng.index(mutated.services.size())];
     svc.backends[rng.index(svc.backends.size())] ^= 1;
-    const core::Pipeline pipeline = workloads::gwlb_goto_pipeline(mutated);
+    const core::Pipeline pipeline =
+        cp::pipeline_for(mutated, cp::Representation::kGoto);
     const Result symbolic =
         check_table_vs_pipeline(gwlb.universal, pipeline);
     const core::EquivalenceReport probed =

@@ -170,27 +170,56 @@ TEST(IntentCompiler, InvalidIntentsAreRejected) {
   EXPECT_EQ(again.status().code(), StatusCode::kFailedPrecondition);
 }
 
+/// §2 monitorability and atomicity exposure of tenant 2 (three backends)
+/// on the paper example, per representation.
+struct Exposure {
+  Representation repr;
+  std::size_t counters;
+  std::size_t aggregation_steps;
+  std::size_t identity_entries;
+};
+
+constexpr Exposure kTenant2[] = {
+    // Universal: 3 counters + controller-side summing; VIP:port repeated
+    // per backend entry.
+    {Representation::kUniversal, 3, 2, 3},
+    // Normal forms: one counter on the single service entry; the
+    // identity is stated once in the service table...
+    {Representation::kGoto, 1, 0, 1},
+    {Representation::kMetadata, 1, 0, 1},
+    // ...except that rematch re-states the VIP per backend entry.
+    {Representation::kRematch, 1, 0, 4},
+};
+
 TEST(MonitorPlans, PaperExampleTenant2) {
   // §2: monitoring tenant 2 takes 3 counters + controller-side summing on
   // the universal table, one counter on the normal form.
-  auto universal = bind(Representation::kUniversal);
-  const MonitorPlan uni = universal->monitor_plan(1);
-  EXPECT_EQ(uni.counters, 3u);
-  EXPECT_EQ(uni.aggregation_steps, 2u);
-
-  auto normalized = bind(Representation::kGoto);
-  const MonitorPlan norm = normalized->monitor_plan(1);
-  EXPECT_EQ(norm.counters, 1u);
-  EXPECT_EQ(norm.aggregation_steps, 0u);
+  for (const Exposure& e : kTenant2) {
+    const MonitorPlan plan = bind(e.repr)->monitor_plan(1);
+    EXPECT_EQ(plan.counters, e.counters) << to_string(e.repr);
+    EXPECT_EQ(plan.aggregation_steps, e.aggregation_steps)
+        << to_string(e.repr);
+  }
 }
 
 TEST(IdentityEntries, AtomicityExposure) {
-  auto universal = bind(Representation::kUniversal);
-  EXPECT_EQ(universal->identity_entries(1), 3u);
-  auto goto_b = bind(Representation::kGoto);
-  EXPECT_EQ(goto_b->identity_entries(1), 1u);
-  auto rematch = bind(Representation::kRematch);
-  EXPECT_EQ(rematch->identity_entries(1), 4u);
+  for (const Exposure& e : kTenant2) {
+    EXPECT_EQ(bind(e.repr)->identity_entries(1), e.identity_entries)
+        << to_string(e.repr);
+  }
+}
+
+TEST(IdentityEntries, RemovedServiceHoldsNoEntries) {
+  // A removed service has no entry left in any representation, so there
+  // is nothing to count and nothing to keep consistent.
+  for (const Exposure& e : kTenant2) {
+    auto binding = bind(e.repr);
+    ASSERT_TRUE(binding->compile_intent(RemoveService{.service = 1}).is_ok());
+    const MonitorPlan plan = binding->monitor_plan(1);
+    EXPECT_EQ(plan.counters, 0u) << to_string(e.repr);
+    EXPECT_EQ(plan.aggregation_steps, 0u) << to_string(e.repr);
+    EXPECT_EQ(binding->identity_entries(1), 0u) << to_string(e.repr);
+  }
 }
 
 TEST(IntentCompiler, IntentToString) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "core/decompose.hpp"
 #include "core/equivalence.hpp"
 #include "core/join.hpp"
@@ -77,9 +78,9 @@ TEST(Flatten, HandBuiltGwlbPipelines) {
   const auto gwlb = workloads::make_gwlb(
       {.num_services = 6, .num_backends = 4, .seed = 77});
   for (const auto& pipeline :
-       {workloads::gwlb_goto_pipeline(gwlb),
-        workloads::gwlb_metadata_pipeline(gwlb),
-        workloads::gwlb_rematch_pipeline(gwlb)}) {
+       {cp::pipeline_for(gwlb, cp::Representation::kGoto),
+        cp::pipeline_for(gwlb, cp::Representation::kMetadata),
+        cp::pipeline_for(gwlb, cp::Representation::kRematch)}) {
     const auto flat = flatten(pipeline);
     ASSERT_TRUE(flat.is_ok()) << flat.status().to_string();
     expect_same_function(gwlb.universal, flat.value());
@@ -155,7 +156,7 @@ TEST(Flatten, RejectsRaggedSchemas) {
 TEST(Flatten, RespectsRowLimit) {
   const auto gwlb = workloads::make_gwlb(
       {.num_services = 4, .num_backends = 4});
-  const auto pipeline = workloads::gwlb_metadata_pipeline(gwlb);
+  const auto pipeline = cp::pipeline_for(gwlb, cp::Representation::kMetadata);
   const auto flat = flatten(pipeline, {.max_rows = 3});
   ASSERT_FALSE(flat.is_ok());
   EXPECT_EQ(flat.status().code(), StatusCode::kInvalidArgument);

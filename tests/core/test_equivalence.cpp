@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "workloads/gwlb.hpp"
 
 namespace maton::core {
@@ -73,12 +74,14 @@ TEST(Equivalence, DetectsExtraEntryViaRandomProbes) {
 }
 
 TEST(Equivalence, HandMadeGwlbPipelinesAreEquivalent) {
-  // The hand-built Fig. 1b/1c/1d pipelines are equivalent to Fig. 1a.
+  // The Fig. 1b/1c/1d pipelines are equivalent to Fig. 1a.
   const auto gwlb = workloads::make_paper_example();
   for (const auto& [name, pipeline] :
-       {std::pair{"goto", workloads::gwlb_goto_pipeline(gwlb)},
-        std::pair{"metadata", workloads::gwlb_metadata_pipeline(gwlb)},
-        std::pair{"rematch", workloads::gwlb_rematch_pipeline(gwlb)}}) {
+       {std::pair{"goto", cp::pipeline_for(gwlb, cp::Representation::kGoto)},
+        std::pair{"metadata",
+                  cp::pipeline_for(gwlb, cp::Representation::kMetadata)},
+        std::pair{"rematch",
+                  cp::pipeline_for(gwlb, cp::Representation::kRematch)}}) {
     const auto report = check_equivalence(gwlb.universal, pipeline);
     EXPECT_TRUE(report.equivalent)
         << name << ": " << report.counterexample;
@@ -89,9 +92,9 @@ TEST(Equivalence, ScaledGwlbPipelinesAreEquivalent) {
   const auto gwlb =
       workloads::make_gwlb({.num_services = 10, .num_backends = 8, .seed = 5});
   for (const auto& pipeline :
-       {workloads::gwlb_goto_pipeline(gwlb),
-        workloads::gwlb_metadata_pipeline(gwlb),
-        workloads::gwlb_rematch_pipeline(gwlb)}) {
+       {cp::pipeline_for(gwlb, cp::Representation::kGoto),
+        cp::pipeline_for(gwlb, cp::Representation::kMetadata),
+        cp::pipeline_for(gwlb, cp::Representation::kRematch)}) {
     const auto report = check_equivalence(gwlb.universal, pipeline);
     EXPECT_TRUE(report.equivalent) << report.counterexample;
   }

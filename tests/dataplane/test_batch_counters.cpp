@@ -22,7 +22,8 @@ struct Fixture {
     gwlb = workloads::make_gwlb(
         {.num_services = 6, .num_backends = 4, .seed = 9});
     universal = compile(core::Pipeline::single(gwlb.universal)).value();
-    goto_program = compile(workloads::gwlb_goto_pipeline(gwlb)).value();
+    goto_program =
+        compile(cp::pipeline_for(gwlb, cp::Representation::kGoto)).value();
   }
 };
 

@@ -169,9 +169,10 @@ struct Fixture {
     gwlb = workloads::make_gwlb(
         {.num_services = 8, .num_backends = 4, .seed = 3});
     universal = compile(core::Pipeline::single(gwlb.universal)).value();
-    goto_program = compile(workloads::gwlb_goto_pipeline(gwlb)).value();
+    goto_program =
+        compile(cp::pipeline_for(gwlb, cp::Representation::kGoto)).value();
     metadata_program =
-        compile(workloads::gwlb_metadata_pipeline(gwlb)).value();
+        compile(cp::pipeline_for(gwlb, cp::Representation::kMetadata)).value();
   }
 };
 

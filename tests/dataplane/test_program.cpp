@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "core/decompose.hpp"
 #include "core/synthesis.hpp"
 #include "util/format.hpp"
@@ -77,7 +78,7 @@ TEST(Compile, LongestPrefixWinsViaPriority) {
 
 TEST(Compile, MetadataAttributesGetRegisters) {
   const auto gwlb = workloads::make_paper_example();
-  const auto pipeline = workloads::gwlb_metadata_pipeline(gwlb);
+  const auto pipeline = cp::pipeline_for(gwlb, cp::Representation::kMetadata);
   const auto program = compile(pipeline);
   ASSERT_TRUE(program.is_ok()) << program.status().to_string();
   ASSERT_EQ(program.value().tables.size(), 2u);
@@ -99,7 +100,8 @@ TEST(Compile, MetadataAttributesGetRegisters) {
 
 TEST(Compile, GotoPipelineProgram) {
   const auto gwlb = workloads::make_paper_example();
-  const auto program = compile(workloads::gwlb_goto_pipeline(gwlb));
+  const auto program =
+      compile(cp::pipeline_for(gwlb, cp::Representation::kGoto));
   ASSERT_TRUE(program.is_ok());
   ASSERT_EQ(program.value().tables.size(), 4u);
   // First table's rules carry goto targets.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "core/decompose.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
@@ -24,9 +25,10 @@ struct Fixture {
         {.num_services = 8, .num_backends = 4, .seed = 3});
     universal =
         compile(core::Pipeline::single(gwlb.universal)).value();
-    goto_program = compile(workloads::gwlb_goto_pipeline(gwlb)).value();
+    goto_program =
+        compile(cp::pipeline_for(gwlb, cp::Representation::kGoto)).value();
     metadata_program =
-        compile(workloads::gwlb_metadata_pipeline(gwlb)).value();
+        compile(cp::pipeline_for(gwlb, cp::Representation::kMetadata)).value();
   }
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "core/synthesis.hpp"
 #include "workloads/gwlb.hpp"
 #include "workloads/l3fwd.hpp"
@@ -21,7 +22,7 @@ std::size_t count(const std::string& text, const std::string& needle) {
 
 TEST(P4Export, MetadataPipelineExports) {
   const auto gwlb = workloads::make_paper_example();
-  const auto pipeline = workloads::gwlb_metadata_pipeline(gwlb);
+  const auto pipeline = cp::pipeline_for(gwlb, cp::Representation::kMetadata);
   const auto out = to_p4(pipeline, {.program_name = "gwlb"});
   ASSERT_TRUE(out.is_ok()) << out.status().to_string();
   const std::string& p4 = out.value();
@@ -61,7 +62,7 @@ TEST(P4Export, PrefixEntriesUseMaskSyntax) {
 
 TEST(P4Export, GotoPipelineIsRejectedWithGuidance) {
   const auto gwlb = workloads::make_paper_example();
-  const auto out = to_p4(workloads::gwlb_goto_pipeline(gwlb));
+  const auto out = to_p4(cp::pipeline_for(gwlb, cp::Representation::kGoto));
   ASSERT_FALSE(out.is_ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnimplemented);
   EXPECT_NE(out.status().message().find("kMetadata"), std::string::npos);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "controlplane/representation.hpp"
 #include "core/decompose.hpp"
 #include "core/synthesis.hpp"
 #include "workloads/gwlb.hpp"
@@ -59,14 +60,14 @@ TEST(FromPipeline, LinearChainInlines) {
 
 TEST(FromPipeline, GotoJoinInlinesPerRow) {
   const auto gwlb = workloads::make_paper_example();
-  const auto pipeline = workloads::gwlb_goto_pipeline(gwlb);
+  const auto pipeline = cp::pipeline_for(gwlb, cp::Representation::kGoto);
   const auto report = verify_against_netkat(gwlb.universal, pipeline);
   EXPECT_TRUE(report.consistent) << report.counterexample;
 }
 
 TEST(FromPipeline, RematchJoin) {
   const auto gwlb = workloads::make_paper_example();
-  const auto pipeline = workloads::gwlb_rematch_pipeline(gwlb);
+  const auto pipeline = cp::pipeline_for(gwlb, cp::Representation::kRematch);
   const auto report = verify_against_netkat(gwlb.universal, pipeline);
   EXPECT_TRUE(report.consistent) << report.counterexample;
 }

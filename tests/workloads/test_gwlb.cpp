@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "controlplane/representation.hpp"
 #include "core/equivalence.hpp"
 #include "util/format.hpp"
 
@@ -31,11 +32,14 @@ TEST(GwlbPaperExample, MatchesFig1aStructure) {
 TEST(GwlbPaperExample, PipelineFieldCounts) {
   const Gwlb gwlb = make_paper_example();
   // §2: Fig. 1b (goto) holds 21 fields.
-  EXPECT_EQ(gwlb_goto_pipeline(gwlb).field_count(), 21u);
+  EXPECT_EQ(cp::pipeline_for(gwlb, cp::Representation::kGoto).field_count(),
+            21u);
   // Metadata re-states the tag per backend row: 3·3 + 6·3 = 27.
-  EXPECT_EQ(gwlb_metadata_pipeline(gwlb).field_count(), 27u);
+  EXPECT_EQ(cp::pipeline_for(gwlb, cp::Representation::kMetadata).field_count(),
+            27u);
   // Rematch re-states ip_dst per backend row: 3·2 + 6·3 = 24.
-  EXPECT_EQ(gwlb_rematch_pipeline(gwlb).field_count(), 24u);
+  EXPECT_EQ(cp::pipeline_for(gwlb, cp::Representation::kRematch).field_count(),
+            24u);
 }
 
 TEST(GwlbGenerator, FieldCountFormulas) {
@@ -48,7 +52,8 @@ TEST(GwlbGenerator, FieldCountFormulas) {
     const Gwlb gwlb = make_gwlb({.num_services = n, .num_backends = m});
     EXPECT_EQ(core::Pipeline::single(gwlb.universal).field_count(),
               4 * m * n);
-    EXPECT_EQ(gwlb_goto_pipeline(gwlb).field_count(), n * (3 + 2 * m));
+    EXPECT_EQ(cp::pipeline_for(gwlb, cp::Representation::kGoto).field_count(),
+              n * (3 + 2 * m));
   }
 }
 
@@ -105,8 +110,9 @@ TEST(GwlbGenerator, ScaledPipelinesEquivalent) {
   const Gwlb gwlb =
       make_gwlb({.num_services = 6, .num_backends = 8, .seed = 21});
   for (const auto& pipeline :
-       {gwlb_goto_pipeline(gwlb), gwlb_metadata_pipeline(gwlb),
-        gwlb_rematch_pipeline(gwlb)}) {
+       {cp::pipeline_for(gwlb, cp::Representation::kGoto),
+        cp::pipeline_for(gwlb, cp::Representation::kMetadata),
+        cp::pipeline_for(gwlb, cp::Representation::kRematch)}) {
     const auto report = core::check_equivalence(gwlb.universal, pipeline);
     EXPECT_TRUE(report.equivalent) << report.counterexample;
   }

@@ -18,7 +18,10 @@
 // /healthz (MATON_METRICS_ADDR works too). At exit the process writes
 // MATON_METRICS_OUT / MATON_TRACE_OUT files if set, prints a JSON
 // summary to stdout, and fails (exit 1) on: any drift, any failed
-// intent, or peak RSS above --rss-limit-mb.
+// intent, or peak RSS above --rss-limit-mb. An intent the representation
+// cannot express (compile_intent's kFailedPrecondition refusal, e.g.
+// rematch with two services on one VIP) leaves the binding unchanged; it
+// is tallied as a rejection, not a failure.
 //
 //   maton-soak [--duration=SEC] [--services=N] [--backends=M]
 //              [--repr=universal|goto|metadata|rematch] [--queues=Q]
@@ -42,6 +45,7 @@
 #include <cstdint>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,18 +107,13 @@ bool parse_args(const std::vector<std::string>& args, SoakOptions& opts,
       } else if (key == "--backends") {
         opts.backends = std::stoul(val);
       } else if (key == "--repr") {
-        if (val == "universal") {
-          opts.repr = cp::Representation::kUniversal;
-        } else if (val == "goto") {
-          opts.repr = cp::Representation::kGoto;
-        } else if (val == "metadata") {
-          opts.repr = cp::Representation::kMetadata;
-        } else if (val == "rematch") {
-          opts.repr = cp::Representation::kRematch;
-        } else {
+        const std::optional<cp::Representation> repr =
+            cp::parse_representation(val);
+        if (!repr.has_value()) {
           err << "unknown representation '" << val << "'\n";
           return false;
         }
+        opts.repr = *repr;
       } else if (key == "--queues") {
         opts.queues = std::stoul(val);
       } else if (key == "--batch") {
@@ -157,6 +156,7 @@ struct SoakState {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> intents{0};
   std::atomic<std::uint64_t> intent_failures{0};
+  std::atomic<std::uint64_t> intent_rejections{0};
   std::atomic<std::uint64_t> drift_checks{0};
   std::atomic<std::uint64_t> drift{0};
   std::atomic<std::uint64_t> replay_iterations{0};
@@ -168,6 +168,8 @@ void churn_loop(const SoakOptions& opts, cp::Controller& controller,
   obs::MetricRegistry& reg = obs::MetricRegistry::global();
   obs::Counter& intents = reg.counter("maton_soak_intents_total");
   obs::Counter& failures = reg.counter("maton_soak_intent_failures_total");
+  obs::Counter& rejections =
+      reg.counter("maton_soak_intent_rejections_total");
   obs::Counter& drift_checks = reg.counter("maton_soak_drift_checks_total");
   obs::Counter& drift = reg.counter("maton_soak_drift_total");
 
@@ -178,8 +180,11 @@ void churn_loop(const SoakOptions& opts, cp::Controller& controller,
     const cp::Intent intent = cp::draw_mixed_intent(rng, binding.gwlb());
     const auto cost = controller.apply(intent);
     if (!cost.is_ok()) {
-      failures.add();
-      state.intent_failures.fetch_add(1, std::memory_order_relaxed);
+      const bool rejected =
+          cost.status().code() == StatusCode::kFailedPrecondition;
+      (rejected ? rejections : failures).add();
+      (rejected ? state.intent_rejections : state.intent_failures)
+          .fetch_add(1, std::memory_order_relaxed);
     }
     intents.add();
     state.intents.fetch_add(1, std::memory_order_relaxed);
@@ -332,6 +337,8 @@ int run(const SoakOptions& opts) {
             << "\",\n"
             << "  \"intents\": " << state.intents.load() << ",\n"
             << "  \"intent_failures\": " << failures << ",\n"
+            << "  \"intent_rejections\": " << state.intent_rejections.load()
+            << ",\n"
             << "  \"incremental_hits\": " << inc.hits << ",\n"
             << "  \"incremental_fallbacks\": " << inc.fallbacks << ",\n"
             << "  \"vip_collision_fallbacks\": "

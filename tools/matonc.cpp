@@ -33,6 +33,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -278,19 +279,13 @@ int run_builtin_analyze(const CliOptions& opts, std::ostream& os,
     rest.resize(at);
   }
 
-  cp::Representation repr;
-  if (rest == "universal") {
-    repr = cp::Representation::kUniversal;
-  } else if (rest == "goto") {
-    repr = cp::Representation::kGoto;
-  } else if (rest == "metadata") {
-    repr = cp::Representation::kMetadata;
-  } else if (rest == "rematch") {
-    repr = cp::Representation::kRematch;
-  } else {
+  const std::optional<cp::Representation> parsed =
+      cp::parse_representation(rest);
+  if (!parsed.has_value()) {
     err << "unknown representation '" << rest << "'\n";
     return 2;
   }
+  const cp::Representation repr = *parsed;
 
   workloads::Gwlb gwlb;
   if (shape.empty()) {
@@ -350,33 +345,20 @@ int run_builtin_analyze(const CliOptions& opts, std::ostream& os,
                                   .pipeline = &pipeline,
                                   .name = name};
 
-  dp::FieldMap field_map;
-  const auto universal_program =
-      dp::compile(core::Pipeline::single(model.universal), &field_map);
+  const cp::GwlbBinding universal(model, cp::Representation::kUniversal);
   std::vector<std::vector<dp::Rule>> slices;
   std::vector<std::size_t> slice_services;
-  if (universal_program.is_ok()) {
-    for (std::size_t s = 0; s < model.services.size(); ++s) {
-      const workloads::GwlbService& svc = model.services[s];
-      if (svc.src_prefixes.empty()) continue;
-      std::vector<dp::Rule> slice;
-      for (const core::Row& row : workloads::gwlb_universal_rows(svc)) {
-        auto rule = dp::lower_row(schema, row, field_map);
-        if (!rule.is_ok()) break;
-        slice.push_back(std::move(rule).value());
-      }
-      slices.push_back(std::move(slice));
-      slice_services.push_back(s);
-    }
-    for (std::size_t i = 0; i + 1 < slices.size(); ++i) {
-      input.slices.push_back(
-          {.left = slices[i],
-           .right = slices[i + 1],
-           .left_name =
-               "service " + std::to_string(slice_services[i]),
-           .right_name =
-               "service " + std::to_string(slice_services[i + 1])});
-    }
+  for (std::size_t s = 0; s < model.services.size(); ++s) {
+    if (model.services[s].src_prefixes.empty()) continue;
+    slices.push_back(universal.entry_rules(s));
+    slice_services.push_back(s);
+  }
+  for (std::size_t i = 0; i + 1 < slices.size(); ++i) {
+    input.slices.push_back(
+        {.left = slices[i],
+         .right = slices[i + 1],
+         .left_name = "service " + std::to_string(slice_services[i]),
+         .right_name = "service " + std::to_string(slice_services[i + 1])});
   }
 
   return emit_report(analysis::run(input), opts, os);
