@@ -3,10 +3,12 @@
 // Regenerates: the 24-vs-21 match-action-field count of the paper's
 // example, the per-join footprints, and the 4MN vs N(3+2M) formula sweep
 // ("roughly half the data-plane encoding size for M large enough").
+// Every representation is proven equivalent to the universal table; the
+// bench exits nonzero otherwise.
 #include <iostream>
 
+#include "analysis/symbolic/engine.hpp"
 #include "controlplane/representation.hpp"
-#include "core/equivalence.hpp"
 #include "util/format.hpp"
 #include "util/report.hpp"
 #include "workloads/gwlb.hpp"
@@ -15,7 +17,8 @@ namespace {
 
 using namespace maton;
 
-void paper_instance() {
+/// Returns whether every representation was proven equivalent.
+bool paper_instance() {
   const auto gwlb = workloads::make_paper_example();
   const auto universal = core::Pipeline::single(gwlb.universal);
   const auto goto_p = cp::pipeline_for(gwlb, cp::Representation::kGoto);
@@ -25,13 +28,16 @@ void paper_instance() {
   ReportTable table("Fig. 1 instance: data-plane footprint by representation");
   table.set_header({"representation", "tables", "entries", "fields",
                     "depth", "equivalent"});
+  bool proven = true;
   auto add = [&](const char* name, const core::Pipeline& p) {
-    const auto eq = core::check_equivalence(gwlb.universal, p);
+    const auto proof =
+        analysis::symbolic::check_table_vs_pipeline(gwlb.universal, p);
+    proven = proven && proof.equivalent();
     table.add_row({name, std::to_string(p.num_stages()),
                    std::to_string(p.total_entries()),
                    std::to_string(p.field_count()),
                    std::to_string(p.max_depth()),
-                   eq.equivalent ? "yes" : "NO"});
+                   analysis::symbolic::describe(proof)});
   };
   add("universal (Fig. 1a)", universal);
   add("goto (Fig. 1b)", goto_p);
@@ -39,6 +45,7 @@ void paper_instance() {
   add("rematch (Fig. 1d)", rematch_p);
   table.print(std::cout);
   std::cout << "paper: universal = 24 fields, goto form = 21 fields\n\n";
+  return proven;
 }
 
 void formula_sweep() {
@@ -74,7 +81,7 @@ void formula_sweep() {
 
 int main() {
   std::cout << "=== E1: Fig. 1 / §2 redundancy arithmetic ===\n\n";
-  paper_instance();
+  const bool proven = paper_instance();
   formula_sweep();
-  return 0;
+  return proven ? 0 : 1;
 }

@@ -2,10 +2,8 @@
 // storage at 100k–1M services.
 //
 // Measures, per fleet size N x 8 backends for N in {1k, 10k, 100k, 1M}:
-//   * bytes/rule of the columnar universal table vs a row-of-vectors
-//     reference model built from the same data in the same run;
-//   * bytes/rule of the flattened dp::Program vs the legacy
-//     vector-of-Rule layout, also measured same-run;
+//   * bytes/rule of the columnar universal table and of the flattened
+//     dp::Program;
 //   * universal-table build time;
 //   * one full TANE FD mine;
 //   * per-intent incremental compile latency (universal representation)
@@ -62,25 +60,6 @@ std::size_t peak_rss_mb() {
   return 0;
 }
 
-/// Heap footprint of the former row-of-vectors store holding the same
-/// relation: one std::vector<Value> per row (header in the outer vector,
-/// payload on the heap) — measured here so the bytes/rule comparison is
-/// against the same data in the same run, not a remembered number.
-std::size_t rowstore_bytes(const core::Table& table) {
-  std::vector<core::Row> rows;
-  rows.reserve(table.num_rows());
-  core::Row scratch;
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    table.copy_row_into(r, scratch);
-    rows.push_back(scratch);
-  }
-  std::size_t bytes = rows.capacity() * sizeof(core::Row);
-  for (const core::Row& row : rows) {
-    bytes += row.capacity() * sizeof(core::Value);
-  }
-  return bytes;
-}
-
 /// Mixed churn trace; fresh VIPs come from 172.16.0.0/12 so they collide
 /// neither with the small-fleet 198.18/16 draw nor with the dense
 /// 10/8 allocation of large fleets.
@@ -123,9 +102,7 @@ struct SizePoint {
   std::size_t services = 0;
   std::size_t rules = 0;
   std::size_t bytes_per_rule_columnar = 0;
-  std::size_t bytes_per_rule_rowstore = 0;
   std::size_t dp_bytes_per_rule_flat = 0;
-  std::size_t dp_bytes_per_rule_legacy = 0;
   double build_ms = 0.0;
   double mine_ms = 0.0;
   std::size_t intents = 0;
@@ -153,7 +130,6 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   pt.build_ms = ms_since(start);
   const std::size_t rows = gwlb.universal.num_rows();
   pt.bytes_per_rule_columnar = gwlb.universal.memory_bytes() / rows;
-  pt.bytes_per_rule_rowstore = rowstore_bytes(gwlb.universal) / rows;
 
   start = BenchClock::now();
   const core::FdSet mined = core::mine_fds_tane(gwlb.universal);
@@ -165,8 +141,6 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   pt.rules = binding.program().total_rules();
   pt.dp_bytes_per_rule_flat =
       binding.program().rule_memory_bytes() / pt.rules;
-  pt.dp_bytes_per_rule_legacy =
-      dp::legacy_rule_bytes(binding.program()) / pt.rules;
 
   // A live switch consumes every update batch; its copy of the program
   // must track the compiler's exactly (checked in the drift gate below).
@@ -254,9 +228,9 @@ int main(int argc, char** argv) {
             << " backends, universal representation\n\n";
 
   ReportTable table("fleet-scale metrics per size");
-  table.set_header({"services", "rules", "B/rule col", "B/rule rows",
-                    "B/rule dp", "B/rule legacy", "build ms", "mine ms",
-                    "inc p50 us", "apply p50 us", "RSS MB"});
+  table.set_header({"services", "rules", "B/rule col", "B/rule dp",
+                    "build ms", "mine ms", "inc p50 us", "apply p50 us",
+                    "RSS MB"});
 
   std::vector<SizePoint> points;
   for (const std::size_t services : sizes) {
@@ -268,9 +242,7 @@ int main(int argc, char** argv) {
     const SizePoint& pt = points.back();
     table.add_row({std::to_string(pt.services), std::to_string(pt.rules),
                    std::to_string(pt.bytes_per_rule_columnar),
-                   std::to_string(pt.bytes_per_rule_rowstore),
                    std::to_string(pt.dp_bytes_per_rule_flat),
-                   std::to_string(pt.dp_bytes_per_rule_legacy),
                    format_double(pt.build_ms, 1),
                    format_double(pt.mine_ms, 1),
                    format_double(pt.inc_median_us, 1),
@@ -295,10 +267,7 @@ int main(int argc, char** argv) {
     json << "    {\"services\": " << pt.services << ", \"rules\": "
          << pt.rules << ",\n"
          << "     \"bytes_per_rule_columnar\": " << pt.bytes_per_rule_columnar
-         << ", \"bytes_per_rule_rowstore\": " << pt.bytes_per_rule_rowstore
-         << ",\n"
-         << "     \"dp_bytes_per_rule_flat\": " << pt.dp_bytes_per_rule_flat
-         << ", \"dp_bytes_per_rule_legacy\": " << pt.dp_bytes_per_rule_legacy
+         << ", \"dp_bytes_per_rule_flat\": " << pt.dp_bytes_per_rule_flat
          << ",\n"
          << "     \"universal_build_ms\": " << pt.build_ms
          << ", \"full_mine_ms\": " << pt.mine_ms << ",\n"

@@ -1,7 +1,7 @@
 // S1 — Symbolic equivalence solve time vs the probe oracle.
 //
 // The decision-diagram engine must stay cheap enough to gate every
-// compile (matonc --verify=symbolic, cp::VerifyMode::kSymbolic), so this
+// compile (matonc normalize, cp::VerifyMode::kSymbolic), so this
 // suite times one full equivalence solve — translate both programs into
 // the shared store and compare roots — at gwlb {1k,10k,100k} universal
 // rules (M=8 backends, N scaled), against the legacy randomized probe

@@ -2,9 +2,8 @@
 # Runs the fleet-scale storage/latency sweep (bench_scale) and records
 # the numbers the fleet-scale acceptance criteria are judged against:
 #
-#   - bytes/rule of the columnar universal table vs the row-of-vectors
-#     reference, and of the flattened dp::Program vs the legacy
-#     vector-of-Rule layout (both measured same-run);
+#   - bytes/rule of the columnar universal table and of the flattened
+#     dp::Program (CI gates both against absolute ceilings);
 #   - universal build and full TANE mine wall times;
 #   - per-intent incremental compile latency with the rule_diff /
 #     slice_merge / switch_apply phase split;

@@ -1,12 +1,12 @@
 // The Fig. 2 L3 router: a single-table IP forwarder normalized into the
 // 3NF pipeline T0 × T1 ≫ T2 ≫ T3 (constants factored into a product
 // stage, next-hop group table, port table), with the decomposition
-// verified under both the core evaluator and the NetKAT semantics.
+// proven equivalent and cross-checked against the NetKAT semantics.
 //
 // Run: ./build/examples/l3_router
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/synthesis.hpp"
 #include "netkat/table_codec.hpp"
 #include "util/format.hpp"
@@ -50,11 +50,11 @@ int main() {
               << to_string(core::analyze(t).highest()) << "\n";
   }
 
-  const auto eq = core::check_equivalence(l3.universal,
-                                          result.value().pipeline);
+  const auto proof = analysis::symbolic::check_table_vs_pipeline(
+      l3.universal, result.value().pipeline);
   const auto nk =
       netkat::verify_against_netkat(l3.universal, result.value().pipeline);
-  std::cout << "\ncore equivalence:   " << (eq.equivalent ? "yes" : "NO")
+  std::cout << "\nequivalence proof:  " << analysis::symbolic::describe(proof)
             << "\nNetKAT consistency: " << (nk.consistent ? "yes" : "NO")
             << "\n";
 
@@ -70,5 +70,5 @@ int main() {
                                  format_mac(routed.actions.at("mod_dmac"))
                            : "dropped")
             << " (visited " << routed.path.size() << " stages)\n";
-  return eq.equivalent && nk.consistent ? 0 : 1;
+  return proof.equivalent() && nk.consistent ? 0 : 1;
 }

@@ -1,11 +1,11 @@
 // Quickstart: build a match-action table, discover its functional
-// dependencies, analyze its normal form, normalize it, and verify the
+// dependencies, analyze its normal form, normalize it, and prove the
 // result is semantically equivalent.
 //
 // Run: ./build/examples/quickstart
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/fd_mine.hpp"
 #include "core/normal_forms.hpp"
 #include "core/synthesis.hpp"
@@ -51,9 +51,10 @@ int main() {
   }
   std::cout << "\n" << result.value().pipeline.to_string() << "\n";
 
-  // 6. Prove nothing changed semantically.
-  const auto eq = core::check_equivalence(table, result.value().pipeline);
-  std::cout << "equivalent: " << (eq.equivalent ? "yes" : "NO") << " ("
-            << eq.packets_checked << " packets checked)\n";
-  return eq.equivalent ? 0 : 1;
+  // 6. Prove nothing changed semantically, for every packet.
+  const auto proof = analysis::symbolic::check_table_vs_pipeline(
+      table, result.value().pipeline);
+  std::cout << "equivalent: " << analysis::symbolic::describe(proof)
+            << "\n";
+  return proof.equivalent() ? 0 : 1;
 }

@@ -6,7 +6,7 @@
 // Run: ./build/examples/sdx_policy
 #include <iostream>
 
-#include "core/equivalence.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "core/fd_mine.hpp"
 #include "workloads/sdx.hpp"
 
@@ -44,9 +44,10 @@ int main() {
   // The Fig. 5c repair carries the outbound choice explicitly.
   std::cout << "metadata repair (Fig. 5c):\n"
             << sdx.repaired.to_string() << "\n";
-  const auto eq = core::check_equivalence(sdx.universal, sdx.repaired);
+  const auto proof =
+      analysis::symbolic::check_table_vs_pipeline(sdx.universal, sdx.repaired);
   std::cout << "equivalent to the collapsed policy: "
-            << (eq.equivalent ? "yes" : "NO") << "\n";
+            << analysis::symbolic::describe(proof) << "\n";
 
   // Trace two packets: HTTP to P1 balances across C1/C2; the rest is D.
   for (const auto& [hash, label] : {std::pair{0, "hash=0"}, {1, "hash=1"}}) {
@@ -60,5 +61,5 @@ int main() {
                              : "drop")
               << "\n";
   }
-  return eq.equivalent ? 0 : 1;
+  return proof.equivalent() ? 0 : 1;
 }

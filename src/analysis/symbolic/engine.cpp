@@ -20,6 +20,18 @@ std::string_view to_string(Outcome outcome) noexcept {
   return "unknown";
 }
 
+std::string describe(const Result& result) {
+  switch (result.outcome) {
+    case Outcome::kEquivalent:
+      return "yes";
+    case Outcome::kInequivalent:
+      return "NO: " + result.counterexample.value().description;
+    case Outcome::kUnknown:
+      break;
+  }
+  return "unknown: " + result.note;
+}
+
 std::string_view to_string(SliceRelation relation) noexcept {
   switch (relation) {
     case SliceRelation::kDisjoint:

@@ -4,26 +4,23 @@
 // (see dd.hpp) and comparing roots — equivalence is NodeId equality, no
 // packet enumeration.
 //
-// Front-ends cover the four program representations:
+// Three front-ends cover the program representations:
 //   check_programs           lowered dp::Program vs dp::Program
 //   check_pipelines          core::Pipeline vs core::Pipeline
 //   check_table_vs_pipeline  universal core::Table vs its decomposition
-//   check_policies           NetKAT local-policy fragment
 //
 // Contract:
 //  * kEquivalent / kInequivalent verdicts are exact over the checked
 //    domain (all fully-assigned header keys for dp programs; all packets
 //    binding the matched header attributes — and no initial metadata —
-//    for core pipelines; all packets over the policies' field alphabets
-//    for NetKAT).
+//    for core pipelines).
 //  * Every kInequivalent result carries a concrete counterexample packet
 //    extracted from the first divergent diagram path and re-confirmed by
-//    the scalar interpreter (execute_reference / Pipeline::evaluate /
-//    netkat::eval) before being reported. If confirmation ever fails the
-//    engine answers kUnknown, not a wrong verdict.
-//  * Exceeding Options::max_nodes (or the NetKAT normalization caps)
-//    yields kUnknown with a note — budgets can cost an answer, never
-//    correctness.
+//    the scalar interpreter (execute_reference / Pipeline::evaluate)
+//    before being reported. If confirmation ever fails the engine
+//    answers kUnknown, not a wrong verdict.
+//  * Exceeding Options::max_nodes yields kUnknown with a note — budgets
+//    can cost an answer, never correctness.
 #pragma once
 
 #include <optional>
@@ -34,16 +31,12 @@
 #include "core/pipeline.hpp"
 #include "core/table.hpp"
 #include "dataplane/program.hpp"
-#include "netkat/policy.hpp"
 
 namespace maton::analysis::symbolic {
 
 struct Options {
   /// Node budget of the diagram store backing one check.
   std::size_t max_nodes = std::size_t{1} << 22;
-  /// Cap on the NetKAT star-free normal form (atoms per policy pair) and,
-  /// scaled by 1024, on the diagram-build work counter.
-  std::size_t max_netkat_atoms = 4096;
 };
 
 enum class Outcome { kEquivalent, kInequivalent, kUnknown };
@@ -54,7 +47,7 @@ enum class Outcome { kEquivalent, kInequivalent, kUnknown };
 /// `key` / `packet` is set depending on the front-end's universe.
 struct Counterexample {
   std::optional<dp::FlowKey> key;           ///< dp front-end
-  std::optional<core::PacketState> packet;  ///< core / netkat front-ends
+  std::optional<core::PacketState> packet;  ///< core front-ends
   /// Human-readable "input → left observable vs right observable".
   std::string description;
 };
@@ -71,6 +64,10 @@ struct Result {
     return outcome == Outcome::kEquivalent;
   }
 };
+
+/// The verdict as a report prints it, with its evidence: "yes",
+/// "NO: <confirmed counterexample>" or "unknown: <solver note>".
+[[nodiscard]] std::string describe(const Result& result);
 
 /// Proves or refutes ∀key: execute_reference(a, key) ≡ execute_reference
 /// (b, key) on the (hit, out_port) observable.
@@ -90,12 +87,6 @@ struct Result {
 [[nodiscard]] Result check_table_vs_pipeline(const core::Table& universal,
                                              const core::Pipeline& pipeline,
                                              const Options& options = {});
-
-/// NetKAT policy equivalence over the star-free local fragment, on the
-/// packet-set observable of netkat::eval.
-[[nodiscard]] Result check_policies(const netkat::PolicyPtr& a,
-                                    const netkat::PolicyPtr& b,
-                                    const Options& options = {});
 
 /// Relation between the packet regions two dp rule slices can match.
 enum class SliceRelation { kDisjoint, kIntersecting, kUnknown };

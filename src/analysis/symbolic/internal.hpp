@@ -15,8 +15,8 @@
 namespace maton::analysis::symbolic::detail {
 
 /// Thrown by a front-end when translation cannot proceed for a
-/// non-budget reason (cyclic table graph, jump out of range, NetKAT
-/// normalization cap). Caught by run_guarded; never escapes the API.
+/// non-budget reason (cyclic table graph, jump out of range). Caught by
+/// run_guarded; never escapes the API.
 struct TranslationBail {
   std::string note;
 };

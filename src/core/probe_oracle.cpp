@@ -43,23 +43,4 @@ std::vector<PacketState> draw_table_probes(const Table& table,
   return probes;
 }
 
-std::vector<PacketState> draw_field_probes(
-    std::span<const std::string> fields, std::size_t count,
-    std::uint64_t max_value, double present_probability,
-    std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<PacketState> probes;
-  probes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    PacketState packet;
-    for (const std::string& field : fields) {
-      if (rng.chance(present_probability)) {
-        packet[field] = rng.uniform(0, max_value);
-      }
-    }
-    probes.push_back(std::move(packet));
-  }
-  return probes;
-}
-
 }  // namespace maton::core

@@ -1,17 +1,15 @@
 // Shared probe oracle: the one place that turns a seed into equivalence
 // probe packets. Both probe-based checkers — core::check_equivalence's
-// randomized phase and netkat::equivalent_on's sampled packet universe —
-// draw through this module, so they share one seed constant and one
-// reproducible draw discipline instead of each reinventing them.
+// randomized phase and netkat::verify_against_netkat's cross-check of
+// the NetKAT semantics — draw through this module, so they share one
+// reproducible active-domain draw instead of each reinventing it.
 //
-// The symbolic engine (analysis/symbolic) supersedes these probes with
-// proofs; the oracle remains as the independent cross-check the
-// differential test suite compares the solver against.
+// Every production equivalence verdict is a symbolic proof
+// (analysis/symbolic); the oracle remains as the independent cross-check
+// the differential test suites compare the solver against.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -28,15 +26,6 @@ inline constexpr std::uint64_t kProbeSeed = 0x6d61746f6eULL;
 /// order is deterministic in (table contents, seed).
 [[nodiscard]] std::vector<PacketState> draw_table_probes(
     const Table& table, std::size_t count,
-    std::uint64_t seed = kProbeSeed);
-
-/// Draws `count` sparse packets over an explicit field universe: each
-/// field is present with probability `present_probability` (absent
-/// fields exercise failing tests) and bound uniformly in
-/// [0, max_value]. Used for NetKAT policy probing.
-[[nodiscard]] std::vector<PacketState> draw_field_probes(
-    std::span<const std::string> fields, std::size_t count,
-    std::uint64_t max_value, double present_probability = 0.85,
     std::uint64_t seed = kProbeSeed);
 
 }  // namespace maton::core

@@ -536,19 +536,6 @@ std::size_t Program::rule_memory_bytes() const noexcept {
   return n;
 }
 
-std::size_t legacy_rule_bytes(const Program& program) {
-  std::size_t bytes = 0;
-  for (const TableSpec& t : program.tables) {
-    std::vector<Rule> legacy = t.rules.to_rules();
-    bytes += legacy.capacity() * sizeof(Rule);
-    for (const Rule& r : legacy) {
-      bytes += r.matches.capacity() * sizeof(FieldMatch) +
-               r.actions.capacity() * sizeof(Action);
-    }
-  }
-  return bytes;
-}
-
 Result<Program> compile(const core::Pipeline& pipeline, FieldMap* field_map) {
   if (Status s = pipeline.validate(); !s.is_ok()) return s;
 

@@ -468,12 +468,6 @@ struct Program {
   friend bool operator==(const Program&, const Program&) = default;
 };
 
-/// Heap bytes the same program costs in the legacy vector-of-Rule
-/// layout (sizeof(Rule) per slot plus each rule's match/action vector
-/// capacities), measured by materializing it — the honest same-run
-/// baseline for `dp_bytes_per_rule`.
-[[nodiscard]] std::size_t legacy_rule_bytes(const Program& program);
-
 /// Attribute-name → FieldId assignment a compilation settled on. Builtin
 /// header names resolve implicitly; the map records the metadata-register
 /// assignments (`meta.*` and other non-wire attributes). Re-lowering a

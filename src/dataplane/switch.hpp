@@ -199,18 +199,8 @@ class OvsModelInterface : public SwitchModel {
 /// with per-stage latency and a TCAM update-stall model (drives Fig. 4).
 class HwTcamModel final : public SwitchModel {
  public:
-  HwTcamModel();
-
   Status load(Program program) override;
   ExecResult process(const FlowKey& key) override;
-  /// Batched reference interpreter: packets advance through the table
-  /// graph via a worklist of occupied tables (no full-table re-scan per
-  /// round), and each table runs a rules-outer first-match scan
-  /// with active-set compaction so one rule's match vector is fetched
-  /// once per chunk instead of once per packet. Results, flow counters
-  /// and cycle guards are bit-identical to the scalar path.
-  void process_batch(std::span<const FlowKey> keys,
-                     std::span<ExecResult> results) override;
   Status apply_update(const RuleUpdate& update) override;
   [[nodiscard]] Result<std::uint64_t> read_rule_counter(
       std::size_t table,
@@ -258,19 +248,6 @@ class HwTcamModel final : public SwitchModel {
   Program program_;
   RuleCounters counters_;
   MatchedBuf matched_scratch_;
-
-  // Batch-walker scratch, reused across process_batch calls.
-  std::vector<FlowKey> states_;
-  std::vector<std::vector<std::uint32_t>> buckets_;  // per-table frontier
-  std::vector<std::uint32_t> moving_;
-  std::vector<std::uint32_t> active_;
-  std::vector<std::size_t> match_rule_;
-  std::vector<std::uint32_t> worklist_;  // FIFO of occupied buckets
-  std::vector<std::uint8_t> queued_;     // table ∈ worklist_[head..)
-
-  // Telemetry handles (resolved once at construction).
-  obs::Counter* batch_chunks_ = nullptr;
-  obs::Histogram* chunk_size_ = nullptr;
 };
 
 /// How apply_update_to_program changed the table — what index

@@ -1,8 +1,6 @@
 #include <algorithm>
-#include <numeric>
 
 #include "dataplane/switch.hpp"
-#include "obs/metrics.hpp"
 #include "util/contract.hpp"
 
 namespace maton::dp {
@@ -231,15 +229,6 @@ Result<std::uint64_t> RuleCounters::read(
   return merged(table, pos);
 }
 
-HwTcamModel::HwTcamModel() {
-  auto& registry = obs::MetricRegistry::global();
-  batch_chunks_ = &registry.counter(
-      "maton_dp_classifier_chunks_total",
-      {{"model", "noviflow-hw"}, {"template", "tcam"}});
-  chunk_size_ = &registry.histogram("maton_dp_batch_chunk_size",
-                                    {{"model", "noviflow-hw"}});
-}
-
 Status HwTcamModel::load(Program program) {
   program_ = std::move(program);
   counters_.reset(program_);
@@ -253,102 +242,6 @@ ExecResult HwTcamModel::process(const FlowKey& key) {
       execute_reference(program_, key, &matched_scratch_);
   counters_.bump_all(matched_scratch_.span());
   return result;
-}
-
-void HwTcamModel::process_batch(std::span<const FlowKey> keys,
-                                std::span<ExecResult> results) {
-  expects(results.size() >= keys.size(),
-          "process_batch result span too small");
-  const std::size_t num_tables = program_.tables.size();
-  for (std::size_t i = 0; i < keys.size(); ++i) results[i] = ExecResult{};
-  if (num_tables == 0 || keys.empty()) return;
-  expects(program_.entry < num_tables, "program entry out of range");
-
-  states_.assign(keys.begin(), keys.end());
-  buckets_.resize(num_tables);
-  for (auto& bucket : buckets_) bucket.clear();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    buckets_[program_.entry].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  worklist_.clear();
-  queued_.assign(num_tables, 0);
-  worklist_.push_back(static_cast<std::uint32_t>(program_.entry));
-  queued_[program_.entry] = 1;
-
-  // FIFO over occupied buckets: each pop visits a non-empty bucket
-  // exactly once instead of re-scanning every table per round. The
-  // table graph is acyclic, so the worklist drains.
-  for (std::size_t head = 0; head < worklist_.size(); ++head) {
-    const std::size_t t = worklist_[head];
-    queued_[t] = 0;
-    {
-      moving_.swap(buckets_[t]);
-      buckets_[t].clear();
-      if constexpr (obs::kEnabled) {
-        batch_chunks_->add();
-        chunk_size_->observe(static_cast<double>(moving_.size()));
-      }
-
-      const TableSpec& table = program_.tables[t];
-      // Rules-outer first-match scan: each rule's match vector is walked
-      // once for the whole chunk; a packet that matches leaves the active
-      // set, so surviving packets see rules strictly in priority order —
-      // the same winner the scalar per-packet scan picks.
-      match_rule_.assign(moving_.size(), kNoRule);
-      active_.resize(moving_.size());
-      std::iota(active_.begin(), active_.end(), std::uint32_t{0});
-      std::size_t live = active_.size();
-      for (std::size_t r = 0; r < table.rules.size() && live > 0; ++r) {
-        const RuleView rule = table.rules[r];
-        std::size_t w = 0;
-        for (std::size_t a = 0; a < live; ++a) {
-          const std::uint32_t m = active_[a];
-          if (rule.matches_key(states_[moving_[m]])) {
-            match_rule_[m] = r;
-          } else {
-            active_[w++] = m;
-          }
-        }
-        live = w;
-      }
-
-      for (std::size_t m = 0; m < moving_.size(); ++m) {
-        const std::uint32_t p = moving_[m];
-        ExecResult& result = results[p];
-        expects(result.tables_visited <= num_tables,
-                "table graph cycle during batch processing");
-        ++result.tables_visited;
-        if (match_rule_[m] == kNoRule) {
-          result.hit = false;
-          result.out_port = 0;
-          continue;  // miss: packet leaves the pipeline
-        }
-        counters_.bump(t, match_rule_[m]);
-        const RuleView rule = table.rules[match_rule_[m]];
-        for (const Action action : rule.actions) {
-          if (action.kind == Action::Kind::kOutput) {
-            result.out_port = action.value;
-          } else {
-            states_[p].set(action.field, action.value);
-          }
-        }
-        const std::optional<std::size_t> next =
-            rule.goto_table.has_value() ? rule.goto_table : table.next;
-        if (next.has_value()) {
-          expects(*next < num_tables, "jump out of range");
-          buckets_[*next].push_back(p);
-          if (queued_[*next] == 0) {
-            queued_[*next] = 1;
-            worklist_.push_back(static_cast<std::uint32_t>(*next));
-          }
-        } else {
-          result.hit = true;
-        }
-      }
-      moving_.clear();
-    }
-  }
 }
 
 Status HwTcamModel::apply_update(const RuleUpdate& update) {

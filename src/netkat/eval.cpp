@@ -1,9 +1,5 @@
 #include "netkat/eval.hpp"
 
-#include <algorithm>
-#include <string>
-#include <vector>
-
 #include "util/contract.hpp"
 
 namespace maton::netkat {
@@ -51,43 +47,6 @@ bool equivalent_on(const PolicyPtr& a, const PolicyPtr& b,
     if (eval(a, p) != eval(b, p)) return false;
   }
   return true;
-}
-
-namespace {
-
-void collect_universe(const PolicyPtr& policy,
-                      std::set<std::string>& fields, Value& max_value) {
-  if (policy == nullptr) return;
-  switch (policy->kind()) {
-    case Policy::Kind::kDrop:
-    case Policy::Kind::kId:
-      return;
-    case Policy::Kind::kTest:
-    case Policy::Kind::kMod:
-      fields.insert(std::string(policy->field()));
-      max_value = std::max(max_value, policy->value());
-      return;
-    case Policy::Kind::kSeq:
-    case Policy::Kind::kPar:
-      collect_universe(policy->left(), fields, max_value);
-      collect_universe(policy->right(), fields, max_value);
-      return;
-  }
-}
-
-}  // namespace
-
-bool equivalent_on(const PolicyPtr& a, const PolicyPtr& b,
-                   std::size_t probes, std::uint64_t seed) {
-  std::set<std::string> field_set;
-  Value max_value = 0;
-  collect_universe(a, field_set, max_value);
-  collect_universe(b, field_set, max_value);
-  const std::vector<std::string> fields(field_set.begin(), field_set.end());
-  // max_value + 1 puts one fresh value outside both alphabets in reach.
-  return equivalent_on(
-      a, b, core::draw_field_probes(fields, probes, max_value + 1, 0.85,
-                                    seed));
 }
 
 }  // namespace maton::netkat

@@ -5,11 +5,10 @@
 // ⟦a⟧; (a + b) ↦ ⟦a⟧ ∪ ⟦b⟧.
 #pragma once
 
-#include <cstdint>
 #include <set>
 #include <span>
 
-#include "core/probe_oracle.hpp"
+#include "core/pipeline.hpp"
 #include "netkat/policy.hpp"
 
 namespace maton::netkat {
@@ -26,12 +25,5 @@ using PacketSet = std::set<Packet>;
 /// for every probe packet.
 [[nodiscard]] bool equivalent_on(const PolicyPtr& a, const PolicyPtr& b,
                                  std::span<const Packet> probes);
-
-/// Same check over `probes` packets drawn from the shared probe oracle:
-/// sparse packets over the two policies' field universe, values from the
-/// tested/written alphabet plus one fresh value.
-[[nodiscard]] bool equivalent_on(const PolicyPtr& a, const PolicyPtr& b,
-                                 std::size_t probes,
-                                 std::uint64_t seed = core::kProbeSeed);
 
 }  // namespace maton::netkat

@@ -1,14 +1,11 @@
 #include "netkat/table_codec.hpp"
 
-#include <set>
 #include <vector>
 
 #include "util/contract.hpp"
-#include "util/rng.hpp"
 
 namespace maton::netkat {
 
-using core::AttrSet;
 using core::Schema;
 using core::Table;
 
@@ -109,29 +106,9 @@ VerifyReport verify_against_netkat(const Table& table,
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     probes.push_back(core::packet_for_row(table, r));
   }
-  const Schema& schema = table.schema();
-  const std::vector<std::size_t> match_cols = [&] {
-    const AttrSet m = schema.match_set();
-    return std::vector<std::size_t>(m.begin(), m.end());
-  }();
-  std::vector<std::vector<Value>> domain(match_cols.size());
-  for (std::size_t k = 0; k < match_cols.size(); ++k) {
-    std::set<Value> seen;
-    for (std::size_t r = 0; r < table.num_rows(); ++r) {
-      seen.insert(table.at(r, match_cols[k]));
-    }
-    Value fresh = 0;
-    while (seen.contains(fresh)) ++fresh;
-    domain[k].assign(seen.begin(), seen.end());
-    domain[k].push_back(fresh);
-  }
-  Rng rng(opts.seed);
-  for (std::size_t i = 0; i < opts.random_probes; ++i) {
-    Packet p;
-    for (std::size_t k = 0; k < match_cols.size(); ++k) {
-      p[schema.at(match_cols[k]).name] = domain[k][rng.index(domain[k].size())];
-    }
-    probes.push_back(std::move(p));
+  for (Packet& probe :
+       core::draw_table_probes(table, opts.random_probes, opts.seed)) {
+    probes.push_back(std::move(probe));
   }
 
   for (const Packet& probe : probes) {

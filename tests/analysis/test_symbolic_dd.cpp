@@ -1,5 +1,5 @@
 // Unit tests of the symbolic equivalence engine: diagram-store algebra,
-// the four front-ends, counterexample confirmation and budget bail-out.
+// the three front-ends, counterexample confirmation and budget bail-out.
 #include "analysis/symbolic/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -11,8 +11,6 @@
 
 #include "controlplane/representation.hpp"
 #include "dataplane/program.hpp"
-#include "netkat/axioms.hpp"
-#include "netkat/eval.hpp"
 #include "util/rng.hpp"
 #include "workloads/gwlb.hpp"
 
@@ -392,51 +390,26 @@ TEST(CheckPipelines, MutationYieldsConfirmedCounterexample) {
       << result.counterexample->description;
 }
 
-TEST(CheckPolicies, AxiomLawsHoldSymbolically) {
-  using namespace netkat;  // NOLINT(google-build-using-namespace)
-  const PolicyPtr a = seq(test("f0", 1), mod("f1", 2));
-  const PolicyPtr b = par(test("f1", 2), mod("f0", 0));
-  const PolicyPtr c = mod("f2", 1);
-  const netkat::axioms::Law laws[] = {
-      netkat::axioms::ka_plus_comm(a, b),
-      netkat::axioms::ka_plus_assoc(a, b, c),
-      netkat::axioms::ka_plus_idem(a),
-      netkat::axioms::ka_plus_zero(a),
-      netkat::axioms::ka_seq_assoc(a, b, c),
-      netkat::axioms::ka_one_seq(a),
-      netkat::axioms::ka_seq_zero(a),
-      netkat::axioms::ka_seq_dist_l(a, b, c),
-      netkat::axioms::ka_seq_dist_r(a, b, c),
-      netkat::axioms::ba_seq_comm("f0", 1, "f1", 2),
-      netkat::axioms::ba_seq_idem("f0", 1),
-      netkat::axioms::ba_contra("f0", 1, 2),
-      netkat::axioms::pa_mod_filter("f0", 1),
-      netkat::axioms::pa_filter_mod("f0", 1),
-      netkat::axioms::pa_mod_mod("f0", 1, 2),
-      netkat::axioms::pa_mod_comm("f0", 1, "f1", 2),
-  };
-  for (const auto& law : laws) {
-    const Result result = check_policies(law.first, law.second);
-    EXPECT_EQ(result.outcome, Outcome::kEquivalent)
-        << to_string(law.first) << " vs " << to_string(law.second) << ": "
-        << result.note;
-  }
-}
+TEST(Describe, VerdictCarriesItsEvidence) {
+  const Gwlb gwlb = workloads::make_paper_example();
+  Gwlb mutated = gwlb;
+  mutated.services[0].backends[1] ^= 1;
+  const core::Pipeline right =
+      cp::pipeline_for(gwlb, cp::Representation::kGoto);
+  const core::Pipeline wrong =
+      cp::pipeline_for(mutated, cp::Representation::kGoto);
 
-TEST(CheckPolicies, InequivalenceCarriesConfirmedPacket) {
-  using namespace netkat;  // NOLINT(google-build-using-namespace)
-  const PolicyPtr a = test("a", 1);
-  const PolicyPtr b = test("a", 2);
-  const Result result = check_policies(a, b);
-  ASSERT_EQ(result.outcome, Outcome::kInequivalent);
-  ASSERT_TRUE(result.counterexample.has_value());
-  ASSERT_TRUE(result.counterexample->packet.has_value());
-  const Packet packet = *result.counterexample->packet;
-  EXPECT_NE(eval(a, packet), eval(b, packet));
-
-  // drop ≠ id is the degenerate no-field case.
-  const Result degenerate = check_policies(drop(), id());
-  EXPECT_EQ(degenerate.outcome, Outcome::kInequivalent);
+  EXPECT_EQ(describe(check_table_vs_pipeline(gwlb.universal, right)), "yes");
+  const Result refuted = check_table_vs_pipeline(gwlb.universal, wrong);
+  ASSERT_EQ(refuted.outcome, Outcome::kInequivalent);
+  EXPECT_EQ(describe(refuted),
+            "NO: " + refuted.counterexample->description);
+  Options starved;
+  starved.max_nodes = 8;
+  const Result unknown =
+      check_table_vs_pipeline(gwlb.universal, right, starved);
+  ASSERT_EQ(unknown.outcome, Outcome::kUnknown);
+  EXPECT_EQ(describe(unknown), "unknown: " + unknown.note);
 }
 
 TEST(SlicesRelation, DisjointAndIntersectingRegions) {

@@ -15,7 +15,6 @@
 #include "core/equivalence.hpp"
 #include "core/probe_oracle.hpp"
 #include "dataplane/program.hpp"
-#include "netkat/eval.hpp"
 #include "util/rng.hpp"
 #include "workloads/gwlb.hpp"
 
@@ -220,57 +219,6 @@ TEST(Differential, CorePipelinesAgainstProbeOracle) {
         core::Pipeline::single(gwlb.universal).evaluate(packet);
     const core::EvalResult eb = pipeline.evaluate(packet);
     EXPECT_TRUE(ea.hit != eb.hit || ea.actions != eb.actions);
-  }
-}
-
-/// Random NetKAT policy over a tiny alphabet (mirrors the axioms suite).
-netkat::PolicyPtr random_policy(Rng& rng, int depth) {
-  static const char* const kFields[] = {"f0", "f1", "f2"};
-  if (depth == 0 || rng.chance(0.4)) {
-    switch (rng.index(4)) {
-      case 0: return netkat::drop();
-      case 1: return netkat::id();
-      case 2: return netkat::test(kFields[rng.index(3)], rng.uniform(0, 2));
-      default: return netkat::mod(kFields[rng.index(3)], rng.uniform(0, 2));
-    }
-  }
-  netkat::PolicyPtr a = random_policy(rng, depth - 1);
-  netkat::PolicyPtr b = random_policy(rng, depth - 1);
-  return rng.chance(0.5) ? netkat::seq(std::move(a), std::move(b))
-                         : netkat::par(std::move(a), std::move(b));
-}
-
-TEST(Differential, NetkatPoliciesAgainstProbeOracle) {
-  for (const std::uint64_t seed : kSeeds) {
-    Rng rng(seed);
-    for (int trial = 0; trial < 16; ++trial) {
-      const netkat::PolicyPtr a = random_policy(rng, 3);
-      const netkat::PolicyPtr b =
-          rng.chance(0.5) ? random_policy(rng, 3)
-                          : netkat::par(a, random_policy(rng, 2));
-      const Result symbolic = check_policies(a, b);
-      const bool probes_agree = netkat::equivalent_on(a, b, 128, seed);
-      switch (symbolic.outcome) {
-        case Outcome::kEquivalent:
-          EXPECT_TRUE(probes_agree)
-              << netkat::to_string(a) << " vs " << netkat::to_string(b);
-          break;
-        case Outcome::kInequivalent: {
-          ASSERT_TRUE(symbolic.counterexample.has_value());
-          ASSERT_TRUE(symbolic.counterexample->packet.has_value());
-          const netkat::Packet& pkt = *symbolic.counterexample->packet;
-          EXPECT_NE(netkat::eval(a, pkt), netkat::eval(b, pkt));
-          break;
-        }
-        case Outcome::kUnknown:
-          ADD_FAILURE() << "solver bailed on a tiny policy: "
-                        << symbolic.note;
-          break;
-      }
-      if (!probes_agree) {
-        EXPECT_EQ(symbolic.outcome, Outcome::kInequivalent);
-      }
-    }
   }
 }
 

@@ -10,13 +10,6 @@
 //   --target 2nf|3nf|bcnf            normalization goal (default 3nf)
 //   --format openflow|p4             export backend     (default openflow)
 //   --no-constants                   keep constant columns inline
-//   --verify=symbolic|probe          how normalize/export prove the
-//                                    pipeline equivalent to its source
-//                                    table (default symbolic: an exact
-//                                    decision-diagram proof over every
-//                                    packet; probe: the legacy randomized
-//                                    probe oracle). An inconclusive
-//                                    symbolic solve falls back to probes.
 //   --analyze[=text|json]            run the static analyzer; with json,
 //                                    print only the machine-readable report
 //   --metrics[=prom|json]            dump telemetry to stderr (default prom)
@@ -30,6 +23,10 @@
 // gwlb:metadata@20x8@7, ... — the paper example, or a randomized NxM
 // instance, compiled for the named representation and handed to the
 // analyzer. Exit status is 1 when any error-severity diagnostic is found.
+//
+// normalize and export prove the pipeline equivalent to its source table
+// with the symbolic engine (every packet, not a sample). A refutation or
+// an inconclusive proof exits 1 with the counterexample or solver note.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -42,7 +39,6 @@
 #include "analysis/symbolic/engine.hpp"
 #include "controlplane/compiler.hpp"
 #include "dataplane/program.hpp"
-#include "core/equivalence.hpp"
 #include "core/fd_mine.hpp"
 #include "core/mvd.hpp"
 #include "core/normal_forms.hpp"
@@ -63,7 +59,7 @@ int usage(std::ostream& os) {
   os << "usage: matonc <analyze|normalize|export> <table.maton|gwlb:SPEC>\n"
         "  [--join goto|metadata|rematch] [--target 2nf|3nf|bcnf]\n"
         "  [--format openflow|p4] [--no-constants]\n"
-        "  [--verify=symbolic|probe] [--analyze[=text|json]]\n"
+        "  [--analyze[=text|json]]\n"
         "  [--metrics[=prom|json]] [--trace=FILE]\n"
         "  [--metrics-addr=HOST:PORT]\n"
         "gwlb:SPEC (analyze only): <repr>[@NxM[@seed]] with repr one of\n"
@@ -78,7 +74,6 @@ struct CliOptions {
   core::NormalForm target = core::NormalForm::kThird;
   std::string format = "openflow";
   bool factor_constants = true;
-  std::string verify = "symbolic";  // or "probe"
   std::string analyze_report;  // empty = off, else "text" or "json"
   std::string metrics;         // empty = off, else "prom" or "json"
   std::string trace_path;      // empty = off
@@ -127,12 +122,6 @@ bool parse_args(const std::vector<std::string>& args, CliOptions& opts,
       opts.format = *v;
     } else if (arg == "--no-constants") {
       opts.factor_constants = false;
-    } else if (arg.starts_with("--verify=")) {
-      opts.verify = arg.substr(sizeof("--verify=") - 1);
-      if (opts.verify != "symbolic" && opts.verify != "probe") {
-        err << "unknown verify mode '" << opts.verify << "'\n";
-        return false;
-      }
     } else if (arg == "--analyze" || arg.starts_with("--analyze=")) {
       const std::string v =
           arg == "--analyze" ? "text" : arg.substr(sizeof("--analyze=") - 1);
@@ -216,41 +205,17 @@ Result<core::Pipeline> run_normalize(const core::ParsedSpec& spec,
   for (const std::string& skipped : out.value().skipped) {
     os << "# skipped: " << skipped << "\n";
   }
-  // Proof-gated normalization: by default the pipeline must be *proven*
-  // equivalent to the source table by the symbolic engine — every packet,
-  // not a probe sample. --verify=probe keeps the legacy randomized
-  // oracle; an inconclusive symbolic solve (node budget) degrades to it.
-  bool use_probes = opts.verify == "probe";
-  if (!use_probes) {
-    const auto proof = analysis::symbolic::check_table_vs_pipeline(
-        table, out.value().pipeline);
-    switch (proof.outcome) {
-      case analysis::symbolic::Outcome::kEquivalent:
-        os << "# verified equivalent symbolically (" << proof.stats.nodes
-           << " diagram nodes)\n";
-        break;
-      case analysis::symbolic::Outcome::kInequivalent:
-        return internal_error(
-            "normalization produced a non-equivalent pipeline: " +
-            (proof.counterexample.has_value()
-                 ? proof.counterexample->description
-                 : "symbolic refutation"));
-      case analysis::symbolic::Outcome::kUnknown:
-        os << "# symbolic verification inconclusive (" << proof.note
-           << "); falling back to probes\n";
-        use_probes = true;
-        break;
-    }
+  // Proof-gated normalization: the pipeline must be *proven* equivalent
+  // to the source table — every packet, not a probe sample. Anything
+  // short of a proof is an error.
+  const auto proof = analysis::symbolic::check_table_vs_pipeline(
+      table, out.value().pipeline);
+  if (!proof.equivalent()) {
+    return internal_error("normalization not proven equivalent: " +
+                          analysis::symbolic::describe(proof));
   }
-  if (use_probes) {
-    const auto eq = core::check_equivalence(table, out.value().pipeline);
-    if (!eq.equivalent) {
-      return internal_error("normalization produced a non-equivalent "
-                            "pipeline: " + eq.counterexample);
-    }
-    os << "# verified equivalent over " << eq.packets_checked
-       << " probe packets\n";
-  }
+  os << "# verified equivalent symbolically (" << proof.stats.nodes
+     << " diagram nodes)\n";
   return std::move(out).value().pipeline;
 }
 
