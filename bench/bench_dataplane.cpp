@@ -13,13 +13,13 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "controlplane/compiler.hpp"
 #include "dataplane/classifier_detail.hpp"
 #include "dataplane/simd.hpp"
 #include "dataplane/switch.hpp"
+#include "obs/diff.hpp"
 #include "obs/expose.hpp"
 #include "util/rng.hpp"
 #include "workloads/replay.hpp"
@@ -260,14 +260,11 @@ BENCHMARK_CAPTURE(BM_Kernel, exact_simd, "exact", 4, true);
 // Expanded BENCHMARK_MAIN so the run's accumulated telemetry can be
 // exported afterwards (MATON_METRICS_OUT / MATON_TRACE_OUT, see
 // obs/expose.hpp). A failed export fails the bench run loudly.
-#ifndef MATON_BUILD_TYPE
-#define MATON_BUILD_TYPE "unknown"
-#endif
-
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("build_type", MATON_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "host_cores", std::to_string(std::thread::hardware_concurrency()));
+  const maton::obs::BuildInfo build = maton::obs::build_info();
+  benchmark::AddCustomContext("build_type", build.build_type);
+  benchmark::AddCustomContext("host_cores",
+                              std::to_string(build.host_cores));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -7,11 +7,11 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <thread>
 
 #include "core/fd_mine.hpp"
 #include "core/keys.hpp"
 #include "core/synthesis.hpp"
+#include "obs/diff.hpp"
 #include "util/rng.hpp"
 #include "workloads/gwlb.hpp"
 #include "workloads/l3fwd.hpp"
@@ -197,17 +197,14 @@ BENCHMARK(BM_NormalizeL3)->Arg(64)->Arg(256);
 
 }  // namespace
 
-#ifndef MATON_BUILD_TYPE
-#define MATON_BUILD_TYPE "unknown"
-#endif
-
 // Expanded BENCHMARK_MAIN so every emitted JSON carries the build type
 // and host core count in its context block (recorded numbers from a
 // 1-core debug host are not comparable to release hardware).
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("build_type", MATON_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "host_cores", std::to_string(std::thread::hardware_concurrency()));
+  const maton::obs::BuildInfo build = maton::obs::build_info();
+  benchmark::AddCustomContext("build_type", build.build_type);
+  benchmark::AddCustomContext("host_cores",
+                              std::to_string(build.host_cores));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -11,15 +11,11 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <thread>
-
-#ifndef MATON_BUILD_TYPE
-#define MATON_BUILD_TYPE "unknown"
-#endif
 
 #include "controlplane/churn.hpp"
 #include "controlplane/compiler.hpp"
 #include "dataplane/switch.hpp"
+#include "obs/diff.hpp"
 #include "obs/expose.hpp"
 #include "util/format.hpp"
 #include "util/quantile.hpp"
@@ -264,11 +260,12 @@ int main() {
 
   constexpr std::size_t kBackends = 8;
   constexpr std::size_t kIntents = 200;
+  const obs::BuildInfo build = obs::build_info();
   std::ofstream json("BENCH_fig4.json");
   json << "{\n"
        << "  \"benchmark\": \"fig4_reactiveness\",\n"
-       << "  \"env\": {\"build_type\": \"" << MATON_BUILD_TYPE
-       << "\", \"host_cores\": " << std::thread::hardware_concurrency()
+       << "  \"env\": {\"build_type\": \"" << build.build_type
+       << "\", \"host_cores\": " << build.host_cores
        << "},\n"
        << "  \"workload\": {\"backends\": " << kBackends
        << ", \"intents_per_cell\": " << kIntents

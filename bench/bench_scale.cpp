@@ -19,22 +19,18 @@
 #include <iostream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "controlplane/compiler.hpp"
 #include "core/fd_mine.hpp"
 #include "dataplane/switch.hpp"
+#include "obs/diff.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
 #include "util/format.hpp"
 #include "util/quantile.hpp"
 #include "util/report.hpp"
 #include "util/rng.hpp"
-
-#ifndef MATON_BUILD_TYPE
-#define MATON_BUILD_TYPE "unknown"
-#endif
 
 namespace {
 
@@ -44,20 +40,6 @@ using BenchClock = std::chrono::steady_clock;
 double ms_since(BenchClock::time_point start) {
   return std::chrono::duration<double, std::milli>(BenchClock::now() - start)
       .count();
-}
-
-/// Peak resident set (VmHWM) in MB; 0 where /proc is unavailable. The
-/// high-water mark is process-lifetime monotone, so per-tier readings
-/// record "peak so far" — the largest tier's value is the honest one.
-std::size_t peak_rss_mb() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::stoull(line.substr(6))) / 1024;
-    }
-  }
-  return 0;
 }
 
 /// Mixed churn trace; fresh VIPs come from 172.16.0.0/12 so they collide
@@ -199,7 +181,9 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   if (!(sw.program() == binding.program())) ++pt.drift;
   expects(pt.drift == 0, "patched program drifted from full rebuild");
 
-  pt.peak_rss_mb = peak_rss_mb();
+  // VmHWM is process-lifetime monotone, so per-tier readings record
+  // "peak so far": the largest tier's value is the honest one.
+  pt.peak_rss_mb = obs::read_peak_rss_bytes() / (1024 * 1024);
   return pt;
 }
 
@@ -251,11 +235,12 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
+  const obs::BuildInfo build = obs::build_info();
   std::ofstream json("BENCH_scale.json");
   json << "{\n"
        << "  \"benchmark\": \"scale\",\n"
-       << "  \"env\": {\"build_type\": \"" << MATON_BUILD_TYPE
-       << "\", \"host_cores\": " << std::thread::hardware_concurrency()
+       << "  \"env\": {\"build_type\": \"" << build.build_type
+       << "\", \"host_cores\": " << build.host_cores
        << ", \"trace_enabled\": "
        << (obs::kTraceEnabled ? "true" : "false") << "},\n"
        << "  \"workload\": {\"backends\": " << kBackends

@@ -17,12 +17,12 @@
 #include <cstddef>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "analysis/symbolic/engine.hpp"
 #include "controlplane/compiler.hpp"
 #include "core/equivalence.hpp"
+#include "obs/diff.hpp"
 #include "workloads/gwlb.hpp"
 
 namespace {
@@ -146,14 +146,11 @@ void register_all() {
 
 }  // namespace
 
-#ifndef MATON_BUILD_TYPE
-#define MATON_BUILD_TYPE "unknown"
-#endif
-
 int main(int argc, char** argv) {
-  benchmark::AddCustomContext("build_type", MATON_BUILD_TYPE);
-  benchmark::AddCustomContext(
-      "host_cores", std::to_string(std::thread::hardware_concurrency()));
+  const maton::obs::BuildInfo build = maton::obs::build_info();
+  benchmark::AddCustomContext("build_type", build.build_type);
+  benchmark::AddCustomContext("host_cores",
+                              std::to_string(build.host_cores));
   register_all();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -4,8 +4,9 @@
 // "the first table will be compiled to the very fast exact-match template
 // and the second table to an efficient longest-prefix-matching template".
 // This header defines the classifier interface; concrete templates live
-// in exact_match / lpm_trie / tss / linear translation units, and
-// select_classifier() implements the ESwitch-style template choice.
+// in exact_match / lpm_trie / tss translation units, and
+// select_classifier_eswitch() implements the ESwitch-style template
+// choice.
 #pragma once
 
 #include <memory>
@@ -66,12 +67,6 @@ class Classifier {
  protected:
   Classifier() = default;
 };
-
-/// Builds the most specialized template the rule set admits:
-/// all-exact → hash, single-prefix → per-exact-group LPM tries,
-/// otherwise tuple-space search (or linear for tiny tables).
-[[nodiscard]] std::unique_ptr<Classifier> select_classifier(
-    const TableSpec& table);
 
 /// ESwitch's actual template inventory (§5 and [24]): exact-match on a
 /// field set, LPM on a *single* field, or the slow generic wildcard

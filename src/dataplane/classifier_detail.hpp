@@ -2,11 +2,13 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "dataplane/classifier.hpp"
 #include "dataplane/flow_key.hpp"
 #include "dataplane/simd.hpp"
 
@@ -217,6 +219,83 @@ struct MaskedGroup {
   groups.emplace_back();
   groups.back().masks = mask_vec;
   return groups.back();
+}
+
+/// A key's best match so far in probe_groups_batch.
+struct ProbeBest {
+  std::size_t rule = kNoRule;
+  std::uint32_t priority = 0;
+};
+
+/// The masked-group batch probe shared by TssClassifier and
+/// LinearClassifier's batch index. Each chunk of keys is transposed once
+/// into SoA lanes (LaneBlock), then every group's mask-and-hash runs
+/// across the chunk. A key leaves the active set once `decided(group,
+/// best)` holds — groups must be ordered so that it then holds for every
+/// later group too — and a found entry replaces the key's best match
+/// when `better(entry, best)`. The two rules are the only difference
+/// between the TSS priority discipline and the linear first-match one;
+/// they are template parameters so the replay loop inlines them.
+/// out[i] = the best rule for keys[i], or kNoRule.
+template <typename Decided, typename Better>
+void probe_groups_batch(std::span<const FlowKey> keys,
+                        std::span<const FieldId> fields,
+                        std::span<const MaskedGroup> groups,
+                        std::span<std::size_t> out, Decided decided,
+                        Better better) {
+  const std::size_t nf = fields.size();
+  LaneBlock lanes;
+  LaneBlock masked;
+  alignas(64) std::array<std::uint64_t, kBatchChunk> hashes;
+  std::array<ProbeBest, kBatchChunk> best;
+  std::array<std::uint32_t, kBatchChunk> active;
+  std::uint64_t tmp[kNumFields];
+  for (std::size_t base = 0; base < keys.size(); base += kBatchChunk) {
+    const std::size_t n = std::min(kBatchChunk, keys.size() - base);
+    transpose_chunk(keys, base, n, fields, lanes.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      best[i] = ProbeBest{};
+      active[i] = static_cast<std::uint32_t>(i);
+    }
+    const auto consider = [&](std::uint32_t i, const MaskedGroup::Entry* e) {
+      if (e != nullptr && better(*e, best[i])) {
+        best[i] = {e->rule, e->priority};
+      }
+    };
+    std::size_t live = n;
+    for (const MaskedGroup& group : groups) {
+      std::size_t still = 0;
+      for (std::size_t a = 0; a < live; ++a) {
+        const std::uint32_t i = active[a];
+        if (!decided(group, best[i])) active[still++] = i;
+      }
+      live = still;
+      if (live == 0) break;
+      if (simd::active_level() != simd::Level::kScalar && live * 4 >= n) {
+        // Chunk-wide fused mask+hash: the 4-lane kernel covers the whole
+        // chunk in ~n/4 steps, cheaper than live scalar probes once at
+        // least a quarter of the chunk is still undecided. Its hash and
+        // compares are the scalar probe's, so results are bit-identical
+        // on every dispatch level.
+        simd::mask_hash_lanes(lanes.data(), kBatchChunk, group.masks.data(),
+                              nf, n, masked.data(), hashes.data());
+        for (std::size_t a = 0; a < live; ++a) {
+          const std::uint32_t i = active[a];
+          consider(i, group.find_lanes(hashes[i], masked.data() + i,
+                                       kBatchChunk));
+        }
+      } else {
+        for (std::size_t a = 0; a < live; ++a) {
+          const std::uint32_t i = active[a];
+          for (std::size_t f = 0; f < nf; ++f) {
+            tmp[f] = lanes.data()[f * kBatchChunk + i] & group.masks[f];
+          }
+          consider(i, group.find({tmp, nf}));
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) out[base + i] = best[i].rule;
+  }
 }
 
 }  // namespace maton::dp::detail

@@ -171,20 +171,11 @@ class OvsModel final : public OvsModelInterface {
         &registry.histogram("maton_dp_batch_chunk_size", labels);
   }
 
-  Status load(Program program) override {
-    program_ = std::move(program);
-    cache_.clear();
-    stats_ = {};
-    counters_.reset(program_);
-    mf_occupancy_->set(0.0);
-    return Status::ok();
-  }
-
   ExecResult process(const FlowKey& key) override {
     if (const auto* cached = cache_.lookup(key)) {
       ++stats_.cache_hits;
       mf_hits_->add();
-      counters_.bump_all(cached->contributors);
+      counters().bump_all(cached->contributors);
       ExecResult r = cached->result;
       r.tables_visited = 1;  // one cache lookup
       return r;
@@ -193,7 +184,7 @@ class OvsModel final : public OvsModelInterface {
     mf_misses_->add();
     matched_scratch_.clear();
     const auto [result, mask] = slow_path(key, &matched_scratch_);
-    counters_.bump_all(matched_scratch_.span());
+    counters().bump_all(matched_scratch_.span());
     if (result.hit) {
       cache_.insert(mask, key, result, matched_scratch_.span());
       stats_.cache_entries = cache_.size();
@@ -212,8 +203,10 @@ class OvsModel final : public OvsModelInterface {
   /// probed[j] == lookup(keys[j]) at all times, so results and stats stay
   /// bit-identical to scalar processing while the chunk keeps the hoisted
   /// fast path even across cold-start inserts.
-  void process_batch(std::span<const FlowKey> keys,
-                     std::span<ExecResult> results) override {
+  void process_batch_queue(std::size_t queue,
+                           std::span<const FlowKey> keys,
+                           std::span<ExecResult> results) override {
+    expects(queue == 0, "model supports a single replay queue");
     expects(results.size() >= keys.size(),
             "process_batch result span too small");
     std::array<const MegaflowCache::Entry*, detail::kBatchChunk> probed;
@@ -228,7 +221,7 @@ class OvsModel final : public OvsModelInterface {
         if (probed[i] != nullptr) {
           ++stats_.cache_hits;
           ++chunk_hits;
-          counters_.bump_all(probed[i]->contributors);
+          counters().bump_all(probed[i]->contributors);
           ExecResult r = probed[i]->result;
           r.tables_visited = 1;
           results[base + i] = r;
@@ -241,7 +234,7 @@ class OvsModel final : public OvsModelInterface {
         matched_scratch_.clear();
         const auto [result, mask] = slow_path(keys[base + i],
                                               &matched_scratch_);
-        counters_.bump_all(matched_scratch_.span());
+        counters().bump_all(matched_scratch_.span());
         results[base + i] = result;
         if (!result.hit) continue;
         const MegaflowCache::Entry* entry = cache_.insert(
@@ -258,50 +251,6 @@ class OvsModel final : public OvsModelInterface {
     }
   }
 
-  Status apply_update(const RuleUpdate& update) override {
-    ApplyOutcome outcome;
-    if (Status s = apply_update_to_program(program_, update, &outcome);
-        !s.is_ok()) {
-      return s;
-    }
-    carry_counters(update.table, outcome);
-    // Revalidation model: any OpenFlow change invalidates the datapath
-    // cache wholesale.
-    cache_.clear();
-    ++stats_.cache_flushes;
-    stats_.cache_entries = 0;
-    mf_flushes_->add();
-    mf_occupancy_->set(0.0);
-    return Status::ok();
-  }
-
-  /// Batched updates: rule mutation, counter carry-over, and the flush
-  /// *statistics* run per update (scalar semantics — each applied update
-  /// is one revalidation), but the cache teardown itself happens once for
-  /// the whole batch instead of once per update.
-  Status apply_updates(std::span<const RuleUpdate> updates) override {
-    Status result = Status::ok();
-    bool any_applied = false;
-    for (const RuleUpdate& update : updates) {
-      ApplyOutcome outcome;
-      if (Status s = apply_update_to_program(program_, update, &outcome);
-          !s.is_ok()) {
-        result = s;
-        break;
-      }
-      carry_counters(update.table, outcome);
-      ++stats_.cache_flushes;
-      mf_flushes_->add();
-      any_applied = true;
-    }
-    if (any_applied) {
-      cache_.clear();
-      stats_.cache_entries = 0;
-      mf_occupancy_->set(0.0);
-    }
-    return result;
-  }
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return "ovs";
   }
@@ -310,29 +259,32 @@ class OvsModel final : public OvsModelInterface {
     return 160.0;
   }
   [[nodiscard]] OvsStats stats() const noexcept override { return stats_; }
-  [[nodiscard]] Result<std::uint64_t> read_rule_counter(
-      std::size_t table,
-      const std::vector<FieldMatch>& target) const override {
-    return counters_.read(program_, table, target);
+
+ protected:
+  void on_load() override {
+    cache_.clear();
+    stats_ = {};
+    mf_occupancy_->set(0.0);
+  }
+
+  /// Revalidation model: any OpenFlow change invalidates the datapath
+  /// cache wholesale. The flush statistics count every applied update
+  /// (each is one revalidation); the teardown itself happens once per
+  /// apply_updates call.
+  void on_update(const RuleUpdate& /*update*/,
+                 const ApplyOutcome& /*outcome*/) override {
+    ++stats_.cache_flushes;
+    mf_flushes_->add();
+  }
+
+  void on_updates_applied(
+      std::span<const RuleUpdate> /*applied*/) override {
+    cache_.clear();
+    stats_.cache_entries = 0;
+    mf_occupancy_->set(0.0);
   }
 
  private:
-  void carry_counters(std::size_t table, const ApplyOutcome& outcome) {
-    switch (outcome.kind) {
-      case ApplyOutcome::Kind::kInserted:
-        counters_.on_insert(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kRemoved:
-        counters_.on_remove(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kModifiedInPlace:
-        break;  // position unchanged; the rule inherits its count
-      case ApplyOutcome::Kind::kModifiedMoved:
-        counters_.on_move(table, outcome.index, outcome.moved_to);
-        break;
-    }
-  }
-
   /// Full pipeline traversal tracking the megaflow mask: bits of the
   /// *original* packet the decision depended on. Matches on fields
   /// rewritten earlier in the pipeline (metadata tags) do not widen the
@@ -346,15 +298,15 @@ class OvsModel final : public OvsModelInterface {
 
     FlowKey state = key;
     std::optional<std::size_t> current =
-        program_.tables.empty() ? std::nullopt
-                                : std::optional{program_.entry};
+        program().tables.empty() ? std::nullopt
+                                 : std::optional{program().entry};
     while (current.has_value()) {
       const std::size_t idx = *current;
-      expects(idx < program_.tables.size(), "jump out of range");
-      expects(result.tables_visited <= program_.tables.size(),
+      expects(idx < program().tables.size(), "jump out of range");
+      expects(result.tables_visited <= program().tables.size(),
               "table graph cycle during slow path");
       ++result.tables_visited;
-      const TableSpec& table = program_.tables[idx];
+      const TableSpec& table = program().tables[idx];
 
       std::optional<RuleView> hit;
       for (std::size_t r = 0; r < table.rules.size(); ++r) {
@@ -388,10 +340,8 @@ class OvsModel final : public OvsModelInterface {
     return {result, mask};
   }
 
-  Program program_;
   MegaflowCache cache_;
   OvsStats stats_;
-  RuleCounters counters_;
   obs::Counter* mf_hits_ = nullptr;
   obs::Counter* mf_misses_ = nullptr;
   obs::Counter* mf_flushes_ = nullptr;

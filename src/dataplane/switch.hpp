@@ -1,6 +1,12 @@
 // Switch models: behavioural stand-ins for the four data planes of the
 // paper's evaluation (§5) — OVS, ESwitch, Lagopus and the NoviFlow 2128.
 //
+// The four differ in how they look a packet up, not in how a flow-mod
+// lands: the base SwitchModel owns the installed program, the per-rule
+// counters and the one apply_updates loop (mutate the program, carry the
+// counters), and each model keeps only its lookup structures current
+// through the on_load / on_update / on_updates_applied hooks.
+//
 // Software models (ESwitch/OVS/Lagopus) do real per-packet work — hash
 // probes, trie walks, tuple-space probes — so relative performance
 // emerges from genuine code paths; a documented per-packet framework
@@ -18,11 +24,6 @@
 #include "dataplane/classifier.hpp"
 #include "dataplane/program.hpp"
 
-namespace maton::obs {
-class Counter;
-class Histogram;
-}  // namespace maton::obs
-
 namespace maton::dp {
 
 /// One control-plane rule update applied to a running switch.
@@ -37,78 +38,40 @@ struct RuleUpdate {
   Rule rule;
 };
 
-class SwitchModel {
- public:
-  virtual ~SwitchModel() = default;
-  SwitchModel(const SwitchModel&) = delete;
-  SwitchModel& operator=(const SwitchModel&) = delete;
-
-  [[nodiscard]] virtual Status load(Program program) = 0;
-  [[nodiscard]] virtual ExecResult process(const FlowKey& key) = 0;
-
-  /// Batched execution: results[i] = process(keys[i]), in order, with
-  /// identical side effects (rule counters, caches, stats). The base
-  /// implementation is the scalar loop; software models override it with
-  /// stage-hoisted kernels that amortize dispatch and put many memory
-  /// accesses in flight. Requires results.size() >= keys.size().
-  virtual void process_batch(std::span<const FlowKey> keys,
-                             std::span<ExecResult> results);
-
-  /// Declares that `queues` replay queues will drive this one instance
-  /// concurrently through process_batch_queue — classifiers are shared
-  /// read-only, every queue gets private batch-walker scratch, and the
-  /// rule counters re-shard per queue (configuring zeroes them).
-  /// Returns false when the model cannot share one instance across
-  /// queues (OVS mutates its megaflow cache per packet); callers fall
-  /// back to per-queue instances. Rule updates must be quiesced
-  /// relative to concurrent queue processing.
-  [[nodiscard]] virtual bool configure_queues(std::size_t queues);
-
-  /// process_batch bound to one configured queue: identical results,
-  /// with counter bumps landing in the queue's private shard. Safe to
-  /// call concurrently across distinct queue ids after a successful
-  /// configure_queues. The base implementation supports queue 0 only.
-  virtual void process_batch_queue(std::size_t queue,
-                                   std::span<const FlowKey> keys,
-                                   std::span<ExecResult> results);
-
-  [[nodiscard]] virtual Status apply_update(const RuleUpdate& update) = 0;
-
-  /// Applies `updates` in order, equivalent to calling apply_update per
-  /// element (same final rule state, counters, and model stats). The base
-  /// implementation is the scalar loop; software models override it to
-  /// run the per-table index maintenance — classifier recompilation,
-  /// cache-flush bookkeeping — once per touched table instead of once per
-  /// update. Stops at the first failure; updates already applied stay
-  /// applied (the §2 non-atomicity the inconsistency window measures).
-  [[nodiscard]] virtual Status apply_updates(
-      std::span<const RuleUpdate> updates);
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
-  /// Fixed per-packet framework cost (I/O, metadata bookkeeping) added to
-  /// the measured classifier time when reporting absolute packet rates.
-  [[nodiscard]] virtual double per_packet_overhead_ns() const noexcept {
-    return 0.0;
-  }
-
-  /// Per-rule packet counter (OpenFlow flow stats): packets that matched
-  /// the rule identified by its match vector. Counters survive kModify
-  /// (the modified rule inherits the old count) and start at zero for
-  /// inserts. This is what §2's monitorability discussion reads.
-  [[nodiscard]] virtual Result<std::uint64_t> read_rule_counter(
-      std::size_t table, const std::vector<FieldMatch>& target) const = 0;
-
- protected:
-  SwitchModel() = default;
+/// How apply_update_to_program changed the table — what index
+/// maintenance (counters, classifiers) the caller still owes.
+struct ApplyOutcome {
+  enum class Kind {
+    kInserted,         // new rule at `index`; later rules shifted up
+    kRemoved,          // rule at `index` removed; later rules shifted down
+    kModifiedInPlace,  // rule at `index` replaced, position unchanged
+    kModifiedMoved,    // rule replaced and re-positioned `index` → `moved_to`
+  };
+  Kind kind = Kind::kModifiedInPlace;
+  std::size_t index = 0;
+  std::size_t moved_to = 0;  // kModifiedMoved only
 };
 
+/// Applies `update` to a program's table in place — the mutation step of
+/// SwitchModel::apply_updates. Returns kNotFound when the target rule
+/// does not exist.
+/// Delta-scoped: the target is found through the table's lazy match
+/// index, a same-priority modify replaces in place, and a priority
+/// change repositions one 20-byte ref — no full re-sort. Tables are kept
+/// in the compiled order (priority descending, stable), matching what a
+/// full `stable_sort` of the legacy path produced. When `outcome` is
+/// non-null it receives what happened, so callers can delta-scope their
+/// own bookkeeping.
+[[nodiscard]] Status apply_update_to_program(
+    Program& program, const RuleUpdate& update,
+    ApplyOutcome* outcome = nullptr);
+
 /// Per-rule packet counters parallel to a program's tables, with the
-/// OpenFlow preservation semantics across rule updates. Shared by the
-/// switch model implementations. Counts are positional; the
-/// ApplyOutcome of apply_update_to_program says how positions moved, so
-/// carrying counters across an update is O(Δ) (or O(shift) for
-/// structural edits) instead of a match-vector join.
+/// OpenFlow preservation semantics across rule updates. Owned by
+/// SwitchModel. Counts are positional; the ApplyOutcome of
+/// apply_update_to_program says how positions moved, so carrying
+/// counters across an update is O(Δ) (or O(shift) for structural edits)
+/// instead of a match-vector join.
 ///
 /// Sharded per replay queue: the counter array is replicated once per
 /// queue with each shard's stride rounded up to whole cache lines, so
@@ -117,10 +80,9 @@ class SwitchModel {
 /// load/store increments). Reads merge shards deterministically by
 /// folding them in ascending queue-id order; 64-bit addition is
 /// commutative and lossless here, so quiesced merged totals are exact
-/// and independent of queue interleaving. Structural ops (reset /
-/// on_insert / on_remove / on_move) and merging reads race-free only
-/// against bump()s, not against each other — they run on the quiesced
-/// control path by contract.
+/// and independent of queue interleaving. Structural ops (reset / carry)
+/// and merging reads race-free only against bump()s, not against each
+/// other — they run on the quiesced control path by contract.
 class RuleCounters {
  public:
   /// Re-sizes to match `program` with one shard per queue, zeroing
@@ -135,25 +97,27 @@ class RuleCounters {
   void bump_all(std::span<const MatchedRule> matched,
                 std::size_t queue = 0);
 
-  /// A rule was inserted at `pos` (fresh count of zero).
-  void on_insert(std::size_t table, std::size_t pos);
-  /// The rule at `pos` was removed.
-  void on_remove(std::size_t table, std::size_t pos);
-  /// The rule at `from` moved to `to` (kModify with a priority change);
-  /// it keeps its count — OpenFlow modify inherits the old stats.
-  void on_move(std::size_t table, std::size_t from, std::size_t to);
+  /// Carries the counts across one applied update of `table`: an
+  /// inserted rule starts at zero, a removed rule's count is dropped, and
+  /// a modified rule keeps its count wherever it lands — OpenFlow modify
+  /// inherits the old stats.
+  void carry(std::size_t table, const ApplyOutcome& outcome);
 
   /// Merged (all-shard) count for the rule with the given match vector.
   [[nodiscard]] Result<std::uint64_t> read(
       const Program& program, std::size_t table,
       const std::vector<FieldMatch>& target) const;
 
+ private:
   /// Merged (all-shard) count by position — ascending queue-id fold.
   [[nodiscard]] std::uint64_t merged(std::size_t table,
                                      std::size_t rule) const;
-
- private:
   void rebuild_layout();
+  /// Grows `table` by a zero count at `pos`, or drops the count at `pos`,
+  /// shifting the table's tail in every shard.
+  void resize(std::size_t table, std::size_t pos, bool grow);
+  /// Rotates the count at `from` to `to` in every shard.
+  void move(std::size_t table, std::size_t from, std::size_t to);
   [[nodiscard]] std::size_t slot(std::size_t queue, std::size_t table,
                                  std::size_t rule) const noexcept {
     return queue * stride_ + offsets_[table] + rule;
@@ -164,6 +128,99 @@ class RuleCounters {
   std::size_t stride_ = 0;  // per-shard slots, cache-line rounded
   std::size_t queues_ = 1;
   std::vector<std::atomic<std::uint64_t>> counts_;  // queues_ * stride_
+};
+
+class SwitchModel {
+ public:
+  virtual ~SwitchModel() = default;
+  SwitchModel(const SwitchModel&) = delete;
+  SwitchModel& operator=(const SwitchModel&) = delete;
+
+  /// Installs `program`, zeroes the rule counters (keeping the configured
+  /// queue count) and lets the model build its lookup state (on_load).
+  [[nodiscard]] Status load(Program program);
+  [[nodiscard]] virtual ExecResult process(const FlowKey& key) = 0;
+
+  /// Batched execution on queue 0: results[i] = process(keys[i]), in
+  /// order, with identical side effects (rule counters, caches, stats).
+  /// Requires results.size() >= keys.size().
+  void process_batch(std::span<const FlowKey> keys,
+                     std::span<ExecResult> results) {
+    process_batch_queue(0, keys, results);
+  }
+
+  /// Declares that `queues` replay queues will drive this one instance
+  /// concurrently through process_batch_queue — classifiers are shared
+  /// read-only, every queue gets private batch-walker scratch, and the
+  /// rule counters re-shard per queue (configuring zeroes them).
+  /// Returns false when the model cannot share one instance across
+  /// queues (OVS mutates its megaflow cache per packet); callers fall
+  /// back to per-queue instances. Rule updates must be quiesced
+  /// relative to concurrent queue processing.
+  [[nodiscard]] virtual bool configure_queues(std::size_t queues);
+
+  /// process_batch bound to one configured queue: identical results,
+  /// with counter bumps landing in the queue's private shard. Safe to
+  /// call concurrently across distinct queue ids after a successful
+  /// configure_queues. The base implementation is the scalar loop on
+  /// queue 0; software models override it with stage-hoisted kernels
+  /// that amortize dispatch and put many memory accesses in flight.
+  virtual void process_batch_queue(std::size_t queue,
+                                   std::span<const FlowKey> keys,
+                                   std::span<ExecResult> results);
+
+  [[nodiscard]] Status apply_update(const RuleUpdate& update) {
+    return apply_updates({&update, 1});
+  }
+
+  /// Applies `updates` in order. Each update lands through
+  /// apply_update_to_program, its counters carry over
+  /// (RuleCounters::carry) and the model sees it in on_update; then
+  /// on_updates_applied runs once for the applied updates, so per-table
+  /// index maintenance (classifier recompilation, cache teardown) runs
+  /// once per batch instead of once per update. Stops at the first
+  /// failure; updates already applied stay applied (the §2
+  /// non-atomicity the inconsistency window measures).
+  [[nodiscard]] Status apply_updates(std::span<const RuleUpdate> updates);
+
+  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
+
+  /// Fixed per-packet framework cost (I/O, metadata bookkeeping) added to
+  /// the measured classifier time when reporting absolute packet rates.
+  [[nodiscard]] virtual double per_packet_overhead_ns() const noexcept {
+    return 0.0;
+  }
+
+  /// Per-rule packet counter (OpenFlow flow stats): packets that matched
+  /// the rule identified by its match vector. Counters survive kModify
+  /// (the modified rule inherits the old count) and start at zero for
+  /// inserts. This is what §2's monitorability discussion reads.
+  [[nodiscard]] Result<std::uint64_t> read_rule_counter(
+      std::size_t table, const std::vector<FieldMatch>& target) const {
+    return counters_.read(program_, table, target);
+  }
+
+  /// The installed program with every applied update.
+  [[nodiscard]] const Program& program() const noexcept { return program_; }
+
+ protected:
+  SwitchModel() = default;
+
+  /// Index maintenance hooks, run on the quiesced control path: on_load
+  /// after load installed a program; on_update after each applied update
+  /// (program and counters already updated); on_updates_applied once
+  /// after an apply_updates call that applied at least one update.
+  virtual void on_load() {}
+  virtual void on_update(const RuleUpdate& /*update*/,
+                         const ApplyOutcome& /*outcome*/) {}
+  virtual void on_updates_applied(
+      std::span<const RuleUpdate> /*applied*/) {}
+
+  [[nodiscard]] RuleCounters& counters() noexcept { return counters_; }
+
+ private:
+  Program program_;
+  RuleCounters counters_;
 };
 
 /// ESwitch-style datapath specialization: every table compiled to the
@@ -199,12 +256,7 @@ class OvsModelInterface : public SwitchModel {
 /// with per-stage latency and a TCAM update-stall model (drives Fig. 4).
 class HwTcamModel final : public SwitchModel {
  public:
-  Status load(Program program) override;
   ExecResult process(const FlowKey& key) override;
-  Status apply_update(const RuleUpdate& update) override;
-  [[nodiscard]] Result<std::uint64_t> read_rule_counter(
-      std::size_t table,
-      const std::vector<FieldMatch>& target) const override;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "noviflow-hw";
   }
@@ -241,40 +293,10 @@ class HwTcamModel final : public SwitchModel {
     return line_rate_mpps() * (available < 0.0 ? 0.0 : available);
   }
 
-  [[nodiscard]] const Program& program() const noexcept { return program_; }
   [[nodiscard]] std::size_t pipeline_depth() const noexcept;
 
  private:
-  Program program_;
-  RuleCounters counters_;
   MatchedBuf matched_scratch_;
 };
-
-/// How apply_update_to_program changed the table — what index
-/// maintenance (counters, classifiers) the caller still owes.
-struct ApplyOutcome {
-  enum class Kind {
-    kInserted,         // new rule at `index`; later rules shifted up
-    kRemoved,          // rule at `index` removed; later rules shifted down
-    kModifiedInPlace,  // rule at `index` replaced, position unchanged
-    kModifiedMoved,    // rule replaced and re-positioned `index` → `moved_to`
-  };
-  Kind kind = Kind::kModifiedInPlace;
-  std::size_t index = 0;
-  std::size_t moved_to = 0;  // kModifiedMoved only
-};
-
-/// Applies `update` to a program's table in place (shared by the software
-/// models). Returns kNotFound when the target rule does not exist.
-/// Delta-scoped: the target is found through the table's lazy match
-/// index, a same-priority modify replaces in place, and a priority
-/// change repositions one 20-byte ref — no full re-sort. Tables are kept
-/// in the compiled order (priority descending, stable), matching what a
-/// full `stable_sort` of the legacy path produced. When `outcome` is
-/// non-null it receives what happened, so callers can delta-scope their
-/// own bookkeeping.
-[[nodiscard]] Status apply_update_to_program(
-    Program& program, const RuleUpdate& update,
-    ApplyOutcome* outcome = nullptr);
 
 }  // namespace maton::dp

@@ -5,19 +5,10 @@
 
 namespace maton::dp {
 
-void SwitchModel::process_batch(std::span<const FlowKey> keys,
-                                std::span<ExecResult> results) {
-  expects(results.size() >= keys.size(),
-          "process_batch result span too small");
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    results[i] = process(keys[i]);
-  }
-}
-
-Status SwitchModel::apply_updates(std::span<const RuleUpdate> updates) {
-  for (const RuleUpdate& update : updates) {
-    if (Status s = apply_update(update); !s.is_ok()) return s;
-  }
+Status SwitchModel::load(Program program) {
+  program_ = std::move(program);
+  counters_.reset(program_, counters_.queues());
+  on_load();
   return Status::ok();
 }
 
@@ -29,7 +20,26 @@ void SwitchModel::process_batch_queue(std::size_t queue,
                                       std::span<const FlowKey> keys,
                                       std::span<ExecResult> results) {
   expects(queue == 0, "model supports a single replay queue");
-  process_batch(keys, results);
+  expects(results.size() >= keys.size(),
+          "process_batch result span too small");
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    results[i] = process(keys[i]);
+  }
+}
+
+Status SwitchModel::apply_updates(std::span<const RuleUpdate> updates) {
+  Status result = Status::ok();
+  std::size_t applied = 0;
+  for (const RuleUpdate& update : updates) {
+    ApplyOutcome outcome;
+    result = apply_update_to_program(program_, update, &outcome);
+    if (!result.is_ok()) break;
+    counters_.carry(update.table, outcome);
+    on_update(update, outcome);
+    ++applied;
+  }
+  if (applied != 0) on_updates_applied(updates.first(applied));
+  return result;
 }
 
 Status apply_update_to_program(Program& program, const RuleUpdate& update,
@@ -125,24 +135,49 @@ void RuleCounters::bump_all(std::span<const MatchedRule> matched,
   for (const MatchedRule& m : matched) bump(m.table, m.rule, queue);
 }
 
-void RuleCounters::on_insert(std::size_t table, std::size_t pos) {
-  expects(table < sizes_.size() && pos <= sizes_[table],
-          "counter insert out of range");
-  // Structural edits run on the quiesced control path: snapshot, grow
-  // the layout, copy back with the table's tail shifted up.
+void RuleCounters::carry(std::size_t table, const ApplyOutcome& outcome) {
+  switch (outcome.kind) {
+    case ApplyOutcome::Kind::kInserted:
+      resize(table, outcome.index, /*grow=*/true);
+      break;
+    case ApplyOutcome::Kind::kRemoved:
+      resize(table, outcome.index, /*grow=*/false);
+      break;
+    case ApplyOutcome::Kind::kModifiedInPlace:
+      break;  // position unchanged; the rule inherits its count
+    case ApplyOutcome::Kind::kModifiedMoved:
+      move(table, outcome.index, outcome.moved_to);
+      break;
+  }
+}
+
+void RuleCounters::resize(std::size_t table, std::size_t pos, bool grow) {
+  expects(table < sizes_.size() &&
+              (grow ? pos <= sizes_[table] : pos < sizes_[table]),
+          "counter resize out of range");
+  // Structural edits run on the quiesced control path: snapshot, re-lay
+  // out, copy back with the table's tail shifted by one.
   std::vector<std::uint64_t> old(counts_.size());
   for (std::size_t i = 0; i < old.size(); ++i) {
     old[i] = counts_[i].load(std::memory_order_relaxed);
   }
   const std::vector<std::size_t> old_offsets = offsets_;
   const std::size_t old_stride = stride_;
-  ++sizes_[table];
+  if (grow) {
+    ++sizes_[table];
+  } else {
+    --sizes_[table];
+  }
   rebuild_layout();
   for (std::size_t q = 0; q < queues_; ++q) {
     for (std::size_t t = 0; t < sizes_.size(); ++t) {
       const std::size_t old_n = old_offsets[t + 1] - old_offsets[t];
       for (std::size_t r = 0; r < old_n; ++r) {
-        const std::size_t to = (t == table && r >= pos) ? r + 1 : r;
+        std::size_t to = r;
+        if (t == table && r >= pos) {
+          if (!grow && r == pos) continue;  // the removed rule's count
+          to = grow ? r + 1 : r - 1;
+        }
         counts_[slot(q, t, to)].store(
             old[q * old_stride + old_offsets[t] + r],
             std::memory_order_relaxed);
@@ -151,33 +186,8 @@ void RuleCounters::on_insert(std::size_t table, std::size_t pos) {
   }
 }
 
-void RuleCounters::on_remove(std::size_t table, std::size_t pos) {
-  expects(table < sizes_.size() && pos < sizes_[table],
-          "counter remove out of range");
-  std::vector<std::uint64_t> old(counts_.size());
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    old[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  const std::vector<std::size_t> old_offsets = offsets_;
-  const std::size_t old_stride = stride_;
-  --sizes_[table];
-  rebuild_layout();
-  for (std::size_t q = 0; q < queues_; ++q) {
-    for (std::size_t t = 0; t < sizes_.size(); ++t) {
-      const std::size_t old_n = old_offsets[t + 1] - old_offsets[t];
-      for (std::size_t r = 0; r < old_n; ++r) {
-        if (t == table && r == pos) continue;
-        const std::size_t to = (t == table && r > pos) ? r - 1 : r;
-        counts_[slot(q, t, to)].store(
-            old[q * old_stride + old_offsets[t] + r],
-            std::memory_order_relaxed);
-      }
-    }
-  }
-}
-
-void RuleCounters::on_move(std::size_t table, std::size_t from,
-                           std::size_t to) {
+void RuleCounters::move(std::size_t table, std::size_t from,
+                        std::size_t to) {
   expects(table < sizes_.size() && from < sizes_[table] &&
               to < sizes_[table],
           "counter move out of range");
@@ -229,56 +239,23 @@ Result<std::uint64_t> RuleCounters::read(
   return merged(table, pos);
 }
 
-Status HwTcamModel::load(Program program) {
-  program_ = std::move(program);
-  counters_.reset(program_);
-  return Status::ok();
-}
-
 ExecResult HwTcamModel::process(const FlowKey& key) {
   // The hardware forwards at line rate regardless of representation; the
   // model only needs functional correctness (and flow stats) here.
   const ExecResult result =
-      execute_reference(program_, key, &matched_scratch_);
-  counters_.bump_all(matched_scratch_.span());
+      execute_reference(program(), key, &matched_scratch_);
+  counters().bump_all(matched_scratch_.span());
   return result;
-}
-
-Status HwTcamModel::apply_update(const RuleUpdate& update) {
-  ApplyOutcome outcome;
-  if (Status s = apply_update_to_program(program_, update, &outcome);
-      !s.is_ok()) {
-    return s;
-  }
-  switch (outcome.kind) {
-    case ApplyOutcome::Kind::kInserted:
-      counters_.on_insert(update.table, outcome.index);
-      break;
-    case ApplyOutcome::Kind::kRemoved:
-      counters_.on_remove(update.table, outcome.index);
-      break;
-    case ApplyOutcome::Kind::kModifiedInPlace:
-      break;  // position unchanged; the rule inherits its count
-    case ApplyOutcome::Kind::kModifiedMoved:
-      counters_.on_move(update.table, outcome.index, outcome.moved_to);
-      break;
-  }
-  return Status::ok();
-}
-
-Result<std::uint64_t> HwTcamModel::read_rule_counter(
-    std::size_t table, const std::vector<FieldMatch>& target) const {
-  return counters_.read(program_, table, target);
 }
 
 std::size_t HwTcamModel::pipeline_depth() const noexcept {
   // Longest table chain from the entry (tables form a DAG by
   // construction; compiled pipelines are validated acyclic).
-  std::vector<int> memo(program_.tables.size(), -1);
+  std::vector<int> memo(program().tables.size(), -1);
   auto depth = [&](auto&& self, std::size_t i) -> std::size_t {
     if (memo[i] >= 0) return static_cast<std::size_t>(memo[i]);
     memo[i] = 0;  // break accidental cycles defensively
-    const TableSpec& t = program_.tables[i];
+    const TableSpec& t = program().tables[i];
     std::size_t best = 0;
     if (t.next.has_value()) best = self(self, *t.next);
     for (const auto r : t.rules) {
@@ -289,8 +266,8 @@ std::size_t HwTcamModel::pipeline_depth() const noexcept {
     memo[i] = static_cast<int>(best + 1);
     return best + 1;
   };
-  if (program_.tables.empty()) return 0;
-  return depth(depth, program_.entry);
+  if (program().tables.empty()) return 0;
+  return depth(depth, program().entry);
 }
 
 }  // namespace maton::dp

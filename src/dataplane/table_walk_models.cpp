@@ -27,20 +27,6 @@ class TableWalkSwitch : public SwitchModel {
  public:
   TableWalkSwitch() { ensure_scratch(); }
 
-  Status load(Program program) override {
-    program_ = std::move(program);
-    classifiers_.clear();
-    classifiers_.reserve(program_.tables.size());
-    for (const TableSpec& table : program_.tables) {
-      classifiers_.push_back(instantiate(table));
-    }
-    counters_.reset(program_, queues_);
-    ensure_scratch();
-    recompute_mutates();
-    resolve_metrics();
-    return Status::ok();
-  }
-
   /// Table-walk models share one instance across replay queues: the
   /// classifiers' lookup paths are const, every queue gets its own
   /// heap-allocated scratch context, and the rule counters re-shard one
@@ -49,22 +35,21 @@ class TableWalkSwitch : public SwitchModel {
   /// queue processing (the classifier rebuild is not).
   [[nodiscard]] bool configure_queues(std::size_t queues) override {
     expects(queues > 0, "need at least one replay queue");
-    queues_ = queues;
+    counters().reset(program(), queues);
     ensure_scratch();
-    counters_.reset(program_, queues_);
     return true;
   }
 
   ExecResult process(const FlowKey& key) override {
     ExecResult result;
-    if (program_.tables.empty()) return result;
+    if (program().tables.empty()) return result;
 
     FlowKey state = key;
-    std::optional<std::size_t> current = program_.entry;
+    std::optional<std::size_t> current = program().entry;
     while (current.has_value()) {
       const std::size_t idx = *current;
-      expects(idx < program_.tables.size(), "jump out of range");
-      expects(result.tables_visited <= program_.tables.size(),
+      expects(idx < program().tables.size(), "jump out of range");
+      expects(result.tables_visited <= program().tables.size(),
               "table graph cycle during processing");
       ++result.tables_visited;
 
@@ -76,8 +61,8 @@ class TableWalkSwitch : public SwitchModel {
         return result;
       }
       stage_metrics_[idx].hits->add();
-      counters_.bump(idx, *rule_idx);
-      const TableSpec& table = program_.tables[idx];
+      counters().bump(idx, *rule_idx);
+      const TableSpec& table = program().tables[idx];
       const RuleView rule = table.rules[*rule_idx];
       for (const Action action : rule.actions) {
         if (action.kind == Action::Kind::kOutput) {
@@ -101,95 +86,64 @@ class TableWalkSwitch : public SwitchModel {
   /// every-round scan over all tables. Counter bumps are the same
   /// multiset as the scalar path (increments commute), and results are
   /// bit-identical.
-  void process_batch(std::span<const FlowKey> keys,
-                     std::span<ExecResult> results) override {
-    process_batch_queue(0, keys, results);
-  }
-
   void process_batch_queue(std::size_t queue,
                            std::span<const FlowKey> keys,
                            std::span<ExecResult> results) override {
-    expects(queue < queues_, "replay queue not configured");
+    expects(queue < scratch_.size(), "replay queue not configured");
     run_batch(queue, *scratch_[queue], keys, results);
   }
 
-  /// Batched update application: structural mutation and counter
-  /// carry-over run per update in order (exact scalar semantics,
-  /// including mid-sequence failures); the per-table index maintenance
-  /// is delta-scoped. A same-priority modify first offers the change to
-  /// the table's classifier via apply_modify — when the template can
-  /// patch its index in place (value rewrite, point re-hash) no rebuild
-  /// happens at all. Tables whose classifier declines, or that saw
-  /// structural edits (insert/remove/re-position), are recompiled once
-  /// per *touched table* instead of once per update.
-  Status apply_updates(std::span<const RuleUpdate> updates) override {
-    Status result = Status::ok();
-    touched_.assign(program_.tables.size(), 0);
-    bool delta_maintained = false;
-    for (const RuleUpdate& update : updates) {
-      ApplyOutcome outcome;
-      if (Status s = apply_update_to_program(program_, update, &outcome);
-          !s.is_ok()) {
-        result = s;
-        break;
-      }
-      apply_counters(update.table, outcome);
-      if (touched_[update.table] == 1) continue;  // rebuild already owed
-      if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
-          classifiers_[update.table]->apply_modify(
-              program_.tables[update.table], outcome.index, update.target)) {
-        touched_[update.table] = 2;  // index patched in place
-        delta_maintained = true;
-      } else {
-        touched_[update.table] = 1;
-      }
+ protected:
+  void on_load() override {
+    classifiers_.clear();
+    classifiers_.reserve(program().tables.size());
+    for (const TableSpec& table : program().tables) {
+      classifiers_.push_back(instantiate(table));
     }
+    touched_.assign(program().tables.size(), kUntouched);
+    ensure_scratch();
+    recompute_mutates();
+    resolve_metrics();
+  }
+
+  /// Delta-scoped index maintenance: a same-priority modify first offers
+  /// the change to the table's classifier via apply_modify — when the
+  /// template can patch its index in place (value rewrite, point
+  /// re-hash) no rebuild happens at all. Tables whose classifier
+  /// declines, or that saw structural edits (insert/remove/re-position),
+  /// are recompiled once per *touched table* in on_updates_applied.
+  void on_update(const RuleUpdate& update,
+                 const ApplyOutcome& outcome) override {
+    std::uint8_t& touched = touched_[update.table];
+    if (touched == kRebuild) return;  // rebuild already owed
+    const bool patched =
+        outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
+        classifiers_[update.table]->apply_modify(
+            program().tables[update.table], outcome.index, update.target);
+    touched = patched ? kPatched : kRebuild;
+  }
+
+  void on_updates_applied(std::span<const RuleUpdate> applied) override {
     bool rebuilt = false;
+    bool patched = false;
     for (std::size_t t = 0; t < touched_.size(); ++t) {
-      if (touched_[t] != 1) continue;
-      classifiers_[t] = instantiate(program_.tables[t]);
-      rebuilt = true;
+      if (touched_[t] == kRebuild) {
+        classifiers_[t] = instantiate(program().tables[t]);
+        rebuilt = true;
+      }
+      patched = patched || touched_[t] == kPatched;
+      touched_[t] = kUntouched;
     }
     if (rebuilt) {
       recompute_mutates();
       // Recompiling can change the chosen classifier template, which is
       // a metric label; re-resolve the handles.
       resolve_metrics();
-    } else if (delta_maintained) {
-      for (const RuleUpdate& update : updates) widen_mutates(update.rule);
+    } else if (patched) {
+      for (const RuleUpdate& update : applied) widen_mutates(update.rule);
     }
-    return result;
   }
 
-  Status apply_update(const RuleUpdate& update) override {
-    ApplyOutcome outcome;
-    if (Status s = apply_update_to_program(program_, update, &outcome);
-        !s.is_ok()) {
-      return s;
-    }
-    // Flow stats carry over per OpenFlow semantics (modify inherits).
-    apply_counters(update.table, outcome);
-    if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
-        classifiers_[update.table]->apply_modify(
-            program_.tables[update.table], outcome.index, update.target)) {
-      widen_mutates(update.rule);
-      return Status::ok();
-    }
-    // Recompile the affected table's datapath classifier; the chosen
-    // template is a metric label, so re-resolve the handles.
-    classifiers_[update.table] = instantiate(program_.tables[update.table]);
-    recompute_mutates();
-    resolve_metrics();
-    return Status::ok();
-  }
-
-  [[nodiscard]] Result<std::uint64_t> read_rule_counter(
-      std::size_t table,
-      const std::vector<FieldMatch>& target) const override {
-    return counters_.read(program_, table, target);
-  }
-
- protected:
   [[nodiscard]] virtual std::unique_ptr<Classifier> instantiate(
       const TableSpec& table) const = 0;
 
@@ -209,10 +163,10 @@ class TableWalkSwitch : public SwitchModel {
     auto& registry = obs::MetricRegistry::global();
     const std::string model(name());
     stage_metrics_.clear();
-    stage_metrics_.reserve(program_.tables.size());
-    for (std::size_t t = 0; t < program_.tables.size(); ++t) {
+    stage_metrics_.reserve(program().tables.size());
+    for (std::size_t t = 0; t < program().tables.size(); ++t) {
       const obs::Labels labels{{"model", model},
-                               {"table", program_.tables[t].name}};
+                               {"table", program().tables[t].name}};
       StageMetrics m;
       m.hits = &registry.counter("maton_dp_table_hits_total", labels);
       m.misses = &registry.counter("maton_dp_table_misses_total", labels);
@@ -227,25 +181,9 @@ class TableWalkSwitch : public SwitchModel {
         &registry.histogram("maton_dp_batch_chunk_size", {{"model", model}});
   }
 
-  void apply_counters(std::size_t table, const ApplyOutcome& outcome) {
-    switch (outcome.kind) {
-      case ApplyOutcome::Kind::kInserted:
-        counters_.on_insert(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kRemoved:
-        counters_.on_remove(table, outcome.index);
-        break;
-      case ApplyOutcome::Kind::kModifiedInPlace:
-        break;  // position unchanged; the rule inherits its count
-      case ApplyOutcome::Kind::kModifiedMoved:
-        counters_.on_move(table, outcome.index, outcome.moved_to);
-        break;
-    }
-  }
-
   void recompute_mutates() {
     mutates_ = false;
-    for (const TableSpec& table : program_.tables) {
+    for (const TableSpec& table : program().tables) {
       for (const auto rule : table.rules) {
         for (const Action action : rule.actions) {
           mutates_ = mutates_ || action.kind == Action::Kind::kSetField;
@@ -279,7 +217,7 @@ class TableWalkSwitch : public SwitchModel {
   };
 
   void ensure_scratch() {
-    scratch_.resize(queues_);
+    scratch_.resize(counters().queues());
     for (auto& s : scratch_) {
       if (!s) s = std::make_unique<QueueScratch>();
     }
@@ -292,11 +230,11 @@ class TableWalkSwitch : public SwitchModel {
                  std::span<ExecResult> results) {
     expects(results.size() >= keys.size(),
             "process_batch result span too small");
-    const std::size_t num_tables = program_.tables.size();
+    const std::size_t num_tables = program().tables.size();
     for (std::size_t i = 0; i < keys.size(); ++i) results[i] = ExecResult{};
     if (num_tables == 0 || keys.empty()) return;
 
-    expects(program_.entry < num_tables, "program entry out of range");
+    expects(program().entry < num_tables, "program entry out of range");
     // Programs without set-field actions never mutate packet state, so
     // the walker can classify straight out of the caller's key array
     // instead of copying every FlowKey into the scratch buffer.
@@ -305,12 +243,12 @@ class TableWalkSwitch : public SwitchModel {
     s.buckets.resize(num_tables);
     for (auto& bucket : s.buckets) bucket.clear();
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      s.buckets[program_.entry].push_back(static_cast<std::uint32_t>(i));
+      s.buckets[program().entry].push_back(static_cast<std::uint32_t>(i));
     }
     s.worklist.clear();
     s.queued.assign(num_tables, 0);
-    s.worklist.push_back(static_cast<std::uint32_t>(program_.entry));
-    s.queued[program_.entry] = 1;
+    s.worklist.push_back(static_cast<std::uint32_t>(program().entry));
+    s.queued[program().entry] = 1;
 
     // FIFO over occupied buckets. The pipeline graph is acyclic, so a
     // table re-enqueued while another drains terminates; each pop visits
@@ -359,7 +297,7 @@ class TableWalkSwitch : public SwitchModel {
         std::uint64_t stage_hits = 0;
         std::uint64_t stage_misses = 0;
 
-        const TableSpec& table = program_.tables[t];
+        const TableSpec& table = program().tables[t];
         for (std::size_t m = 0; m < s.moving.size(); ++m) {
           const std::uint32_t p = s.moving[m];
           ExecResult& result = results[p];
@@ -373,7 +311,7 @@ class TableWalkSwitch : public SwitchModel {
             continue;  // miss: packet leaves the pipeline
           }
           ++stage_hits;
-          counters_.bump(t, s.rule_out[m], queue);
+          counters().bump(t, s.rule_out[m], queue);
           const RuleView rule = table.rules[s.rule_out[m]];
           for (const Action action : rule.actions) {
             if (action.kind == Action::Kind::kOutput) {
@@ -402,18 +340,18 @@ class TableWalkSwitch : public SwitchModel {
     }
   }
 
-  Program program_;
   std::vector<std::unique_ptr<Classifier>> classifiers_;
-  RuleCounters counters_;
   std::vector<StageMetrics> stage_metrics_;
   obs::Histogram* batch_chunk_size_ = nullptr;
   /// Whether any loaded rule carries a set-field action; when false the
   /// batch walker skips copying keys into states_.
   bool mutates_ = false;
 
-  std::size_t queues_ = 1;
   std::vector<std::unique_ptr<QueueScratch>> scratch_;
-  std::vector<std::uint8_t> touched_;  // apply_updates scratch
+  /// Per-table index maintenance owed by the current apply_updates call;
+  /// all kUntouched between calls.
+  enum : std::uint8_t { kUntouched, kPatched, kRebuild };
+  std::vector<std::uint8_t> touched_;
 };
 
 class ESwitchModel final : public TableWalkSwitch {

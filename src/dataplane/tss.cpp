@@ -76,83 +76,21 @@ class TssClassifier final : public Classifier {
     return best;
   }
 
-  /// Chunked batch lookup with the tuple probe hoisted: each chunk of
-  /// keys is transposed once into SoA lanes (detail::LaneBlock), then
-  /// every subtable's mask-and-hash runs across the whole chunk through
-  /// the word-parallel dp::simd kernel. Keys drop out of the active set
-  /// as soon as the scalar path's early-exit condition holds for them,
-  /// and the kernel's hash/compare are exactly the scalar probe's, so
-  /// results stay bit-identical on every dispatch level.
+  /// Chunked batch lookup through the shared masked-group probe
+  /// (detail::probe_groups_batch) with the scalar path's rules: a key is
+  /// decided once its match is at or above a subtable's (and every later
+  /// subtable's) best priority, and a strictly higher priority wins.
   void lookup_batch(std::span<const FlowKey> keys,
                     std::span<std::size_t> out) const override {
-    const std::size_t nf = fields_.size();
-    detail::LaneBlock lanes;
-    detail::LaneBlock masked;
-    alignas(64) std::array<std::uint64_t, detail::kBatchChunk> hashes;
-    std::array<std::size_t, detail::kBatchChunk> best;
-    std::array<std::uint32_t, detail::kBatchChunk> best_pri;
-    std::array<std::uint32_t, detail::kBatchChunk> active;
-    std::uint64_t tmp[kNumFields];
-    for (std::size_t base = 0; base < keys.size();
-         base += detail::kBatchChunk) {
-      const std::size_t n =
-          std::min(detail::kBatchChunk, keys.size() - base);
-      detail::transpose_chunk(keys, base, n, fields_, lanes.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        best[i] = kNoRule;
-        best_pri[i] = 0;
-        active[i] = static_cast<std::uint32_t>(i);
-      }
-      std::size_t live = n;
-      for (const detail::MaskedGroup& sub : subtables_) {
-        // Scalar early exit, per key: a match at or above this (and every
-        // later) subtable's best priority can no longer be beaten.
-        std::size_t still = 0;
-        for (std::size_t a = 0; a < live; ++a) {
-          const std::uint32_t i = active[a];
-          if (best[i] != kNoRule && best_pri[i] >= sub.best_priority) {
-            continue;
-          }
-          active[still++] = i;
-        }
-        live = still;
-        if (live == 0) break;
-        if (simd::active_level() != simd::Level::kScalar &&
-            live * 4 >= n) {
-          // Chunk-wide fused mask+hash: the 4-lane kernel covers the
-          // whole chunk in ~n/4 steps, cheaper than live scalar probes
-          // once at least a quarter of the chunk is still undecided.
-          simd::mask_hash_lanes(lanes.data(), detail::kBatchChunk,
-                                sub.masks.data(), nf, n, masked.data(),
-                                hashes.data());
-          for (std::size_t a = 0; a < live; ++a) {
-            const std::uint32_t i = active[a];
-            const auto* e = sub.find_lanes(hashes[i], masked.data() + i,
-                                           detail::kBatchChunk);
-            if (e != nullptr &&
-                (best[i] == kNoRule || e->priority > best_pri[i])) {
-              best[i] = e->rule;
-              best_pri[i] = e->priority;
-            }
-          }
-        } else {
-          for (std::size_t a = 0; a < live; ++a) {
-            const std::uint32_t i = active[a];
-            for (std::size_t f = 0; f < nf; ++f) {
-              tmp[f] = lanes.data()[f * detail::kBatchChunk + i] &
-                       sub.masks[f];
-            }
-            const auto* e = sub.find({tmp, nf});
-            if (e != nullptr &&
-                (best[i] == kNoRule || e->priority > best_pri[i])) {
-              best[i] = e->rule;
-              best_pri[i] = e->priority;
-            }
-          }
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) out[base + i] = best[i];
-    }
+    detail::probe_groups_batch(
+        keys, fields_, subtables_, out,
+        [](const detail::MaskedGroup& sub, const detail::ProbeBest& best) {
+          return best.rule != kNoRule && best.priority >= sub.best_priority;
+        },
+        [](const detail::MaskedGroup::Entry& e,
+           const detail::ProbeBest& best) {
+          return best.rule == kNoRule || e.priority > best.priority;
+        });
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -250,17 +188,25 @@ class LinearClassifier final : public Classifier {
   /// is free to spend construction time on a better-indexed probe as
   /// long as the results stay bit-identical. Large tables use a
   /// masked-group index — the §5 tuple-space structure resolved by
-  /// minimum rule index, i.e. first-match order — with the per-mask
-  /// probe hoisted across the chunk. Tiny tables scan faster than they
+  /// minimum rule index, i.e. first-match order — through the shared
+  /// detail::probe_groups_batch: groups are sorted by min_rule, so a key
+  /// whose best match precedes a group's smallest rule index is decided,
+  /// and the smaller rule index wins. Tiny tables scan faster than they
   /// hash, so they take a rules-outer scan over a flattened predicate
   /// array instead.
   void lookup_batch(std::span<const FlowKey> keys,
                     std::span<std::size_t> out) const override {
     if (nrules_ <= kScanThreshold) {
       scan_batch(keys, out);
-    } else {
-      group_batch(keys, out);
+      return;
     }
+    detail::probe_groups_batch(
+        keys, fields_, groups_, out,
+        [](const detail::MaskedGroup& group, const detail::ProbeBest& best) {
+          return best.rule < group.min_rule;
+        },
+        [](const detail::MaskedGroup::Entry& e,
+           const detail::ProbeBest& best) { return e.rule < best.rule; });
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -385,67 +331,6 @@ class LinearClassifier final : public Classifier {
     }
   }
 
-  /// Masked-group probe hoisted across the chunk: the chunk is
-  /// transposed once into SoA lanes, then every group's mask-and-hash
-  /// runs chunk-wide through the dp::simd kernel (same kernel as the
-  /// TSS probe, first-match order instead of priority order).
-  void group_batch(std::span<const FlowKey> keys,
-                   std::span<std::size_t> out) const {
-    const std::size_t nf = fields_.size();
-    detail::LaneBlock lanes;
-    detail::LaneBlock masked;
-    alignas(64) std::array<std::uint64_t, detail::kBatchChunk> hashes;
-    std::array<std::size_t, detail::kBatchChunk> best;
-    std::array<std::uint32_t, detail::kBatchChunk> active;
-    std::uint64_t tmp[kNumFields];
-    for (std::size_t base = 0; base < keys.size();
-         base += detail::kBatchChunk) {
-      const std::size_t n =
-          std::min(detail::kBatchChunk, keys.size() - base);
-      detail::transpose_chunk(keys, base, n, fields_, lanes.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        best[i] = kNoRule;
-        active[i] = static_cast<std::uint32_t>(i);
-      }
-      std::size_t live = n;
-      for (const detail::MaskedGroup& group : groups_) {
-        // A key whose best match precedes this group's smallest rule
-        // index is decided (groups are sorted by min_rule).
-        std::size_t still = 0;
-        for (std::size_t a = 0; a < live; ++a) {
-          const std::uint32_t i = active[a];
-          if (best[i] < group.min_rule) continue;
-          active[still++] = i;
-        }
-        live = still;
-        if (live == 0) break;
-        if (simd::active_level() != simd::Level::kScalar &&
-            live * 4 >= n) {
-          simd::mask_hash_lanes(lanes.data(), detail::kBatchChunk,
-                                group.masks.data(), nf, n, masked.data(),
-                                hashes.data());
-          for (std::size_t a = 0; a < live; ++a) {
-            const std::uint32_t i = active[a];
-            const auto* e = group.find_lanes(hashes[i], masked.data() + i,
-                                             detail::kBatchChunk);
-            if (e != nullptr) best[i] = std::min(best[i], e->rule);
-          }
-        } else {
-          for (std::size_t a = 0; a < live; ++a) {
-            const std::uint32_t i = active[a];
-            for (std::size_t f = 0; f < nf; ++f) {
-              tmp[f] = lanes.data()[f * detail::kBatchChunk + i] &
-                       group.masks[f];
-            }
-            const auto* e = group.find({tmp, nf});
-            if (e != nullptr) best[i] = std::min(best[i], e->rule);
-          }
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) out[base + i] = best[i];
-    }
-  }
-
   std::size_t nrules_ = 0;
   std::vector<FlatMatch> flat_;
   std::vector<std::uint32_t> flat_begin_;
@@ -461,20 +346,6 @@ std::unique_ptr<Classifier> make_tss(const TableSpec& table) {
 
 std::unique_ptr<Classifier> make_linear(const TableSpec& table) {
   return std::make_unique<LinearClassifier>(table);
-}
-
-std::unique_ptr<Classifier> select_classifier(const TableSpec& table) {
-  switch (table.profile()) {
-    case MatchProfile::kAllExact:
-      return make_exact_match(table);
-    case MatchProfile::kSinglePrefix:
-      return make_lpm(table);
-    case MatchProfile::kTernary:
-      // Tiny ternary tables scan faster than they hash.
-      if (table.rules.size() <= 8) return make_linear(table);
-      return make_tss(table);
-  }
-  return make_linear(table);
 }
 
 std::unique_ptr<Classifier> select_classifier_eswitch(

@@ -146,15 +146,32 @@ TEST(Tss, MixedMasksAndPriorities) {
 }
 
 TEST(Selector, PicksTemplateByProfile) {
-  EXPECT_EQ(select_classifier(exact_table(4))->name(), "exact");
-  EXPECT_EQ(select_classifier(lpm_table())->name(), "lpm");
+  // ESwitch's inventory: exact-match, single-field LPM, else the linear
+  // wildcard processor.
+  EXPECT_EQ(select_classifier_eswitch(exact_table(4))->name(), "exact");
+
+  TableSpec single_prefix;
+  single_prefix.fields = {FieldId::kIpDst};
+  for (const unsigned plen : {8u, 16u, 24u}) {
+    Rule r;
+    const std::uint64_t mask = (kFull32 << (32 - plen)) & kFull32;
+    r.priority = plen;
+    r.matches = {{FieldId::kIpDst, ipv4(10, 1, 2, 0) & mask, mask}};
+    single_prefix.rules.push_back(std::move(r));
+  }
+  single_prefix.rules.stable_sort_by_priority();
+  EXPECT_EQ(select_classifier_eswitch(single_prefix)->name(), "lpm");
+
+  // A prefix column mixed with an exact column fits no fast template and
+  // degrades to the wildcard path: Table 1's normalization gain.
+  EXPECT_EQ(select_classifier_eswitch(lpm_table())->name(), "linear");
 
   TableSpec small_ternary;
   small_ternary.fields = {FieldId::kIpDst};
   Rule r;
   r.matches = {{FieldId::kIpDst, 0, 0x00ff00ff}};
   small_ternary.rules.push_back(r);
-  EXPECT_EQ(select_classifier(small_ternary)->name(), "linear");
+  EXPECT_EQ(select_classifier_eswitch(small_ternary)->name(), "linear");
 
   TableSpec big_ternary = small_ternary;
   for (int i = 0; i < 20; ++i) {
@@ -164,7 +181,7 @@ TEST(Selector, PicksTemplateByProfile) {
                       0x00ff00ffULL}};
     big_ternary.rules.push_back(extra);
   }
-  EXPECT_EQ(select_classifier(big_ternary)->name(), "tss");
+  EXPECT_EQ(select_classifier_eswitch(big_ternary)->name(), "linear");
 }
 
 // Property: on random rule sets, every applicable template agrees with
@@ -198,7 +215,9 @@ TEST_P(ClassifierAgreement, TemplatesAgreeWithLinear) {
   t.rules.stable_sort_by_priority();
 
   const auto reference = make_linear(t);
-  const auto specialized = select_classifier(t);
+  const auto specialized = t.profile() == MatchProfile::kAllExact
+                               ? make_exact_match(t)
+                               : make_lpm(t);
   const auto tss = make_tss(t);
 
   for (int probe = 0; probe < 200; ++probe) {

@@ -165,6 +165,16 @@ TEST_P(UpdateSemantics, BatchedUpdatesMatchScalarLoop) {
   auto scalar = make();
   ASSERT_TRUE(batched->load(two_rule_program()).is_ok());
   ASSERT_TRUE(scalar->load(two_rule_program()).is_ok());
+  const auto replay = [](SwitchModel& sw) {
+    std::vector<ExecResult> results;
+    for (std::uint64_t dst = 0; dst <= 12; ++dst) {
+      results.push_back(sw.process(key(dst)));
+    }
+    return results;
+  };
+  // Traffic before the updates, so counters must carry across them.
+  (void)replay(*batched);
+  (void)replay(*scalar);
 
   const std::vector<RuleUpdate> ups = churn_updates();
   ASSERT_TRUE(batched->apply_updates(ups).is_ok());
@@ -172,11 +182,43 @@ TEST_P(UpdateSemantics, BatchedUpdatesMatchScalarLoop) {
     ASSERT_TRUE(scalar->apply_update(up).is_ok());
   }
 
-  for (std::uint64_t dst = 0; dst <= 12; ++dst) {
-    const ExecResult got = batched->process(key(dst));
-    const ExecResult want = scalar->process(key(dst));
-    EXPECT_EQ(got.hit, want.hit) << "dst=" << dst;
-    EXPECT_EQ(got.out_port, want.out_port) << "dst=" << dst;
+  const std::vector<ExecResult> got = replay(*batched);
+  const std::vector<ExecResult> want = replay(*scalar);
+  for (std::size_t dst = 0; dst < got.size(); ++dst) {
+    EXPECT_EQ(got[dst].hit, want[dst].hit) << "dst=" << dst;
+    EXPECT_EQ(got[dst].out_port, want[dst].out_port) << "dst=" << dst;
+  }
+
+  // Same rule counters for every rule of the final program.
+  const Program& program = scalar->program();
+  ASSERT_TRUE(batched->program() == program);
+  for (std::size_t t = 0; t < program.tables.size(); ++t) {
+    for (const Rule& rule : program.tables[t].rules) {
+      const auto cb = batched->read_rule_counter(t, rule.matches);
+      const auto cs = scalar->read_rule_counter(t, rule.matches);
+      ASSERT_TRUE(cb.is_ok());
+      ASSERT_TRUE(cs.is_ok());
+      EXPECT_EQ(cb.value(), cs.value());
+    }
+  }
+  // The modified dst-1 rule kept its pre-update packet.
+  const auto modified =
+      batched->read_rule_counter(0, {{FieldId::kIpDst, 1, kFull32}});
+  ASSERT_TRUE(modified.is_ok());
+  EXPECT_EQ(modified.value(), 2u);
+
+  // Same cache statistics on OVS: each applied update is one flush.
+  const auto* batched_ovs = dynamic_cast<OvsModelInterface*>(batched.get());
+  const auto* scalar_ovs = dynamic_cast<OvsModelInterface*>(scalar.get());
+  ASSERT_EQ(batched_ovs == nullptr, scalar_ovs == nullptr);
+  if (batched_ovs != nullptr) {
+    const OvsStats a = batched_ovs->stats();
+    const OvsStats b = scalar_ovs->stats();
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.cache_misses, b.cache_misses);
+    EXPECT_EQ(a.cache_entries, b.cache_entries);
+    EXPECT_EQ(a.cache_flushes, b.cache_flushes);
+    EXPECT_EQ(a.cache_flushes, ups.size());
   }
 }
 
