@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/contract.hpp"
+#include "util/sorted_erase.hpp"
 
 namespace maton::cp {
 
@@ -340,6 +341,24 @@ void GwlbBinding::rebuild_slice_index(std::size_t table) {
   }
 }
 
+void GwlbBinding::erase_slice(std::size_t table, std::size_t service,
+                              const std::vector<std::uint32_t>& positions) {
+  const std::vector<std::size_t> erased(positions.begin(), positions.end());
+  program_.tables[table].rules.erase(erased);
+  std::vector<std::uint32_t>& prov = provenance_[table];
+  prov.resize(erase_sorted(prov.size(), erased,
+                           [&](std::size_t from, std::size_t to) {
+                             prov[to] = prov[from];
+                           }));
+  auto& index = slice_index_[table];
+  index.erase(static_cast<std::uint32_t>(service));
+  for (auto& entry : index) {
+    for (std::uint32_t& pos : entry.second) {
+      pos -= static_cast<std::uint32_t>(shift_below(pos, erased));
+    }
+  }
+}
+
 void GwlbBinding::vip_add(std::uint32_t vip, std::size_t service) {
   vip_services_[vip].push_back(static_cast<std::uint32_t>(service));
 }
@@ -515,11 +534,14 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   // Then the program: per touched table (ascending), diff the slice and
   // patch the new one in at its sorted positions. The same-shape fast
   // path rewrites the slice's rows in place — O(slice) with provenance,
-  // the slice index, and every other row untouched. A shape-changing
-  // slice (RemoveService, or an emitter changing priorities) takes the
-  // merge splice, which reproduces the full compiler's order — priority
-  // descending, (service, ordinal) ascending among equals — so the
-  // patched program stays bit-identical to a rebuild either way.
+  // the slice index, and every other row untouched. A slice that is
+  // gone (RemoveService) is erased in place: the survivors keep their
+  // order, so one pass each over the rules, provenance and the slice
+  // index drops it. Any other shape change (an emitter changing
+  // priorities) takes the merge splice, which reproduces the full
+  // compiler's order — priority descending, (service, ordinal) ascending
+  // among equals — so the patched program stays bit-identical to a
+  // rebuild either way.
   std::vector<RuleUpdate> updates;
   for (Patch& patch : patches) {
     {
@@ -534,6 +556,10 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
       for (std::size_t k = 0; k < patch.positions.size(); ++k) {
         spec.rules.replace(patch.positions[k], patch.after[k]);
       }
+      continue;
+    }
+    if (patch.after.empty()) {
+      erase_slice(patch.table, service, patch.positions);
       continue;
     }
 

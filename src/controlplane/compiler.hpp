@@ -166,6 +166,10 @@ class GwlbBinding {
   }
 
  private:
+  /// Test peer that compares the delta-maintained indexes with the ones
+  /// a full compile derives.
+  friend struct GwlbBindingInternals;
+
   /// Rebuilds the universal table from the service model.
   void rebuild_universal();
   /// Rebuilds the universal table, then recompiles program_ with its
@@ -178,6 +182,10 @@ class GwlbBinding {
   /// the delta path maintains them in place.
   void rebuild_indexes();
   void rebuild_slice_index(std::size_t table);
+  /// Erases `service`'s rules at `positions` (ascending) from `table` —
+  /// rules, provenance and slice index — in one pass each.
+  void erase_slice(std::size_t table, std::size_t service,
+                   const std::vector<std::uint32_t>& positions);
   void vip_add(std::uint32_t vip, std::size_t service);
   void vip_remove(std::uint32_t vip, std::size_t service);
   /// Runs the analyzer suite over program_ + the universal table and
@@ -220,7 +228,8 @@ class GwlbBinding {
   /// positions of the service's rules in program_.tables[t]. Lets the
   /// delta path extract a slice in O(slice) instead of scanning the
   /// table; untouched by same-shape patches (positions are stable),
-  /// rebuilt per table after a shape-changing merge.
+  /// renumbered in place when a slice is erased, rebuilt per table
+  /// after a shape-changing merge.
   std::vector<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
       slice_index_;
   /// row_offsets_[s] = first universal-table row of service s. Valid

@@ -64,6 +64,20 @@ class Classifier {
     return false;
   }
 
+  /// Delta maintenance for a rule removal, with apply_modify's contract:
+  /// the rule at `index` of `table` was removed (later rules shifted
+  /// down by one); `old_matches` is its match vector. Returns true when
+  /// the classifier now reflects the table; false means the caller must
+  /// rebuild. The base implementation always declines.
+  [[nodiscard]] virtual bool apply_remove(
+      const TableSpec& table, std::size_t index,
+      const std::vector<FieldMatch>& old_matches) {
+    (void)table;
+    (void)index;
+    (void)old_matches;
+    return false;
+  }
+
  protected:
   Classifier() = default;
 };

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -77,13 +78,96 @@ inline void transpose_chunk(std::span<const FlowKey> keys, std::size_t base,
   }
 }
 
+/// Rule positions of a classifier built once and then patched by
+/// removals. The index keeps the positions the rules had at build time;
+/// a removal keeps the surviving rules in order, so a live position is
+/// the build position minus the removed build positions below it. The
+/// removed positions are a bitmap with a running count per 64-bit word,
+/// so either mapping is O(1) on the packet path; nothing is allocated
+/// or computed while no rule has been removed.
+class BuildPositions {
+ public:
+  explicit BuildPositions(std::size_t built) : built_(built) {}
+
+  /// Live position of the surviving rule built at `build`.
+  [[nodiscard]] std::size_t live(std::size_t build) const noexcept {
+    if (removed_ == 0) return build;
+    const Word& w = words_[build >> 6];
+    const std::uint64_t lower = (std::uint64_t{1} << (build & 63)) - 1;
+    return build - w.below -
+           static_cast<std::size_t>(std::popcount(w.bits & lower));
+  }
+
+  /// Maps batch results from build to live positions, in place.
+  void to_live(std::span<std::size_t> out) const noexcept {
+    if (removed_ == 0) return;
+    for (std::size_t& r : out) {
+      if (r != kNoRule) r = live(r);
+    }
+  }
+
+  /// Build position of the rule now at live position `index`.
+  [[nodiscard]] std::size_t build(std::size_t index) const noexcept {
+    if (removed_ == 0) return index;
+    // The last word whose survivors before it number at most `index`
+    // holds the rule; it is that word's (index - before)-th survivor.
+    const auto before = [&](std::size_t k) { return 64 * k - words_[k].below; };
+    std::size_t lo = 0;
+    std::size_t hi = words_.size();
+    while (hi - lo > 1) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (before(mid) <= index) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    std::uint64_t survivors = ~words_[lo].bits;
+    for (std::size_t r = index - before(lo); r > 0; --r) {
+      survivors &= survivors - 1;
+    }
+    return 64 * lo + static_cast<std::size_t>(std::countr_zero(survivors));
+  }
+
+  /// Whether one more removal may be patched: past a fixed share of the
+  /// built rules a rebuild is cheaper than carrying the removed ones.
+  [[nodiscard]] bool can_remove() const noexcept {
+    return (removed_ + 1) * kMaxRemovedShare <= built_;
+  }
+
+  /// Marks the surviving rule built at `build` removed.
+  void remove(std::size_t build) {
+    if (words_.empty()) words_.resize((built_ + 63) / 64);
+    words_[build >> 6].bits |= std::uint64_t{1} << (build & 63);
+    for (std::size_t k = (build >> 6) + 1; k < words_.size(); ++k) {
+      ++words_[k].below;
+    }
+    ++removed_;
+  }
+
+ private:
+  /// A classifier declines removals beyond 1/kMaxRemovedShare of its
+  /// built rules.
+  static constexpr std::size_t kMaxRemovedShare = 4;
+
+  struct Word {
+    std::uint64_t bits = 0;   // removed build positions in this word
+    std::uint64_t below = 0;  // removed build positions in earlier words
+  };
+
+  std::size_t built_;
+  std::size_t removed_ = 0;
+  std::vector<Word> words_;
+};
+
 /// One mask-vector group of a tuple-space index: rules sharing a mask
 /// vector over the classifier's field set, resolved by one exact-match
 /// hash probe with an open chain for bucket collisions. Shared by
 /// TssClassifier (groups probed in decreasing best-priority order) and
 /// LinearClassifier's batch index (groups probed in ascending minimum-
 /// rule order); both order keys are maintained unconditionally so the
-/// same structure serves either probe discipline.
+/// same structure serves either probe discipline. Entries carry build
+/// positions (see BuildPositions).
 struct MaskedGroup {
   static constexpr std::size_t kNone = ~std::size_t{0};
 
@@ -97,9 +181,15 @@ struct MaskedGroup {
   std::vector<std::uint64_t> masks;
   std::unordered_map<std::uint64_t, Entry> entries;
   std::vector<Entry> spill;
-  /// Highest rule priority in the group (TSS early-exit bound).
+  /// Unlinked spill slots, reused by the next chained insert.
+  std::vector<std::size_t> free_spill;
+  /// Highest rule priority in the group (TSS early-exit bound). TSS
+  /// declines removals that would lower it.
   std::uint32_t best_priority = 0;
   /// Smallest rule index in the group (first-match early-exit bound).
+  /// The linear template's removals leave it as a lower bound, which
+  /// keeps the early exit sound; TSS declines removals that would raise
+  /// it.
   std::size_t min_rule = kNone;
   /// Whether any insertion was dropped as a complete-overlap duplicate.
   /// When set, point updates must decline: the shadowed rule would have
@@ -122,8 +212,15 @@ struct MaskedGroup {
           break;
         }
         if (e->overflow == kNone) {
-          e->overflow = spill.size();
-          spill.push_back(Entry{values, rule, priority, kNone});
+          Entry added{values, rule, priority, kNone};
+          if (free_spill.empty()) {
+            e->overflow = spill.size();
+            spill.push_back(std::move(added));
+          } else {
+            e->overflow = free_spill.back();
+            free_spill.pop_back();
+            spill[e->overflow] = std::move(added);
+          }
           break;
         }
         e = &spill[e->overflow];
@@ -133,25 +230,18 @@ struct MaskedGroup {
     min_rule = std::min(min_rule, rule);
   }
 
-  /// Point update for an in-place rule modification (same rule index,
-  /// same priority): moves `rule`'s entry from `old_values` to
-  /// `new_values`. Returns false — caller must rebuild — when the group
-  /// ever dropped a duplicate, the old entry is missing or owned by a
-  /// different rule, or the new key already exists. The unlinked spill
-  /// slot (if any) leaks until the next rebuild; bounded by the number
-  /// of point updates applied.
-  [[nodiscard]] bool replace_values(
-      const std::vector<std::uint64_t>& old_values,
-      const std::vector<std::uint64_t>& new_values, std::size_t rule,
-      std::uint32_t priority) {
-    if (old_values == new_values) return true;  // action-only modify
+  /// Unlinks `rule`'s entry for `values`; its spill slot, if any, goes
+  /// to the free list. Returns false — caller must rebuild — when the
+  /// group ever dropped a duplicate (the shadowed rule would have to
+  /// surface) or the entry is missing or owned by a different rule.
+  [[nodiscard]] bool erase(const std::vector<std::uint64_t>& values,
+                           std::size_t rule) {
     if (dropped_duplicate) return false;
-    if (find(new_values) != nullptr) return false;
-    const auto it = entries.find(hash_words(old_values));
+    const auto it = entries.find(hash_words(values));
     if (it == entries.end()) return false;
     Entry* prev = nullptr;
     Entry* e = &it->second;
-    while (e != nullptr && e->values != old_values) {
+    while (e != nullptr && e->values != values) {
       prev = e;
       e = e->overflow == kNone ? nullptr : &spill[e->overflow];
     }
@@ -161,11 +251,28 @@ struct MaskedGroup {
       if (next == kNone) {
         entries.erase(it);
       } else {
-        it->second = spill[next];  // chain entries share the hash key
+        it->second = std::move(spill[next]);  // chain shares the hash key
+        free_slot(next);
       }
     } else {
+      const std::size_t freed = prev->overflow;
       prev->overflow = e->overflow;
+      free_slot(freed);
     }
+    return true;
+  }
+
+  /// Point update for an in-place rule modification (same rule index,
+  /// same priority): moves `rule`'s entry from `old_values` to
+  /// `new_values`. Returns false — caller must rebuild — when erase
+  /// would, or the new key already exists.
+  [[nodiscard]] bool replace_values(
+      const std::vector<std::uint64_t>& old_values,
+      const std::vector<std::uint64_t>& new_values, std::size_t rule,
+      std::uint32_t priority) {
+    if (old_values == new_values) return true;  // action-only modify
+    if (find(new_values) != nullptr) return false;
+    if (!erase(old_values, rule)) return false;
     insert(new_values, rule, priority);
     return true;
   }
@@ -205,7 +312,24 @@ struct MaskedGroup {
     }
     return nullptr;
   }
+
+ private:
+  void free_slot(std::size_t slot) {
+    spill[slot] = Entry{};  // release the values buffer
+    free_spill.push_back(slot);
+  }
 };
+
+/// The group holding `mask_vec`, or nullptr. Linear scan: classifiers
+/// have few distinct mask vectors.
+[[nodiscard]] inline MaskedGroup* find_group(
+    std::vector<MaskedGroup>& groups,
+    const std::vector<std::uint64_t>& mask_vec) {
+  for (MaskedGroup& group : groups) {
+    if (group.masks == mask_vec) return &group;
+  }
+  return nullptr;
+}
 
 /// Returns the group holding `mask_vec`, creating it if absent. Linear
 /// scan: classifiers have few distinct mask vectors, and this only runs
@@ -213,9 +337,7 @@ struct MaskedGroup {
 [[nodiscard]] inline MaskedGroup& find_or_add_group(
     std::vector<MaskedGroup>& groups,
     const std::vector<std::uint64_t>& mask_vec) {
-  for (MaskedGroup& group : groups) {
-    if (group.masks == mask_vec) return group;
-  }
+  if (MaskedGroup* group = find_group(groups, mask_vec)) return *group;
   groups.emplace_back();
   groups.back().masks = mask_vec;
   return groups.back();

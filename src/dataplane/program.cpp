@@ -5,7 +5,9 @@
 #include <map>
 #include <numeric>
 
+#include "obs/metrics.hpp"
 #include "util/contract.hpp"
+#include "util/sorted_erase.hpp"
 
 namespace maton::dp {
 
@@ -123,6 +125,12 @@ Rule lower_row_resolved(const core::Schema& schema, const core::Row& row,
 // ---------------------------------------------------------------------------
 // FlatRules
 
+namespace {
+// Match-index slot markers; a live slot holds position + 1.
+constexpr std::uint32_t kSlotEmpty = 0;
+constexpr std::uint32_t kSlotDead = ~std::uint32_t{0};
+}  // namespace
+
 void FlatRules::clear() noexcept {
   refs_.clear();
   mfield_.clear();
@@ -192,25 +200,43 @@ void FlatRules::replace(std::size_t pos, const Rule& r) {
   expects(pos < refs_.size(), "FlatRules::replace out of range");
   if (!index_dirty_) index_remove(pos);
   Ref& ref = refs_[pos];
-  match_garbage_ += ref.match_count;
-  action_garbage_ += ref.action_count;
   ref.priority = r.priority;
   ref.goto_plus1 = r.goto_table.has_value()
                        ? static_cast<std::uint32_t>(*r.goto_table) + 1
                        : 0;
-  ref.match_off = static_cast<std::uint32_t>(mfield_.size());
-  ref.match_count = static_cast<std::uint16_t>(r.matches.size());
-  for (const FieldMatch& m : r.matches) {
-    mfield_.push_back(static_cast<std::uint8_t>(field_index(m.field)));
-    mvalue_.push_back(m.value);
-    mmask_.push_back(intern_mask(m.mask));
+  // A payload no longer than the old one overwrites it in place (the
+  // common same-shape modify), so the pools neither grow nor collect
+  // garbage; a longer one is appended and the old span becomes garbage.
+  if (r.matches.size() > ref.match_count) {
+    match_garbage_ += ref.match_count;
+    ref.match_off = static_cast<std::uint32_t>(mfield_.size());
+    mfield_.resize(mfield_.size() + r.matches.size());
+    mvalue_.resize(mfield_.size());
+    mmask_.resize(mfield_.size());
+  } else {
+    match_garbage_ += ref.match_count - r.matches.size();
   }
-  ref.action_off = static_cast<std::uint32_t>(acts_.size());
+  ref.match_count = static_cast<std::uint16_t>(r.matches.size());
+  for (std::size_t i = 0; i < r.matches.size(); ++i) {
+    const FieldMatch& m = r.matches[i];
+    mfield_[ref.match_off + i] =
+        static_cast<std::uint8_t>(field_index(m.field));
+    mvalue_[ref.match_off + i] = m.value;
+    mmask_[ref.match_off + i] = intern_mask(m.mask);
+  }
+  if (r.actions.size() > ref.action_count) {
+    action_garbage_ += ref.action_count;
+    ref.action_off = static_cast<std::uint32_t>(acts_.size());
+    acts_.resize(acts_.size() + r.actions.size());
+  } else {
+    action_garbage_ += ref.action_count - r.actions.size();
+  }
   ref.action_count = static_cast<std::uint16_t>(r.actions.size());
-  for (const Action& a : r.actions) {
-    acts_.push_back({a.value, static_cast<std::uint8_t>(a.kind),
-                     static_cast<std::uint8_t>(field_index(a.field)),
-                     a.width_bits});
+  for (std::size_t i = 0; i < r.actions.size(); ++i) {
+    const Action& a = r.actions[i];
+    acts_[ref.action_off + i] = {a.value, static_cast<std::uint8_t>(a.kind),
+                                 static_cast<std::uint8_t>(field_index(a.field)),
+                                 a.width_bits};
   }
   if (!index_dirty_) index_insert(pos);
   maybe_compact();
@@ -225,12 +251,37 @@ void FlatRules::insert(std::size_t pos, const Rule& r) {
   index_dirty_ = true;  // positions after `pos` shifted
 }
 
-void FlatRules::erase(std::size_t pos) {
-  expects(pos < refs_.size(), "FlatRules::erase out of range");
-  match_garbage_ += refs_[pos].match_count;
-  action_garbage_ += refs_[pos].action_count;
-  refs_.erase(refs_.begin() + static_cast<std::ptrdiff_t>(pos));
-  index_dirty_ = true;  // positions after `pos` shifted
+void FlatRules::erase(std::span<const std::size_t> positions) {
+  if (positions.empty()) return;
+  expects(positions.back() < refs_.size(), "FlatRules::erase out of range");
+  // With duplicate match vectors the index only gates a scan; rebuild
+  // it lazily as before.
+  const bool keep_index = !index_dirty_ && !index_dups_;
+  for (std::size_t k = 0; k < positions.size(); ++k) {
+    expects(k == 0 || positions[k - 1] < positions[k],
+            "FlatRules::erase positions must ascend");
+    const Ref& ref = refs_[positions[k]];
+    match_garbage_ += ref.match_count;
+    action_garbage_ += ref.action_count;
+    if (keep_index) index_remove(positions[k]);
+  }
+  const std::size_t old_size = refs_.size();
+  refs_.resize(erase_sorted(old_size, positions,
+                            [&](std::size_t from, std::size_t to) {
+                              refs_[to] = refs_[from];
+                            }));
+  if (keep_index) {
+    // Empty and dead slots (0 and ~0, so slot - 1 is out of range) keep
+    // their markers.
+    for (std::uint32_t& slot : index_) {
+      const std::uint32_t pos = slot - 1;
+      if (pos < old_size) {
+        slot -= static_cast<std::uint32_t>(shift_below(pos, positions));
+      }
+    }
+  } else {
+    index_dirty_ = true;
+  }
   maybe_compact();
 }
 
@@ -377,12 +428,11 @@ bool FlatRules::match_equals(std::size_t pos,
   return true;
 }
 
-namespace {
-constexpr std::uint64_t kSlotEmpty = 0;
-constexpr std::uint64_t kSlotDead = ~std::uint64_t{0};
-}  // namespace
-
 void FlatRules::build_index() const {
+  expects(refs_.size() < kSlotDead, "FlatRules match index overflow");
+  static obs::Counter& builds = obs::MetricRegistry::global().counter(
+      "maton_dp_match_index_builds_total");
+  builds.add();
   std::size_t cap = 16;
   while (cap < refs_.size() * 2) cap <<= 1;
   index_.assign(cap, kSlotEmpty);
@@ -431,7 +481,7 @@ void FlatRules::index_insert(std::size_t pos) const {
     slot = first_dead;
     --index_dead_;
   }
-  index_[slot] = pos + 1;
+  index_[slot] = static_cast<std::uint32_t>(pos + 1);
   ++index_live_;
 }
 
@@ -439,7 +489,7 @@ void FlatRules::index_remove(std::size_t pos) const {
   const std::uint64_t mask = index_.size() - 1;
   std::uint64_t slot = hash_rule_matches(pos) & mask;
   while (index_[slot] != kSlotEmpty) {
-    if (index_[slot] != kSlotDead && index_[slot] == pos + 1) {
+    if (index_[slot] == pos + 1) {
       index_[slot] = kSlotDead;
       --index_live_;
       ++index_dead_;

@@ -357,8 +357,12 @@ class FlatRules {
   void replace(std::size_t pos, const Rule& r);
   /// Inserts before `pos`; positions at/after `pos` shift by one.
   void insert(std::size_t pos, const Rule& r);
-  /// Erases the rule at `pos`; later positions shift down by one.
-  void erase(std::size_t pos);
+  /// Erases the rules at `positions` (strictly ascending) in one pass;
+  /// every later rule shifts down by the number of erased rules before
+  /// it. A built match index stays valid: the erased rules' slots die
+  /// and the survivors' slots are renumbered in the same pass.
+  void erase(std::span<const std::size_t> positions);
+  void erase(std::size_t pos) { erase({&pos, 1}); }
 
   /// Inserts `r` where a stable priority-descending sort would place it
   /// (after existing equal-priority rules); returns the position.
@@ -375,11 +379,16 @@ class FlatRules {
 
   /// Index of the first rule whose match vector equals `target`, or
   /// kNpos. Amortized O(1): a lazy open-addressing index over match
-  /// vectors, point-maintained across replace/push_back and rebuilt
-  /// after structural edits. Falls back to a linear scan when duplicate
-  /// match vectors exist (first-match semantics).
+  /// vectors, point-maintained across replace/push_back/erase and
+  /// rebuilt after insert, reposition and sort. Falls back to a linear
+  /// scan when duplicate match vectors exist (first-match semantics).
   [[nodiscard]] std::size_t find_by_match(
       std::span<const FieldMatch> target) const;
+  /// Builds the match index now if it is not current, so the next
+  /// find_by_match does not pay for it.
+  void build_match_index() const {
+    if (index_dirty_) build_index();
+  }
 
   /// Materializes the boundary representation (legacy layout).
   [[nodiscard]] std::vector<Rule> to_rules() const;
@@ -430,8 +439,8 @@ class FlatRules {
   std::size_t match_garbage_ = 0;
   std::size_t action_garbage_ = 0;
 
-  // Lazy match-vector index: slot = pos + 1, 0 empty, kTombstone dead.
-  mutable std::vector<std::uint64_t> index_;
+  // Lazy match-vector index: slot = pos + 1, 0 empty, ~0 dead.
+  mutable std::vector<std::uint32_t> index_;
   mutable bool index_dirty_ = true;
   mutable bool index_dups_ = false;
   mutable std::size_t index_live_ = 0;

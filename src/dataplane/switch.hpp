@@ -103,6 +103,12 @@ class RuleCounters {
   /// inherits the old stats.
   void carry(std::size_t table, const ApplyOutcome& outcome);
 
+  /// Drops the counts at `positions` (strictly ascending, positions
+  /// before the removal) of `table`: each shard shifts the table's tail
+  /// down in place, so a run of removals costs one pass per shard and
+  /// no re-layout.
+  void erase(std::size_t table, std::span<const std::size_t> positions);
+
   /// Merged (all-shard) count for the rule with the given match vector.
   [[nodiscard]] Result<std::uint64_t> read(
       const Program& program, std::size_t table,
@@ -112,10 +118,12 @@ class RuleCounters {
   /// Merged (all-shard) count by position — ascending queue-id fold.
   [[nodiscard]] std::uint64_t merged(std::size_t table,
                                      std::size_t rule) const;
+  /// Lays every table out at its current size, zeroing all counts.
   void rebuild_layout();
-  /// Grows `table` by a zero count at `pos`, or drops the count at `pos`,
-  /// shifting the table's tail in every shard.
-  void resize(std::size_t table, std::size_t pos, bool grow);
+  /// Grows `table` by a zero count at `pos`, shifting the table's tail
+  /// up in every shard; re-lays out every shard when the table has no
+  /// spare slot left by earlier removals.
+  void insert(std::size_t table, std::size_t pos);
   /// Rotates the count at `from` to `to` in every shard.
   void move(std::size_t table, std::size_t from, std::size_t to);
   [[nodiscard]] std::size_t slot(std::size_t queue, std::size_t table,
@@ -124,7 +132,9 @@ class RuleCounters {
   }
 
   std::vector<std::size_t> sizes_;    // rules per table
-  std::vector<std::size_t> offsets_;  // table → flat offset (+ total)
+  /// table → flat offset (+ total). A table's slots run to the next
+  /// table's offset; removals leave zeroed spare slots at its end.
+  std::vector<std::size_t> offsets_;
   std::size_t stride_ = 0;  // per-shard slots, cache-line rounded
   std::size_t queues_ = 1;
   std::vector<std::atomic<std::uint64_t>> counts_;  // queues_ * stride_
@@ -178,9 +188,11 @@ class SwitchModel {
   /// (RuleCounters::carry) and the model sees it in on_update; then
   /// on_updates_applied runs once for the applied updates, so per-table
   /// index maintenance (classifier recompilation, cache teardown) runs
-  /// once per batch instead of once per update. Stops at the first
-  /// failure; updates already applied stay applied (the §2
-  /// non-atomicity the inconsistency window measures).
+  /// once per batch instead of once per update. A run of consecutive
+  /// removals from one table lands as one erase pass over the table and
+  /// its counters, with the same result as removing one at a time.
+  /// Stops at the first failure; updates already applied stay applied
+  /// (the §2 non-atomicity the inconsistency window measures).
   [[nodiscard]] Status apply_updates(std::span<const RuleUpdate> updates);
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
@@ -209,7 +221,10 @@ class SwitchModel {
   /// Index maintenance hooks, run on the quiesced control path: on_load
   /// after load installed a program; on_update after each applied update
   /// (program and counters already updated); on_updates_applied once
-  /// after an apply_updates call that applied at least one update.
+  /// after an apply_updates call that applied at least one update. A run
+  /// of removals reaches on_update after the whole run has landed, one
+  /// call per removal from the highest position down, each with the
+  /// rule's position before the run.
   virtual void on_load() {}
   virtual void on_update(const RuleUpdate& /*update*/,
                          const ApplyOutcome& /*outcome*/) {}
@@ -219,6 +234,12 @@ class SwitchModel {
   [[nodiscard]] RuleCounters& counters() noexcept { return counters_; }
 
  private:
+  /// Applies the leading run of removals from one table in `updates`
+  /// (updates.front() is a removal) and returns how many landed; sets
+  /// `result` when the run stopped at a failing update.
+  std::size_t apply_removals(std::span<const RuleUpdate> updates,
+                             Status& result);
+
   Program program_;
   RuleCounters counters_;
 };

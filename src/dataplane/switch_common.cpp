@@ -2,11 +2,16 @@
 
 #include "dataplane/switch.hpp"
 #include "util/contract.hpp"
+#include "util/sorted_erase.hpp"
 
 namespace maton::dp {
 
 Status SwitchModel::load(Program program) {
   program_ = std::move(program);
+  // Set-up pays for the match indexes, not the first update.
+  for (const TableSpec& table : program_.tables) {
+    table.rules.build_match_index();
+  }
   counters_.reset(program_, counters_.queues());
   on_load();
   return Status::ok();
@@ -30,7 +35,12 @@ void SwitchModel::process_batch_queue(std::size_t queue,
 Status SwitchModel::apply_updates(std::span<const RuleUpdate> updates) {
   Status result = Status::ok();
   std::size_t applied = 0;
-  for (const RuleUpdate& update : updates) {
+  while (applied < updates.size() && result.is_ok()) {
+    const RuleUpdate& update = updates[applied];
+    if (update.kind == RuleUpdate::Kind::kRemove) {
+      applied += apply_removals(updates.subspan(applied), result);
+      continue;
+    }
     ApplyOutcome outcome;
     result = apply_update_to_program(program_, update, &outcome);
     if (!result.is_ok()) break;
@@ -40,6 +50,62 @@ Status SwitchModel::apply_updates(std::span<const RuleUpdate> updates) {
   }
   if (applied != 0) on_updates_applied(updates.first(applied));
   return result;
+}
+
+std::size_t SwitchModel::apply_removals(std::span<const RuleUpdate> updates,
+                                        Status& result) {
+  const std::size_t table = updates.front().table;
+  if (table >= program_.tables.size()) {
+    result = invalid_argument("update targets a non-existent table");
+    return 0;
+  }
+  TableSpec& spec = program_.tables[table];
+  // Every removal of the run is looked up before any lands. A removal
+  // keeps the survivors' order, so a target's first match stays its
+  // first match after earlier removals — unless an earlier removal of
+  // the run took that very rule (two removals of one duplicated match
+  // vector); the run ends before such a removal, and the next run
+  // looks it up again.
+  std::vector<std::size_t> found;  // positions in update order
+  std::size_t run = 0;
+  for (; run < updates.size(); ++run) {
+    const RuleUpdate& update = updates[run];
+    if (update.kind != RuleUpdate::Kind::kRemove || update.table != table) {
+      break;
+    }
+    const std::size_t pos = spec.rules.find_by_match(update.target);
+    if (pos == FlatRules::kNpos) {
+      result = not_found("rule to remove not present in table " + spec.name);
+      break;
+    }
+    found.push_back(pos);
+  }
+  std::vector<std::size_t> order(found.size());  // run indices by position
+  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return found[a] != found[b] ? found[a] < found[b] : a < b;
+  });
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    if (found[order[k]] == found[order[k - 1]]) {
+      run = std::min(run, order[k]);
+      result = Status::ok();  // the failure lies beyond the shortened run
+    }
+  }
+  std::erase_if(order, [&](std::size_t k) { return k >= run; });
+  std::vector<std::size_t> positions(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    positions[k] = found[order[k]];
+  }
+  spec.rules.erase(positions);
+  counters_.erase(table, positions);
+  // Highest position first: each removal's index is then also its
+  // position once the removals above it have landed, which is what a
+  // one-at-a-time loop would report.
+  for (std::size_t k = order.size(); k-- > 0;) {
+    on_update(updates[order[k]],
+              {ApplyOutcome::Kind::kRemoved, positions[k], 0});
+  }
+  return run;
 }
 
 Status apply_update_to_program(Program& program, const RuleUpdate& update,
@@ -138,10 +204,10 @@ void RuleCounters::bump_all(std::span<const MatchedRule> matched,
 void RuleCounters::carry(std::size_t table, const ApplyOutcome& outcome) {
   switch (outcome.kind) {
     case ApplyOutcome::Kind::kInserted:
-      resize(table, outcome.index, /*grow=*/true);
+      insert(table, outcome.index);
       break;
     case ApplyOutcome::Kind::kRemoved:
-      resize(table, outcome.index, /*grow=*/false);
+      erase(table, {&outcome.index, 1});
       break;
     case ApplyOutcome::Kind::kModifiedInPlace:
       break;  // position unchanged; the rule inherits its count
@@ -151,39 +217,61 @@ void RuleCounters::carry(std::size_t table, const ApplyOutcome& outcome) {
   }
 }
 
-void RuleCounters::resize(std::size_t table, std::size_t pos, bool grow) {
-  expects(table < sizes_.size() &&
-              (grow ? pos <= sizes_[table] : pos < sizes_[table]),
-          "counter resize out of range");
-  // Structural edits run on the quiesced control path: snapshot, re-lay
-  // out, copy back with the table's tail shifted by one.
-  std::vector<std::uint64_t> old(counts_.size());
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    old[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  const std::vector<std::size_t> old_offsets = offsets_;
-  const std::size_t old_stride = stride_;
-  if (grow) {
-    ++sizes_[table];
-  } else {
-    --sizes_[table];
-  }
-  rebuild_layout();
+void RuleCounters::erase(std::size_t table,
+                         std::span<const std::size_t> positions) {
+  if (positions.empty()) return;
+  expects(table < sizes_.size() && positions.back() < sizes_[table],
+          "counter erase out of range");
+  const std::size_t n = sizes_[table];
   for (std::size_t q = 0; q < queues_; ++q) {
-    for (std::size_t t = 0; t < sizes_.size(); ++t) {
-      const std::size_t old_n = old_offsets[t + 1] - old_offsets[t];
-      for (std::size_t r = 0; r < old_n; ++r) {
-        std::size_t to = r;
-        if (t == table && r >= pos) {
-          if (!grow && r == pos) continue;  // the removed rule's count
-          to = grow ? r + 1 : r - 1;
+    std::size_t kept = erase_sorted(
+        n, positions, [&](std::size_t from, std::size_t to) {
+          counts_[slot(q, table, to)].store(
+              counts_[slot(q, table, from)].load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+        });
+    // The freed slots become the table's zeroed spare capacity.
+    for (; kept < n; ++kept) {
+      counts_[slot(q, table, kept)].store(0, std::memory_order_relaxed);
+    }
+  }
+  sizes_[table] = n - positions.size();
+}
+
+void RuleCounters::insert(std::size_t table, std::size_t pos) {
+  expects(table < sizes_.size() && pos <= sizes_[table],
+          "counter insert out of range");
+  if (offsets_[table] + sizes_[table] == offsets_[table + 1]) {
+    // No spare slot: snapshot, re-lay out at the grown size, copy back.
+    std::vector<std::uint64_t> old(counts_.size());
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      old[i] = counts_[i].load(std::memory_order_relaxed);
+    }
+    const std::vector<std::size_t> old_offsets = offsets_;
+    const std::size_t old_stride = stride_;
+    ++sizes_[table];  // lay the table out one slot larger
+    rebuild_layout();
+    --sizes_[table];
+    for (std::size_t q = 0; q < queues_; ++q) {
+      for (std::size_t t = 0; t < sizes_.size(); ++t) {
+        for (std::size_t r = 0; r < sizes_[t]; ++r) {
+          counts_[slot(q, t, r)].store(
+              old[q * old_stride + old_offsets[t] + r],
+              std::memory_order_relaxed);
         }
-        counts_[slot(q, t, to)].store(
-            old[q * old_stride + old_offsets[t] + r],
-            std::memory_order_relaxed);
       }
     }
   }
+  // Shift the tail up one slot into the (zeroed) spare slot.
+  for (std::size_t q = 0; q < queues_; ++q) {
+    for (std::size_t r = sizes_[table]; r > pos; --r) {
+      counts_[slot(q, table, r)].store(
+          counts_[slot(q, table, r - 1)].load(std::memory_order_relaxed),
+          std::memory_order_relaxed);
+    }
+    counts_[slot(q, table, pos)].store(0, std::memory_order_relaxed);
+  }
+  ++sizes_[table];
 }
 
 void RuleCounters::move(std::size_t table, std::size_t from,

@@ -106,20 +106,27 @@ class TableWalkSwitch : public SwitchModel {
     resolve_metrics();
   }
 
-  /// Delta-scoped index maintenance: a same-priority modify first offers
-  /// the change to the table's classifier via apply_modify — when the
-  /// template can patch its index in place (value rewrite, point
-  /// re-hash) no rebuild happens at all. Tables whose classifier
-  /// declines, or that saw structural edits (insert/remove/re-position),
-  /// are recompiled once per *touched table* in on_updates_applied.
+  /// Delta-scoped index maintenance: a same-priority modify or a
+  /// removal is first offered to the table's classifier (apply_modify /
+  /// apply_remove) — when the template can patch its index in place no
+  /// rebuild happens at all. Tables whose classifier declines, or that
+  /// saw an insert or a re-position, are recompiled once per *touched
+  /// table* in on_updates_applied.
   void on_update(const RuleUpdate& update,
                  const ApplyOutcome& outcome) override {
     std::uint8_t& touched = touched_[update.table];
     if (touched == kRebuild) return;  // rebuild already owed
-    const bool patched =
-        outcome.kind == ApplyOutcome::Kind::kModifiedInPlace &&
-        classifiers_[update.table]->apply_modify(
-            program().tables[update.table], outcome.index, update.target);
+    const TableSpec& table = program().tables[update.table];
+    Classifier& classifier = *classifiers_[update.table];
+    StageMetrics& metrics = stage_metrics_[update.table];
+    bool patched = false;
+    if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace) {
+      patched = classifier.apply_modify(table, outcome.index, update.target);
+      if (patched) metrics.patched_modify->add();
+    } else if (outcome.kind == ApplyOutcome::Kind::kRemoved) {
+      patched = classifier.apply_remove(table, outcome.index, update.target);
+      if (patched) metrics.patched_remove->add();
+    }
     touched = patched ? kPatched : kRebuild;
   }
 
@@ -128,6 +135,7 @@ class TableWalkSwitch : public SwitchModel {
     bool patched = false;
     for (std::size_t t = 0; t < touched_.size(); ++t) {
       if (touched_[t] == kRebuild) {
+        stage_metrics_[t].rebuilds->add();
         classifiers_[t] = instantiate(program().tables[t]);
         rebuilt = true;
       }
@@ -157,6 +165,11 @@ class TableWalkSwitch : public SwitchModel {
     /// Chunks dispatched, labeled by the classifier template serving the
     /// table (exact/lpm/tss/linear) — shows which kernels carry traffic.
     obs::Counter* chunks = nullptr;
+    /// Index maintenance by the serving template: updates patched in
+    /// place, and re-instantiations after a decline or a structural edit.
+    obs::Counter* patched_modify = nullptr;
+    obs::Counter* patched_remove = nullptr;
+    obs::Counter* rebuilds = nullptr;
   };
 
   void resolve_metrics() {
@@ -171,10 +184,17 @@ class TableWalkSwitch : public SwitchModel {
       m.hits = &registry.counter("maton_dp_table_hits_total", labels);
       m.misses = &registry.counter("maton_dp_table_misses_total", labels);
       m.lookup_ns = &registry.histogram("maton_dp_table_lookup_ns", labels);
-      m.chunks = &registry.counter(
-          "maton_dp_classifier_chunks_total",
-          {{"model", model},
-           {"template", std::string(classifiers_[t]->name())}});
+      const std::string tmpl(classifiers_[t]->name());
+      m.chunks = &registry.counter("maton_dp_classifier_chunks_total",
+                                   {{"model", model}, {"template", tmpl}});
+      m.patched_modify = &registry.counter(
+          "maton_dp_classifier_patches_total",
+          {{"model", model}, {"op", "modify"}, {"template", tmpl}});
+      m.patched_remove = &registry.counter(
+          "maton_dp_classifier_patches_total",
+          {{"model", model}, {"op", "remove"}, {"template", tmpl}});
+      m.rebuilds = &registry.counter("maton_dp_classifier_rebuilds_total",
+                                     {{"model", model}, {"template", tmpl}});
       stage_metrics_.push_back(m);
     }
     batch_chunk_size_ =

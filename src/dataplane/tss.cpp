@@ -17,7 +17,8 @@ namespace {
 
 class TssClassifier final : public Classifier {
  public:
-  explicit TssClassifier(const TableSpec& table) : fields_(table.fields) {
+  explicit TssClassifier(const TableSpec& table)
+      : fields_(table.fields), positions_(table.rules.size()) {
     // Group rules by their full mask vector over the declared fields
     // (absent field match ⇒ mask 0, i.e. wildcard).
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
@@ -49,12 +50,35 @@ class TssClassifier final : public Classifier {
     const RuleView rule = table.rules[index];
     pack(rule.matches, new_mask, new_val);
     if (old_mask != new_mask) return false;
-    for (detail::MaskedGroup& sub : subtables_) {
-      if (sub.masks == old_mask) {
-        return sub.replace_values(old_val, new_val, index, rule.priority);
-      }
+    detail::MaskedGroup* sub = detail::find_group(subtables_, old_mask);
+    return sub != nullptr &&
+           sub->replace_values(old_val, new_val, positions_.build(index),
+                               rule.priority);
+  }
+
+  /// Delta maintenance: a removal unlinks the rule's entry from its
+  /// subtable. Equal-priority matches in different subtables go to the
+  /// earlier subtable, so the probe order must stay what a fresh build
+  /// would sort: the removal declines when the rule holds its subtable's
+  /// best priority (the sort key) or is its first rule (which places the
+  /// subtable among equal keys).
+  [[nodiscard]] bool apply_remove(
+      const TableSpec& /*table*/, std::size_t index,
+      const std::vector<FieldMatch>& old_matches) override {
+    if (!positions_.can_remove()) return false;
+    std::vector<std::uint64_t> mask(fields_.size(), 0);
+    std::vector<std::uint64_t> val(fields_.size(), 0);
+    pack(old_matches, mask, val);
+    detail::MaskedGroup* sub = detail::find_group(subtables_, mask);
+    const std::size_t build = positions_.build(index);
+    if (sub == nullptr || build == sub->min_rule) return false;
+    const detail::MaskedGroup::Entry* entry = sub->find(val);
+    if (entry == nullptr || entry->priority == sub->best_priority ||
+        !sub->erase(val, build)) {
+      return false;
     }
-    return false;
+    positions_.remove(build);
+    return true;
   }
 
   [[nodiscard]] std::optional<std::size_t> lookup(
@@ -73,7 +97,8 @@ class TssClassifier final : public Classifier {
         best_priority = e->priority;
       }
     }
-    return best;
+    if (!best.has_value()) return std::nullopt;
+    return positions_.live(*best);
   }
 
   /// Chunked batch lookup through the shared masked-group probe
@@ -91,6 +116,7 @@ class TssClassifier final : public Classifier {
            const detail::ProbeBest& best) {
           return best.rule == kNoRule || e.priority > best.priority;
         });
+    positions_.to_live(out.first(keys.size()));
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -113,12 +139,13 @@ class TssClassifier final : public Classifier {
 
   std::vector<FieldId> fields_;
   std::vector<detail::MaskedGroup> subtables_;
+  detail::BuildPositions positions_;
 };
 
 class LinearClassifier final : public Classifier {
  public:
   explicit LinearClassifier(const TableSpec& table)
-      : nrules_(table.rules.size()) {
+      : nrules_(table.rules.size()), positions_(table.rules.size()) {
     build_flat(table.rules);
     build_groups(table.rules);
   }
@@ -135,7 +162,7 @@ class LinearClassifier final : public Classifier {
           break;
         }
       }
-      if (ok) return r;
+      if (ok) return positions_.live(r);
     }
     return std::nullopt;
   }
@@ -148,8 +175,9 @@ class LinearClassifier final : public Classifier {
       const TableSpec& table, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
     const RuleView rule = table.rules[index];
-    const std::size_t off = flat_begin_[index];
-    const std::size_t old_n = flat_begin_[index + 1] - off;
+    const std::size_t build = positions_.build(index);
+    const std::size_t off = flat_begin_[build];
+    const std::size_t old_n = flat_begin_[build + 1] - off;
     if (rule.matches.size() != old_n) return false;  // span widths fixed
     for (const FieldMatch m : rule.matches) {
       if (std::find(fields_.begin(), fields_.end(), m.field) ==
@@ -168,7 +196,7 @@ class LinearClassifier final : public Classifier {
     if (old_mask != new_mask) return false;
     for (detail::MaskedGroup& group : groups_) {
       if (group.masks != old_mask) continue;
-      if (!group.replace_values(old_val, new_val, index,
+      if (!group.replace_values(old_val, new_val, build,
                                 table.rules.priority_of(index))) {
         return false;
       }
@@ -180,6 +208,41 @@ class LinearClassifier final : public Classifier {
       return true;
     }
     return false;
+  }
+
+  /// Delta maintenance: a removal unlinks the rule's masked-group entry
+  /// and turns its flat predicate span into one that never matches, so
+  /// both scans skip it. Group order and bounds stay as built; results
+  /// map build positions to live ones. Declines for a rule without
+  /// predicates (nothing to turn off) and once the removed share passes
+  /// BuildPositions' bound.
+  [[nodiscard]] bool apply_remove(
+      const TableSpec& /*table*/, std::size_t index,
+      const std::vector<FieldMatch>& old_matches) override {
+    if (!positions_.can_remove()) return false;
+    const std::size_t build = positions_.build(index);
+    const std::size_t off = flat_begin_[build];
+    if (old_matches.empty() ||
+        flat_begin_[build + 1] - off != old_matches.size()) {
+      return false;
+    }
+    for (std::size_t m = 0; m < old_matches.size(); ++m) {
+      const FieldMatch fm = old_matches[m];
+      if (flat_[off + m].mask != fm.mask ||
+          flat_[off + m].value != fm.value ||
+          flat_[off + m].index != field_index(fm.field)) {
+        return false;  // not the rule the index holds at this position
+      }
+    }
+    std::vector<std::uint64_t> mask(fields_.size(), 0);
+    std::vector<std::uint64_t> val(fields_.size(), 0);
+    if (pack_group(old_matches, mask, val)) {
+      detail::MaskedGroup* group = detail::find_group(groups_, mask);
+      if (group == nullptr || !group->erase(val, build)) return false;
+    }
+    flat_[off] = kNeverMatches;
+    positions_.remove(build);
+    return true;
   }
 
   /// Batch kernel. The scalar path above is the paper-faithful linear
@@ -198,15 +261,17 @@ class LinearClassifier final : public Classifier {
                     std::span<std::size_t> out) const override {
     if (nrules_ <= kScanThreshold) {
       scan_batch(keys, out);
-      return;
+    } else {
+      detail::probe_groups_batch(
+          keys, fields_, groups_, out,
+          [](const detail::MaskedGroup& group,
+             const detail::ProbeBest& best) {
+            return best.rule < group.min_rule;
+          },
+          [](const detail::MaskedGroup::Entry& e,
+             const detail::ProbeBest& best) { return e.rule < best.rule; });
     }
-    detail::probe_groups_batch(
-        keys, fields_, groups_, out,
-        [](const detail::MaskedGroup& group, const detail::ProbeBest& best) {
-          return best.rule < group.min_rule;
-        },
-        [](const detail::MaskedGroup::Entry& e,
-           const detail::ProbeBest& best) { return e.rule < best.rule; });
+    positions_.to_live(out.first(keys.size()));
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -222,6 +287,8 @@ class LinearClassifier final : public Classifier {
     std::uint64_t value = 0;
     std::uint32_t index = 0;  // field_index(field) into FlowKey::values
   };
+  /// Predicate no key satisfies: a removed rule's first match.
+  static constexpr FlatMatch kNeverMatches{0, 1, 0};
 
   /// Flattens every rule's predicates into one contiguous array so the
   /// small-table scan streams through memory instead of chasing per-rule
@@ -331,11 +398,12 @@ class LinearClassifier final : public Classifier {
     }
   }
 
-  std::size_t nrules_ = 0;
+  std::size_t nrules_ = 0;  // rules at build time
   std::vector<FlatMatch> flat_;
   std::vector<std::uint32_t> flat_begin_;
   std::vector<FieldId> fields_;  // union of matched fields, batch index
   std::vector<detail::MaskedGroup> groups_;
+  detail::BuildPositions positions_;
 };
 
 }  // namespace

@@ -13,6 +13,17 @@
 #include "util/rng.hpp"
 
 namespace maton::cp {
+
+/// Befriended by GwlbBinding: compares the indexes the delta path keeps
+/// in place (provenance, slice index, row offsets).
+struct GwlbBindingInternals {
+  static bool indexes_equal(const GwlbBinding& a, const GwlbBinding& b) {
+    return a.provenance_ == b.provenance_ &&
+           a.slice_index_ == b.slice_index_ &&
+           a.row_offsets_ == b.row_offsets_;
+  }
+};
+
 namespace {
 
 using workloads::Gwlb;
@@ -361,6 +372,32 @@ TEST(IncrementalCompile, ShrinkingSliceRemovalMatchesReference) {
     ASSERT_TRUE(inc.program() == ref.program()) << to_string(repr);
     EXPECT_EQ(inc.incremental_stats().fallbacks, 0u) << to_string(repr);
     EXPECT_EQ(inc.incremental_stats().hits, 4u) << to_string(repr);
+  }
+}
+
+TEST(IncrementalCompile, RemoveServiceKeepsIndexesEqualToARebuild) {
+  // The removal splice erases the service's positions from the program,
+  // provenance and slice index in place; what it leaves must be exactly
+  // what a full compile of the service model derives.
+  const auto rebuilt = [](const GwlbBinding& binding) {
+    return GwlbBinding(binding.gwlb(), binding.representation(),
+                       CompileMode::kFullRebuild);
+  };
+  for (const Representation repr : kAllReprs) {
+    const Gwlb gwlb = make_gwlb({.num_services = 12, .num_backends = 4});
+    GwlbBinding inc(gwlb, repr, CompileMode::kIncremental);
+    for (const std::size_t victim : {4, 0, 11, 5}) {
+      ASSERT_TRUE(inc.compile_intent(RemoveService{.service = victim}).is_ok())
+          << to_string(repr) << " removing " << victim;
+      ASSERT_TRUE(GwlbBindingInternals::indexes_equal(inc, rebuilt(inc)))
+          << to_string(repr) << " removing " << victim;
+    }
+    ASSERT_TRUE(
+        inc.compile_intent(MoveServicePort{.service = 6, .new_port = 50123})
+            .is_ok());
+    EXPECT_TRUE(GwlbBindingInternals::indexes_equal(inc, rebuilt(inc)))
+        << to_string(repr);
+    EXPECT_EQ(inc.incremental_stats().fallbacks, 0u) << to_string(repr);
   }
 }
 

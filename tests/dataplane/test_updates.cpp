@@ -220,6 +220,43 @@ TEST_P(UpdateSemantics, BatchedUpdatesMatchScalarLoop) {
     EXPECT_EQ(a.cache_flushes, b.cache_flushes);
     EXPECT_EQ(a.cache_flushes, ups.size());
   }
+
+  // A batch that only removes lands as runs of one erase pass. Both
+  // dst-6 rules share a match vector: the run must stop before the
+  // second removal of it, which then takes the surviving duplicate.
+  (void)replay(*batched);
+  (void)replay(*scalar);
+  std::vector<RuleUpdate> removals;
+  for (const std::uint64_t dst : {7, 3, 6, 6, 1, 8}) {
+    RuleUpdate remove;
+    remove.kind = RuleUpdate::Kind::kRemove;
+    remove.target = {{FieldId::kIpDst, dst, kFull32}};
+    removals.push_back(std::move(remove));
+  }
+  ASSERT_TRUE(batched->apply_updates(removals).is_ok());
+  for (const RuleUpdate& up : removals) {
+    ASSERT_TRUE(scalar->apply_update(up).is_ok());
+  }
+  ASSERT_TRUE(batched->program() == scalar->program());
+  EXPECT_EQ(batched->program().tables[0].rules.size(), 2u);
+  const std::vector<ExecResult> got_after = replay(*batched);
+  const std::vector<ExecResult> want_after = replay(*scalar);
+  for (std::size_t dst = 0; dst < got_after.size(); ++dst) {
+    EXPECT_EQ(got_after[dst].hit, want_after[dst].hit) << "dst=" << dst;
+    EXPECT_EQ(got_after[dst].out_port, want_after[dst].out_port)
+        << "dst=" << dst;
+  }
+  for (const Rule& rule : scalar->program().tables[0].rules) {
+    const auto cb = batched->read_rule_counter(0, rule.matches);
+    const auto cs = scalar->read_rule_counter(0, rule.matches);
+    ASSERT_TRUE(cb.is_ok());
+    ASSERT_TRUE(cs.is_ok());
+    EXPECT_EQ(cb.value(), cs.value());
+  }
+  if (batched_ovs != nullptr) {
+    EXPECT_EQ(batched_ovs->stats().cache_flushes,
+              scalar_ovs->stats().cache_flushes);
+  }
 }
 
 TEST_P(UpdateSemantics, BatchedUpdatesStopAtFirstFailure) {
