@@ -55,7 +55,7 @@ NodeId DiagramStore::leaf(std::uint64_t payload) {
   Node n;
   n.var = kLeafVar;
   n.payload = payload;
-  n.hash = static_cast<std::uint32_t>(mix(kLeafVar, payload));
+  n.hash = content_hash(n);
   return intern(n);
 }
 
@@ -72,7 +72,7 @@ NodeId DiagramStore::bit_node(std::uint32_t var, NodeId lo, NodeId hi) {
   n.var = var;
   n.lo = lo;
   n.hi = hi;
-  n.hash = static_cast<std::uint32_t>(mix(pack(var, lo), hi));
+  n.hash = content_hash(n);
   return intern(n);
 }
 
@@ -81,13 +81,11 @@ NodeId DiagramStore::value_node(std::uint32_t var, std::span<const Edge> edges,
   // Surviving edges go straight to the pool tail; a duplicate node gives
   // them back below.
   const auto begin = static_cast<std::uint32_t>(edge_pool_.size());
-  std::uint64_t h = pack(var, def);
   for (const Edge& e : edges) {
     if (e.second == def) continue;
     expects(edge_pool_.size() == begin || edge_pool_.back().first <= e.first,
             "value_node: edges must be sorted by value");
     edge_pool_.push_back(e);
-    h = mix(h ^ e.first, e.second);
   }
   const auto count = static_cast<std::uint32_t>(edge_pool_.size() - begin);
   if (count == 0) return def;
@@ -101,7 +99,7 @@ NodeId DiagramStore::value_node(std::uint32_t var, std::span<const Edge> edges,
   n.lo = def;
   n.edges_begin = begin;
   n.edges_count = count;
-  n.hash = static_cast<std::uint32_t>(h);
+  n.hash = content_hash(n);
   const std::size_t before = nodes_.size();
   const NodeId id = intern(n);
   if (nodes_.size() == before) edge_pool_.resize(begin);  // duplicate node
@@ -373,6 +371,18 @@ std::vector<std::uint64_t> DiagramStore::branch_values(
   return values;
 }
 
+std::uint32_t DiagramStore::content_hash(const Node& n) const noexcept {
+  if (n.var == kLeafVar) {
+    return static_cast<std::uint32_t>(mix(kLeafVar, n.payload));
+  }
+  if (n.edges_count == 0) {
+    return static_cast<std::uint32_t>(mix(pack(n.var, n.lo), n.hi));
+  }
+  std::uint64_t h = pack(n.var, n.lo);
+  for (const Edge& e : edges_of(n)) h = mix(h ^ e.first, e.second);
+  return static_cast<std::uint32_t>(h);
+}
+
 bool DiagramStore::same_content(const Node& a, const Node& b) const {
   if (a.hash != b.hash || a.var != b.var || a.lo != b.lo || a.hi != b.hi ||
       a.payload != b.payload || a.edges_count != b.edges_count) {
@@ -383,6 +393,11 @@ bool DiagramStore::same_content(const Node& a, const Node& b) const {
 }
 
 NodeId DiagramStore::intern(const Node& n) {
+  if (unique_.empty()) {
+    std::size_t slots = kInitialSlots;
+    while (slots < 2 * (nodes_.size() + 1)) slots *= 2;
+    rehash_unique(slots);
+  }
   const std::size_t mask = unique_.size() - 1;
   for (std::size_t slot = n.hash & mask;; slot = (slot + 1) & mask) {
     const NodeId cand = unique_[slot];
@@ -399,8 +414,10 @@ NodeId DiagramStore::intern(const Node& n) {
   }
 }
 
-void DiagramStore::grow_unique() {
-  unique_.assign(unique_.size() * 2, kInvalidNode);
+void DiagramStore::grow_unique() { rehash_unique(unique_.size() * 2); }
+
+void DiagramStore::rehash_unique(std::size_t slots) {
+  unique_.assign(slots, kInvalidNode);
   const std::size_t mask = unique_.size() - 1;
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     std::size_t slot = nodes_[id].hash & mask;
@@ -423,6 +440,7 @@ std::size_t cache_slot(std::uint32_t tag, NodeId a, NodeId b, NodeId c,
 NodeId DiagramStore::cache_find(std::uint32_t tag, NodeId a, NodeId b,
                                 NodeId c) {
   ++stats_.memo_lookups;
+  if (cache_.empty()) return kInvalidNode;
   const CacheEntry& entry =
       cache_[cache_slot(tag, a, b, c, cache_.size() - 1)];
   if (entry.tag != tag || entry.a != a || entry.b != b || entry.c != c) {
@@ -434,7 +452,11 @@ NodeId DiagramStore::cache_find(std::uint32_t tag, NodeId a, NodeId b,
 
 void DiagramStore::cache_store(std::uint32_t tag, NodeId a, NodeId b,
                                NodeId c, NodeId result) {
-  if (nodes_.size() > cache_.size()) {
+  if (cache_.empty()) {
+    cache_.resize(kInitialSlots);
+    cache_base_ = nodes_.size();
+  }
+  if (nodes_.size() - cache_base_ > cache_.size()) {
     // Grow with the store, carrying the live entries over (colliding
     // ones are dropped, as any later overwrite would).
     std::vector<CacheEntry> old(cache_.size() * 2);
@@ -446,6 +468,60 @@ void DiagramStore::cache_store(std::uint32_t tag, NodeId a, NodeId b,
   }
   cache_[cache_slot(tag, a, b, c, cache_.size() - 1)] = {tag, a, b, c,
                                                          result};
+}
+
+void DiagramStore::compact(std::span<NodeId> roots, std::size_t spare) {
+  // Children are interned before their parents, so one descending sweep
+  // marks everything reachable, and renumbering in ascending order keeps
+  // every child below its parent.
+  std::vector<char> live(nodes_.size(), 0);
+  live[false_] = live[true_] = 1;
+  for (const NodeId root : roots) live[root] = 1;
+  for (std::size_t id = nodes_.size(); id-- > 0;) {
+    const Node& n = nodes_[id];
+    if (live[id] == 0 || n.var == kLeafVar) continue;
+    live[n.lo] = 1;
+    if (n.edges_count == 0) live[n.hi] = 1;
+    for (const Edge& e : edges_of(n)) live[e.second] = 1;
+  }
+  const auto survivors =
+      static_cast<std::size_t>(std::count(live.begin(), live.end(), 1));
+  std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
+  std::vector<Node> kept;
+  kept.reserve(survivors + spare);
+  std::vector<Edge> kept_edges;
+  kept_edges.reserve(edge_pool_.size());
+  for (std::size_t id = 0; id < nodes_.size(); ++id) {
+    if (live[id] == 0) continue;
+    Node n = nodes_[id];
+    if (n.var != kLeafVar) {
+      n.lo = remap[n.lo];
+      if (n.edges_count == 0) n.hi = remap[n.hi];
+    }
+    const auto begin = static_cast<std::uint32_t>(kept_edges.size());
+    for (const Edge& e : edges_of(n)) {
+      kept_edges.emplace_back(e.first, remap[e.second]);
+    }
+    n.edges_begin = begin;
+    remap[id] = static_cast<NodeId>(kept.size());
+    kept.push_back(n);
+  }
+  nodes_.swap(kept);
+  edge_pool_.swap(kept_edges);
+  for (Node& n : nodes_) n.hash = content_hash(n);
+  for (NodeId& root : roots) root = remap[root];
+  false_ = remap[false_];
+  true_ = remap[true_];
+
+  release_indexes();
+}
+
+void DiagramStore::release_indexes() {
+  // Swap with empties: assigning {} would keep the capacity.
+  std::vector<NodeId>().swap(unique_);
+  std::vector<CacheEntry>().swap(cache_);
+  std::vector<std::uint32_t>().swap(rewrite_stamp_);
+  std::vector<NodeId>().swap(rewrite_image_);
 }
 
 }  // namespace maton::analysis::symbolic

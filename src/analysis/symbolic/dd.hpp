@@ -53,12 +53,16 @@ inline constexpr std::uint64_t kDefaultBranch = ~std::uint64_t{0};
 /// engine entry points (engine.hpp) never see it.
 struct NodeBudgetExceeded {};
 
-/// Work tallies of one store's lifetime, surfaced in engine results and
-/// the maton_symbolic_* counters.
+/// Work tallies, surfaced in engine results and the maton_symbolic_*
+/// counters. A store keeps the first three over its lifetime; a Result
+/// carries what one check added, and the table counts of the
+/// ProgramProver's cache (zero for the core front-ends).
 struct StoreStats {
   std::size_t nodes = 0;         ///< unique nodes interned
   std::size_t memo_hits = 0;     ///< operator cache hits
   std::size_t memo_lookups = 0;  ///< operator cache probes
+  std::size_t table_hits = 0;    ///< tables whose diagram was reused
+  std::size_t table_misses = 0;  ///< tables folded afresh
 };
 
 /// One bit constraint of a ternary cube, ascending-var order.
@@ -198,6 +202,20 @@ class DiagramStore {
     return nodes_.size();
   }
 
+  /// Garbage collection for a store that lives across checks: keeps the
+  /// nodes reachable from `roots` (and the boolean leaves), renumbers
+  /// them in creation order and rewrites `roots` in place. The node arena
+  /// keeps room for `spare` more nodes, and the indexes are released
+  /// (see release_indexes). Leaf payloads and the lifetime tallies are
+  /// unchanged; any other NodeId is invalidated.
+  void compact(std::span<NodeId> roots, std::size_t spare);
+
+  /// Frees the unique table, the operator cache and the rewrite memo of
+  /// a store kept between checks, leaving only the nodes. The next
+  /// operation that interns rebuilds the unique table from the nodes'
+  /// cached hashes; the operator cache restarts empty.
+  void release_indexes();
+
  private:
   /// Ordering variable of leaves: after every real variable.
   static constexpr std::uint32_t kLeafVar = 0xffffffffu;
@@ -249,7 +267,11 @@ class DiagramStore {
   /// sit at the tail of edge_pool_) or appends it.
   [[nodiscard]] NodeId intern(const Node& n);
   [[nodiscard]] bool same_content(const Node& a, const Node& b) const;
+  /// Content hash of `n`; a value node's edges must sit in edge_pool_.
+  [[nodiscard]] std::uint32_t content_hash(const Node& n) const noexcept;
   void grow_unique();
+  /// Rebuilds the unique table at `slots` from the cached node hashes.
+  void rehash_unique(std::size_t slots);
   void check_budget() const;
 
   /// Operator cache probe: the cached result, or kInvalidNode on a miss.
@@ -325,9 +347,12 @@ class DiagramStore {
   /// Unique table: open addressing (linear probing) over NodeIds,
   /// kInvalidNode marks a free slot; at most half full.
   std::vector<NodeId> unique_;
-  /// Operator cache, direct-mapped and lossy; grows with nodes_. A lost
-  /// entry only costs a recomputation: canonicity comes from unique_.
+  /// Operator cache, direct-mapped and lossy; grows with the nodes
+  /// interned since it was last emptied (cache_base_: the store's size
+  /// then). A lost entry only costs a recomputation: canonicity comes
+  /// from unique_. Both are empty after release_indexes().
   std::vector<CacheEntry> cache_;
+  std::size_t cache_base_ = 0;
   /// Rewriter memo: image of node id under the rewrite whose epoch
   /// rewrite_stamp_[id] holds.
   std::vector<std::uint32_t> rewrite_stamp_;

@@ -57,25 +57,22 @@ SolveCounters::SolveCounters(std::string_view check) {
   }
 }
 
-Result run_guarded(const SolveCounters& counters, const Options& options,
-                   const std::function<Result(DiagramStore&)>& body) {
-  const obs::TraceSpan span("symbolic_solve");
-  DiagramStore store(options.max_nodes);
-  Result result;
+Result guarded(const Options& options, const std::function<Result()>& body) {
   try {
-    result = body(store);
+    return body();
   } catch (const NodeBudgetExceeded&) {
-    result = {};
-    result.outcome = Outcome::kUnknown;
+    Result result;
     result.note = "node budget exceeded (" +
                   std::to_string(options.max_nodes) + " nodes)";
+    return result;
   } catch (const TranslationBail& bail) {
-    result = {};
-    result.outcome = Outcome::kUnknown;
+    Result result;
     result.note = bail.note;
+    return result;
   }
-  result.stats = store.stats();
+}
 
+void record(const SolveCounters& counters, const Result& result) {
   counters.by_outcome[static_cast<std::size_t>(result.outcome)]->add(1);
   auto& registry = obs::MetricRegistry::global();
   static obs::Counter& nodes =
@@ -84,9 +81,24 @@ Result run_guarded(const SolveCounters& counters, const Options& options,
       registry.counter("maton_symbolic_memo_hits_total");
   static obs::Counter& memo_lookups =
       registry.counter("maton_symbolic_memo_lookups_total");
+  static obs::Counter& table_hits =
+      registry.counter("maton_symbolic_table_cache_hits_total");
+  static obs::Counter& table_misses =
+      registry.counter("maton_symbolic_table_cache_misses_total");
   nodes.add(result.stats.nodes);
   memo_hits.add(result.stats.memo_hits);
   memo_lookups.add(result.stats.memo_lookups);
+  table_hits.add(result.stats.table_hits);
+  table_misses.add(result.stats.table_misses);
+}
+
+Result run_guarded(const SolveCounters& counters, const Options& options,
+                   const std::function<Result(DiagramStore&)>& body) {
+  const obs::TraceSpan span("symbolic_solve");
+  DiagramStore store(options.max_nodes);
+  Result result = guarded(options, [&] { return body(store); });
+  result.stats = store.stats();
+  record(counters, result);
   return result;
 }
 

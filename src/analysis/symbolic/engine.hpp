@@ -21,8 +21,13 @@
 //    answers kUnknown, not a wrong verdict.
 //  * Exceeding Options::max_nodes yields kUnknown with a note — budgets
 //    can cost an answer, never correctness.
+//
+// ProgramProver is check_programs with a store that persists across
+// calls (the per-intent proofs of cp::GwlbBinding); check_programs is its
+// one-shot use, so both run one code path.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,7 +40,10 @@
 namespace maton::analysis::symbolic {
 
 struct Options {
-  /// Node budget of the diagram store backing one check.
+  /// Node budget of one diagram store. A ProgramProver's store lives
+  /// across checks, so a warm check that overflows it drops the store and
+  /// retries once from an empty one; only an overflow from empty is
+  /// kUnknown.
   std::size_t max_nodes = std::size_t{1} << 22;
 };
 
@@ -69,8 +77,45 @@ struct Result {
 /// "NO: <confirmed counterexample>" or "unknown: <solver note>".
 [[nodiscard]] std::string describe(const Result& result);
 
-/// Proves or refutes ∀key: execute_reference(a, key) ≡ execute_reference
-/// (b, key) on the (hit, out_port) observable.
+/// check_programs with memory across calls: one diagram store and a
+/// content-addressed table cache persist between checks, so a check
+/// re-folds only the tables whose content changed.
+///
+/// A table's cache key is its satisfiable rules in scan order (matches
+/// and actions) and the NodeIds of their successor tables' diagrams; a
+/// hit needs the whole key to be equal, not just its hash. The store is
+/// canonical, so a cached diagram is the NodeId a fresh fold would
+/// intern, and a warm verdict is the verdict of a cold one. A changed
+/// table is patched from the version its position held in the previous
+/// check. Entries the latest check did not use are dropped. Between
+/// checks the store keeps only its nodes, and it is compacted to the
+/// cached diagrams once it has grown by a fixed fraction since the last
+/// compaction (the first warm check compacts away the cold proof's
+/// garbage).
+class ProgramProver {
+ public:
+  explicit ProgramProver(const Options& options = {});
+  ~ProgramProver();
+  ProgramProver(ProgramProver&&) noexcept;
+  ProgramProver& operator=(ProgramProver&&) noexcept;
+
+  /// Proves or refutes ∀key: execute_reference(a, key) ≡
+  /// execute_reference(b, key) on the (hit, out_port) observable.
+  [[nodiscard]] Result check(const dp::Program& a, const dp::Program& b);
+
+  /// Nodes the persistent store holds between checks (0 before the
+  /// first check and after an overflow from empty).
+  [[nodiscard]] std::size_t store_nodes() const noexcept;
+  /// Warm checks that overflowed the budget and were retried cold.
+  [[nodiscard]] std::size_t resets() const noexcept;
+
+  struct State;  ///< defined in program_dd.cpp
+
+ private:
+  std::unique_ptr<State> state_;
+};
+
+/// One-shot ProgramProver(options).check(a, b).
 [[nodiscard]] Result check_programs(const dp::Program& a,
                                     const dp::Program& b,
                                     const Options& options = {});

@@ -1,6 +1,6 @@
-// Shared plumbing of the symbolic front-ends: the translation bail-out
-// and the guarded runner that turns budget/bail exceptions into
-// kUnknown results and records the obs span + counters.
+// Shared plumbing of the symbolic front-ends: the translation bail-out,
+// the guard that turns budget/bail exceptions into kUnknown results, and
+// the obs span + counters every solve records.
 //
 // Internal to src/analysis/symbolic/ — not part of the engine API.
 #pragma once
@@ -28,10 +28,19 @@ struct SolveCounters {
   std::array<obs::Counter*, 3> by_outcome{};
 };
 
-/// Runs `body` with a fresh store under the engine's exception contract:
-/// NodeBudgetExceeded and TranslationBail become kUnknown results. Wraps
-/// the run in a "symbolic_solve" trace span and feeds the
-/// maton_symbolic_* counters; `counters` is the front-end's solve counter.
+/// Runs `body` under the engine's exception contract: NodeBudgetExceeded
+/// (over `options.max_nodes`) and TranslationBail become kUnknown
+/// results.
+[[nodiscard]] Result guarded(const Options& options,
+                             const std::function<Result()>& body);
+
+/// Feeds one finished solve into the maton_symbolic_* counters;
+/// `counters` is the front-end's solve counter.
+void record(const SolveCounters& counters, const Result& result);
+
+/// Runs `body` with a fresh store under guarded(), inside a
+/// "symbolic_solve" trace span, and records the result with the store's
+/// tallies.
 [[nodiscard]] Result run_guarded(
     const SolveCounters& counters, const Options& options,
     const std::function<Result(DiagramStore&)>& body);

@@ -4,10 +4,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <map>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/symbolic/engine.hpp"
@@ -45,145 +47,408 @@ constexpr std::array<std::uint32_t, dp::kNumFields> kFieldRank = {
     3,   // kMeta3
 };
 
+/// Inverse of kFieldRank: the field index at each rank.
+constexpr std::array<std::size_t, dp::kNumFields> kFieldAtRank = [] {
+  std::array<std::size_t, dp::kNumFields> at{};
+  for (std::size_t f = 0; f < dp::kNumFields; ++f) at[kFieldRank[f]] = f;
+  return at;
+}();
+
 /// var = rank * 64 + MSB-first bit offset: all 64 value bits of every
 /// field are modeled, so masks reaching past the wire width still
 /// translate exactly.
-constexpr std::uint32_t var_for(FieldId field, unsigned bit) {
-  return kFieldRank[dp::field_index(field)] * 64 + (63 - bit);
-}
-
 FieldId field_of_rank(std::uint32_t rank) {
-  for (std::size_t f = 0; f < dp::kNumFields; ++f) {
-    if (kFieldRank[f] == rank) return static_cast<FieldId>(f);
-  }
-  expects(false, "unmapped diagram variable rank");
-  return FieldId::kInPort;
+  expects(rank < dp::kNumFields, "unmapped diagram variable rank");
+  return static_cast<FieldId>(kFieldAtRank[rank]);
 }
 
 constexpr std::uint64_t kVerdictTag = std::uint64_t{1} << 63;
 
+constexpr std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
+  h ^= v * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 32;
+  h *= 0xd6e8feb86659fd93ULL;
+  h ^= h >> 32;
+  return h;
+}
+
 /// Interned observable of one program execution. kHitUnset (hit, no
 /// output action applied) is kept distinct during construction and
 /// normalized to kHit/out=0 at each program root, matching
-/// execute_reference's zero-initialized out_port.
-struct DpVerdicts {
+/// execute_reference's zero-initialized out_port. Payloads do not name
+/// NodeIds, so they survive store compactions and resets.
+class DpVerdicts {
+ public:
   enum State : int { kMiss = 0, kHitUnset = 1, kHit = 2 };
-
-  DiagramStore& dd;
-  std::vector<std::pair<int, std::uint64_t>> table;
-  std::map<std::pair<int, std::uint64_t>, std::uint32_t> ids;
 
   std::uint64_t payload(int state, std::uint64_t out) {
     const std::pair<int, std::uint64_t> v{state, out};
-    const auto it = ids.find(v);
-    if (it != ids.end()) return kVerdictTag | it->second;
-    const auto id = static_cast<std::uint32_t>(table.size());
-    table.push_back(v);
-    ids.emplace(v, id);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = slot_of(v) & mask;
+    for (; slots_[slot] != kEmpty; slot = (slot + 1) & mask) {
+      if (table_[slots_[slot]] == v) return kVerdictTag | slots_[slot];
+    }
+    const auto id = static_cast<std::uint32_t>(table_.size());
+    table_.push_back(v);
+    slots_[slot] = id;
+    if (table_.size() * 2 > slots_.size()) {
+      // Rehash at double size; at most half full keeps probes short.
+      slots_.assign(slots_.size() * 2, kEmpty);
+      for (std::uint32_t i = 0; i < table_.size(); ++i) {
+        std::size_t s = slot_of(table_[i]) & (slots_.size() - 1);
+        while (slots_[s] != kEmpty) s = (s + 1) & (slots_.size() - 1);
+        slots_[s] = i;
+      }
+    }
     return kVerdictTag | id;
   }
-  NodeId leaf(int state, std::uint64_t out = 0) {
-    return dd.leaf(payload(state, out));
-  }
   [[nodiscard]] std::pair<int, std::uint64_t> of(std::uint64_t p) const {
-    return table[p & ~kVerdictTag];
-  }
-};
-
-/// Ternary cube of one rule's match vector, written into `cube` in
-/// ascending-var order; false when the rule can never match (a value bit
-/// outside its mask, or two matches requiring different values of one
-/// bit). Accepts both the flattened MatchRange and the boundary
-/// std::vector<FieldMatch>.
-template <typename MatchList>
-bool rule_cube(const MatchList& matches, std::vector<CubeBit>& cube) {
-  cube.clear();
-  for (const dp::FieldMatch m : matches) {
-    if ((m.value & ~m.mask) != 0) return false;
-    for (std::uint64_t rest = m.mask; rest != 0; rest &= rest - 1) {
-      const auto bit = static_cast<unsigned>(std::countr_zero(rest));
-      cube.push_back({var_for(m.field, bit), ((m.value >> bit) & 1) != 0});
-    }
-  }
-  std::sort(cube.begin(), cube.end(),
-            [](const CubeBit& a, const CubeBit& b) { return a.var < b.var; });
-  std::size_t kept = 0;
-  for (const CubeBit& b : cube) {
-    if (kept > 0 && cube[kept - 1].var == b.var) {
-      if (cube[kept - 1].one != b.one) return false;
-      continue;
-    }
-    cube[kept++] = b;
-  }
-  cube.resize(kept);
-  return true;
-}
-
-class ProgramTranslator {
- public:
-  ProgramTranslator(DpVerdicts& verdicts, const dp::Program& program)
-      : verdicts_(verdicts),
-        dd_(verdicts.dd),
-        program_(program),
-        cache_(program.tables.size(), kInvalidNode),
-        visiting_(program.tables.size(), 0) {}
-
-  /// Diagram of the whole program on the normalized (hit, out_port)
-  /// observable.
-  NodeId root() {
-    if (program_.tables.empty()) {
-      return verdicts_.leaf(DpVerdicts::kMiss);
-    }
-    check_target(program_.entry);
-    const NodeId raw = table_diagram(program_.entry);
-    return dd_.map_leaves(raw, [this](std::uint64_t p) {
-      return verdicts_.of(p).first == DpVerdicts::kHitUnset
-                 ? verdicts_.payload(DpVerdicts::kHit, 0)
-                 : p;
-    });
+    return table_[p & ~kVerdictTag];
   }
 
  private:
+  static constexpr std::uint32_t kEmpty = 0xffffffffu;
+  static std::size_t slot_of(const std::pair<int, std::uint64_t>& v) {
+    return static_cast<std::size_t>(
+        mix(static_cast<std::uint64_t>(v.first), v.second));
+  }
+
+  std::vector<std::pair<int, std::uint64_t>> table_;
+  /// Open-addressed index into table_ keyed on (state, out).
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
+};
+
+/// Conjunction of one rule's matches, per field: the key bits the rule
+/// fixes (mask) and their values.
+struct Region {
+  std::array<std::uint64_t, dp::kNumFields> mask{};
+  std::array<std::uint64_t, dp::kNumFields> value{};
+
+  /// Adds one match; false when the rule can then match no key (a value
+  /// bit outside its mask, or two matches requiring different values of
+  /// one bit).
+  bool add(std::size_t field, std::uint64_t v, std::uint64_t m) {
+    if ((v & ~m) != 0 || ((value[field] ^ v) & mask[field] & m) != 0) {
+      return false;
+    }
+    mask[field] |= m;
+    value[field] |= v;
+    return true;
+  }
+  /// Region of a match list; nullopt when it can match no key. Accepts
+  /// both the flattened MatchRange and the boundary
+  /// std::vector<FieldMatch>.
+  template <typename MatchList>
+  static std::optional<Region> of(const MatchList& matches) {
+    Region r;
+    for (const dp::FieldMatch m : matches) {
+      if (!r.add(dp::field_index(m.field), m.value, m.mask)) {
+        return std::nullopt;
+      }
+    }
+    return r;
+  }
+  [[nodiscard]] bool intersects(const Region& o) const {
+    for (std::size_t f = 0; f < dp::kNumFields; ++f) {
+      if (((value[f] ^ o.value[f]) & mask[f] & o.mask[f]) != 0) return false;
+    }
+    return true;
+  }
+  /// Ternary cube of the region, in ascending-var order.
+  void cube(std::vector<CubeBit>& out) const {
+    out.clear();
+    for (std::uint32_t rank = 0; rank < dp::kNumFields; ++rank) {
+      const std::size_t f = kFieldAtRank[rank];
+      for (std::uint64_t rest = mask[f]; rest != 0;) {
+        const auto bit = static_cast<unsigned>(63 - std::countl_zero(rest));
+        out.push_back({rank * 64 + (63 - bit), ((value[f] >> bit) & 1) != 0});
+        rest &= ~(std::uint64_t{1} << bit);
+      }
+    }
+  }
+};
+
+/// Region::of(matches).has_value() without building the region when
+/// every match names a different field (the common case).
+bool satisfiable(const dp::MatchRange& matches) {
+  std::uint32_t seen = 0;
+  for (const dp::FieldMatch m : matches) {
+    if ((m.value & ~m.mask) != 0) return false;
+    const std::uint32_t field = 1u << dp::field_index(m.field);
+    if ((seen & field) != 0) return Region::of(matches).has_value();
+    seen |= field;
+  }
+  return true;
+}
+
+/// One cached table diagram: the key it was folded from and its root.
+struct TableEntry {
+  /// Per satisfiable rule, in scan order, a record: a (match, action)
+  /// count word, (field, value, mask) per match and (kind|field|width,
+  /// value) per action. Then, one word per record, the rule's successor
+  /// diagram (kInvalidNode: the pipeline ends).
+  std::vector<std::uint64_t> key;
+  std::vector<std::uint32_t> records;  ///< offset of each record in key
+  NodeId root = kInvalidNode;
+  std::uint32_t epoch = 0;  ///< last check that used the entry
+
+  [[nodiscard]] std::size_t succ_begin() const {
+    return key.size() - records.size();
+  }
+  /// Words of record `i`, without its successor.
+  [[nodiscard]] std::span<const std::uint64_t> record(std::size_t i) const {
+    const std::size_t end =
+        i + 1 < records.size() ? records[i + 1] : succ_begin();
+    return std::span(key).subspan(records[i], end - records[i]);
+  }
+  [[nodiscard]] bool same_rule(std::size_t i, const TableEntry& o,
+                               std::size_t j) const {
+    const auto a = record(i);
+    const auto b = o.record(j);
+    return key[succ_begin() + i] == o.key[o.succ_begin() + j] &&
+           std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  /// Match region of record `i` (satisfiable by construction).
+  [[nodiscard]] Region region(std::size_t i) const {
+    const auto words = record(i);
+    Region r;
+    for (std::size_t m = 0; m < (words[0] & 0xffffffffu); ++m) {
+      r.add(words[1 + 3 * m], words[2 + 3 * m], words[3 + 3 * m]);
+    }
+    return r;
+  }
+};
+
+}  // namespace
+
+struct ProgramProver::State {
+  explicit State(const Options& opts) : options(opts) {}
+
+  /// Compacts the store to the cached diagrams once it has grown by more
+  /// than 1/kCompactGrowth of its size after the last compaction.
+  void maintain();
+  /// Drops the store and the table cache; the next check is cold.
+  void reset() {
+    store.reset();
+    tables.clear();
+    live_nodes = 0;
+  }
+  /// One proof attempt in the current store (created if absent).
+  Result prove(const dp::Program& a, const dp::Program& b);
+
+  /// A warm store is compacted once it has grown by a quarter.
+  static constexpr std::size_t kCompactGrowth = 4;
+
+  Options options;
+  std::optional<DiagramStore> store;
+  DpVerdicts verdicts;
+  /// Table cache by the hash of a key's rule records (successor words
+  /// are compared, not hashed, so compaction leaves hashes valid); a
+  /// colliding key replaces the entry.
+  std::unordered_map<std::uint64_t, TableEntry> tables;
+  /// last[side][t]: hash of the cache entry that table t of the left (0)
+  /// or right (1) program used in the previous check — the base a changed
+  /// table is patched from.
+  std::array<std::vector<std::uint64_t>, 2> last;
+  std::uint32_t epoch = 0;
+  /// Store size after the last compaction (0: none yet).
+  std::size_t live_nodes = 0;
+  std::size_t resets = 0;
+  /// Tallies of the check in progress, before the current attempt.
+  StoreStats spent;
+  /// Store tallies when the current attempt began (zero for a new store,
+  /// whose boolean leaves are part of the attempt's work).
+  StoreStats attempt_start;
+};
+
+namespace {
+
+class ProgramTranslator {
+ public:
+  ProgramTranslator(ProgramProver::State& prover, const dp::Program& program,
+                    std::size_t side)
+      : prover_(prover),
+        dd_(*prover.store),
+        verdicts_(prover.verdicts),
+        program_(program),
+        last_(prover.last[side]),
+        memo_(program.tables.size(), kInvalidNode),
+        visiting_(program.tables.size(), 0) {
+    last_.resize(program.tables.size(), 0);
+  }
+
+  /// Diagram of the whole program before the kHitUnset normalization.
+  NodeId raw_root() {
+    if (program_.tables.empty()) return miss();
+    check_target(program_.entry);
+    return table_diagram(program_.entry);
+  }
+
+ private:
+  /// A changed table is patched from its previous version while at most
+  /// 1/kPatchFraction of its rules differ, and folded in full otherwise.
+  static constexpr std::size_t kPatchFraction = 2;
+
+  NodeId miss() { return dd_.leaf(verdicts_.payload(DpVerdicts::kMiss, 0)); }
+
   void check_target(std::size_t table) const {
     if (table >= program_.tables.size()) {
       throw detail::TranslationBail{"program jump out of range"};
     }
   }
 
+  std::optional<std::size_t> successor(const dp::TableSpec& spec,
+                                       const dp::RuleView& rule) const {
+    const std::optional<std::size_t> next =
+        rule.goto_table.has_value() ? rule.goto_table : spec.next;
+    if (next.has_value()) check_target(*next);
+    return next;
+  }
+
   NodeId table_diagram(std::size_t ti) {
-    if (cache_[ti] != kInvalidNode) return cache_[ti];
+    if (memo_[ti] != kInvalidNode) return memo_[ti];
     if (visiting_[ti] != 0) {
       throw detail::TranslationBail{"program table graph contains a cycle"};
     }
     visiting_[ti] = 1;
     const dp::TableSpec& spec = program_.tables[ti];
-    // First-match fold: stored order is the scan order, so insert rules
-    // back-to-front and let each earlier rule's cube overwrite.
-    NodeId acc = verdicts_.leaf(DpVerdicts::kMiss);
-    for (std::size_t i = spec.rules.size(); i-- > 0;) {
-      const dp::RuleView rule = spec.rules[i];
-      if (!rule_cube(rule.matches, cube_)) continue;  // can never match
-      // Intern the cube before continuation() recurses into successor
-      // tables, which reuse the scratch.
-      const NodeId cube = dd_.cube(cube_);
-      acc = dd_.ite(cube, continuation(spec, rule), acc);
+    // Successors first: the cache key names their diagrams.
+    for (const dp::RuleView rule : spec.rules) {
+      if (!satisfiable(rule.matches)) continue;
+      if (const auto next = successor(spec, rule)) table_diagram(*next);
     }
+    const std::uint64_t hash = build_key(spec);
+    NodeId root = kInvalidNode;
+    const auto hit = prover_.tables.find(hash);
+    if (hit != prover_.tables.end() && hit->second.key == entry_.key) {
+      ++prover_.spent.table_hits;
+      root = hit->second.root;
+      hit->second.epoch = prover_.epoch;
+    } else {
+      ++prover_.spent.table_misses;
+      const auto base = prover_.tables.find(last_[ti]);
+      root = base != prover_.tables.end() ? patch(spec, base->second)
+                                          : fold_all(spec);
+      TableEntry& entry = prover_.tables[hash];
+      entry.key = std::move(entry_.key);
+      entry.records = std::move(entry_.records);
+      entry.root = root;
+      entry.epoch = prover_.epoch;
+    }
+    last_[ti] = hash;
     visiting_[ti] = 0;
-    cache_[ti] = acc;
+    memo_[ti] = root;
+    return root;
+  }
+
+  /// Writes `spec`'s cache key into entry_, its satisfiable rules into
+  /// rules_ (successors already translated), and returns the hash of the
+  /// key's rule records.
+  std::uint64_t build_key(const dp::TableSpec& spec) {
+    std::vector<std::uint64_t>& key = entry_.key;
+    key.clear();
+    entry_.records.clear();
+    rules_.clear();
+    for (std::size_t i = 0; i < spec.rules.size(); ++i) {
+      const dp::RuleView rule = spec.rules[i];
+      if (!satisfiable(rule.matches)) continue;  // can never match
+      rules_.push_back(i);
+      entry_.records.push_back(static_cast<std::uint32_t>(key.size()));
+      key.push_back(rule.matches.size() | (rule.actions.size() << 32));
+      for (const dp::FieldMatch m : rule.matches) {
+        key.push_back(dp::field_index(m.field));
+        key.push_back(m.value);
+        key.push_back(m.mask);
+      }
+      for (const dp::Action a : rule.actions) {
+        key.push_back(static_cast<std::uint64_t>(a.kind) |
+                      (std::uint64_t{dp::field_index(a.field)} << 8) |
+                      (std::uint64_t{a.width_bits} << 16));
+        key.push_back(a.value);
+      }
+    }
+    std::uint64_t hash = key.size();
+    for (const std::uint64_t word : key) hash = mix(hash, word);
+    for (const std::size_t index : rules_) {
+      const auto next = successor(spec, spec.rules[index]);
+      key.push_back(next.has_value() ? memo_[*next] : kInvalidNode);
+    }
+    return hash;
+  }
+
+  /// The table's diagram from its previous version `base`: the rules the
+  /// two share at the front and back keep their order and continuations,
+  /// so outside the region R of the rules in between the table still
+  /// computes base's function, and inside R only the rules that
+  /// intersect R can match: root = ite(R, fold of those rules, base).
+  /// Canonicity makes the result the NodeId a full fold would give.
+  NodeId patch(const dp::TableSpec& spec, const TableEntry& base) {
+    const std::size_t n = rules_.size();
+    const std::size_t nb = base.records.size();
+    std::size_t front = 0;
+    while (front < n && front < nb && base.same_rule(front, entry_, front)) {
+      ++front;
+    }
+    std::size_t back = 0;
+    while (back < n - front && back < nb - front &&
+           base.same_rule(nb - 1 - back, entry_, n - 1 - back)) {
+      ++back;
+    }
+    const std::size_t changed = (nb - front - back) + (n - front - back);
+    if (kPatchFraction * changed > n) return fold_all(spec);
+    changed_.clear();
+    for (std::size_t i = front; i < nb - back; ++i) {
+      changed_.push_back(base.region(i));
+    }
+    for (std::size_t i = front; i < n - back; ++i) {
+      changed_.push_back(entry_.region(i));
+    }
+    NodeId inside = dd_.false_leaf();
+    for (const Region& r : changed_) {
+      r.cube(cube_);
+      inside = dd_.b_or(inside, dd_.cube(cube_));
+    }
+    // Only the rules that can match inside R, in scan order.
+    kept_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      const Region r = entry_.region(i);
+      if (std::any_of(changed_.begin(), changed_.end(),
+                      [&r](const Region& c) { return c.intersects(r); })) {
+        kept_.push_back(i);
+      }
+    }
+    return dd_.ite(inside, fold(spec, kept_), base.root);
+  }
+
+  /// First-match fold of the given satisfiable rules (positions in
+  /// rules_, ascending): stored order is the scan order, so insert rules
+  /// back-to-front and let each earlier rule's cube overwrite.
+  NodeId fold(const dp::TableSpec& spec, std::span<const std::size_t> rules) {
+    NodeId acc = miss();
+    for (std::size_t k = rules.size(); k-- > 0;) {
+      const std::size_t i = rules[k];
+      entry_.region(i).cube(cube_);
+      acc = dd_.ite(dd_.cube(cube_), continuation(spec, spec.rules[rules_[i]]),
+                    acc);
+    }
     return acc;
+  }
+
+  /// fold() over every satisfiable rule.
+  NodeId fold_all(const dp::TableSpec& spec) {
+    kept_.resize(rules_.size());
+    std::iota(kept_.begin(), kept_.end(), std::size_t{0});
+    return fold(spec, kept_);
   }
 
   /// Diagram of "this rule hit": successor program transformed by the
   /// rule's actions, applied in reverse so earlier writes see the
   /// downstream function they feed.
   NodeId continuation(const dp::TableSpec& spec, const dp::RuleView& rule) {
-    const std::optional<std::size_t> next =
-        rule.goto_table.has_value() ? rule.goto_table : spec.next;
-    NodeId c = verdicts_.leaf(DpVerdicts::kHitUnset);
-    if (next.has_value()) {
-      check_target(*next);
-      c = table_diagram(*next);
-    }
+    const std::optional<std::size_t> next = successor(spec, rule);
+    NodeId c = next.has_value()
+                   ? memo_[*next]
+                   : dd_.leaf(verdicts_.payload(DpVerdicts::kHitUnset, 0));
     for (std::size_t j = rule.actions.size(); j-- > 0;) {
       const dp::Action action = rule.actions[j];
       if (action.kind == dp::Action::Kind::kOutput) {
@@ -212,12 +477,20 @@ class ProgramTranslator {
     return c;
   }
 
-  DpVerdicts& verdicts_;
+  ProgramProver::State& prover_;
   DiagramStore& dd_;
+  DpVerdicts& verdicts_;
   const dp::Program& program_;
-  std::vector<NodeId> cache_;
+  std::vector<std::uint64_t>& last_;  ///< this side's State::last
+  std::vector<NodeId> memo_;          ///< this program's table diagrams
   std::vector<char> visiting_;
-  std::vector<CubeBit> cube_;  ///< rule_cube scratch
+  // Scratch of the table being keyed and folded (successors are
+  // translated before it is filled).
+  TableEntry entry_;
+  std::vector<std::size_t> rules_;  ///< spec index of each record
+  std::vector<Region> changed_;
+  std::vector<std::size_t> kept_;   ///< records a fold inserts
+  std::vector<CubeBit> cube_;
 };
 
 dp::FlowKey key_from_path(std::span<const PathStep> path) {
@@ -258,41 +531,147 @@ std::string describe_key(const dp::FlowKey& key) {
 
 }  // namespace
 
+void ProgramProver::State::maintain() {
+  if (!store.has_value() ||
+      store->num_nodes() <= live_nodes + live_nodes / kCompactGrowth) {
+    return;
+  }
+  std::vector<NodeId> roots;
+  for (const auto& [hash, entry] : tables) {
+    roots.push_back(entry.root);
+    for (std::size_t i = entry.succ_begin(); i < entry.key.size(); ++i) {
+      if (entry.key[i] != kInvalidNode) {
+        roots.push_back(static_cast<NodeId>(entry.key[i]));
+      }
+    }
+  }
+  store->compact(roots, store->num_nodes() / kCompactGrowth);
+  std::size_t next = 0;
+  for (auto& [hash, entry] : tables) {
+    entry.root = roots[next++];
+    for (std::size_t i = entry.succ_begin(); i < entry.key.size(); ++i) {
+      if (entry.key[i] != kInvalidNode) entry.key[i] = roots[next++];
+    }
+  }
+  live_nodes = store->num_nodes();
+  static obs::Counter& compactions = obs::MetricRegistry::global().counter(
+      "maton_symbolic_store_resets_total", {{"cause", "compact"}});
+  compactions.add();
+}
+
+Result ProgramProver::State::prove(const dp::Program& a,
+                                   const dp::Program& b) {
+  const bool cold = !store.has_value();
+  if (cold) store.emplace(options.max_nodes);
+  attempt_start = cold ? StoreStats{} : store->stats();
+  DiagramStore& dd = *store;
+  const NodeId raw_a = ProgramTranslator(*this, a, 0).raw_root();
+  const NodeId raw_b = ProgramTranslator(*this, b, 1).raw_root();
+  Result result;
+  if (raw_a == raw_b) {
+    // Equal raw roots normalize to equal roots.
+    result.outcome = Outcome::kEquivalent;
+    return result;
+  }
+  const auto normalize = [&](NodeId raw) {
+    return dd.map_leaves(raw, [this](std::uint64_t p) {
+      return verdicts.of(p).first == DpVerdicts::kHitUnset
+                 ? verdicts.payload(DpVerdicts::kHit, 0)
+                 : p;
+    });
+  };
+  const NodeId ra = normalize(raw_a);
+  const NodeId rb = normalize(raw_b);
+  if (ra == rb) {
+    result.outcome = Outcome::kEquivalent;
+    return result;
+  }
+  const auto div = dd.first_divergence(ra, rb);
+  ensures(div.has_value(), "divergent roots without a divergence");
+  const dp::FlowKey key = key_from_path(div->path);
+  const dp::ExecResult ea = dp::execute_reference(a, key);
+  const dp::ExecResult eb = dp::execute_reference(b, key);
+  if (ea.hit == eb.hit && (!ea.hit || ea.out_port == eb.out_port)) {
+    // The diagrams disagree but the interpreter does not: report no
+    // verdict rather than a wrong one.
+    result.outcome = Outcome::kUnknown;
+    result.note = "counterexample failed scalar confirmation";
+    return result;
+  }
+  result.outcome = Outcome::kInequivalent;
+  Counterexample cex;
+  cex.key = key;
+  cex.description = describe_key(key) + " -> left " + describe_exec(ea) +
+                    " vs right " + describe_exec(eb);
+  result.counterexample = std::move(cex);
+  return result;
+}
+
+ProgramProver::ProgramProver(const Options& options)
+    : state_(std::make_unique<State>(options)) {}
+ProgramProver::~ProgramProver() = default;
+ProgramProver::ProgramProver(ProgramProver&&) noexcept = default;
+ProgramProver& ProgramProver::operator=(ProgramProver&&) noexcept = default;
+
+std::size_t ProgramProver::store_nodes() const noexcept {
+  return state_->store.has_value() ? state_->store->num_nodes() : 0;
+}
+
+std::size_t ProgramProver::resets() const noexcept { return state_->resets; }
+
+Result ProgramProver::check(const dp::Program& a, const dp::Program& b) {
+  static const detail::SolveCounters counters("programs");
+  static obs::Counter& overflow_resets = obs::MetricRegistry::global().counter(
+      "maton_symbolic_store_resets_total", {{"cause", "overflow"}});
+  const obs::TraceSpan span("symbolic_solve");
+  State& st = *state_;
+  st.maintain();
+  ++st.epoch;
+  st.spent = {};
+  const auto attempt_stats = [&st] {
+    const StoreStats& now = st.store->stats();
+    st.spent.nodes += now.nodes - st.attempt_start.nodes;
+    st.spent.memo_hits += now.memo_hits - st.attempt_start.memo_hits;
+    st.spent.memo_lookups += now.memo_lookups - st.attempt_start.memo_lookups;
+  };
+  bool overflowed = false;
+  Result result = detail::guarded(st.options, [&] {
+    while (true) {
+      const bool warm = st.store.has_value();
+      try {
+        return st.prove(a, b);
+      } catch (const NodeBudgetExceeded&) {
+        attempt_stats();
+        if (!warm) {
+          overflowed = true;
+          throw;
+        }
+      }
+      // A warm store carries garbage a fresh proof would not make: retry
+      // from empty, where only an overflow is kUnknown.
+      st.reset();
+      ++st.resets;
+      overflow_resets.add();
+    }
+  });
+  if (overflowed) {
+    st.reset();  // a store at its budget is no use to the next check
+  } else {
+    attempt_stats();
+    std::erase_if(st.tables, [&st](const auto& kv) {
+      return kv.second.epoch != st.epoch;
+    });
+    // Between checks the store holds only its nodes.
+    st.store->release_indexes();
+  }
+  result.stats = st.spent;
+  detail::record(counters, result);
+  return result;
+}
+
 Result check_programs(const dp::Program& a, const dp::Program& b,
                       const Options& options) {
-  static const detail::SolveCounters counters("programs");
-  return detail::run_guarded(
-      counters, options, [&](DiagramStore& dd) {
-        DpVerdicts verdicts{dd};
-        const NodeId ra = ProgramTranslator(verdicts, a).root();
-        const NodeId rb = ProgramTranslator(verdicts, b).root();
-        Result result;
-        if (ra == rb) {
-          result.outcome = Outcome::kEquivalent;
-          return result;
-        }
-        const auto div = dd.first_divergence(ra, rb);
-        ensures(div.has_value(), "divergent roots without a divergence");
-        const dp::FlowKey key = key_from_path(div->path);
-        const dp::ExecResult ea = dp::execute_reference(a, key);
-        const dp::ExecResult eb = dp::execute_reference(b, key);
-        if (ea.hit == eb.hit &&
-            (!ea.hit || ea.out_port == eb.out_port)) {
-          // The diagrams disagree but the interpreter does not: report
-          // no verdict rather than a wrong one.
-          result.outcome = Outcome::kUnknown;
-          result.note = "counterexample failed scalar confirmation";
-          return result;
-        }
-        result.outcome = Outcome::kInequivalent;
-        Counterexample cex;
-        cex.key = key;
-        cex.description = describe_key(key) + " -> left " +
-                          describe_exec(ea) + " vs right " +
-                          describe_exec(eb);
-        result.counterexample = std::move(cex);
-        return result;
-      });
+  return ProgramProver(options).check(a, b);
 }
 
 SliceRelation slices_relation(std::span<const dp::Rule> a,
@@ -306,7 +685,9 @@ SliceRelation slices_relation(std::span<const dp::Rule> a,
     const auto region = [&dd, &cube](std::span<const dp::Rule> rules) {
       NodeId acc = dd.false_leaf();
       for (const dp::Rule& rule : rules) {
-        if (!rule_cube(rule.matches, cube)) continue;  // can never match
+        const std::optional<Region> r = Region::of(rule.matches);
+        if (!r.has_value()) continue;  // can never match
+        r->cube(cube);
         acc = dd.b_or(acc, dd.cube(cube));
       }
       return acc;

@@ -161,7 +161,10 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
   const Status built = rebuild_program();
   expects(built.is_ok(), "gwlb program failed to compile: " + built.message());
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
-  if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify();
+  if (verify_ == VerifyMode::kSymbolic) {
+    prover_.emplace();
+    run_post_compile_verify();
+  }
 }
 
 void GwlbBinding::run_post_compile_analysis() {
@@ -207,12 +210,15 @@ void GwlbBinding::run_post_compile_verify() {
   // prove the live (possibly patched-in-place) program equivalent to it.
   // A bit-identical program passes trivially; the point is that even a
   // bit-different-but-semantically-equal patch verifies, and any drift
-  // surfaces as a refutation with a concrete counterexample packet.
+  // surfaces as a refutation with a concrete counterexample packet. The
+  // prover keeps its store across intents, so only the tables whose
+  // content changed since the last proof are folded again.
   auto reference = dp::compile(pipeline_for(gwlb_, repr_));
   expects(reference.is_ok(),
           "symbolic verify: reference pipeline failed to lower");
-  const auto result =
-      analysis::symbolic::check_programs(program_, reference.value());
+  const auto result = prover_->check(program_, reference.value());
+  verify_stats_.table_hits += result.stats.table_hits;
+  verify_stats_.table_misses += result.stats.table_misses;
   static obs::Counter& verified = obs::MetricRegistry::global().counter(
       "maton_cp_symbolic_verified_total");
   static obs::Counter& failed = obs::MetricRegistry::global().counter(

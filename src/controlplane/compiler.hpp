@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "analysis/analysis.hpp"
+#include "analysis/symbolic/engine.hpp"
 #include "controlplane/intent.hpp"
 #include "controlplane/representation.hpp"
 #include "core/fd_mine.hpp"
@@ -61,6 +62,10 @@ struct VerifyStats {
   std::size_t verified = 0;  ///< proofs of equivalence
   std::size_t failed = 0;    ///< refutations (drift!) — must stay 0
   std::size_t unknown = 0;   ///< solver bailed (budget)
+  /// Tables whose diagram the binding's prover reused / folded afresh,
+  /// summed over both programs of every proof.
+  std::size_t table_hits = 0;
+  std::size_t table_misses = 0;
 };
 
 /// Whether a binding re-runs the static analyzer over the freshly
@@ -192,7 +197,7 @@ class GwlbBinding {
   /// stores the report; bumps the clean/findings counters.
   void run_post_compile_analysis();
   /// Proves the live program equivalent to a freshly rebuilt reference
-  /// (VerifyMode::kSymbolic); tallies verify_stats_ and the
+  /// (VerifyMode::kSymbolic) with prover_; tallies verify_stats_ and the
   /// maton_cp_symbolic_*_total counters.
   void run_post_compile_verify();
 
@@ -250,6 +255,9 @@ class GwlbBinding {
   std::optional<core::FdSet> mined_;  // invalidated when universal changes
   AnalyzeMode analyze_ = AnalyzeMode::kOff;
   analysis::Report last_analysis_;
+  /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
+  /// only): successive proofs re-fold only the tables an intent changed.
+  std::optional<analysis::symbolic::ProgramProver> prover_;
 };
 
 /// Minimal update set turning `before` into `after`: per table, each old

@@ -61,6 +61,31 @@ TEST(DiagramStore, OverlayFirstIsLeftBiased) {
   EXPECT_EQ(dd.overlay_first(a, miss, miss), a);
 }
 
+TEST(DiagramStore, CompactKeepsRootsCanonical) {
+  DiagramStore dd(1 << 16);
+  const std::vector<CubeBit> xs = {{2, true}, {5, false}, {9, true}};
+  const std::vector<CubeBit> ys = {{1, false}, {5, true}};
+  const std::vector<CubeValue> key = {{20, 42}};
+  const auto build = [&] {
+    const NodeId bits = dd.b_or(dd.cube(xs), dd.cube(ys));
+    return dd.ite(bits, dd.ite(dd.value_cube(key), dd.leaf(77), dd.leaf(78)),
+                  dd.false_leaf());
+  };
+  std::vector<NodeId> roots = {build()};
+  static_cast<void>(dd.b_and(dd.cube(xs), dd.b_not(dd.cube(ys))));  // garbage
+  const std::size_t before = dd.num_nodes();
+  dd.compact(roots, 0);
+  EXPECT_LT(dd.num_nodes(), before);
+  // Survivors are renumbered and rehashed: rebuilding the function
+  // interns onto the kept root, and the boolean leaves keep their ids.
+  EXPECT_EQ(build(), roots[0]);
+  EXPECT_EQ(dd.leaf(0), dd.false_leaf());
+  EXPECT_EQ(dd.leaf(1), dd.true_leaf());
+  // Compacting to nothing leaves only the boolean leaves.
+  dd.compact({}, 0);
+  EXPECT_EQ(dd.num_nodes(), 2u);
+}
+
 TEST(DiagramStore, FirstDivergenceWalksToDifferingLeaves) {
   DiagramStore dd(1 << 16);
   const std::vector<CubeBit> xs = {{3, true}};

@@ -18,10 +18,11 @@
 // /healthz (MATON_METRICS_ADDR works too). At exit the process writes
 // MATON_METRICS_OUT / MATON_TRACE_OUT files if set, prints a JSON
 // summary to stdout, and fails (exit 1) on: any drift, any failed
-// intent, or peak RSS above --rss-limit-mb. An intent the representation
-// cannot express (compile_intent's kFailedPrecondition refusal, e.g.
-// rematch with two services on one VIP) leaves the binding unchanged; it
-// is tallied as a rejection, not a failure.
+// intent, peak RSS above --rss-limit-mb, or (with --verify) any compile
+// not proven equivalent. An intent the representation cannot express
+// (compile_intent's kFailedPrecondition refusal, e.g. rematch with two
+// services on one VIP) leaves the binding unchanged; it is tallied as a
+// rejection, not a failure.
 //
 //   maton-soak [--duration=SEC] [--services=N] [--backends=M]
 //              [--repr=universal|goto|metadata|rematch] [--queues=Q]
@@ -36,7 +37,8 @@
 // --verify turns on per-intent symbolic verification: after every
 // applied intent the binding proves the live program equivalent to a
 // fresh reference with the decision-diagram engine (VerifyMode in
-// controlplane/compiler.hpp); any refutation fails the soak.
+// controlplane/compiler.hpp); any refutation, and any compile left
+// unproven (an unknown verdict), fails the soak.
 // --max-fallback-ratio gates fallbacks/(hits+fallbacks) at exit — the
 // symbolic slice-isolation proofs are expected to keep deliberate VIP
 // collisions on the delta path, so the ratio stays near zero.
@@ -349,6 +351,9 @@ int run(const SoakOptions& opts) {
             << "  \"symbolic_verified\": " << verify.verified << ",\n"
             << "  \"symbolic_failed\": " << verify.failed << ",\n"
             << "  \"symbolic_unknown\": " << verify.unknown << ",\n"
+            << "  \"symbolic_table_hits\": " << verify.table_hits << ",\n"
+            << "  \"symbolic_table_misses\": " << verify.table_misses
+            << ",\n"
             << "  \"drift_checks\": " << state.drift_checks.load() << ",\n"
             << "  \"drift\": " << drift << ",\n"
             << "  \"replay_iterations\": " << state.replay_iterations.load()
@@ -379,6 +384,12 @@ int run(const SoakOptions& opts) {
   if (verify.failed != 0) {
     std::cerr << "maton-soak: FAIL: " << verify.failed
               << " symbolic verification(s) refuted the live program: "
+              << live_binding.last_verify_note() << "\n";
+    return 1;
+  }
+  if (verify.unknown != 0) {
+    std::cerr << "maton-soak: FAIL: " << verify.unknown
+              << " compile(s) left unproven: "
               << live_binding.last_verify_note() << "\n";
     return 1;
   }
