@@ -162,8 +162,13 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
   expects(built.is_ok(), "gwlb program failed to compile: " + built.message());
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
   if (verify_ == VerifyMode::kSymbolic) {
+    auto reference =
+        dp::compile(pipeline_for(gwlb_, repr_), &reference_fields_);
+    expects(reference.is_ok(),
+            "symbolic verify: reference pipeline failed to lower");
+    reference_ = std::move(reference).value();
     prover_.emplace();
-    run_post_compile_verify();
+    run_post_compile_verify(std::nullopt);
   }
 }
 
@@ -204,19 +209,38 @@ void GwlbBinding::run_post_compile_analysis() {
   }
 }
 
-void GwlbBinding::run_post_compile_verify() {
+void GwlbBinding::refresh_reference(std::size_t service) {
+  // Each of the service's rows lives in one table per stage, so only
+  // those tables can differ from the last proof's reference. Each is
+  // re-emitted whole from the service model and lowered the way the full
+  // compile lowers it; a shared table (the universal table, the goto,
+  // metadata and rematch entry) is re-emitted with every service's rows.
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const std::size_t n = gwlb_.services.size();
+  for (std::size_t k = 0; k < desc.stages.size(); ++k) {
+    const core::Stage stage = emit_table(
+        gwlb_, repr_, k, desc.stages[k].per_service ? service : 0);
+    expects(stage.table.is_order_independent(),
+            "symbolic verify: reference table has duplicate match keys");
+    auto lowered = dp::lower_stage(stage, reference_fields_);
+    expects(lowered.is_ok(),
+            "symbolic verify: reference table failed to lower");
+    reference_.tables[desc.table_of(k, service, n)] =
+        std::move(lowered).value();
+  }
+}
+
+void GwlbBinding::run_post_compile_verify(
+    std::optional<std::size_t> touched) {
   const obs::TraceSpan span("symbolic_verify");
-  // Rebuild an independent reference through the full pipeline path and
-  // prove the live (possibly patched-in-place) program equivalent to it.
-  // A bit-identical program passes trivially; the point is that even a
-  // bit-different-but-semantically-equal patch verifies, and any drift
-  // surfaces as a refutation with a concrete counterexample packet. The
-  // prover keeps its store across intents, so only the tables whose
-  // content changed since the last proof are folded again.
-  auto reference = dp::compile(pipeline_for(gwlb_, repr_));
-  expects(reference.is_ok(),
-          "symbolic verify: reference pipeline failed to lower");
-  const auto result = prover_->check(program_, reference.value());
+  // Prove the live (possibly patched-in-place) program equivalent to the
+  // reference. A bit-identical program passes trivially; the point is
+  // that even a bit-different-but-semantically-equal patch verifies, and
+  // any drift surfaces as a refutation with a concrete counterexample
+  // packet. The prover keeps its store across intents, so only the
+  // tables whose content changed since the last proof are folded again.
+  if (touched.has_value()) refresh_reference(*touched);
+  const auto result = prover_->check(program_, reference_);
   verify_stats_.table_hits += result.stats.table_hits;
   verify_stats_.table_misses += result.stats.table_misses;
   static obs::Counter& verified = obs::MetricRegistry::global().counter(
@@ -648,7 +672,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
       ++inc_stats_.hits;
       hits.add();
       if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
-      if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify();
+      if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify(service);
       return std::move(*updates);
     }
     ++inc_stats_.fallbacks;
@@ -679,7 +703,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     updates = diff_programs(before, program_);
   }
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
-  if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify();
+  if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify(service);
   return updates;
 }
 

@@ -52,9 +52,15 @@ struct IncrementalStats {
 
 /// Whether a binding symbolically verifies each compile: after the
 /// initial build and every applied intent, prove the live (possibly
-/// patched-in-place) program equivalent to a freshly rebuilt reference
-/// using the decision-diagram engine — drift is caught as a semantic
-/// difference, not just a bit difference.
+/// patched-in-place) program equivalent to a reference using the
+/// decision-diagram engine — drift is caught as a semantic difference,
+/// not just a bit difference. The reference is compiled in full once,
+/// then kept current by re-lowering, after each intent, only the whole
+/// tables the intent's service maps to (one per descriptor stage; a
+/// shared table is re-lowered with every service's rows), never by the
+/// slice patches that maintain the live program. Every table of the live
+/// program is still re-keyed on every proof, so drift anywhere in it is
+/// refuted.
 enum class VerifyMode { kOff, kSymbolic };
 
 /// Tally of post-compile symbolic verifications.
@@ -196,10 +202,14 @@ class GwlbBinding {
   /// Runs the analyzer suite over program_ + the universal table and
   /// stores the report; bumps the clean/findings counters.
   void run_post_compile_analysis();
-  /// Proves the live program equivalent to a freshly rebuilt reference
+  /// Re-lowers the reference_ tables that hold `service`'s rows, one per
+  /// descriptor stage, whole from the service model.
+  void refresh_reference(std::size_t service);
+  /// Refreshes reference_ for the `touched` service (nullopt right after
+  /// its full compile), then proves the live program equivalent to it
   /// (VerifyMode::kSymbolic) with prover_; tallies verify_stats_ and the
   /// maton_cp_symbolic_*_total counters.
-  void run_post_compile_verify();
+  void run_post_compile_verify(std::optional<std::size_t> touched);
 
   /// Lowered, slice-sorted rules service `s` (in state `svc`) contributes
   /// to descriptor stage `stage`; empty when it contributes none.
@@ -255,6 +265,16 @@ class GwlbBinding {
   std::optional<core::FdSet> mined_;  // invalidated when universal changes
   AnalyzeMode analyze_ = AnalyzeMode::kOff;
   analysis::Report last_analysis_;
+  /// What run_post_compile_verify proves program_ against
+  /// (VerifyMode::kSymbolic only): a full compile of the service model at
+  /// construction, after which each applied intent re-lowers just the
+  /// tables its service maps to (refresh_reference). Its tables come from
+  /// the pipeline builder's per-table emitter, whole-table lowering and
+  /// the priority sort — never from the slice emitter, merge or in-place
+  /// patches that maintain program_.
+  dp::Program reference_;
+  /// Attribute→field assignment of reference_'s own full compile.
+  dp::FieldMap reference_fields_;
   /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
   /// only): successive proofs re-fold only the tables an intent changed.
   std::optional<analysis::symbolic::ProgramProver> prover_;

@@ -150,37 +150,47 @@ std::optional<Representation> parse_representation(std::string_view name) {
   return std::nullopt;
 }
 
+core::Stage emit_table(const workloads::Gwlb& gwlb, Representation repr,
+                       std::size_t stage, std::size_t copy) {
+  const RepresentationDescriptor& d = descriptor(repr);
+  expects(stage < d.stages.size(), "stage index out of range");
+  const StageDescriptor& sd = d.stages[stage];
+  const std::size_t n = gwlb.services.size();
+  expects(copy < (sd.per_service ? n : 1), "table copy out of range");
+  std::string name(sd.name);
+  if (sd.per_service) name += std::to_string(copy);
+  core::Stage out{sd.reuses_universal
+                      ? gwlb.universal
+                      : core::Table(std::move(name), sd.schema),
+                  {},
+                  {}};
+  if (sd.link == StageLink::kNext) out.next = d.table_of(stage + 1, 0, n);
+  if (sd.reuses_universal) return out;
+  // A per-service table holds its own service's rows; a shared one holds
+  // every service's, in service order.
+  const std::size_t first = sd.per_service ? copy : 0;
+  const std::size_t last = sd.per_service ? copy + 1 : n;
+  for (std::size_t s = first; s < last; ++s) {
+    for (Row& row : sd.rows(gwlb.services[s], s)) {
+      out.table.add_row(std::move(row));
+      if (sd.link == StageLink::kGotoPerService) {
+        out.goto_targets.push_back(d.table_of(stage + 1, s, n));
+      }
+    }
+  }
+  return out;
+}
+
 core::Pipeline pipeline_for(const workloads::Gwlb& gwlb, Representation repr) {
   const RepresentationDescriptor& d = descriptor(repr);
   const std::size_t n = gwlb.services.size();
   core::Pipeline pipeline;
-  for (const StageDescriptor& stage : d.stages) {
-    if (stage.reuses_universal) {
-      pipeline.add_stage({gwlb.universal, {}, {}});
-      continue;
-    }
-    // A removed service keeps its (empty, unreachable) per-service table,
-    // so table indices stay stable across intents.
-    for (std::size_t c = 0; c < (stage.per_service ? n : 1); ++c) {
-      std::string name(stage.name);
-      if (stage.per_service) name += std::to_string(c);
-      pipeline.add_stage({core::Table(std::move(name), stage.schema), {}, {}});
-    }
-  }
+  // Tables are added in table_of order. A removed service keeps its
+  // (empty, unreachable) per-service table, so table indices stay stable
+  // across intents.
   for (std::size_t k = 0; k < d.stages.size(); ++k) {
-    const StageDescriptor& stage = d.stages[k];
-    if (stage.link == StageLink::kNext) {
-      pipeline.stage(d.table_of(k, 0, n)).next = d.table_of(k + 1, 0, n);
-    }
-    if (stage.reuses_universal) continue;
-    for (std::size_t s = 0; s < n; ++s) {
-      core::Stage& target = pipeline.stage(d.table_of(k, s, n));
-      for (Row& row : stage.rows(gwlb.services[s], s)) {
-        target.table.add_row(std::move(row));
-        if (stage.link == StageLink::kGotoPerService) {
-          target.goto_targets.push_back(d.table_of(k + 1, s, n));
-        }
-      }
+    for (std::size_t c = 0; c < (d.stages[k].per_service ? n : 1); ++c) {
+      pipeline.add_stage(emit_table(gwlb, repr, k, c));
     }
   }
   return pipeline;

@@ -56,8 +56,17 @@ struct RepresentationDescriptor {
 [[nodiscard]] std::optional<Representation> parse_representation(
     std::string_view name);
 
+/// Table `copy` of stage `stage` as a pipeline stage: the rows of the
+/// services it holds (service `copy` alone in a per-service stage, every
+/// service in order in a shared one), their goto targets and the stage's
+/// successor, with table indices as in pipeline_for. The universal stage
+/// is Gwlb::universal itself.
+[[nodiscard]] core::Stage emit_table(const workloads::Gwlb& gwlb,
+                                     Representation repr, std::size_t stage,
+                                     std::size_t copy);
+
 /// Builds the core pipeline for a representation (universal = single
-/// stage).
+/// stage): every table of every stage through emit_table.
 [[nodiscard]] core::Pipeline pipeline_for(const workloads::Gwlb& gwlb,
                                           Representation repr);
 

@@ -120,6 +120,90 @@ Rule lower_row_resolved(const core::Schema& schema, const core::Row& row,
   return rule;
 }
 
+/// Column → field assignment for `schema` from an existing field map.
+Result<std::vector<FieldId>> resolve_columns(const core::Schema& schema,
+                                             const FieldMap& field_map) {
+  std::vector<FieldId> col_field(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    const std::string& name = schema.at(c).name;
+    if (const auto builtin = builtin_field(name)) {
+      col_field[c] = *builtin;
+      continue;
+    }
+    const auto it = field_map.find(name);
+    if (it == field_map.end()) {
+      return invalid_argument("attribute '" + name +
+                              "' not present in the field map");
+    }
+    col_field[c] = it->second;
+  }
+  return col_field;
+}
+
+/// One stage → one table, given the pre-resolved column→field assignment
+/// and the stage → table index map (empty = identity).
+TableSpec lower_stage_resolved(const core::Stage& stage,
+                               const std::vector<FieldId>& col_field,
+                               std::span<const std::size_t> remap) {
+  const auto table_index = [remap](std::size_t si) {
+    return remap.empty() ? si : remap[si];
+  };
+  const core::Schema& schema = stage.table.schema();
+  TableSpec spec;
+  spec.name = stage.table.name();
+  if (stage.next.has_value()) spec.next = table_index(*stage.next);
+  for (std::size_t c : schema.match_set()) {
+    if (std::find(spec.fields.begin(), spec.fields.end(), col_field[c]) ==
+        spec.fields.end()) {
+      spec.fields.push_back(col_field[c]);
+    }
+  }
+
+  // Lower straight into the flattened pools: one scratch Rule's worth
+  // of matches/actions per row, appended without per-rule heap
+  // allocation.
+  spec.rules.reserve(stage.table.num_rows(),
+                     stage.table.num_rows() * schema.match_set().size(),
+                     stage.table.num_rows() * schema.action_set().size());
+  util::SmallVector<FieldMatch, 8> matches;
+  util::SmallVector<Action, 4> actions;
+  core::Row scratch;
+  for (std::size_t r = 0; r < stage.table.num_rows(); ++r) {
+    stage.table.copy_row_into(r, scratch);
+    matches.clear();
+    actions.clear();
+    std::uint32_t specificity = 0;
+    for (std::size_t c : schema.match_set()) {
+      const FieldMatch m =
+          lower_match(col_field[c], schema.at(c), scratch[c]);
+      specificity += static_cast<std::uint32_t>(std::popcount(m.mask));
+      matches.push_back(m);
+    }
+    for (std::size_t c : schema.action_set()) {
+      const core::Attribute& attr = schema.at(c);
+      if (attr.name == "out") {
+        actions.push_back(
+            {Action::Kind::kOutput, FieldId::kMeta0, scratch[c]});
+      } else {
+        Action set{Action::Kind::kSetField, col_field[c], scratch[c]};
+        set.width_bits = static_cast<std::uint8_t>(std::min<unsigned>(
+            attr.width_bits, field_width(col_field[c])));
+        actions.push_back(set);
+      }
+    }
+    spec.rules.append(
+        specificity, {matches.data(), matches.size()},
+        {actions.data(), actions.size()},
+        stage.uses_goto() ? std::optional{table_index(stage.goto_targets[r])}
+                          : std::nullopt);
+  }
+
+  // Priority order: most specific first; stable to keep insertion order
+  // among equals. Sorts the 20-byte refs, not the rule payloads.
+  spec.rules.stable_sort_by_priority();
+  return spec;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -644,10 +728,6 @@ Result<Program> compile(const core::Pipeline& pipeline, FieldMap* field_map) {
     if (!keep[si]) continue;
     const core::Stage& stage = pipeline.stage(si);
     const core::Schema& schema = stage.table.schema();
-    TableSpec spec;
-    spec.name = stage.table.name();
-    if (stage.next.has_value()) spec.next = remap[*stage.next];
-
     // Resolve every attribute once.
     std::vector<FieldId> col_field(schema.size());
     for (std::size_t c = 0; c < schema.size(); ++c) {
@@ -655,56 +735,7 @@ Result<Program> compile(const core::Pipeline& pipeline, FieldMap* field_map) {
       if (!id.is_ok()) return id.status();
       col_field[c] = id.value();
     }
-    for (std::size_t c : schema.match_set()) {
-      if (std::find(spec.fields.begin(), spec.fields.end(), col_field[c]) ==
-          spec.fields.end()) {
-        spec.fields.push_back(col_field[c]);
-      }
-    }
-
-    // Lower straight into the flattened pools: one scratch Rule's worth
-    // of matches/actions per row, appended without per-rule heap
-    // allocation.
-    spec.rules.reserve(stage.table.num_rows(),
-                       stage.table.num_rows() * schema.match_set().size(),
-                       stage.table.num_rows() * schema.action_set().size());
-    util::SmallVector<FieldMatch, 8> matches;
-    util::SmallVector<Action, 4> actions;
-    core::Row scratch;
-    for (std::size_t r = 0; r < stage.table.num_rows(); ++r) {
-      stage.table.copy_row_into(r, scratch);
-      matches.clear();
-      actions.clear();
-      std::uint32_t specificity = 0;
-      for (std::size_t c : schema.match_set()) {
-        const FieldMatch m =
-            lower_match(col_field[c], schema.at(c), scratch[c]);
-        specificity += static_cast<std::uint32_t>(std::popcount(m.mask));
-        matches.push_back(m);
-      }
-      for (std::size_t c : schema.action_set()) {
-        const core::Attribute& attr = schema.at(c);
-        if (attr.name == "out") {
-          actions.push_back(
-              {Action::Kind::kOutput, FieldId::kMeta0, scratch[c]});
-        } else {
-          Action set{Action::Kind::kSetField, col_field[c], scratch[c]};
-          set.width_bits = static_cast<std::uint8_t>(std::min<unsigned>(
-              attr.width_bits, field_width(col_field[c])));
-          actions.push_back(set);
-        }
-      }
-      spec.rules.append(
-          specificity, {matches.data(), matches.size()},
-          {actions.data(), actions.size()},
-          stage.uses_goto() ? std::optional{remap[stage.goto_targets[r]]}
-                            : std::nullopt);
-    }
-
-    // Priority order: most specific first; stable to keep insertion order
-    // among equals. Sorts the 20-byte refs, not the rule payloads.
-    spec.rules.stable_sort_by_priority();
-    program.tables.push_back(std::move(spec));
+    program.tables.push_back(lower_stage_resolved(stage, col_field, remap));
   }
   if (field_map != nullptr) *field_map = alloc.assigned();
   return program;
@@ -716,21 +747,16 @@ Result<Rule> lower_row(const core::Schema& schema, const core::Row& row,
   if (row.size() != schema.size()) {
     return invalid_argument("row width does not match schema width");
   }
-  std::vector<FieldId> col_field(schema.size());
-  for (std::size_t c = 0; c < schema.size(); ++c) {
-    const std::string& name = schema.at(c).name;
-    if (const auto builtin = builtin_field(name)) {
-      col_field[c] = *builtin;
-      continue;
-    }
-    const auto it = field_map.find(name);
-    if (it == field_map.end()) {
-      return invalid_argument("attribute '" + name +
-                              "' not present in the field map");
-    }
-    col_field[c] = it->second;
-  }
-  return lower_row_resolved(schema, row, col_field, goto_target);
+  auto col_field = resolve_columns(schema, field_map);
+  if (!col_field.is_ok()) return col_field.status();
+  return lower_row_resolved(schema, row, col_field.value(), goto_target);
+}
+
+Result<TableSpec> lower_stage(const core::Stage& stage,
+                              const FieldMap& field_map) {
+  auto col_field = resolve_columns(stage.table.schema(), field_map);
+  if (!col_field.is_ok()) return col_field.status();
+  return lower_stage_resolved(stage, col_field.value(), {});
 }
 
 ExecResult execute_reference(const Program& program, const FlowKey& key,

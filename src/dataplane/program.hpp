@@ -500,6 +500,14 @@ using FieldMap = std::map<std::string, FieldId, std::less<>>;
     const FieldMap& field_map,
     std::optional<std::size_t> goto_target = std::nullopt);
 
+/// Lowers one pipeline stage into a table exactly as compile() lowers it
+/// when no stage is elided: every row as lower_row would, goto targets
+/// and the successor taken as table indices, then the stable priority
+/// sort. Non-builtin attribute names must be present in `field_map`.
+/// Unlike compile(), the stage is not validated.
+[[nodiscard]] Result<TableSpec> lower_stage(const core::Stage& stage,
+                                            const FieldMap& field_map);
+
 /// Result of pushing one packet through a switch model.
 struct ExecResult {
   bool hit = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <new>
 
 #include "util/contract.hpp"
 
@@ -19,23 +20,44 @@ std::size_t shard_id() noexcept {
 
 }  // namespace detail
 
+Histogram::~Histogram() {
+  for (auto& shard : shards_) delete shard.load(std::memory_order_acquire);
+}
+
+Histogram::Shard* Histogram::add_shard(std::size_t id) noexcept {
+  Shard* fresh = new (std::nothrow) Shard();
+  if (fresh == nullptr) return nullptr;
+  Shard* installed = nullptr;
+  if (shards_[id].compare_exchange_strong(installed, fresh,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete fresh;  // another thread on this shard installed one first
+  return installed;
+}
+
 Histogram::Totals Histogram::totals() const {
   Totals out;
   out.buckets.assign(kNumBuckets, 0);
-  for (const Shard& s : shards_) {
+  for (const auto& shard : shards_) {
+    const Shard* s = shard.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
     for (std::size_t b = 0; b < kNumBuckets; ++b) {
-      out.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
+      out.buckets[b] += s->buckets[b].load(std::memory_order_relaxed);
     }
-    out.sum += s.sum.load(std::memory_order_relaxed);
+    out.sum += s->sum.load(std::memory_order_relaxed);
   }
   for (const std::uint64_t c : out.buckets) out.count += c;
   return out;
 }
 
 void Histogram::reset() noexcept {
-  for (Shard& s : shards_) {
-    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
+  for (auto& shard : shards_) {
+    Shard* s = shard.load(std::memory_order_acquire);
+    if (s == nullptr) continue;
+    for (auto& b : s->buckets) b.store(0, std::memory_order_relaxed);
+    s->sum.store(0.0, std::memory_order_relaxed);
   }
 }
 

@@ -159,15 +159,23 @@ class Histogram {
     return static_cast<double>(bucket_lower(b + 1));
   }
 
+  Histogram() = default;
+  Histogram(const Histogram&) = delete;
+  Histogram& operator=(const Histogram&) = delete;
+  ~Histogram();
+
   void observe(double v) noexcept {
     if constexpr (kEnabled) {
       const double clamped = v < 0.0 ? 0.0 : v;
       const std::uint64_t u =
           clamped >= 9.2e18 ? ~std::uint64_t{0}
                             : static_cast<std::uint64_t>(clamped);
-      Shard& s = shards_[detail::shard_id()];
-      s.buckets[bucket_of(u)].fetch_add(1, std::memory_order_relaxed);
-      detail::atomic_add(s.sum, clamped);
+      const std::size_t id = detail::shard_id();
+      Shard* s = shards_[id].load(std::memory_order_acquire);
+      if (s == nullptr) s = add_shard(id);
+      if (s == nullptr) return;  // out of memory: the sample is dropped
+      s->buckets[bucket_of(u)].fetch_add(1, std::memory_order_relaxed);
+      detail::atomic_add(s->sum, clamped);
     } else {
       (void)v;
     }
@@ -192,7 +200,15 @@ class Histogram {
     // false-share.
     char pad[64];
   };
-  std::array<Shard, detail::kShards> shards_{};
+  /// Installs a zeroed shard at `id` unless another thread did first;
+  /// returns the installed one (nullptr only when allocation fails).
+  [[nodiscard]] Shard* add_shard(std::size_t id) noexcept;
+
+  /// Shards are allocated by the first observe() landing on them (4 KB
+  /// each): a histogram only one thread records into holds one shard,
+  /// not eight. A program registers a lookup histogram per table, so
+  /// eager shards cost 32 KB × tables of zeroed, resident memory.
+  std::array<std::atomic<Shard*>, detail::kShards> shards_{};
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };

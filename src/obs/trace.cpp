@@ -64,6 +64,9 @@ void TraceRing::record(std::string_view name, std::uint32_t tid,
                        std::uint64_t dur_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (ring_.size() < kCapacity) {
+    // One allocation for the ring's lifetime: doubling up to kCapacity
+    // would free a trail of ever larger blocks on the way.
+    if (ring_.capacity() < kCapacity) ring_.reserve(kCapacity);
     ring_.emplace_back();
   }
   TraceEvent& e = ring_[next_ % kCapacity];

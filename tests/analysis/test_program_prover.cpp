@@ -21,10 +21,13 @@
 namespace maton::cp {
 
 /// Befriended by GwlbBinding: plants drift in the live program behind
-/// the compiler's back.
+/// the compiler's back, and marks the proof reference's tables.
 struct GwlbBindingInternals {
   static dp::Program& program(GwlbBinding& binding) {
     return binding.program_;
+  }
+  static dp::Program& reference(GwlbBinding& binding) {
+    return binding.reference_;
   }
 };
 
@@ -297,6 +300,11 @@ TEST(BindingProofs, ChangeBackendRefoldsOnlyTheTouchedTables) {
   // 100 x 8 goto: 101 tables per program. Once the initial proof has
   // filled the cache, a backend swap changes one service table and,
   // through its successor diagram, the entry table of the live program.
+  // Of the reference, exactly those two tables are re-lowered: every
+  // table is marked stale by name (names do not enter a proof) before
+  // the intent, and only the re-lowered ones lose the mark.
+  const cp::RepresentationDescriptor& goto_desc =
+      cp::descriptor(cp::Representation::kGoto);
   cp::GwlbBinding binding(
       workloads::make_gwlb({.num_services = 100, .num_backends = 8,
                             .seed = 1}),
@@ -309,12 +317,21 @@ TEST(BindingProofs, ChangeBackendRefoldsOnlyTheTouchedTables) {
     const cp::VerifyStats before = binding.verify_stats();
     const cp::ChangeBackend intent{rng.index(100), rng.index(8),
                                    2000 + rng.index(512)};
+    dp::Program& reference = cp::GwlbBindingInternals::reference(binding);
+    for (dp::TableSpec& table : reference.tables) table.name = "stale";
     ASSERT_TRUE(binding.compile_intent(intent).is_ok());
     const cp::VerifyStats after = binding.verify_stats();
     ASSERT_EQ(after.verified, before.verified + 1)
         << binding.last_verify_note();
     EXPECT_LE(after.table_misses - before.table_misses, 2u * 2u);
     EXPECT_GE(after.table_hits - before.table_hits, 2u * 99u);
+    const std::size_t entry = goto_desc.table_of(0, intent.service, 100);
+    const std::size_t lb = goto_desc.table_of(1, intent.service, 100);
+    ASSERT_EQ(entry, reference.entry);
+    for (std::size_t t = 0; t < reference.tables.size(); ++t) {
+      EXPECT_EQ(reference.tables[t].name != "stale", t == entry || t == lb)
+          << "intent " << i << ", table " << t;
+    }
   }
 }
 

@@ -1,12 +1,16 @@
 // Differential harness gating the incremental intent compiler: over long
 // randomized churn traces the delta-scoped path must be bit-identical to
 // the full rebuild+diff reference — same update sequences, same patched
-// program, same switch state — across all four representations.
+// program, same switch state — across all four representations. The
+// proof reference a verifying binding maintains table by table is held
+// to a full recompile the same way.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <variant>
 #include <vector>
 
+#include "controlplane/churn.hpp"
 #include "controlplane/compiler.hpp"
 #include "util/contract.hpp"
 #include "util/format.hpp"
@@ -15,12 +19,19 @@
 namespace maton::cp {
 
 /// Befriended by GwlbBinding: compares the indexes the delta path keeps
-/// in place (provenance, slice index, row offsets).
+/// in place (provenance, slice index, row offsets), and reads the proof
+/// reference VerifyMode::kSymbolic maintains.
 struct GwlbBindingInternals {
   static bool indexes_equal(const GwlbBinding& a, const GwlbBinding& b) {
     return a.provenance_ == b.provenance_ &&
            a.slice_index_ == b.slice_index_ &&
            a.row_offsets_ == b.row_offsets_;
+  }
+  static const dp::Program& reference(const GwlbBinding& b) {
+    return b.reference_;
+  }
+  static const dp::FieldMap& reference_fields(const GwlbBinding& b) {
+    return b.reference_fields_;
   }
 };
 
@@ -174,6 +185,121 @@ TEST_P(IncrementalChurn, SmallInstanceDeepTrace) {
   run_churn_differential(GetParam(), /*num_services=*/3,
                          /*num_backends=*/2, /*num_intents=*/200,
                          /*seed=*/23);
+}
+
+/// Draws a random intent against the live model that drives every
+/// compile path: removals (capped at a quarter of the fleet), deliberate
+/// VIP collisions (re-addressing a service onto another service's VIP)
+/// and, once two services share a VIP, a port move of one onto the
+/// other's port — a duplicate (ip_dst, tcp_dst) key that falls back to
+/// the full rebuild and is refused there. The rest is the soak's mix.
+class CollidingIntentSource {
+ public:
+  CollidingIntentSource(std::uint64_t seed, std::size_t services)
+      : rng_(seed), removals_left_(services / 4) {}
+
+  Intent next(const Gwlb& live) {
+    const std::size_t n = live.services.size();
+    const std::size_t service = rng_.index(n);
+    const double draw = rng_.real();
+    if (draw < 0.05 && removals_left_ > 0) {
+      --removals_left_;
+      return RemoveService{.service = service};
+    }
+    if (draw < 0.25) {
+      std::size_t other = rng_.index(n - 1);
+      if (other >= service) ++other;
+      const workloads::GwlbService& partner = live.services[other];
+      if (partner.vip == live.services[service].vip) {
+        return MoveServicePort{.service = service, .new_port = partner.port};
+      }
+      return ChangeServiceIp{.service = service, .new_vip = partner.vip};
+    }
+    return draw_mixed_intent(rng_, live, {.vip_collision_probability = 0.0});
+  }
+
+ private:
+  Rng rng_;
+  std::size_t removals_left_;
+};
+
+/// The binding's proof reference against a full recompile of its service
+/// model: same program bit for bit, same field assignment.
+::testing::AssertionResult reference_is_a_full_recompile(
+    const GwlbBinding& binding) {
+  dp::FieldMap fields;
+  auto full = dp::compile(pipeline_for(binding.gwlb(), binding.representation()),
+                          &fields);
+  if (!full.is_ok()) {
+    return ::testing::AssertionFailure() << full.status().message();
+  }
+  const dp::Program& reference = GwlbBindingInternals::reference(binding);
+  if (reference.entry != full.value().entry ||
+      reference.tables.size() != full.value().tables.size()) {
+    return ::testing::AssertionFailure() << "reference shape differs";
+  }
+  for (std::size_t t = 0; t < reference.tables.size(); ++t) {
+    if (!(reference.tables[t] == full.value().tables[t])) {
+      return ::testing::AssertionFailure()
+             << "reference table " << t << " ("
+             << full.value().tables[t].name << ") is stale";
+    }
+  }
+  if (GwlbBindingInternals::reference_fields(binding) != fields) {
+    return ::testing::AssertionFailure() << "reference field map differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(IncrementalChurn, MaintainedProofReferenceMatchesAFullRecompile) {
+  // The verifying binding re-lowers only the tables an intent's service
+  // maps to. After every intent — delta path, VIP-collision fallback,
+  // full rebuild, refused — that reference must equal a full recompile.
+  const Representation repr = GetParam();
+  const Gwlb gwlb = make_gwlb({.num_services = 10, .num_backends = 4,
+                               .seed = 5});
+  for (const CompileMode mode :
+       {CompileMode::kIncremental, CompileMode::kFullRebuild}) {
+    GwlbBinding binding(gwlb, repr, mode, AnalyzeMode::kOff,
+                        VerifyMode::kSymbolic);
+    ASSERT_TRUE(reference_is_a_full_recompile(binding));
+    CollidingIntentSource source(97, gwlb.services.size());
+    std::size_t applied = 0;
+    std::size_t removals = 0;
+    std::size_t refused = 0;
+    std::size_t refused_collisions = 0;
+    for (std::size_t step = 0; step < 300; ++step) {
+      const Intent intent = source.next(binding.gwlb());
+      const auto compiled = binding.compile_intent(intent);
+      if (compiled.is_ok()) {
+        ++applied;
+        if (std::holds_alternative<RemoveService>(intent)) ++removals;
+      } else {
+        ++refused;
+        if (std::holds_alternative<ChangeServiceIp>(intent)) {
+          ++refused_collisions;
+        }
+      }
+      ASSERT_TRUE(reference_is_a_full_recompile(binding))
+          << to_string(repr) << " step " << step << ": " << to_string(intent);
+    }
+    const VerifyStats verify = binding.verify_stats();
+    EXPECT_EQ(verify.verified, applied + 1) << binding.last_verify_note();
+    EXPECT_EQ(verify.failed, 0u);
+    EXPECT_EQ(verify.unknown, 0u);
+    EXPECT_GT(removals, 0u) << to_string(repr);
+    // Refused intents include the duplicate-key port moves in every
+    // representation and the VIP collisions rematch cannot express.
+    EXPECT_GT(refused, 0u) << to_string(repr);
+    if (repr == Representation::kRematch) {
+      EXPECT_GT(refused_collisions, 0u);
+    }
+    if (mode == CompileMode::kIncremental) {
+      EXPECT_GT(binding.incremental_stats().hits, 0u);
+      EXPECT_GT(binding.incremental_stats().vip_collision_fallbacks, 0u)
+          << to_string(repr);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRepresentations, IncrementalChurn,

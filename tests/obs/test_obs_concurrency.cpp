@@ -102,5 +102,42 @@ TEST(ObsConcurrency, ScrapeWhileWritingStaysMonotoneAndUntorn) {
   }
 }
 
+TEST(ObsConcurrency, FirstObservationsRacingOntoAFreshHistogramAllCount) {
+  // A histogram allocates each shard on the first observation landing on
+  // it. Twice as many threads as shards, released together, race in
+  // pairs to install the same shards; no sample may be lost to the race,
+  // and totals may be read concurrently.
+  constexpr std::size_t kThreads = 2 * detail::kShards;
+  constexpr std::uint64_t kObservations = 1000;
+  Histogram histogram;
+  std::atomic<bool> go{false};
+  std::atomic<std::size_t> finished{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&histogram, &go, &finished] {
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (std::uint64_t i = 0; i < kObservations; ++i) {
+        histogram.observe(2.0);
+      }
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  while (finished.load(std::memory_order_acquire) < kThreads) {
+    EXPECT_LE(histogram.totals().count, kThreads * kObservations);
+  }
+  for (std::thread& t : threads) t.join();
+  const Histogram::Totals totals = histogram.totals();
+  if constexpr (kEnabled) {
+    EXPECT_EQ(totals.count, kThreads * kObservations);
+    EXPECT_EQ(totals.buckets[Histogram::bucket_of(2)], totals.count);
+    EXPECT_DOUBLE_EQ(totals.sum, 2.0 * kThreads * kObservations);
+  } else {
+    EXPECT_EQ(totals.count, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace maton::obs

@@ -35,10 +35,14 @@
 // every 64 intents, FD re-mine every 16, no RSS gate.
 //
 // --verify turns on per-intent symbolic verification: after every
-// applied intent the binding proves the live program equivalent to a
-// fresh reference with the decision-diagram engine (VerifyMode in
+// applied intent the binding proves the live program equivalent to its
+// reference with the decision-diagram engine (VerifyMode in
 // controlplane/compiler.hpp); any refutation, and any compile left
-// unproven (an unknown verdict), fails the soak.
+// unproven (an unknown verdict), fails the soak. The binding keeps that
+// reference current table by table, so --verify also makes every drift
+// check a cold proof: the live program against the drift check's fresh
+// full rebuild, with a prover that shares nothing with the binding's.
+// Anything but an equivalence verdict fails the soak.
 // --max-fallback-ratio gates fallbacks/(hits+fallbacks) at exit — the
 // symbolic slice-isolation proofs are expected to keep deliberate VIP
 // collisions on the delta path, so the ratio stays near zero.
@@ -161,9 +165,32 @@ struct SoakState {
   std::atomic<std::uint64_t> intent_rejections{0};
   std::atomic<std::uint64_t> drift_checks{0};
   std::atomic<std::uint64_t> drift{0};
+  std::atomic<std::uint64_t> cold_proofs{0};
+  std::atomic<std::uint64_t> cold_proof_failures{0};
   std::atomic<std::uint64_t> replay_iterations{0};
   std::atomic<std::uint64_t> replay_packets{0};
 };
+
+/// One drift check: the live program against a fresh full rebuild of
+/// the same service model, bit for bit and, with --verify, by a cold
+/// symbolic proof. Tallies both; returns whether the program drifted.
+bool check_drift(const SoakOptions& opts, const cp::GwlbBinding& binding,
+                 SoakState& state) {
+  const cp::GwlbBinding rebuilt(binding.gwlb(), opts.repr,
+                                cp::CompileMode::kFullRebuild);
+  state.drift_checks.fetch_add(1, std::memory_order_relaxed);
+  const bool drifted = !(binding.program() == rebuilt.program());
+  if (drifted) state.drift.fetch_add(1, std::memory_order_relaxed);
+  if (opts.verify) {
+    state.cold_proofs.fetch_add(1, std::memory_order_relaxed);
+    if (!analysis::symbolic::check_programs(binding.program(),
+                                            rebuilt.program())
+             .equivalent()) {
+      state.cold_proof_failures.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return drifted;
+}
 
 void churn_loop(const SoakOptions& opts, cp::Controller& controller,
                 cp::GwlbBinding& binding, SoakState& state) {
@@ -197,14 +224,8 @@ void churn_loop(const SoakOptions& opts, cp::Controller& controller,
     }
     if (opts.drift_every > 0 && applied % opts.drift_every == 0) {
       const obs::TraceSpan drift_span("soak_drift_check");
-      const cp::GwlbBinding reference(binding.gwlb(), opts.repr,
-                                      cp::CompileMode::kFullRebuild);
       drift_checks.add();
-      state.drift_checks.fetch_add(1, std::memory_order_relaxed);
-      if (!(binding.program() == reference.program())) {
-        drift.add();
-        state.drift.fetch_add(1, std::memory_order_relaxed);
-      }
+      if (check_drift(opts, binding, state)) drift.add();
     }
   }
 }
@@ -303,14 +324,7 @@ int run(const SoakOptions& opts) {
 
   // Final gates: one last drift check against a fresh full rebuild, the
   // RSS ceiling, and zero failed intents.
-  state.drift_checks.fetch_add(1, std::memory_order_relaxed);
-  {
-    const cp::GwlbBinding reference(live_binding.gwlb(), opts.repr,
-                                    cp::CompileMode::kFullRebuild);
-    if (!(live_binding.program() == reference.program())) {
-      state.drift.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  (void)check_drift(opts, live_binding, state);
   const std::uint64_t rss_peak = obs::read_peak_rss_bytes();
   const std::uint64_t rss_limit =
       static_cast<std::uint64_t>(opts.rss_limit_mb * 1024.0 * 1024.0);
@@ -331,6 +345,7 @@ int run(const SoakOptions& opts) {
 
   const std::uint64_t drift = state.drift.load();
   const std::uint64_t failures = state.intent_failures.load();
+  const std::uint64_t cold_proof_failures = state.cold_proof_failures.load();
   std::cout << "{\n"
             << "  \"duration_s\": " << ran_s << ",\n"
             << "  \"services\": " << opts.services << ",\n"
@@ -356,6 +371,9 @@ int run(const SoakOptions& opts) {
             << ",\n"
             << "  \"drift_checks\": " << state.drift_checks.load() << ",\n"
             << "  \"drift\": " << drift << ",\n"
+            << "  \"cold_proofs\": " << state.cold_proofs.load() << ",\n"
+            << "  \"cold_proof_failures\": " << cold_proof_failures
+            << ",\n"
             << "  \"replay_iterations\": " << state.replay_iterations.load()
             << ",\n"
             << "  \"replay_packets\": " << state.replay_packets.load()
@@ -370,6 +388,12 @@ int run(const SoakOptions& opts) {
   if (drift != 0) {
     std::cerr << "maton-soak: FAIL: incremental program drifted from the "
                  "reference compiler\n";
+    return 1;
+  }
+  if (cold_proof_failures != 0) {
+    std::cerr << "maton-soak: FAIL: " << cold_proof_failures
+              << " cold proof(s) against a fresh full rebuild did not "
+                 "verify equivalence\n";
     return 1;
   }
   if (failures != 0) {
