@@ -5,6 +5,9 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "dataplane/switch.hpp"
@@ -95,15 +98,33 @@ class TableWalkSwitch : public SwitchModel {
 
  protected:
   void on_load() override {
-    classifiers_.clear();
-    classifiers_.reserve(program().tables.size());
-    for (const TableSpec& table : program().tables) {
-      classifiers_.push_back(instantiate(table));
+    auto& registry = obs::MetricRegistry::global();
+    const std::string model(name());
+    if (batch_chunk_size_ == nullptr) {
+      batch_chunk_size_ =
+          &registry.histogram("maton_dp_batch_chunk_size", {{"model", model}});
     }
-    touched_.assign(program().tables.size(), kUntouched);
+    const std::size_t num_tables = program().tables.size();
+    classifiers_.clear();
+    classifiers_.reserve(num_tables);
+    stage_metrics_.clear();
+    stage_metrics_.reserve(num_tables);
+    set_field_flags_.assign(num_tables, {});
+    set_field_rules_ = 0;
+    for (std::size_t t = 0; t < num_tables; ++t) {
+      const TableSpec& table = program().tables[t];
+      classifiers_.push_back(instantiate(table));
+      const obs::Labels labels{{"model", model}, {"table", table.name}};
+      stage_metrics_.push_back(
+          {&registry.counter("maton_dp_table_hits_total", labels),
+           &registry.counter("maton_dp_table_misses_total", labels),
+           &registry.histogram("maton_dp_table_lookup_ns", labels),
+           template_metrics(classifiers_[t]->name())});
+      recount_set_fields(t);
+    }
+    touched_.assign(num_tables, kUntouched);
+    touched_ids_.clear();
     ensure_scratch();
-    recompute_mutates();
-    resolve_metrics();
   }
 
   /// Delta-scoped index maintenance: a same-priority modify or a
@@ -111,114 +132,123 @@ class TableWalkSwitch : public SwitchModel {
   /// apply_remove) — when the template can patch its index in place no
   /// rebuild happens at all. Tables whose classifier declines, or that
   /// saw an insert or a re-position, are recompiled once per *touched
-  /// table* in on_updates_applied.
+  /// table* in on_updates_applied. A patch also carries the table's
+  /// set-field flag for the one rule it touched.
   void on_update(const RuleUpdate& update,
                  const ApplyOutcome& outcome) override {
     std::uint8_t& touched = touched_[update.table];
     if (touched == kRebuild) return;  // rebuild already owed
+    if (touched == kUntouched) touched_ids_.push_back(update.table);
     const TableSpec& table = program().tables[update.table];
     Classifier& classifier = *classifiers_[update.table];
-    StageMetrics& metrics = stage_metrics_[update.table];
+    const TemplateMetrics& metrics = stage_metrics_[update.table].tmpl;
+    std::vector<std::uint8_t>& flags = set_field_flags_[update.table];
     bool patched = false;
     if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace) {
       patched = classifier.apply_modify(table, outcome.index, update.target);
-      if (patched) metrics.patched_modify->add();
+      if (patched) {
+        metrics.patched_modify->add();
+        const std::uint8_t now = sets_field(table.rules[outcome.index]);
+        set_field_rules_ = set_field_rules_ - flags[outcome.index] + now;
+        flags[outcome.index] = now;
+      }
     } else if (outcome.kind == ApplyOutcome::Kind::kRemoved) {
       patched = classifier.apply_remove(table, outcome.index, update.target);
-      if (patched) metrics.patched_remove->add();
+      if (patched) {
+        metrics.patched_remove->add();
+        set_field_rules_ -= flags[outcome.index];
+        flags.erase(flags.begin() +
+                    static_cast<std::ptrdiff_t>(outcome.index));
+      }
     }
     touched = patched ? kPatched : kRebuild;
   }
 
-  void on_updates_applied(std::span<const RuleUpdate> applied) override {
-    bool rebuilt = false;
-    bool patched = false;
-    for (std::size_t t = 0; t < touched_.size(); ++t) {
+  /// Rebuilds the tables a decline or a structural edit left owing one;
+  /// every step is per touched table.
+  void on_updates_applied(std::span<const RuleUpdate> /*applied*/) override {
+    for (const std::size_t t : touched_ids_) {
       if (touched_[t] == kRebuild) {
-        stage_metrics_[t].rebuilds->add();
+        stage_metrics_[t].tmpl.rebuilds->add();
         classifiers_[t] = instantiate(program().tables[t]);
-        rebuilt = true;
+        // Recompiling can change the chosen classifier template, which
+        // is a metric label: take the new template's handles.
+        stage_metrics_[t].tmpl = template_metrics(classifiers_[t]->name());
+        recount_set_fields(t);
       }
-      patched = patched || touched_[t] == kPatched;
       touched_[t] = kUntouched;
     }
-    if (rebuilt) {
-      recompute_mutates();
-      // Recompiling can change the chosen classifier template, which is
-      // a metric label; re-resolve the handles.
-      resolve_metrics();
-    } else if (patched) {
-      for (const RuleUpdate& update : applied) widen_mutates(update.rule);
-    }
+    touched_ids_.clear();
   }
 
   [[nodiscard]] virtual std::unique_ptr<Classifier> instantiate(
       const TableSpec& table) const = 0;
 
  private:
-  /// Per-table metric handles, resolved once per (re)load so the packet
-  /// path records through raw pointers without touching the registry.
-  struct StageMetrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Histogram* lookup_ns = nullptr;
-    /// Chunks dispatched, labeled by the classifier template serving the
-    /// table (exact/lpm/tss/linear) — shows which kernels carry traffic.
+  /// Handles labelled by the classifier template serving a table
+  /// (exact/lpm/tss/linear).
+  struct TemplateMetrics {
+    /// Chunks dispatched — shows which kernels carry traffic.
     obs::Counter* chunks = nullptr;
-    /// Index maintenance by the serving template: updates patched in
-    /// place, and re-instantiations after a decline or a structural edit.
+    /// Index maintenance: updates patched in place, and
+    /// re-instantiations after a decline or a structural edit.
     obs::Counter* patched_modify = nullptr;
     obs::Counter* patched_remove = nullptr;
     obs::Counter* rebuilds = nullptr;
   };
 
-  void resolve_metrics() {
+  /// Per-table metric handles, so the packet path records through raw
+  /// pointers without touching the registry. The table-labelled ones are
+  /// resolved once per load; `tmpl` is copied from the template cache
+  /// whenever the table's classifier is (re)built.
+  struct StageMetrics {
+    obs::Counter* hits = nullptr;
+    obs::Counter* misses = nullptr;
+    obs::Histogram* lookup_ns = nullptr;
+    TemplateMetrics tmpl;
+  };
+
+  /// The template's handles, resolved from the registry the first time
+  /// this switch serves a table with it and cached for its lifetime.
+  [[nodiscard]] TemplateMetrics template_metrics(std::string_view tmpl) {
+    for (const auto& [cached, metrics] : templates_) {
+      if (cached == tmpl) return metrics;
+    }
     auto& registry = obs::MetricRegistry::global();
     const std::string model(name());
-    stage_metrics_.clear();
-    stage_metrics_.reserve(program().tables.size());
-    for (std::size_t t = 0; t < program().tables.size(); ++t) {
-      const obs::Labels labels{{"model", model},
-                               {"table", program().tables[t].name}};
-      StageMetrics m;
-      m.hits = &registry.counter("maton_dp_table_hits_total", labels);
-      m.misses = &registry.counter("maton_dp_table_misses_total", labels);
-      m.lookup_ns = &registry.histogram("maton_dp_table_lookup_ns", labels);
-      const std::string tmpl(classifiers_[t]->name());
-      m.chunks = &registry.counter("maton_dp_classifier_chunks_total",
-                                   {{"model", model}, {"template", tmpl}});
-      m.patched_modify = &registry.counter(
-          "maton_dp_classifier_patches_total",
-          {{"model", model}, {"op", "modify"}, {"template", tmpl}});
-      m.patched_remove = &registry.counter(
-          "maton_dp_classifier_patches_total",
-          {{"model", model}, {"op", "remove"}, {"template", tmpl}});
-      m.rebuilds = &registry.counter("maton_dp_classifier_rebuilds_total",
-                                     {{"model", model}, {"template", tmpl}});
-      stage_metrics_.push_back(m);
-    }
-    batch_chunk_size_ =
-        &registry.histogram("maton_dp_batch_chunk_size", {{"model", model}});
+    const std::string label(tmpl);
+    TemplateMetrics m;
+    m.chunks = &registry.counter("maton_dp_classifier_chunks_total",
+                                 {{"model", model}, {"template", label}});
+    m.patched_modify = &registry.counter(
+        "maton_dp_classifier_patches_total",
+        {{"model", model}, {"op", "modify"}, {"template", label}});
+    m.patched_remove = &registry.counter(
+        "maton_dp_classifier_patches_total",
+        {{"model", model}, {"op", "remove"}, {"template", label}});
+    m.rebuilds = &registry.counter("maton_dp_classifier_rebuilds_total",
+                                   {{"model", model}, {"template", label}});
+    templates_.emplace_back(label, m);
+    return m;
   }
 
-  void recompute_mutates() {
-    mutates_ = false;
-    for (const TableSpec& table : program().tables) {
-      for (const auto rule : table.rules) {
-        for (const Action action : rule.actions) {
-          mutates_ = mutates_ || action.kind == Action::Kind::kSetField;
-        }
-      }
+  [[nodiscard]] static std::uint8_t sets_field(const RuleView& rule) {
+    for (const Action action : rule.actions) {
+      if (action.kind == Action::Kind::kSetField) return 1;
     }
+    return 0;
   }
 
-  /// Delta-scoped mutates_ maintenance: a patched-in-place rule can only
-  /// *add* set-field work. Widening is always safe (it merely re-enables
-  /// the key copy in process_batch); narrowing would need a full scan,
-  /// which the next rebuild performs anyway.
-  void widen_mutates(const Rule& rule) {
-    for (const Action& action : rule.actions) {
-      mutates_ = mutates_ || action.kind == Action::Kind::kSetField;
+  /// Re-derives table `t`'s set-field flags from its rules (load and
+  /// rebuild, which are O(table) anyway).
+  void recount_set_fields(std::size_t t) {
+    std::vector<std::uint8_t>& flags = set_field_flags_[t];
+    for (const std::uint8_t f : flags) set_field_rules_ -= f;
+    const FlatRules& rules = program().tables[t].rules;
+    flags.resize(rules.size());
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      flags[r] = sets_field(rules[r]);
+      set_field_rules_ += flags[r];
     }
   }
 
@@ -258,8 +288,9 @@ class TableWalkSwitch : public SwitchModel {
     // Programs without set-field actions never mutate packet state, so
     // the walker can classify straight out of the caller's key array
     // instead of copying every FlowKey into the scratch buffer.
-    if (mutates_) s.states.assign(keys.begin(), keys.end());
-    const FlowKey* state_base = mutates_ ? s.states.data() : keys.data();
+    const bool mutates = set_field_rules_ != 0;
+    if (mutates) s.states.assign(keys.begin(), keys.end());
+    const FlowKey* state_base = mutates ? s.states.data() : keys.data();
     s.buckets.resize(num_tables);
     for (auto& bucket : s.buckets) bucket.clear();
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -311,7 +342,7 @@ class TableWalkSwitch : public SwitchModel {
         if constexpr (obs::kEnabled) {
           stage_metrics_[t].lookup_ns->observe(
               static_cast<double>(now_ns() - lookup_start));
-          stage_metrics_[t].chunks->add();
+          stage_metrics_[t].tmpl.chunks->add();
           batch_chunk_size_->observe(static_cast<double>(s.moving.size()));
         }
         std::uint64_t stage_hits = 0;
@@ -362,16 +393,24 @@ class TableWalkSwitch : public SwitchModel {
 
   std::vector<std::unique_ptr<Classifier>> classifiers_;
   std::vector<StageMetrics> stage_metrics_;
+  /// (template name, handles) for every template this switch has served;
+  /// at most one entry per classifier template.
+  std::vector<std::pair<std::string, TemplateMetrics>> templates_;
   obs::Histogram* batch_chunk_size_ = nullptr;
-  /// Whether any loaded rule carries a set-field action; when false the
-  /// batch walker skips copying keys into states_.
-  bool mutates_ = false;
+  /// Per table, per rule: whether the rule carries a set-field action.
+  /// Kept exact through patches and rebuilds, so set_field_rules_ (their
+  /// sum) is too; while it is zero the batch walker skips copying keys
+  /// into its states buffer.
+  std::vector<std::vector<std::uint8_t>> set_field_flags_;
+  std::size_t set_field_rules_ = 0;
 
   std::vector<std::unique_ptr<QueueScratch>> scratch_;
   /// Per-table index maintenance owed by the current apply_updates call;
-  /// all kUntouched between calls.
+  /// all kUntouched between calls. touched_ids_ lists the tables that are
+  /// not, in first-touch order.
   enum : std::uint8_t { kUntouched, kPatched, kRebuild };
   std::vector<std::uint8_t> touched_;
+  std::vector<std::size_t> touched_ids_;
 };
 
 class ESwitchModel final : public TableWalkSwitch {

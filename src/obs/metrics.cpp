@@ -96,6 +96,7 @@ struct MetricRegistry::State {
   // addresses (and therefore the metric objects behind the unique_ptrs)
   // never move after insertion.
   std::map<MetricKey, Entry> metrics;
+  std::atomic<std::uint64_t> lookups{0};
 };
 
 MetricRegistry::MetricRegistry() : state_(std::make_unique<State>()) {}
@@ -113,6 +114,7 @@ MetricRegistry::Entry& MetricRegistry::find_or_create(std::string_view name,
                                                       Labels labels,
                                                       MetricKind kind) {
   expects(!name.empty(), "metric name must be non-empty");
+  state_->lookups.fetch_add(1, std::memory_order_relaxed);
   std::sort(labels.begin(), labels.end());
   std::lock_guard<std::mutex> lock(state_->mutex);
   MetricKey key{std::string(name), std::move(labels)};
@@ -150,6 +152,10 @@ Gauge& MetricRegistry::gauge(std::string_view name, Labels labels) {
 Histogram& MetricRegistry::histogram(std::string_view name, Labels labels) {
   return *find_or_create(name, std::move(labels), MetricKind::kHistogram)
               .histogram;
+}
+
+std::uint64_t MetricRegistry::lookups() const noexcept {
+  return state_->lookups.load(std::memory_order_relaxed);
 }
 
 Snapshot MetricRegistry::scrape() const {

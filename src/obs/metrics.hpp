@@ -257,6 +257,12 @@ class MetricRegistry {
 
   [[nodiscard]] Snapshot scrape() const;
 
+  /// How many counter/gauge/histogram calls (registrations and repeat
+  /// resolutions alike) this registry has served. Each is a locked map
+  /// walk, so a path that records through cached handles adds none;
+  /// tests read the difference across a call to see what it resolved.
+  [[nodiscard]] std::uint64_t lookups() const noexcept;
+
   /// Zeroes every registered metric's value. Registrations (and handed-
   /// out handles) stay valid — this resets data, not identity.
   void reset_values();

@@ -10,6 +10,7 @@
 #include "controlplane/compiler.hpp"
 #include "dataplane/classifier.hpp"
 #include "dataplane/switch.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 #include "workloads/gwlb.hpp"
 #include "workloads/traffic.hpp"
@@ -254,6 +255,124 @@ TEST_P(BatchProcess, RepeatedBatchesMatchRepeatedScalar) {
 INSTANTIATE_TEST_SUITE_P(Models, BatchProcess,
                          ::testing::Values("eswitch", "lagopus", "ovs",
                                            "hw"));
+
+TEST_P(BatchProcess, MatchesScalarWhilePatchesAddAndDropTheOnlySetField) {
+  // The goto program has no set-field action, so the table-walk batch
+  // walker reads keys in place. A patched modify of an entry rule adds
+  // one (rewriting ip_src, which the service's LB table matches), so the
+  // walker must copy keys into its states; the next patch drops it
+  // again, and the walker may go back to reading in place. Both switches
+  // see every step; results and counters must agree after each.
+  const Fixture fx;
+  const auto sets_field = [](const Program& program) {
+    for (const TableSpec& table : program.tables) {
+      for (const RuleView rule : table.rules) {
+        for (const Action action : rule.actions) {
+          if (action.kind == Action::Kind::kSetField) return true;
+        }
+      }
+    }
+    return false;
+  };
+  ASSERT_FALSE(sets_field(fx.goto_program));
+  auto scalar_sw = make_model(GetParam());
+  auto batch_sw = make_model(GetParam());
+  ASSERT_TRUE(scalar_sw->load(fx.goto_program).is_ok());
+  ASSERT_TRUE(batch_sw->load(fx.goto_program).is_ok());
+  const auto rebuilds = [] {
+    double total = 0.0;
+    for (const auto& m : obs::MetricRegistry::global().scrape().metrics) {
+      if (m.name == "maton_dp_classifier_rebuilds_total") total += m.value;
+    }
+    return total;
+  };
+  const double rebuilds0 = rebuilds();
+
+  auto keys = workloads::make_gwlb_keys(
+      fx.gwlb, {.num_packets = 256, .hit_fraction = 0.8, .seed = 13});
+  const FlatRules& entry = fx.goto_program.tables[fx.goto_program.entry].rules;
+  std::vector<ExecResult> batched(keys.size());
+  const auto step = [&](const RuleUpdate& update) {
+    ASSERT_TRUE(scalar_sw->apply_update(update).is_ok());
+    ASSERT_TRUE(batch_sw->apply_update(update).is_ok());
+    batch_sw->process_batch(keys, batched);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const ExecResult want = scalar_sw->process(keys[i]);
+      ASSERT_EQ(want.hit, batched[i].hit) << "key " << i;
+      ASSERT_EQ(want.out_port, batched[i].out_port) << "key " << i;
+      ASSERT_EQ(want.tables_visited, batched[i].tables_visited)
+          << "key " << i;
+    }
+    expect_counters_equal(scalar_sw->program(), *scalar_sw, *batch_sw);
+  };
+  bool diverted = false;
+  for (std::size_t round = 0; round < 2 * entry.size(); ++round) {
+    const std::size_t r = round % entry.size();
+    // Every other key of the batch hits the modified rule.
+    for (std::size_t i = 0; i < keys.size(); i += 2) {
+      for (const FieldMatch m : entry[r].matches) keys[i].set(m.field, m.value);
+    }
+    RuleUpdate update{.kind = RuleUpdate::Kind::kModify,
+                      .table = fx.goto_program.entry,
+                      .target = entry[r].matches,
+                      .rule = entry[r]};
+    update.rule.actions.push_back(
+        {Action::Kind::kSetField, FieldId::kIpSrc, 0x0a000000 + round});
+    ASSERT_NO_FATAL_FAILURE(step(update)) << "round " << round << " (add)";
+    ASSERT_TRUE(sets_field(batch_sw->program()));
+    std::vector<ExecResult> plain(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      plain[i] = execute_reference(fx.goto_program, keys[i]);
+      diverted = diverted || plain[i].out_port != batched[i].out_port;
+    }
+    update.rule = entry[r];
+    ASSERT_NO_FATAL_FAILURE(step(update)) << "round " << round << " (drop)";
+    ASSERT_FALSE(sets_field(batch_sw->program()));
+    ASSERT_TRUE(batch_sw->program() == fx.goto_program);
+  }
+  // The rewrite changed some packet's backend, and every step patched.
+  EXPECT_TRUE(diverted);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(rebuilds(), rebuilds0);
+  }
+
+  // Random churn on the entry table: modifies that add or drop a
+  // set-field action, removals, and inserts of lower-priority rules
+  // without a port match. Those move ESwitch to the linear template and
+  // give TSS priorities to order, so removals patch as well as rebuild.
+  const std::size_t table = fx.goto_program.entry;
+  Rng churn(5);
+  for (int round = 0; round < 80; ++round) {
+    const FlatRules& rules = batch_sw->program().tables[table].rules;
+    const Rule rule = rules[churn.index(rules.size())];
+    for (std::size_t i = 0; i < keys.size(); i += 2) {
+      for (const FieldMatch m : rule.matches) keys[i].set(m.field, m.value);
+    }
+    RuleUpdate update{.kind = RuleUpdate::Kind::kModify,
+                      .table = table,
+                      .target = rule.matches,
+                      .rule = rule};
+    const std::size_t op = churn.index(4);
+    if (op == 0 && rules.size() > 4) {
+      update.kind = RuleUpdate::Kind::kRemove;
+    } else if (op == 1) {
+      update.kind = RuleUpdate::Kind::kInsert;
+      update.rule.priority = rule.priority - 1;
+      std::erase_if(update.rule.matches, [](const FieldMatch& m) {
+        return m.field == FieldId::kTcpDst;
+      });
+      for (FieldMatch& m : update.rule.matches) {
+        if (m.field == FieldId::kIpDst) m.value = 0xc6130000 + round;
+      }
+    } else if (std::erase_if(update.rule.actions, [](const Action& a) {
+                 return a.kind == Action::Kind::kSetField;
+               }) == 0) {
+      update.rule.actions.push_back(
+          {Action::Kind::kSetField, FieldId::kIpSrc, churn.uniform(0, 255)});
+    }
+    ASSERT_NO_FATAL_FAILURE(step(update)) << "churn round " << round;
+  }
+}
 
 TEST(BatchProcessOvs, CacheStatsMatchScalar) {
   const Fixture fx;

@@ -25,6 +25,23 @@ TEST(ObsConcurrency, ScrapeWhileWritingStaysMonotoneAndUntorn) {
   constexpr std::uint64_t kIterations = 20000;
 
   MetricRegistry& reg = MetricRegistry::global();
+  // The registry is process-wide: an earlier repeat of this test (or any
+  // other writer) leaves its counts in it, so totals are checked as
+  // deltas from this scrape.
+  const auto quiesced_totals = [&reg] {
+    struct {
+      double shared = 0.0;
+      double writers = 0.0;
+      std::uint64_t histogram = 0;
+    } totals;
+    for (const MetricSnapshot& m : reg.scrape().metrics) {
+      if (m.name == "maton_concurrency_shared_total") totals.shared = m.value;
+      if (m.name == "maton_concurrency_writer_total") totals.writers += m.value;
+      if (m.name == "maton_concurrency_latency") totals.histogram = m.count;
+    }
+    return totals;
+  };
+  const auto before = quiesced_totals();
   std::atomic<std::size_t> done{0};
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
@@ -82,20 +99,13 @@ TEST(ObsConcurrency, ScrapeWhileWritingStaysMonotoneAndUntorn) {
   EXPECT_GE(scrapes, 1u);
 
   // Quiesced totals add up exactly: nothing was lost to tearing.
-  const Snapshot final_scrape = reg.scrape();
-  double shared_total = -1.0;
-  double writer_sum = 0.0;
-  std::uint64_t histogram_count = 0;
-  for (const MetricSnapshot& m : final_scrape.metrics) {
-    if (m.name == "maton_concurrency_shared_total") shared_total = m.value;
-    if (m.name == "maton_concurrency_writer_total") writer_sum += m.value;
-    if (m.name == "maton_concurrency_latency") histogram_count = m.count;
-  }
+  const auto after = quiesced_totals();
   if constexpr (kEnabled) {
-    EXPECT_EQ(shared_total,
+    EXPECT_EQ(after.shared - before.shared,
               static_cast<double>(2 * kWriters * kIterations));
-    EXPECT_EQ(writer_sum, static_cast<double>(kWriters * kIterations));
-    EXPECT_GE(histogram_count, kWriters * kIterations);
+    EXPECT_EQ(after.writers - before.writers,
+              static_cast<double>(kWriters * kIterations));
+    EXPECT_EQ(after.histogram - before.histogram, kWriters * kIterations);
     // Every writer thread's spans are visible in one merged export.
     const TraceRing::Contents merged = TracerRegistry::global().merged();
     EXPECT_GT(merged.total_recorded, 0u);
