@@ -46,7 +46,11 @@ DiagramStore::DiagramStore(std::size_t max_nodes)
       unique_(kInitialSlots, kInvalidNode),
       cache_(kInitialSlots) {
   expects(max_nodes_ >= 2, "DiagramStore: budget too small for leaves");
-  nodes_.reserve(std::min<std::size_t>(max_nodes_, 1u << 16));
+  // Start the arena as small as the indexes and let it double: a
+  // one-shot store (slices_relation) interns a few hundred nodes, and a
+  // 2 MB up-front arena, once freed, raises glibc's mmap threshold so
+  // that later mid-size buffers stay in the heap as holes.
+  nodes_.reserve(std::min<std::size_t>(max_nodes_, kInitialSlots));
   false_ = leaf(0);
   true_ = leaf(1);
 }

@@ -63,6 +63,9 @@ struct StoreStats {
   std::size_t memo_lookups = 0;  ///< operator cache probes
   std::size_t table_hits = 0;    ///< tables whose diagram was reused
   std::size_t table_misses = 0;  ///< tables folded afresh
+  /// Tables whose content key was built: those misses, and the hits a
+  /// table's revision could not vouch for.
+  std::size_t tables_keyed = 0;
 };
 
 /// One bit constraint of a ternary cube, ascending-var order.

@@ -85,9 +85,13 @@ struct Result {
 /// and actions) and the NodeIds of their successor tables' diagrams; a
 /// hit needs the whole key to be equal, not just its hash. The store is
 /// canonical, so a cached diagram is the NodeId a fresh fold would
-/// intern, and a warm verdict is the verdict of a cold one. A changed
-/// table is patched from the version its position held in the previous
-/// check. Entries the latest check did not use are dropped. Between
+/// intern, and a warm verdict is the verdict of a cold one. Before
+/// building a key, the prover asks the slot of the table's position: a
+/// table whose dp::FlatRules revision and default successor match what
+/// the position held in the previous check holds the same rules, so when
+/// its successors' diagrams are also unchanged the slot's entry is
+/// reused with no key built. A changed table is patched from the version
+/// its position held in the previous check. Entries the latest check did not use are dropped. Between
 /// checks the store keeps only its nodes, and it is compacted to the
 /// cached diagrams once it has grown by a fixed fraction since the last
 /// compaction (the first warm check compacts away the cold proof's

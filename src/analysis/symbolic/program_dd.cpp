@@ -191,6 +191,9 @@ struct TableEntry {
   std::vector<std::uint32_t> records;  ///< offset of each record in key
   NodeId root = kInvalidNode;
   std::uint32_t epoch = 0;  ///< last check that used the entry
+  /// Distinct per write of the entry, so a TableSlot can tell the entry
+  /// it recorded from one a colliding key put in its place.
+  std::uint64_t generation = 0;
 
   [[nodiscard]] std::size_t succ_begin() const {
     return key.size() - records.size();
@@ -217,6 +220,21 @@ struct TableEntry {
     }
     return r;
   }
+};
+
+/// What one table position of one side used in the previous check: the
+/// revision and default successor of its rules, each record's successor
+/// table, and the cache entry (hash, generation) it resolved to. A table
+/// with the same revision and successor holds the same rules, so its key
+/// differs from that entry's only if a successor diagram changed.
+struct TableSlot {
+  static constexpr std::uint32_t kNoSuccessor = 0xffffffffu;
+
+  std::uint64_t revision = 0;  ///< 0: no table recorded (never drawn)
+  std::optional<std::size_t> next;
+  std::vector<std::uint32_t> successors;  ///< per record, or kNoSuccessor
+  std::uint64_t hash = 0;
+  std::uint64_t generation = 0;
 };
 
 }  // namespace
@@ -246,10 +264,13 @@ struct ProgramProver::State {
   /// are compared, not hashed, so compaction leaves hashes valid); a
   /// colliding key replaces the entry.
   std::unordered_map<std::uint64_t, TableEntry> tables;
-  /// last[side][t]: hash of the cache entry that table t of the left (0)
-  /// or right (1) program used in the previous check — the base a changed
-  /// table is patched from.
-  std::array<std::vector<std::uint64_t>, 2> last;
+  /// Source of TableEntry::generation; never reset, so a slot cannot
+  /// mistake an entry made after a store reset for the one it recorded.
+  std::uint64_t generations = 0;
+  /// slots[side][t]: what table t of the left (0) or right (1) program
+  /// used in the previous check. Its entry is the base a changed table is
+  /// patched from.
+  std::array<std::vector<TableSlot>, 2> slots;
   std::uint32_t epoch = 0;
   /// Store size after the last compaction (0: none yet).
   std::size_t live_nodes = 0;
@@ -271,10 +292,10 @@ class ProgramTranslator {
         dd_(*prover.store),
         verdicts_(prover.verdicts),
         program_(program),
-        last_(prover.last[side]),
+        slots_(prover.slots[side]),
         memo_(program.tables.size(), kInvalidNode),
         visiting_(program.tables.size(), 0) {
-    last_.resize(program.tables.size(), 0);
+    slots_.resize(program.tables.size());
   }
 
   /// Diagram of the whole program before the kHitUnset normalization.
@@ -312,6 +333,53 @@ class ProgramTranslator {
     }
     visiting_[ti] = 1;
     const dp::TableSpec& spec = program_.tables[ti];
+    NodeId root = unchanged_diagram(spec, slots_[ti]);
+    if (root == kInvalidNode) root = keyed_diagram(spec, slots_[ti]);
+    visiting_[ti] = 0;
+    memo_[ti] = root;
+    return root;
+  }
+
+  /// The slot's cached diagram when `spec` still holds the rules the slot
+  /// recorded (same revision and default successor) and every successor
+  /// diagram is the one the entry was keyed with; kInvalidNode otherwise.
+  /// Builds no key: O(records) comparisons of successor diagrams.
+  NodeId unchanged_diagram(const dp::TableSpec& spec, const TableSlot& slot) {
+    if (slot.revision != spec.rules.revision() || slot.next != spec.next) {
+      return kInvalidNode;
+    }
+    const auto it = prover_.tables.find(slot.hash);
+    if (it == prover_.tables.end() ||
+        it->second.generation != slot.generation) {
+      return kInvalidNode;
+    }
+    // A reference, not the iterator: translating the successors may insert
+    // into the cache (a rehash keeps elements in place) or overwrite this
+    // entry with a colliding key (a new generation).
+    TableEntry& entry = it->second;
+    // Successors first, in record order, as on the keyed path.
+    for (const std::uint32_t next : slot.successors) {
+      if (next == TableSlot::kNoSuccessor) continue;
+      check_target(next);
+      table_diagram(next);
+    }
+    if (entry.generation != slot.generation) return kInvalidNode;
+    const std::size_t base = entry.succ_begin();
+    for (std::size_t i = 0; i < slot.successors.size(); ++i) {
+      const std::uint32_t next = slot.successors[i];
+      const NodeId want =
+          next == TableSlot::kNoSuccessor ? kInvalidNode : memo_[next];
+      if (entry.key[base + i] != want) return kInvalidNode;
+    }
+    ++prover_.spent.table_hits;
+    entry.epoch = prover_.epoch;
+    return entry.root;
+  }
+
+  /// The content-addressed path: builds `spec`'s key, reuses an equal
+  /// cached entry or patches/folds a new one, and records the result in
+  /// `slot`.
+  NodeId keyed_diagram(const dp::TableSpec& spec, TableSlot& slot) {
     // Successors first: the cache key names their diagrams.
     for (const dp::RuleView rule : spec.rules) {
       if (!satisfiable(rule.matches)) continue;
@@ -319,14 +387,16 @@ class ProgramTranslator {
     }
     const std::uint64_t hash = build_key(spec);
     NodeId root = kInvalidNode;
+    std::uint64_t generation = 0;
     const auto hit = prover_.tables.find(hash);
     if (hit != prover_.tables.end() && hit->second.key == entry_.key) {
       ++prover_.spent.table_hits;
       root = hit->second.root;
       hit->second.epoch = prover_.epoch;
+      generation = hit->second.generation;
     } else {
       ++prover_.spent.table_misses;
-      const auto base = prover_.tables.find(last_[ti]);
+      const auto base = prover_.tables.find(slot.hash);
       root = base != prover_.tables.end() ? patch(spec, base->second)
                                           : fold_all(spec);
       TableEntry& entry = prover_.tables[hash];
@@ -334,10 +404,19 @@ class ProgramTranslator {
       entry.records = std::move(entry_.records);
       entry.root = root;
       entry.epoch = prover_.epoch;
+      entry.generation = generation = ++prover_.generations;
     }
-    last_[ti] = hash;
-    visiting_[ti] = 0;
-    memo_[ti] = root;
+    slot.revision = spec.rules.revision();
+    slot.next = spec.next;
+    slot.successors.clear();
+    for (const std::size_t index : rules_) {
+      const auto next = successor(spec, spec.rules[index]);
+      slot.successors.push_back(next.has_value()
+                                    ? static_cast<std::uint32_t>(*next)
+                                    : TableSlot::kNoSuccessor);
+    }
+    slot.hash = hash;
+    slot.generation = generation;
     return root;
   }
 
@@ -345,6 +424,7 @@ class ProgramTranslator {
   /// rules_ (successors already translated), and returns the hash of the
   /// key's rule records.
   std::uint64_t build_key(const dp::TableSpec& spec) {
+    ++prover_.spent.tables_keyed;
     std::vector<std::uint64_t>& key = entry_.key;
     key.clear();
     entry_.records.clear();
@@ -481,7 +561,7 @@ class ProgramTranslator {
   DiagramStore& dd_;
   DpVerdicts& verdicts_;
   const dp::Program& program_;
-  std::vector<std::uint64_t>& last_;  ///< this side's State::last
+  std::vector<TableSlot>& slots_;     ///< this side's State::slots
   std::vector<NodeId> memo_;          ///< this program's table diagrams
   std::vector<char> visiting_;
   // Scratch of the table being keyed and folded (successors are

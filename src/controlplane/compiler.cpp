@@ -1,6 +1,7 @@
 #include "controlplane/compiler.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -129,6 +130,24 @@ void diff_rules(std::size_t table, const OldSeq& old_rules,
   }
 }
 
+using PhaseClock = std::chrono::steady_clock;
+
+/// Starts a phase timer (no clock read when metrics are compiled out).
+[[nodiscard]] PhaseClock::time_point phase_start() noexcept {
+  if constexpr (obs::kEnabled) return PhaseClock::now();
+  return {};
+}
+
+/// Records the ns elapsed since `start` into `phase`.
+void phase_end(obs::Histogram& phase, PhaseClock::time_point start) noexcept {
+  if constexpr (obs::kEnabled) {
+    phase.observe(static_cast<double>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            PhaseClock::now() - start)
+            .count()));
+  }
+}
+
 void sort_slice(std::vector<Rule>& rules) {
   // The compiler's table order: priority descending, emission order
   // among equals (stable).
@@ -158,6 +177,15 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
       mode_(mode),
       verify_(verify),
       analyze_(analyze) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  const auto phase = [&](const char* name) {
+    return &registry.histogram(
+        "maton_cp_intent_phase_ns",
+        {{"phase", name}, {"repr", std::string(to_string(repr_))}});
+  };
+  delta_ns_ = phase("delta");
+  refresh_ns_ = phase("refresh");
+  prove_ns_ = phase("prove");
   const Status built = rebuild_program();
   expects(built.is_ok(), "gwlb program failed to compile: " + built.message());
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
@@ -167,6 +195,7 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
     expects(reference.is_ok(),
             "symbolic verify: reference pipeline failed to lower");
     reference_ = std::move(reference).value();
+    init_reference_rows();
     prover_.emplace();
     run_post_compile_verify(std::nullopt);
   }
@@ -209,24 +238,92 @@ void GwlbBinding::run_post_compile_analysis() {
   }
 }
 
+std::size_t GwlbBinding::MatchKeyHash::operator()(
+    const core::Row& key) const noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const core::Value v : key) {
+    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  }
+  return static_cast<std::size_t>(h);
+}
+
+void GwlbBinding::init_reference_rows() {
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const std::size_t n = gwlb_.services.size();
+  reference_rows_.assign(desc.stages.size(), {});
+  for (std::size_t k = 0; k < desc.stages.size(); ++k) {
+    ReferenceRows& stage = reference_rows_[k];
+    const bool per_service = desc.stages[k].per_service;
+    stage.rules.resize(per_service ? 1 : n);
+    stage.keys.resize(per_service ? 1 : n);
+    // A per-service stage's slot is filled by its first refresh.
+    if (per_service) continue;
+    for (std::size_t s = 0; s < n; ++s) lower_reference_rows(k, s);
+  }
+}
+
+void GwlbBinding::lower_reference_rows(std::size_t stage,
+                                       std::size_t service) {
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  const StageDescriptor& sd = desc.stages[stage];
+  ReferenceRows& rows = reference_rows_[stage];
+  const std::size_t slot = sd.per_service ? 0 : service;
+  if (sd.per_service) {
+    rows.key_count.clear();  // the table holds this service's rows alone
+  } else {
+    for (const core::Row& key : rows.keys[slot]) {
+      const auto it = rows.key_count.find(key);
+      if (--it->second == 0) rows.key_count.erase(it);
+    }
+  }
+  rows.rules[slot].clear();
+  rows.keys[slot].clear();
+  const std::optional<std::size_t> goto_target =
+      sd.link == StageLink::kGotoPerService
+          ? std::optional(
+                desc.table_of(stage + 1, service, gwlb_.services.size()))
+          : std::nullopt;
+  for (const core::Row& row : sd.rows(gwlb_.services[service], service)) {
+    core::Row key;
+    for (const std::size_t c : sd.schema.match_set()) key.push_back(row[c]);
+    expects(++rows.key_count[key] == 1,
+            "symbolic verify: reference table has duplicate match keys");
+    auto lowered = dp::lower_row(sd.schema, row, reference_fields_,
+                                 goto_target);
+    expects(lowered.is_ok(),
+            "symbolic verify: reference table failed to lower");
+    rows.rules[slot].push_back(std::move(lowered).value());
+    rows.keys[slot].push_back(std::move(key));
+  }
+}
+
 void GwlbBinding::refresh_reference(std::size_t service) {
   // Each of the service's rows lives in one table per stage, so only
-  // those tables can differ from the last proof's reference. Each is
-  // re-emitted whole from the service model and lowered the way the full
-  // compile lowers it; a shared table (the universal table, the goto,
-  // metadata and rematch entry) is re-emitted with every service's rows.
+  // those tables can differ from the last proof's reference, and in them
+  // only the service's rows. Those are re-emitted from the service model
+  // and lowered the way the full compile lowers them; the table is
+  // reassembled from them and the other services' rows as the last
+  // refresh lowered them, in service order, then stable-sorted by
+  // priority as dp::compile sorts a stage. Nothing is read back from
+  // program_.
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
   for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-    const core::Stage stage = emit_table(
-        gwlb_, repr_, k, desc.stages[k].per_service ? service : 0);
-    expects(stage.table.is_order_independent(),
-            "symbolic verify: reference table has duplicate match keys");
-    auto lowered = dp::lower_stage(stage, reference_fields_);
-    expects(lowered.is_ok(),
-            "symbolic verify: reference table failed to lower");
-    reference_.tables[desc.table_of(k, service, n)] =
-        std::move(lowered).value();
+    lower_reference_rows(k, service);
+    const StageDescriptor& sd = desc.stages[k];
+    const std::vector<std::vector<Rule>>& slots = reference_rows_[k].rules;
+    std::size_t count = 0;
+    for (const std::vector<Rule>& rules : slots) count += rules.size();
+    dp::FlatRules assembled;
+    assembled.reserve(count);
+    for (const std::vector<Rule>& rules : slots) {
+      for (const Rule& rule : rules) assembled.push_back(rule);
+    }
+    assembled.stable_sort_by_priority();
+    TableSpec& table = reference_.tables[desc.table_of(k, service, n)];
+    table.name = sd.name;
+    if (sd.per_service) table.name += std::to_string(service);
+    table.rules = std::move(assembled);
   }
 }
 
@@ -239,10 +336,17 @@ void GwlbBinding::run_post_compile_verify(
   // any drift surfaces as a refutation with a concrete counterexample
   // packet. The prover keeps its store across intents, so only the
   // tables whose content changed since the last proof are folded again.
-  if (touched.has_value()) refresh_reference(*touched);
+  if (touched.has_value()) {
+    const PhaseClock::time_point refresh_start = phase_start();
+    refresh_reference(*touched);
+    phase_end(*refresh_ns_, refresh_start);
+  }
+  const PhaseClock::time_point prove_start = phase_start();
   const auto result = prover_->check(program_, reference_);
+  if (touched.has_value()) phase_end(*prove_ns_, prove_start);
   verify_stats_.table_hits += result.stats.table_hits;
   verify_stats_.table_misses += result.stats.table_misses;
+  verify_stats_.tables_keyed += result.stats.tables_keyed;
   static obs::Counter& verified = obs::MetricRegistry::global().counter(
       "maton_cp_symbolic_verified_total");
   static obs::Counter& failed = obs::MetricRegistry::global().counter(
@@ -657,6 +761,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     svc.backends.clear();
   }
 
+  const PhaseClock::time_point delta_start = phase_start();
   if (mode_ == CompileMode::kIncremental) {
     static obs::Counter& hits = obs::MetricRegistry::global().counter(
         "maton_cp_incremental_hits_total");
@@ -669,6 +774,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
             "maton_cp_incremental_fallbacks_total",
             {{"cause", "slice_validation"}});
     if (auto updates = try_compile_incremental(service, old_svc)) {
+      phase_end(*delta_ns_, delta_start);
       ++inc_stats_.hits;
       hits.add();
       if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
@@ -702,6 +808,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     const obs::TraceSpan diff_span("rule_diff");
     updates = diff_programs(before, program_);
   }
+  phase_end(*delta_ns_, delta_start);
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
   if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify(service);
   return updates;

@@ -26,6 +26,7 @@
 #include "controlplane/representation.hpp"
 #include "core/fd_mine.hpp"
 #include "dataplane/switch.hpp"
+#include "obs/metrics.hpp"
 #include "workloads/gwlb.hpp"
 
 namespace maton::cp {
@@ -55,12 +56,13 @@ struct IncrementalStats {
 /// patched-in-place) program equivalent to a reference using the
 /// decision-diagram engine — drift is caught as a semantic difference,
 /// not just a bit difference. The reference is compiled in full once,
-/// then kept current by re-lowering, after each intent, only the whole
-/// tables the intent's service maps to (one per descriptor stage; a
-/// shared table is re-lowered with every service's rows), never by the
-/// slice patches that maintain the live program. Every table of the live
-/// program is still re-keyed on every proof, so drift anywhere in it is
-/// refuted.
+/// then kept current by re-lowering, after each intent, only the intent's
+/// service's rows in the tables it maps to (one per descriptor stage; a
+/// shared table is reassembled from those rows and the other services'
+/// rows as the last refresh lowered them), never by the slice patches
+/// that maintain the live program. Any edit of a live table gives its
+/// rules a new revision (dp::FlatRules), which makes the prover re-key
+/// it, so drift anywhere in the live program is refuted.
 enum class VerifyMode { kOff, kSymbolic };
 
 /// Tally of post-compile symbolic verifications.
@@ -72,6 +74,9 @@ struct VerifyStats {
   /// summed over both programs of every proof.
   std::size_t table_hits = 0;
   std::size_t table_misses = 0;
+  /// Tables whose content key the prover built (the rest were vouched
+  /// for by their revision), summed the same way.
+  std::size_t tables_keyed = 0;
 };
 
 /// Whether a binding re-runs the static analyzer over the freshly
@@ -202,8 +207,16 @@ class GwlbBinding {
   /// Runs the analyzer suite over program_ + the universal table and
   /// stores the report; bumps the clean/findings counters.
   void run_post_compile_analysis();
-  /// Re-lowers the reference_ tables that hold `service`'s rows, one per
-  /// descriptor stage, whole from the service model.
+  /// Builds reference_rows_ from the service model (construction only).
+  void init_reference_rows();
+  /// Re-emits and lowers `service`'s rows of descriptor stage `stage`
+  /// into reference_rows_, moving its match keys from the old rows to
+  /// the new ones; a key another row of the table holds is a contract
+  /// violation.
+  void lower_reference_rows(std::size_t stage, std::size_t service);
+  /// Re-lowers `service`'s rows in the reference_ tables that hold them,
+  /// one per descriptor stage, and reassembles each such table from
+  /// reference_rows_ in the order dp::compile gives a stage's rules.
   void refresh_reference(std::size_t service);
   /// Refreshes reference_ for the `touched` service (nullopt right after
   /// its full compile), then proves the live program equivalent to it
@@ -267,17 +280,43 @@ class GwlbBinding {
   analysis::Report last_analysis_;
   /// What run_post_compile_verify proves program_ against
   /// (VerifyMode::kSymbolic only): a full compile of the service model at
-  /// construction, after which each applied intent re-lowers just the
-  /// tables its service maps to (refresh_reference). Its tables come from
-  /// the pipeline builder's per-table emitter, whole-table lowering and
-  /// the priority sort — never from the slice emitter, merge or in-place
-  /// patches that maintain program_.
+  /// construction, after which each applied intent re-lowers just its
+  /// service's rows of the tables it maps to (refresh_reference). Its
+  /// tables come from the descriptor's row emitters, row lowering and the
+  /// priority sort — never from program_, the slice emitter, merge or the
+  /// in-place patches that maintain program_.
   dp::Program reference_;
   /// Attribute→field assignment of reference_'s own full compile.
   dp::FieldMap reference_fields_;
+  /// Hash of a row's match cells (ReferenceRows::key_count).
+  struct MatchKeyHash {
+    std::size_t operator()(const core::Row& key) const noexcept;
+  };
+  /// One descriptor stage's rows as refresh_reference last lowered them.
+  /// A shared stage keeps one slot per service; a per-service stage one
+  /// slot, for the table refreshed last.
+  struct ReferenceRows {
+    /// Per slot: the service's rows, lowered, in emission order.
+    std::vector<std::vector<dp::Rule>> rules;
+    /// Per slot: the match cells of each of those rows.
+    std::vector<std::vector<core::Row>> keys;
+    /// Rows per match key over the table's slots: all 1 when the table
+    /// is order independent (core::Table::is_order_independent).
+    std::unordered_map<core::Row, std::uint32_t, MatchKeyHash> key_count;
+  };
+  /// Per descriptor stage (VerifyMode::kSymbolic only).
+  std::vector<ReferenceRows> reference_rows_;
   /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
   /// only): successive proofs re-fold only the tables an intent changed.
   std::optional<analysis::symbolic::ProgramProver> prover_;
+  /// Where an applied intent's time goes, in ns, labelled with the
+  /// representation: maton_cp_intent_phase_ns{phase="delta"} (compiling
+  /// the updates, on either path), {phase="refresh"} (refresh_reference)
+  /// and {phase="prove"} (the prover's check). The last two are recorded
+  /// only under VerifyMode::kSymbolic.
+  obs::Histogram* delta_ns_ = nullptr;
+  obs::Histogram* refresh_ns_ = nullptr;
+  obs::Histogram* prove_ns_ = nullptr;
 };
 
 /// Minimal update set turning `before` into `after`: per table, each old

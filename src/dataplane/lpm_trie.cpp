@@ -196,6 +196,16 @@ class LpmClassifier final : public Classifier {
     }
   }
 
+  /// Delta maintenance: the tries index rules by their match vectors
+  /// alone, and a modify keeps the rule's position and priority, so an
+  /// actions-only modify leaves the index exact. A changed match vector
+  /// declines (the rule would move between tries or trie nodes).
+  [[nodiscard]] bool apply_modify(
+      const TableSpec& table, std::size_t index,
+      const std::vector<FieldMatch>& old_matches) override {
+    return table.rules[index].matches == old_matches;
+  }
+
   [[nodiscard]] std::string_view name() const noexcept override {
     return "lpm";
   }

@@ -1,6 +1,7 @@
 #include "dataplane/program.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <map>
 #include <numeric>
@@ -141,13 +142,11 @@ Result<std::vector<FieldId>> resolve_columns(const core::Schema& schema,
 }
 
 /// One stage → one table, given the pre-resolved column→field assignment
-/// and the stage → table index map (empty = identity).
+/// and the stage → table index map.
 TableSpec lower_stage_resolved(const core::Stage& stage,
                                const std::vector<FieldId>& col_field,
                                std::span<const std::size_t> remap) {
-  const auto table_index = [remap](std::size_t si) {
-    return remap.empty() ? si : remap[si];
-  };
+  const auto table_index = [remap](std::size_t si) { return remap[si]; };
   const core::Schema& schema = stage.table.schema();
   TableSpec spec;
   spec.name = stage.table.name();
@@ -213,9 +212,52 @@ namespace {
 // Match-index slot markers; a live slot holds position + 1.
 constexpr std::uint32_t kSlotEmpty = 0;
 constexpr std::uint32_t kSlotDead = ~std::uint32_t{0};
+
+/// Revisions a thread takes from the shared sequence at a time.
+constexpr std::uint64_t kRevisionBlock = std::uint64_t{1} << 16;
+/// Start of the next unclaimed block; revision 0 is never drawn.
+std::atomic<std::uint64_t> revision_blocks{1};
+
+/// The calling thread's claimed block: [next, end).
+struct RevisionBlock {
+  std::uint64_t next = 0;
+  std::uint64_t end = 0;
+};
+thread_local RevisionBlock revisions;
 }  // namespace
 
+std::uint64_t FlatRules::next_revision() noexcept {
+  RevisionBlock& block = revisions;
+  if (block.next == block.end) {
+    block.next =
+        revision_blocks.fetch_add(kRevisionBlock, std::memory_order_relaxed);
+    block.end = block.next + kRevisionBlock;
+  }
+  return block.next++;
+}
+
+FlatRules& FlatRules::operator=(FlatRules&& other) noexcept {
+  if (this == &other) return *this;
+  refs_ = std::move(other.refs_);
+  mfield_ = std::move(other.mfield_);
+  mvalue_ = std::move(other.mvalue_);
+  mmask_ = std::move(other.mmask_);
+  mask_pool_ = std::move(other.mask_pool_);
+  acts_ = std::move(other.acts_);
+  match_garbage_ = other.match_garbage_;
+  action_garbage_ = other.action_garbage_;
+  revision_ = other.revision_;
+  index_ = std::move(other.index_);
+  index_dirty_ = other.index_dirty_;
+  index_dups_ = other.index_dups_;
+  index_live_ = other.index_live_;
+  index_dead_ = other.index_dead_;
+  other.clear();  // empty, under a fresh revision
+  return *this;
+}
+
 void FlatRules::clear() noexcept {
+  revision_ = next_revision();
   refs_.clear();
   mfield_.clear();
   mvalue_.clear();
@@ -277,11 +319,13 @@ void FlatRules::append(std::uint32_t priority,
                      a.width_bits});
   }
   refs_.push_back(ref);
+  revision_ = next_revision();
   if (!index_dirty_) index_insert(refs_.size() - 1);
 }
 
 void FlatRules::replace(std::size_t pos, const Rule& r) {
   expects(pos < refs_.size(), "FlatRules::replace out of range");
+  revision_ = next_revision();
   if (!index_dirty_) index_remove(pos);
   Ref& ref = refs_[pos];
   ref.priority = r.priority;
@@ -328,7 +372,9 @@ void FlatRules::replace(std::size_t pos, const Rule& r) {
 
 void FlatRules::insert(std::size_t pos, const Rule& r) {
   expects(pos <= refs_.size(), "FlatRules::insert out of range");
-  push_back(r);  // appends pool payload + ref at the end
+  // Appends pool payload + ref at the end under a fresh revision; the
+  // ref moves into place before anything can observe the table.
+  push_back(r);
   Ref ref = refs_.back();
   refs_.pop_back();
   refs_.insert(refs_.begin() + static_cast<std::ptrdiff_t>(pos), ref);
@@ -338,6 +384,7 @@ void FlatRules::insert(std::size_t pos, const Rule& r) {
 void FlatRules::erase(std::span<const std::size_t> positions) {
   if (positions.empty()) return;
   expects(positions.back() < refs_.size(), "FlatRules::erase out of range");
+  revision_ = next_revision();
   // With duplicate match vectors the index only gates a scan; rebuild
   // it lazily as before.
   const bool keep_index = !index_dirty_ && !index_dups_;
@@ -383,6 +430,7 @@ std::size_t FlatRules::insert_sorted(const Rule& r) {
 
 std::size_t FlatRules::reposition(std::size_t pos) {
   expects(pos < refs_.size(), "FlatRules::reposition out of range");
+  revision_ = next_revision();
   const std::uint32_t p = refs_[pos].priority;
   if (p > (pos == 0 ? ~std::uint32_t{0} : refs_[pos - 1].priority)) {
     // Moved up: stable sort puts it after the existing run of rules with
@@ -420,6 +468,7 @@ std::size_t FlatRules::reposition(std::size_t pos) {
 }
 
 void FlatRules::stable_sort_by_priority() {
+  revision_ = next_revision();
   std::stable_sort(refs_.begin(), refs_.end(),
                    [](const Ref& a, const Ref& b) {
                      return a.priority > b.priority;
@@ -750,13 +799,6 @@ Result<Rule> lower_row(const core::Schema& schema, const core::Row& row,
   auto col_field = resolve_columns(schema, field_map);
   if (!col_field.is_ok()) return col_field.status();
   return lower_row_resolved(schema, row, col_field.value(), goto_target);
-}
-
-Result<TableSpec> lower_stage(const core::Stage& stage,
-                              const FieldMap& field_map) {
-  auto col_field = resolve_columns(stage.table.schema(), field_map);
-  if (!col_field.is_ok()) return col_field.status();
-  return lower_stage_resolved(stage, col_field.value(), {});
 }
 
 ExecResult execute_reference(const Program& program, const FlowKey& key,

@@ -27,6 +27,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -274,12 +275,24 @@ struct RuleView {
 /// compact when erased spans accumulate; rule order is carried entirely
 /// by the ref array, so a priority sort moves 20-byte refs, not rule
 /// payloads. Equality is logical (per-rule content), independent of pool
-/// layout, interning order, or garbage.
+/// layout, interning order, garbage, or revision.
+///
+/// Every instance carries a content revision: a process-unique number
+/// that each constructor and each mutator draws afresh, and that a copy
+/// shares with what it copied. A revision therefore names one content
+/// for the life of the process: two FlatRules with the same revision hold
+/// equal rules. (The converse does not hold: equal rules built apart have
+/// different revisions.) A moved-from object is left empty under a
+/// revision of its own.
 class FlatRules {
  public:
   static constexpr std::size_t kNpos = ~std::size_t{0};
 
   FlatRules() = default;
+  FlatRules(const FlatRules&) = default;
+  FlatRules& operator=(const FlatRules&) = default;
+  FlatRules(FlatRules&& other) noexcept { *this = std::move(other); }
+  FlatRules& operator=(FlatRules&& other) noexcept;
   // NOLINTNEXTLINE(google-explicit-constructor): lets vector<Rule>
   // literals and aggregate TableSpec initializers keep working.
   FlatRules(const std::vector<Rule>& rules) {
@@ -299,6 +312,8 @@ class FlatRules {
 
   [[nodiscard]] std::size_t size() const noexcept { return refs_.size(); }
   [[nodiscard]] bool empty() const noexcept { return refs_.empty(); }
+  /// The content revision (never 0).
+  [[nodiscard]] std::uint64_t revision() const noexcept { return revision_; }
   void clear() noexcept;
   /// Pre-sizes the ref array and, when the totals are known, the match
   /// and action pools — bulk builds then carry no growth slack.
@@ -416,6 +431,11 @@ class FlatRules {
   };
   static_assert(sizeof(Ref) == 20);
 
+  /// A revision no FlatRules has carried yet. Each thread draws from a
+  /// private block of the process-wide sequence, so the bulk builds
+  /// (one draw per append) touch no shared atomic.
+  [[nodiscard]] static std::uint64_t next_revision() noexcept;
+
   void maybe_compact();
   void compact();
   [[nodiscard]] std::uint16_t intern_mask(std::uint64_t mask);
@@ -438,6 +458,7 @@ class FlatRules {
   std::vector<PackedAction> acts_;
   std::size_t match_garbage_ = 0;
   std::size_t action_garbage_ = 0;
+  std::uint64_t revision_ = next_revision();
 
   // Lazy match-vector index: slot = pos + 1, 0 empty, ~0 dead.
   mutable std::vector<std::uint32_t> index_;
@@ -499,14 +520,6 @@ using FieldMap = std::map<std::string, FieldId, std::less<>>;
     const core::Schema& schema, const core::Row& row,
     const FieldMap& field_map,
     std::optional<std::size_t> goto_target = std::nullopt);
-
-/// Lowers one pipeline stage into a table exactly as compile() lowers it
-/// when no stage is elided: every row as lower_row would, goto targets
-/// and the successor taken as table indices, then the stable priority
-/// sort. Non-builtin attribute names must be present in `field_map`.
-/// Unlike compile(), the stage is not validated.
-[[nodiscard]] Result<TableSpec> lower_stage(const core::Stage& stage,
-                                            const FieldMap& field_map);
 
 /// Result of pushing one packet through a switch model.
 struct ExecResult {

@@ -1,9 +1,12 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <deque>
+#include <unordered_map>
 
 namespace maton::obs {
 
@@ -20,11 +23,42 @@ std::uint64_t now_ns() noexcept {
 }
 #endif
 
-void copy_name(std::array<char, 48>& dst, std::string_view src) noexcept {
-  const std::size_t n = std::min(src.size(), dst.size() - 1);
-  std::memcpy(dst.data(), src.data(), n);
-  dst[n] = '\0';
+/// Every span name the process has recorded, each stored once.
+class NameTable {
+ public:
+  const char* intern(std::string_view name) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = index_.find(name); it != index_.end()) {
+      return it->second;
+    }
+    // deque: growing at the back never moves a stored name.
+    const std::string& stored = names_.emplace_back(name);
+    index_.emplace(stored, stored.c_str());
+    return stored.c_str();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::deque<std::string> names_;
+  std::unordered_map<std::string_view, const char*> index_;
+};
+
+NameTable& name_table() {
+  // Leaked like the registry: spans may be recorded from destructors of
+  // static-lifetime objects.
+  static NameTable* table = new NameTable();
+  return *table;
 }
+
+/// One slot of the per-thread name cache. Trivially destructible, so a
+/// span recorded while the thread's other thread_locals are being torn
+/// down still finds it intact.
+struct CachedName {
+  std::uint64_t hash = 0;
+  const char* name = nullptr;
+  std::size_t size = 0;
+};
+thread_local std::array<CachedName, 32> t_names{};
 
 void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
@@ -59,9 +93,24 @@ bool event_before(const TraceEvent& a, const TraceEvent& b) noexcept {
 
 }  // namespace
 
-void TraceRing::record(std::string_view name, std::uint32_t tid,
-                       std::uint32_t depth, std::uint64_t start_ns,
-                       std::uint64_t dur_ns) {
+SpanName intern_span_name(std::string_view name) {
+  name = name.substr(0, std::min(name.size(), kMaxSpanName));
+  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a
+  for (const char c : name) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  CachedName& slot = t_names[hash % t_names.size()];
+  if (slot.name != nullptr && slot.hash == hash && slot.size == name.size() &&
+      std::memcmp(slot.name, name.data(), name.size()) == 0) {
+    return {slot.name};
+  }
+  slot = {hash, name_table().intern(name), name.size()};
+  return {slot.name};
+}
+
+void TraceRing::record(SpanName name, std::uint32_t tid, std::uint32_t depth,
+                       std::uint64_t start_ns, std::uint64_t dur_ns) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (ring_.size() < kCapacity) {
     // One allocation for the ring's lifetime: doubling up to kCapacity
@@ -70,7 +119,7 @@ void TraceRing::record(std::string_view name, std::uint32_t tid,
     ring_.emplace_back();
   }
   TraceEvent& e = ring_[next_ % kCapacity];
-  copy_name(e.name, name);
+  e.name = name.str;
   e.tid = tid;
   e.depth = depth;
   e.start_ns = start_ns;
@@ -185,7 +234,7 @@ void TracerRegistry::clear() {
 
 TraceSpan::TraceSpan(std::string_view name) noexcept {
 #if !defined(MATON_OBS_OFF)
-  copy_name(name_, name);
+  name_ = intern_span_name(name);
   ++t_depth;
   start_ = std::chrono::steady_clock::now();
 #else
@@ -201,9 +250,9 @@ TraceSpan::~TraceSpan() {
           start_.time_since_epoch())
           .count());
   --t_depth;
-  TracerRegistry::global().record(std::string_view(name_.data()),
-                                  TracerRegistry::this_thread_tid(), t_depth,
-                                  start, end > start ? end - start : 0);
+  TracerRegistry::global().this_thread_ring().record(
+      name_, TracerRegistry::this_thread_tid(), t_depth, start,
+      end > start ? end - start : 0);
 #endif
 }
 

@@ -26,7 +26,6 @@
 // recording; the exporter renders an empty event list.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -43,18 +42,31 @@ inline constexpr bool kTraceEnabled = false;
 inline constexpr bool kTraceEnabled = true;
 #endif
 
-/// One completed span, as stored in a ring.
+/// A span name interned for the life of the process: NUL-terminated, at
+/// most kMaxSpanName characters, never freed.
+struct SpanName {
+  const char* str = "";
+};
+
+/// Longest span name kept; longer names are truncated.
+inline constexpr std::size_t kMaxSpanName = 47;
+
+/// The interned copy of `name` (truncated to kMaxSpanName). Each distinct
+/// name is stored once per process, so a ring slot holds a pointer
+/// instead of a copy of the name. A per-thread cache answers repeat
+/// names without the shared table's lock.
+[[nodiscard]] SpanName intern_span_name(std::string_view name);
+
+/// One completed span, as stored in a ring (32 bytes).
 struct TraceEvent {
-  /// Span name, truncated to fit (no allocation on the record path).
-  std::array<char, 48> name{};
+  /// Interned span name (see intern_span_name).
+  const char* name = "";
   std::uint32_t tid = 0;
   std::uint32_t depth = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
 
-  [[nodiscard]] std::string_view name_view() const noexcept {
-    return std::string_view(name.data());
-  }
+  [[nodiscard]] std::string_view name_view() const noexcept { return name; }
 };
 
 /// Fixed-capacity span ring with a single producer (the owning thread).
@@ -63,11 +75,16 @@ struct TraceEvent {
 /// producers.
 class TraceRing {
  public:
-  static constexpr std::size_t kCapacity = std::size_t{1} << 14;
+  static constexpr std::size_t kCapacity = std::size_t{1} << 13;
 
   /// Appends a completed span, overwriting the oldest if full.
-  void record(std::string_view name, std::uint32_t tid, std::uint32_t depth,
+  void record(SpanName name, std::uint32_t tid, std::uint32_t depth,
               std::uint64_t start_ns, std::uint64_t dur_ns);
+  /// record() under intern_span_name(name).
+  void record(std::string_view name, std::uint32_t tid, std::uint32_t depth,
+              std::uint64_t start_ns, std::uint64_t dur_ns) {
+    record(intern_span_name(name), tid, depth, start_ns, dur_ns);
+  }
 
   /// Spans in recording order (oldest surviving first). Total number of
   /// spans ever recorded is reported separately so callers can tell how
@@ -152,7 +169,7 @@ class TraceSpan {
 
  private:
 #if !defined(MATON_OBS_OFF)
-  std::array<char, 48> name_{};
+  SpanName name_;
   std::chrono::steady_clock::time_point start_;
 #endif
 };

@@ -3,12 +3,15 @@
 // of a fresh check_programs, with every refutation confirmed by the
 // scalar interpreter. Budget overflows of a warm store are retried cold,
 // the store stays bounded under churn, a binding's per-intent proofs
-// re-fold only the tables the intent changed, and drift planted in a
-// table no intent touches is still refuted.
+// re-fold (and key) only the tables the intent changed, and drift planted
+// in a table no intent touches, by assignment or by any in-place edit, is
+// still refuted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "analysis/symbolic/engine.hpp"
@@ -362,6 +365,180 @@ TEST(BindingProofs, DriftInAnUntouchedTableIsRefuted) {
   EXPECT_EQ(binding.verify_stats().failed, 1u);
   EXPECT_FALSE(binding.last_verify_note().empty());
 }
+
+TEST(BindingProofs, InPlaceDriftInAnUntouchedTableIsRefuted) {
+  // As above, but the drift is an in-place FlatRules edit: the table
+  // object, its position and its size stay, and only its revision tells
+  // the warm prover that the rules changed.
+  cp::GwlbBinding binding(
+      workloads::make_gwlb({.num_services = 16, .num_backends = 4,
+                            .seed = 8}),
+      cp::Representation::kGoto, cp::CompileMode::kIncremental,
+      cp::AnalyzeMode::kOff, cp::VerifyMode::kSymbolic);
+  for (std::uint64_t out = 1; out <= 3; ++out) {
+    ASSERT_TRUE(binding.compile_intent(cp::ChangeBackend{0, 0, 500 + out})
+                    .is_ok());
+  }
+  ASSERT_EQ(binding.verify_stats().failed, 0u);
+  dp::Program& live = cp::GwlbBindingInternals::program(binding);
+  const std::size_t victim = live.tables.size() - 1;
+  dp::Rule drifted = live.tables[victim].rules[0];
+  drifted.actions.front().value ^= 0x40;
+  live.tables[victim].rules.replace(0, drifted);
+  ASSERT_TRUE(binding.compile_intent(cp::ChangeBackend{0, 1, 777}).is_ok());
+  EXPECT_EQ(binding.verify_stats().failed, 1u);
+}
+
+TEST(BindingProofs, AWarmProofKeysOnlyTheTouchedTables) {
+  // 100 x 8 goto, 101 tables per program. A backend swap changes one
+  // service table of each program, and the entry table of each through
+  // its successor diagram (the reference re-lowers both): at most four
+  // keys per proof, where keying every table would build 202.
+  cp::GwlbBinding binding(
+      workloads::make_gwlb({.num_services = 100, .num_backends = 8,
+                            .seed = 1}),
+      cp::Representation::kGoto, cp::CompileMode::kIncremental,
+      cp::AnalyzeMode::kOff, cp::VerifyMode::kSymbolic);
+  ASSERT_EQ(binding.verify_stats().verified, 1u);
+  EXPECT_EQ(binding.verify_stats().tables_keyed, 2u * 101u);  // cold
+  Rng rng(29);
+  for (std::size_t i = 0; i < 24; ++i) {
+    const cp::VerifyStats before = binding.verify_stats();
+    ASSERT_TRUE(binding
+                    .compile_intent(cp::ChangeBackend{
+                        rng.index(100), rng.index(8), 2000 + rng.index(512)})
+                    .is_ok());
+    const cp::VerifyStats after = binding.verify_stats();
+    ASSERT_EQ(after.verified, before.verified + 1)
+        << binding.last_verify_note();
+    EXPECT_LE(after.tables_keyed - before.tables_keyed, 4u) << "intent " << i;
+  }
+}
+
+/// Entry table 0 sends ip_dst 1 to table 1 and ip_dst 2 to table 2; each
+/// of those matches ip_src. Table 2's first rule (11.1/16) lies inside
+/// its second (11/8).
+dp::Program two_services() {
+  const auto src = [](std::uint64_t value, unsigned plen, std::uint64_t out) {
+    dp::Rule rule;
+    rule.priority = plen;
+    const std::uint64_t mask = (0xffffffffu << (32 - plen)) & 0xffffffffu;
+    rule.matches.push_back({dp::FieldId::kIpSrc, value & mask, mask});
+    rule.actions.push_back({dp::Action::Kind::kOutput, dp::FieldId::kMeta0, out});
+    return rule;
+  };
+  const auto dst = [](std::uint64_t vip, std::size_t table) {
+    dp::Rule rule;
+    rule.priority = 32;
+    rule.matches.push_back({dp::FieldId::kIpDst, vip, 0xffffffffu});
+    rule.goto_table = table;
+    return rule;
+  };
+  dp::Program program;
+  program.tables.push_back({.name = "entry", .rules = {dst(1, 1), dst(2, 2)}});
+  program.tables.push_back(
+      {.name = "lb1",
+       .rules = {src(0x0a000000, 8, 11), src(0x0c000000, 8, 13)}});
+  program.tables.push_back(
+      {.name = "lb2",
+       .rules = {src(0x0b010000, 16, 21), src(0x0b000000, 8, 23)}});
+  return program;
+}
+
+/// A catch-all rule with output `out`.
+dp::Rule catch_all(std::uint32_t priority, std::uint64_t out) {
+  dp::Rule rule;
+  rule.priority = priority;
+  rule.actions.push_back({dp::Action::Kind::kOutput, dp::FieldId::kMeta0, out});
+  return rule;
+}
+
+struct InPlaceDrift {
+  const char* name;
+  /// Edits table 2 of the program in place. `prove` runs a warm check
+  /// between two steps of a multi-step edit.
+  void (*edit)(dp::Program& program, const std::function<void()>& prove);
+};
+
+class InPlaceDriftIsRefuted : public ::testing::TestWithParam<InPlaceDrift> {};
+
+TEST_P(InPlaceDriftIsRefuted, ByAWarmProverAsByACold) {
+  const dp::Program reference = two_services();
+  dp::Program live = reference;
+  ProgramProver prover;
+  const auto prove = [&] {
+    const Result warm = prover.check(live, reference);
+    expect_same(warm, check_programs(live, reference), live, reference);
+  };
+  // Warm every slot, touching table 1 only.
+  ASSERT_EQ(prover.check(live, reference).outcome, Outcome::kEquivalent);
+  live.tables[1].rules.replace(0, live.tables[1].rules[0]);
+  ASSERT_EQ(prover.check(live, reference).outcome, Outcome::kEquivalent);
+  const std::uint64_t revision = live.tables[2].rules.revision();
+
+  GetParam().edit(live, prove);
+  ASSERT_FALSE(HasFatalFailure());
+  const Result warm = prover.check(live, reference);
+  EXPECT_EQ(warm.outcome, Outcome::kInequivalent) << warm.note;
+  expect_same(warm, check_programs(live, reference), live, reference);
+  if (std::string_view(GetParam().name) != "retarget_next") {
+    EXPECT_NE(live.tables[2].rules.revision(), revision);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Mutators, InPlaceDriftIsRefuted,
+    ::testing::Values(
+        InPlaceDrift{"replace",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       dp::Rule rule = p.tables[2].rules[0];
+                       rule.actions[0].value = 99;
+                       p.tables[2].rules.replace(0, rule);
+                     }},
+        InPlaceDrift{"insert",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       p.tables[2].rules.insert(0, catch_all(0, 98));
+                     }},
+        InPlaceDrift{"insert_sorted",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       (void)p.tables[2].rules.insert_sorted(catch_all(0, 98));
+                     }},
+        InPlaceDrift{"push_back",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       p.tables[2].rules.push_back(catch_all(0, 98));
+                     }},
+        InPlaceDrift{"erase",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       p.tables[2].rules.erase(0);
+                     }},
+        InPlaceDrift{"clear",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       p.tables[2].rules.clear();
+                     }},
+        // Raising the covering rule's priority keeps its scan position
+        // (and the table's function) until it is re-slotted ahead of the
+        // rule it covers.
+        InPlaceDrift{"reposition",
+                     [](dp::Program& p, const std::function<void()>& prove) {
+                       dp::Rule rule = p.tables[2].rules[1];
+                       rule.priority = 40;
+                       p.tables[2].rules.replace(1, rule);
+                       prove();
+                       EXPECT_EQ(p.tables[2].rules.reposition(1), 0u);
+                     }},
+        InPlaceDrift{"stable_sort_by_priority",
+                     [](dp::Program& p, const std::function<void()>& prove) {
+                       dp::Rule rule = p.tables[2].rules[1];
+                       rule.priority = 40;
+                       p.tables[2].rules.replace(1, rule);
+                       prove();
+                       p.tables[2].rules.stable_sort_by_priority();
+                     }},
+        InPlaceDrift{"retarget_next",
+                     [](dp::Program& p, const std::function<void()>&) {
+                       p.tables[2].next = 1;
+                     }}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace maton::analysis::symbolic

@@ -6,8 +6,11 @@
 // collision mix).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "controlplane/churn.hpp"
 #include "controlplane/compiler.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace maton::cp {
@@ -86,6 +89,44 @@ TEST(SymbolicVerify, CollisionChurnStaysIncrementalAndProven) {
   const double ratio =
       static_cast<double>(inc.fallbacks) / static_cast<double>(kIntents);
   EXPECT_LT(ratio, 0.1) << "fallbacks: " << inc.fallbacks;
+}
+
+TEST(SymbolicVerify, EachVerifiedIntentRecordsEveryPhase) {
+  // maton_cp_intent_phase_ns{phase, repr}: one delta, one refresh and one
+  // prove sample per verified intent, on both compile paths; the initial
+  // proof at construction records none. The registry is process-wide, so
+  // the test reads deltas.
+  const Gwlb gwlb = make_gwlb({.num_services = 8, .num_backends = 4});
+  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  for (const Representation repr :
+       {Representation::kGoto, Representation::kUniversal}) {
+    const auto count = [&](const char* phase) {
+      return registry
+          .histogram("maton_cp_intent_phase_ns",
+                     {{"phase", phase}, {"repr", std::string(to_string(repr))}})
+          .totals()
+          .count;
+    };
+    const std::uint64_t delta0 = count("delta");
+    const std::uint64_t refresh0 = count("refresh");
+    const std::uint64_t prove0 = count("prove");
+    for (const CompileMode mode :
+         {CompileMode::kIncremental, CompileMode::kFullRebuild}) {
+      GwlbBinding binding(gwlb, repr, mode, AnalyzeMode::kOff,
+                          VerifyMode::kSymbolic);
+      for (std::uint64_t out = 1; out <= 5; ++out) {
+        ASSERT_TRUE(
+            binding.compile_intent(ChangeBackend{out % 8, 0, 700 + out})
+                .is_ok());
+      }
+      EXPECT_EQ(binding.verify_stats().verified, 6u);
+    }
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(count("delta") - delta0, 10u) << to_string(repr);
+      EXPECT_EQ(count("refresh") - refresh0, 10u) << to_string(repr);
+      EXPECT_EQ(count("prove") - prove0, 10u) << to_string(repr);
+    }
+  }
 }
 
 }  // namespace

@@ -316,7 +316,7 @@ TEST(MaskedGroupSpill, FreeListBoundsChainGarbage) {
   return which == "eswitch" ? make_eswitch_model() : make_lagopus_model();
 }
 
-/// Per-rule packet counts kept by match vector, independent of
+/// Per-rule packet counts kept by (table, match vector), independent of
 /// RuleCounters: the scalar reference interpreter bumps the rules it
 /// matched, and updates carry counts with OpenFlow semantics.
 class ReferenceCounts {
@@ -326,34 +326,38 @@ class ReferenceCounts {
   void process(const FlowKey& key) {
     (void)execute_reference(program_, key, &matched_);
     for (const MatchedRule& m : matched_.span()) {
-      ++counts_[encode(program_.tables[m.table].rules[m.rule].matches)];
+      ++counts_[encode(m.table,
+                       program_.tables[m.table].rules[m.rule].matches)];
     }
   }
 
   void apply(const RuleUpdate& update) {
     ASSERT_TRUE(apply_update_to_program(program_, update).is_ok());
-    const std::vector<std::uint64_t> target = encode(update.target);
+    const std::vector<std::uint64_t> target =
+        encode(update.table, update.target);
     if (update.kind == RuleUpdate::Kind::kInsert) {
-      counts_[encode(update.rule.matches)] = 0;
+      counts_[encode(update.table, update.rule.matches)] = 0;
     } else if (update.kind == RuleUpdate::Kind::kRemove) {
       counts_.erase(target);
     } else {  // a modified rule inherits its count
       const std::uint64_t count = counts_[target];
       counts_.erase(target);
-      counts_[encode(update.rule.matches)] = count;
+      counts_[encode(update.table, update.rule.matches)] = count;
     }
   }
 
-  [[nodiscard]] std::uint64_t count(const MatchRange& matches) const {
-    const auto it = counts_.find(encode(matches));
+  [[nodiscard]] std::uint64_t count(std::size_t table,
+                                    const MatchRange& matches) const {
+    const auto it = counts_.find(encode(table, matches));
     return it == counts_.end() ? 0 : it->second;
   }
   [[nodiscard]] const Program& program() const noexcept { return program_; }
 
  private:
   template <typename Matches>
-  [[nodiscard]] static std::vector<std::uint64_t> encode(const Matches& ms) {
-    std::vector<std::uint64_t> out;
+  [[nodiscard]] static std::vector<std::uint64_t> encode(std::size_t table,
+                                                         const Matches& ms) {
+    std::vector<std::uint64_t> out{table};
     for (const FieldMatch m : ms) {
       out.insert(out.end(), {field_index(m.field), m.value, m.mask});
     }
@@ -435,7 +439,7 @@ TEST_P(DeltaCounters, RemovalRunsCarryCountersLikeTheScalarReference) {
     for (const RuleView rule : ref.program().tables[0].rules) {
       const auto got = sw->read_rule_counter(0, rule.matches);
       ASSERT_TRUE(got.is_ok());
-      ASSERT_EQ(got.value(), ref.count(rule.matches)) << "round " << round;
+      ASSERT_EQ(got.value(), ref.count(0, rule.matches)) << "round " << round;
     }
   }
 }
@@ -490,6 +494,67 @@ TEST(DeltaMaintenanceMetrics, RemoveServicePatchesWithoutRebuilding) {
     const ExecResult want = execute_reference(binding.program(), keys[i]);
     ASSERT_EQ(results[i].hit, want.hit) << "key " << i;
     ASSERT_EQ(results[i].out_port, want.out_port) << "key " << i;
+  }
+}
+
+TEST(DeltaMaintenanceMetrics, GotoChangeBackendPatchesTheLpmTable) {
+  // 100 services × 8 backends, goto: ESwitch serves each per-service LB
+  // table with the LPM template. A backend swap rewrites the output of
+  // one LB rule and keeps its match vector, so the template keeps its
+  // trie and nothing is rebuilt.
+  cp::GwlbBinding binding(
+      workloads::make_gwlb(
+          {.num_services = 100, .num_backends = 8, .seed = 12}),
+      cp::Representation::kGoto);
+  auto sw = make_eswitch_model();
+  ASSERT_TRUE(sw->load(binding.program()).is_ok());
+  ReferenceCounts ref(binding.program());
+
+  auto& registry = obs::MetricRegistry::global();
+  obs::Counter& rebuilds = registry.counter(
+      "maton_dp_classifier_rebuilds_total",
+      {{"model", "eswitch"}, {"template", "lpm"}});
+  obs::Counter& patches = registry.counter(
+      "maton_dp_classifier_patches_total",
+      {{"model", "eswitch"}, {"op", "modify"}, {"template", "lpm"}});
+  const auto keys = workloads::make_gwlb_keys(
+      binding.gwlb(), {.num_packets = 1024, .hit_fraction = 0.9, .seed = 3});
+
+  Rng rng(41);
+  std::vector<ExecResult> results(keys.size());
+  for (int round = 0; round < 16; ++round) {
+    sw->process_batch(keys, results);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const ExecResult want = execute_reference(ref.program(), keys[i]);
+      ASSERT_EQ(results[i].hit, want.hit) << "round " << round;
+      ASSERT_EQ(results[i].out_port, want.out_port) << "round " << round;
+      ref.process(keys[i]);
+    }
+
+    const cp::ChangeBackend intent{rng.index(100), rng.index(8),
+                                   3000 + static_cast<std::uint64_t>(round)};
+    const auto updates = binding.compile_intent(intent);
+    ASSERT_TRUE(updates.is_ok());
+    ASSERT_EQ(updates.value().size(), 1u);
+    ASSERT_EQ(updates.value()[0].kind, RuleUpdate::Kind::kModify);
+    const std::uint64_t rebuilds0 = rebuilds.total();
+    const std::uint64_t patches0 = patches.total();
+    ASSERT_TRUE(sw->apply_updates(updates.value()).is_ok());
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(rebuilds.total() - rebuilds0, 0u) << "round " << round;
+      EXPECT_EQ(patches.total() - patches0, 1u) << "round " << round;
+    }
+    ASSERT_NO_FATAL_FAILURE(ref.apply(updates.value()[0]));
+  }
+
+  ASSERT_TRUE(sw->program() == binding.program());
+  const Program& program = sw->program();
+  for (std::size_t t = 0; t < program.tables.size(); ++t) {
+    for (const RuleView rule : program.tables[t].rules) {
+      const auto got = sw->read_rule_counter(t, rule.matches);
+      ASSERT_TRUE(got.is_ok());
+      EXPECT_EQ(got.value(), ref.count(t, rule.matches)) << "table " << t;
+    }
   }
 }
 
