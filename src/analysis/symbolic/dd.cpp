@@ -47,7 +47,7 @@ DiagramStore::DiagramStore(std::size_t max_nodes)
       cache_(kInitialSlots) {
   expects(max_nodes_ >= 2, "DiagramStore: budget too small for leaves");
   // Start the arena as small as the indexes and let it double: a
-  // one-shot store (slices_relation) interns a few hundred nodes, and a
+  // one-shot store interns a few hundred nodes, and a
   // 2 MB up-front arena, once freed, raises glibc's mmap threshold so
   // that later mid-size buffers stay in the heap as holes.
   nodes_.reserve(std::min<std::size_t>(max_nodes_, kInitialSlots));

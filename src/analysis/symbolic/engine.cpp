@@ -38,10 +38,8 @@ std::string_view to_string(SliceRelation relation) noexcept {
       return "disjoint";
     case SliceRelation::kIntersecting:
       return "intersecting";
-    case SliceRelation::kUnknown:
-      return "unknown";
   }
-  return "unknown";
+  return "intersecting";
 }
 
 namespace detail {

@@ -138,15 +138,15 @@ class ProgramProver {
                                              const Options& options = {});
 
 /// Relation between the packet regions two dp rule slices can match.
-enum class SliceRelation { kDisjoint, kIntersecting, kUnknown };
+enum class SliceRelation { kDisjoint, kIntersecting };
 
 [[nodiscard]] std::string_view to_string(SliceRelation relation) noexcept;
 
-/// Proves whether the union of `a`'s match regions intersects the union
+/// Decides whether the union of `a`'s match regions intersects the union
 /// of `b`'s (the MA602 slice-isolation proof and the incremental
-/// compiler's VIP-collision guard). kUnknown only on budget exhaustion.
+/// compiler's VIP-collision guard). A rule's region is one cube, so the
+/// answer is exact from the pairs of rules: O(|a|·|b|), no diagram store.
 [[nodiscard]] SliceRelation slices_relation(std::span<const dp::Rule> a,
-                                            std::span<const dp::Rule> b,
-                                            const Options& options = {});
+                                            std::span<const dp::Rule> b);
 
 }  // namespace maton::analysis::symbolic

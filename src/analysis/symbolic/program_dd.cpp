@@ -755,35 +755,33 @@ Result check_programs(const dp::Program& a, const dp::Program& b,
 }
 
 SliceRelation slices_relation(std::span<const dp::Rule> a,
-                              std::span<const dp::Rule> b,
-                              const Options& options) {
+                              std::span<const dp::Rule> b) {
   const obs::TraceSpan span("symbolic_solve");
-  DiagramStore dd(options.max_nodes);
-  SliceRelation relation = SliceRelation::kUnknown;
-  try {
-    std::vector<CubeBit> cube;
-    const auto region = [&dd, &cube](std::span<const dp::Rule> rules) {
-      NodeId acc = dd.false_leaf();
-      for (const dp::Rule& rule : rules) {
-        const std::optional<Region> r = Region::of(rule.matches);
-        if (!r.has_value()) continue;  // can never match
-        r->cube(cube);
-        acc = dd.b_or(acc, dd.cube(cube));
+  // Each rule's region is one cube, so two unions of cubes meet exactly
+  // when some pair of their cubes does: no diagram store is needed.
+  const auto regions = [](std::span<const dp::Rule> rules) {
+    std::vector<Region> out;
+    out.reserve(rules.size());
+    for (const dp::Rule& rule : rules) {
+      if (const std::optional<Region> r = Region::of(rule.matches)) {
+        out.push_back(*r);  // an unsatisfiable rule can never match
       }
-      return acc;
-    };
-    relation = dd.disjoint(region(a), region(b))
-                   ? SliceRelation::kDisjoint
-                   : SliceRelation::kIntersecting;
-  } catch (const NodeBudgetExceeded&) {
-    relation = SliceRelation::kUnknown;
-  }
+    }
+    return out;
+  };
+  const std::vector<Region> left = regions(a);
+  const std::vector<Region> right = regions(b);
+  const bool meet = std::any_of(left.begin(), left.end(), [&](const Region& l) {
+    return std::any_of(right.begin(), right.end(),
+                       [&](const Region& r) { return l.intersects(r); });
+  });
+  const SliceRelation relation =
+      meet ? SliceRelation::kIntersecting : SliceRelation::kDisjoint;
   // maton_symbolic_solves_total{check="slices"}, one counter per relation.
-  static const std::array<obs::Counter*, 3> solves = [] {
-    std::array<obs::Counter*, 3> by_relation{};
+  static const std::array<obs::Counter*, 2> solves = [] {
+    std::array<obs::Counter*, 2> by_relation{};
     for (const SliceRelation r :
-         {SliceRelation::kDisjoint, SliceRelation::kIntersecting,
-          SliceRelation::kUnknown}) {
+         {SliceRelation::kDisjoint, SliceRelation::kIntersecting}) {
       by_relation[static_cast<std::size_t>(r)] =
           &obs::MetricRegistry::global().counter(
               "maton_symbolic_solves_total",
@@ -791,10 +789,7 @@ SliceRelation slices_relation(std::span<const dp::Rule> a,
     }
     return by_relation;
   }();
-  static obs::Counter& nodes =
-      obs::MetricRegistry::global().counter("maton_symbolic_nodes_total");
   solves[static_cast<std::size_t>(relation)]->add(1);
-  nodes.add(dd.stats().nodes);
   return relation;
 }
 

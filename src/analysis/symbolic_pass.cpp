@@ -78,7 +78,7 @@ void run_symbolic_pass(const Input& input, const Options& options,
     sink.mark_ran();
     const std::string subject = "slices '" + check.left_name + "' vs '" +
                                 check.right_name + "'";
-    switch (symbolic::slices_relation(check.left, check.right, solver)) {
+    switch (symbolic::slices_relation(check.left, check.right)) {
       case symbolic::SliceRelation::kDisjoint: {
         // The positive certificate is reported (like the NF-status
         // lints): isolation is a property callers rely on, so the proof
@@ -102,9 +102,6 @@ void run_symbolic_pass(const Input& input, const Options& options,
         sink.emit(std::move(d));
         break;
       }
-      case symbolic::SliceRelation::kUnknown:
-        emit_unknown(sink, subject, "node budget exceeded");
-        break;
     }
   }
 

@@ -178,14 +178,19 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
       verify_(verify),
       analyze_(analyze) {
   obs::MetricRegistry& registry = obs::MetricRegistry::global();
-  const auto phase = [&](const char* name) {
-    return &registry.histogram(
-        "maton_cp_intent_phase_ns",
-        {{"phase", name}, {"repr", std::string(to_string(repr_))}});
-  };
-  delta_ns_ = phase("delta");
-  refresh_ns_ = phase("refresh");
-  prove_ns_ = phase("prove");
+  // Labels in Intent's variant order.
+  constexpr std::array<const char*, std::variant_size_v<Intent>> kIntents = {
+      "port", "ip", "backend", "remove"};
+  for (std::size_t i = 0; i < phases_.size(); ++i) {
+    const auto phase = [&](const char* name) {
+      return &registry.histogram(
+          "maton_cp_intent_phase_ns",
+          {{"phase", name},
+           {"intent", kIntents[i]},
+           {"repr", std::string(to_string(repr_))}});
+    };
+    phases_[i] = {phase("delta"), phase("refresh"), phase("prove")};
+  }
   const Status built = rebuild_program();
   expects(built.is_ok(), "gwlb program failed to compile: " + built.message());
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
@@ -328,7 +333,7 @@ void GwlbBinding::refresh_reference(std::size_t service) {
 }
 
 void GwlbBinding::run_post_compile_verify(
-    std::optional<std::size_t> touched) {
+    std::optional<std::size_t> touched, const PhaseHistograms* phases) {
   const obs::TraceSpan span("symbolic_verify");
   // Prove the live (possibly patched-in-place) program equivalent to the
   // reference. A bit-identical program passes trivially; the point is
@@ -339,11 +344,11 @@ void GwlbBinding::run_post_compile_verify(
   if (touched.has_value()) {
     const PhaseClock::time_point refresh_start = phase_start();
     refresh_reference(*touched);
-    phase_end(*refresh_ns_, refresh_start);
+    if (phases != nullptr) phase_end(*phases->refresh, refresh_start);
   }
   const PhaseClock::time_point prove_start = phase_start();
   const auto result = prover_->check(program_, reference_);
-  if (touched.has_value()) phase_end(*prove_ns_, prove_start);
+  if (phases != nullptr) phase_end(*phases->prove, prove_start);
   verify_stats_.table_hits += result.stats.table_hits;
   verify_stats_.table_misses += result.stats.table_misses;
   verify_stats_.tables_keyed += result.stats.tables_keyed;
@@ -449,6 +454,7 @@ void GwlbBinding::rebuild_provenance() {
 
 void GwlbBinding::rebuild_indexes() {
   slice_index_.assign(program_.tables.size(), {});
+  slice_removals_.assign(program_.tables.size(), {});
   for (std::size_t t = 0; t < program_.tables.size(); ++t) {
     rebuild_slice_index(t);
   }
@@ -473,6 +479,21 @@ void GwlbBinding::rebuild_slice_index(std::size_t table) {
   for (std::size_t i = 0; i < prov.size(); ++i) {
     index[prov[i]].push_back(static_cast<std::uint32_t>(i));
   }
+  slice_removals_[table] = util::BuildPositions(prov.size());
+}
+
+std::vector<std::uint32_t> GwlbBinding::slice_positions(
+    std::size_t table, std::size_t service) const {
+  const auto& index = slice_index_[table];
+  const auto it = index.find(static_cast<std::uint32_t>(service));
+  if (it == index.end()) return {};
+  const util::BuildPositions& removals = slice_removals_[table];
+  std::vector<std::uint32_t> live;
+  live.reserve(it->second.size());
+  for (const std::uint32_t build : it->second) {
+    live.push_back(static_cast<std::uint32_t>(removals.live(build)));
+  }
+  return live;
 }
 
 void GwlbBinding::erase_slice(std::size_t table, std::size_t service,
@@ -484,13 +505,20 @@ void GwlbBinding::erase_slice(std::size_t table, std::size_t service,
                            [&](std::size_t from, std::size_t to) {
                              prov[to] = prov[from];
                            }));
-  auto& index = slice_index_[table];
-  index.erase(static_cast<std::uint32_t>(service));
-  for (auto& entry : index) {
-    for (std::uint32_t& pos : entry.second) {
-      pos -= static_cast<std::uint32_t>(shift_below(pos, erased));
-    }
+  // The survivors keep their build positions: the removal map records
+  // the service's, unless that passes its share and the table's index
+  // is rebuilt instead.
+  util::BuildPositions& removals = slice_removals_[table];
+  if (!removals.can_remove(positions.size())) {
+    rebuild_slice_index(table);
+    return;
   }
+  auto& index = slice_index_[table];
+  const auto it = index.find(static_cast<std::uint32_t>(service));
+  expects(it != index.end() && it->second.size() == positions.size(),
+          "erased slice is not the indexed one");
+  removals.remove(std::span<const std::uint32_t>(it->second));
+  index.erase(it);
 }
 
 void GwlbBinding::vip_add(std::uint32_t vip, std::size_t service) {
@@ -551,14 +579,10 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
     patch.stage = stage;
     patch.table = t;
     const dp::FlatRules& rules = program_.tables[t].rules;
-    if (const auto it =
-            slice_index_[t].find(static_cast<std::uint32_t>(service));
-        it != slice_index_[t].end()) {
-      patch.positions = it->second;
-      patch.before.reserve(patch.positions.size());
-      for (const std::uint32_t pos : patch.positions) {
-        patch.before.push_back(rules[pos]);
-      }
+    patch.positions = slice_positions(t, service);
+    patch.before.reserve(patch.positions.size());
+    for (const std::uint32_t pos : patch.positions) {
+      patch.before.push_back(rules[pos]);
     }
     // Validation: the slice extracted from the live program must equal
     // what the descriptor emits for the pre-intent service state. A
@@ -594,7 +618,7 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   // shows this service's slice region (before ∪ after) disjoint from each
   // colliding partner's slice in every affected table, no packet can hit
   // rules of both and the slice-local diff stays unambiguous. Only a
-  // *proven-possible* intersection (or a solver bail) falls back.
+  // possible intersection falls back.
   std::vector<std::uint32_t> partners;
   const auto collect_partners = [&](std::uint32_t vip) {
     const auto it = vip_services_.find(vip);
@@ -761,6 +785,7 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     svc.backends.clear();
   }
 
+  const PhaseHistograms& phases = phases_[intent.index()];
   const PhaseClock::time_point delta_start = phase_start();
   if (mode_ == CompileMode::kIncremental) {
     static obs::Counter& hits = obs::MetricRegistry::global().counter(
@@ -774,11 +799,13 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
             "maton_cp_incremental_fallbacks_total",
             {{"cause", "slice_validation"}});
     if (auto updates = try_compile_incremental(service, old_svc)) {
-      phase_end(*delta_ns_, delta_start);
+      phase_end(*phases.delta, delta_start);
       ++inc_stats_.hits;
       hits.add();
       if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
-      if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify(service);
+      if (verify_ == VerifyMode::kSymbolic) {
+        run_post_compile_verify(service, &phases);
+      }
       return std::move(*updates);
     }
     ++inc_stats_.fallbacks;
@@ -808,9 +835,11 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     const obs::TraceSpan diff_span("rule_diff");
     updates = diff_programs(before, program_);
   }
-  phase_end(*delta_ns_, delta_start);
+  phase_end(*phases.delta, delta_start);
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
-  if (verify_ == VerifyMode::kSymbolic) run_post_compile_verify(service);
+  if (verify_ == VerifyMode::kSymbolic) {
+    run_post_compile_verify(service, &phases);
+  }
   return updates;
 }
 
@@ -826,12 +855,11 @@ MonitorPlan GwlbBinding::monitor_plan(std::size_t service) const {
 
 std::vector<Rule> GwlbBinding::entry_rules(std::size_t service) const {
   expects(service < gwlb_.services.size(), "service index out of range");
-  const auto& index = slice_index_[program_.entry];
-  const auto it = index.find(static_cast<std::uint32_t>(service));
-  if (it == index.end()) return {};
+  const std::vector<std::uint32_t> positions =
+      slice_positions(program_.entry, service);
   std::vector<Rule> rules;
-  rules.reserve(it->second.size());
-  for (const std::uint32_t pos : it->second) {
+  rules.reserve(positions.size());
+  for (const std::uint32_t pos : positions) {
     rules.push_back(program_.tables[program_.entry].rules[pos]);
   }
   return rules;

@@ -16,6 +16,7 @@
 // (tests/controlplane/test_incremental_compile.cpp).
 #pragma once
 
+#include <array>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +28,7 @@
 #include "core/fd_mine.hpp"
 #include "dataplane/switch.hpp"
 #include "obs/metrics.hpp"
+#include "util/build_positions.hpp"
 #include "workloads/gwlb.hpp"
 
 namespace maton::cp {
@@ -198,8 +200,13 @@ class GwlbBinding {
   /// the delta path maintains them in place.
   void rebuild_indexes();
   void rebuild_slice_index(std::size_t table);
-  /// Erases `service`'s rules at `positions` (ascending) from `table` —
-  /// rules, provenance and slice index — in one pass each.
+  /// Live positions (ascending) of `service`'s rules in `table`; empty
+  /// when it holds none there.
+  [[nodiscard]] std::vector<std::uint32_t> slice_positions(
+      std::size_t table, std::size_t service) const;
+  /// Erases `service`'s rules at live `positions` (ascending) from
+  /// `table`: rules and provenance in one pass each; the slice index
+  /// drops the service and records its positions as removed.
   void erase_slice(std::size_t table, std::size_t service,
                    const std::vector<std::uint32_t>& positions);
   void vip_add(std::uint32_t vip, std::size_t service);
@@ -218,11 +225,19 @@ class GwlbBinding {
   /// one per descriptor stage, and reassembles each such table from
   /// reference_rows_ in the order dp::compile gives a stage's rules.
   void refresh_reference(std::size_t service);
-  /// Refreshes reference_ for the `touched` service (nullopt right after
-  /// its full compile), then proves the live program equivalent to it
-  /// (VerifyMode::kSymbolic) with prover_; tallies verify_stats_ and the
-  /// maton_cp_symbolic_*_total counters.
-  void run_post_compile_verify(std::optional<std::size_t> touched);
+  /// Where an applied intent's time goes, in ns, per phase.
+  struct PhaseHistograms {
+    obs::Histogram* delta = nullptr;
+    obs::Histogram* refresh = nullptr;
+    obs::Histogram* prove = nullptr;
+  };
+  /// Refreshes reference_ for the service an applied intent touched
+  /// (nullopt right after its full compile), then proves the live
+  /// program equivalent to it (VerifyMode::kSymbolic) with prover_;
+  /// tallies verify_stats_, the maton_cp_symbolic_*_total counters and,
+  /// for an intent, its refresh and prove phases into `phases`.
+  void run_post_compile_verify(std::optional<std::size_t> touched,
+                               const PhaseHistograms* phases = nullptr);
 
   /// Lowered, slice-sorted rules service `s` (in state `svc`) contributes
   /// to descriptor stage `stage`; empty when it contributes none.
@@ -253,13 +268,18 @@ class GwlbBinding {
   /// maintained in place by the incremental patcher.
   std::vector<std::vector<std::uint32_t>> provenance_;
   /// Inverse of provenance_: slice_index_[t][service] = ascending
-  /// positions of the service's rules in program_.tables[t]. Lets the
-  /// delta path extract a slice in O(slice) instead of scanning the
-  /// table; untouched by same-shape patches (positions are stable),
-  /// renumbered in place when a slice is erased, rebuilt per table
-  /// after a shape-changing merge.
+  /// positions of the service's rules in program_.tables[t] as of the
+  /// table's last index build, read through slice_removals_[t]
+  /// (slice_positions). Lets the delta path extract a slice in O(slice)
+  /// instead of scanning the table; untouched by same-shape patches
+  /// (positions are stable), not renumbered when a slice is erased (the
+  /// removal map records it), rebuilt per table after a shape-changing
+  /// merge or once a quarter of the table's built rules are gone.
   std::vector<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
       slice_index_;
+  /// Per table: the removal map from slice_index_'s build positions to
+  /// live positions.
+  std::vector<util::BuildPositions> slice_removals_;
   /// row_offsets_[s] = first universal-table row of service s. Valid
   /// while slice shapes are stable; suffix-recomputed when a slice
   /// grows or shrinks.
@@ -309,14 +329,13 @@ class GwlbBinding {
   /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
   /// only): successive proofs re-fold only the tables an intent changed.
   std::optional<analysis::symbolic::ProgramProver> prover_;
-  /// Where an applied intent's time goes, in ns, labelled with the
-  /// representation: maton_cp_intent_phase_ns{phase="delta"} (compiling
-  /// the updates, on either path), {phase="refresh"} (refresh_reference)
-  /// and {phase="prove"} (the prover's check). The last two are recorded
+  /// maton_cp_intent_phase_ns{phase, intent, repr} per Intent
+  /// alternative (intent="port|ip|backend|remove", in variant order),
+  /// resolved at construction: {phase="delta"} (compiling the updates,
+  /// on either path), {phase="refresh"} (refresh_reference) and
+  /// {phase="prove"} (the prover's check). The last two are recorded
   /// only under VerifyMode::kSymbolic.
-  obs::Histogram* delta_ns_ = nullptr;
-  obs::Histogram* refresh_ns_ = nullptr;
-  obs::Histogram* prove_ns_ = nullptr;
+  std::array<PhaseHistograms, std::variant_size_v<Intent>> phases_;
 };
 
 /// Minimal update set turning `before` into `after`: per table, each old

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "dataplane/classifier.hpp"
 #include "dataplane/flow_key.hpp"
 #include "dataplane/simd.hpp"
+#include "util/build_positions.hpp"
 
 namespace maton::dp::detail {
 
@@ -78,88 +78,6 @@ inline void transpose_chunk(std::span<const FlowKey> keys, std::size_t base,
   }
 }
 
-/// Rule positions of a classifier built once and then patched by
-/// removals. The index keeps the positions the rules had at build time;
-/// a removal keeps the surviving rules in order, so a live position is
-/// the build position minus the removed build positions below it. The
-/// removed positions are a bitmap with a running count per 64-bit word,
-/// so either mapping is O(1) on the packet path; nothing is allocated
-/// or computed while no rule has been removed.
-class BuildPositions {
- public:
-  explicit BuildPositions(std::size_t built) : built_(built) {}
-
-  /// Live position of the surviving rule built at `build`.
-  [[nodiscard]] std::size_t live(std::size_t build) const noexcept {
-    if (removed_ == 0) return build;
-    const Word& w = words_[build >> 6];
-    const std::uint64_t lower = (std::uint64_t{1} << (build & 63)) - 1;
-    return build - w.below -
-           static_cast<std::size_t>(std::popcount(w.bits & lower));
-  }
-
-  /// Maps batch results from build to live positions, in place.
-  void to_live(std::span<std::size_t> out) const noexcept {
-    if (removed_ == 0) return;
-    for (std::size_t& r : out) {
-      if (r != kNoRule) r = live(r);
-    }
-  }
-
-  /// Build position of the rule now at live position `index`.
-  [[nodiscard]] std::size_t build(std::size_t index) const noexcept {
-    if (removed_ == 0) return index;
-    // The last word whose survivors before it number at most `index`
-    // holds the rule; it is that word's (index - before)-th survivor.
-    const auto before = [&](std::size_t k) { return 64 * k - words_[k].below; };
-    std::size_t lo = 0;
-    std::size_t hi = words_.size();
-    while (hi - lo > 1) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (before(mid) <= index) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    std::uint64_t survivors = ~words_[lo].bits;
-    for (std::size_t r = index - before(lo); r > 0; --r) {
-      survivors &= survivors - 1;
-    }
-    return 64 * lo + static_cast<std::size_t>(std::countr_zero(survivors));
-  }
-
-  /// Whether one more removal may be patched: past a fixed share of the
-  /// built rules a rebuild is cheaper than carrying the removed ones.
-  [[nodiscard]] bool can_remove() const noexcept {
-    return (removed_ + 1) * kMaxRemovedShare <= built_;
-  }
-
-  /// Marks the surviving rule built at `build` removed.
-  void remove(std::size_t build) {
-    if (words_.empty()) words_.resize((built_ + 63) / 64);
-    words_[build >> 6].bits |= std::uint64_t{1} << (build & 63);
-    for (std::size_t k = (build >> 6) + 1; k < words_.size(); ++k) {
-      ++words_[k].below;
-    }
-    ++removed_;
-  }
-
- private:
-  /// A classifier declines removals beyond 1/kMaxRemovedShare of its
-  /// built rules.
-  static constexpr std::size_t kMaxRemovedShare = 4;
-
-  struct Word {
-    std::uint64_t bits = 0;   // removed build positions in this word
-    std::uint64_t below = 0;  // removed build positions in earlier words
-  };
-
-  std::size_t built_;
-  std::size_t removed_ = 0;
-  std::vector<Word> words_;
-};
-
 /// One mask-vector group of a tuple-space index: rules sharing a mask
 /// vector over the classifier's field set, resolved by one exact-match
 /// hash probe with an open chain for bucket collisions. Shared by
@@ -167,7 +85,7 @@ class BuildPositions {
 /// LinearClassifier's batch index (groups probed in ascending minimum-
 /// rule order); both order keys are maintained unconditionally so the
 /// same structure serves either probe discipline. Entries carry build
-/// positions (see BuildPositions).
+/// positions (see util::BuildPositions).
 struct MaskedGroup {
   static constexpr std::size_t kNone = ~std::size_t{0};
 

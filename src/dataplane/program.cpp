@@ -248,6 +248,7 @@ FlatRules& FlatRules::operator=(FlatRules&& other) noexcept {
   action_garbage_ = other.action_garbage_;
   revision_ = other.revision_;
   index_ = std::move(other.index_);
+  index_positions_ = std::move(other.index_positions_);
   index_dirty_ = other.index_dirty_;
   index_dups_ = other.index_dups_;
   index_live_ = other.index_live_;
@@ -266,6 +267,7 @@ void FlatRules::clear() noexcept {
   acts_.clear();
   match_garbage_ = action_garbage_ = 0;
   index_.clear();
+  index_positions_ = util::BuildPositions();
   index_dirty_ = true;
   index_dups_ = false;
   index_live_ = index_dead_ = 0;
@@ -320,13 +322,18 @@ void FlatRules::append(std::uint32_t priority,
   }
   refs_.push_back(ref);
   revision_ = next_revision();
-  if (!index_dirty_) index_insert(refs_.size() - 1);
+  // An appended rule follows every survivor, so it takes the next build
+  // position and the removal map stays valid.
+  if (!index_dirty_) index_insert(refs_.size() - 1, index_positions_.append());
 }
 
 void FlatRules::replace(std::size_t pos, const Rule& r) {
   expects(pos < refs_.size(), "FlatRules::replace out of range");
   revision_ = next_revision();
-  if (!index_dirty_) index_remove(pos);
+  // The rule keeps its position, so it keeps its build position: the
+  // slot the removal probes names it.
+  std::size_t build = kNpos;
+  if (!index_dirty_) build = index_remove(pos);
   Ref& ref = refs_[pos];
   ref.priority = r.priority;
   ref.goto_plus1 = r.goto_table.has_value()
@@ -366,7 +373,9 @@ void FlatRules::replace(std::size_t pos, const Rule& r) {
                                  static_cast<std::uint8_t>(field_index(a.field)),
                                  a.width_bits};
   }
-  if (!index_dirty_) index_insert(pos);
+  if (!index_dirty_) {
+    index_insert(pos, build != kNpos ? build : index_positions_.build(pos));
+  }
   maybe_compact();
 }
 
@@ -386,30 +395,30 @@ void FlatRules::erase(std::span<const std::size_t> positions) {
   expects(positions.back() < refs_.size(), "FlatRules::erase out of range");
   revision_ = next_revision();
   // With duplicate match vectors the index only gates a scan; rebuild
-  // it lazily as before.
-  const bool keep_index = !index_dirty_ && !index_dups_;
+  // it lazily as before. Past the removal map's share, rebuild too.
+  bool keep_index = !index_dirty_ && !index_dups_ &&
+                    index_positions_.can_remove(positions.size());
+  // Every slot is probed before the map records any removal: the probes
+  // compare live positions as they were before this erase.
+  std::vector<std::size_t> builds;
+  if (keep_index) builds.reserve(positions.size());
   for (std::size_t k = 0; k < positions.size(); ++k) {
     expects(k == 0 || positions[k - 1] < positions[k],
             "FlatRules::erase positions must ascend");
     const Ref& ref = refs_[positions[k]];
     match_garbage_ += ref.match_count;
     action_garbage_ += ref.action_count;
-    if (keep_index) index_remove(positions[k]);
+    if (keep_index) {
+      builds.push_back(index_remove(positions[k]));
+      keep_index = builds.back() != kNpos;
+    }
   }
-  const std::size_t old_size = refs_.size();
-  refs_.resize(erase_sorted(old_size, positions,
+  refs_.resize(erase_sorted(refs_.size(), positions,
                             [&](std::size_t from, std::size_t to) {
                               refs_[to] = refs_[from];
                             }));
   if (keep_index) {
-    // Empty and dead slots (0 and ~0, so slot - 1 is out of range) keep
-    // their markers.
-    for (std::uint32_t& slot : index_) {
-      const std::uint32_t pos = slot - 1;
-      if (pos < old_size) {
-        slot -= static_cast<std::uint32_t>(shift_below(pos, positions));
-      }
-    }
+    index_positions_.remove(std::span<const std::size_t>(builds));
   } else {
     index_dirty_ = true;
   }
@@ -569,14 +578,15 @@ void FlatRules::build_index() const {
   std::size_t cap = 16;
   while (cap < refs_.size() * 2) cap <<= 1;
   index_.assign(cap, kSlotEmpty);
+  index_positions_ = util::BuildPositions(refs_.size());
   index_dups_ = false;
   index_live_ = 0;
   index_dead_ = 0;
   index_dirty_ = false;
-  for (std::size_t pos = 0; pos < refs_.size(); ++pos) index_insert(pos);
+  for (std::size_t pos = 0; pos < refs_.size(); ++pos) index_insert(pos, pos);
 }
 
-void FlatRules::index_insert(std::size_t pos) const {
+void FlatRules::index_insert(std::size_t pos, std::size_t build) const {
   if ((index_live_ + index_dead_ + 1) * 2 > index_.size()) {
     build_index();
     return;
@@ -588,8 +598,7 @@ void FlatRules::index_insert(std::size_t pos) const {
     if (index_[slot] == kSlotDead) {
       if (first_dead == kNpos) first_dead = slot;
     } else {
-      const std::size_t other = index_[slot] - 1;
-      const Ref& a = refs_[other];
+      const Ref& a = refs_[index_positions_.live(index_[slot] - 1)];
       const Ref& b = refs_[pos];
       if (a.match_count == b.match_count) {
         bool same = true;
@@ -614,23 +623,26 @@ void FlatRules::index_insert(std::size_t pos) const {
     slot = first_dead;
     --index_dead_;
   }
-  index_[slot] = static_cast<std::uint32_t>(pos + 1);
+  index_[slot] = static_cast<std::uint32_t>(build + 1);
   ++index_live_;
 }
 
-void FlatRules::index_remove(std::size_t pos) const {
+std::size_t FlatRules::index_remove(std::size_t pos) const {
   const std::uint64_t mask = index_.size() - 1;
   std::uint64_t slot = hash_rule_matches(pos) & mask;
   while (index_[slot] != kSlotEmpty) {
-    if (index_[slot] == pos + 1) {
-      index_[slot] = kSlotDead;
-      --index_live_;
-      ++index_dead_;
-      return;
+    if (index_[slot] != kSlotDead) {
+      const std::size_t build = index_[slot] - 1;
+      if (index_positions_.live(build) == pos) {
+        index_[slot] = kSlotDead;
+        --index_live_;
+        ++index_dead_;
+        return build;
+      }
     }
     slot = (slot + 1) & mask;
   }
-  // Not present (e.g. shadowed by a duplicate) — nothing to do.
+  return kNpos;  // shadowed by a duplicate
 }
 
 std::size_t FlatRules::find_by_match(
@@ -645,9 +657,9 @@ std::size_t FlatRules::find_by_match(
   const std::uint64_t mask = index_.size() - 1;
   std::uint64_t slot = hash_match_span(target) & mask;
   while (index_[slot] != kSlotEmpty) {
-    if (index_[slot] != kSlotDead &&
-        match_equals(index_[slot] - 1, target)) {
-      return index_[slot] - 1;
+    if (index_[slot] != kSlotDead) {
+      const std::size_t pos = index_positions_.live(index_[slot] - 1);
+      if (match_equals(pos, target)) return pos;
     }
     slot = (slot + 1) & mask;
   }

@@ -32,6 +32,7 @@
 
 #include "core/pipeline.hpp"
 #include "dataplane/flow_key.hpp"
+#include "util/build_positions.hpp"
 #include "util/small_vector.hpp"
 #include "util/status.hpp"
 
@@ -374,8 +375,9 @@ class FlatRules {
   void insert(std::size_t pos, const Rule& r);
   /// Erases the rules at `positions` (strictly ascending) in one pass;
   /// every later rule shifts down by the number of erased rules before
-  /// it. A built match index stays valid: the erased rules' slots die
-  /// and the survivors' slots are renumbered in the same pass.
+  /// it. A built match index stays valid without renumbering: the erased
+  /// rules' slots die and their build positions are recorded in the
+  /// index's removal map (until the removed share calls for a rebuild).
   void erase(std::span<const std::size_t> positions);
   void erase(std::size_t pos) { erase({&pos, 1}); }
 
@@ -394,9 +396,12 @@ class FlatRules {
 
   /// Index of the first rule whose match vector equals `target`, or
   /// kNpos. Amortized O(1): a lazy open-addressing index over match
-  /// vectors, point-maintained across replace/push_back/erase and
-  /// rebuilt after insert, reposition and sort. Falls back to a linear
-  /// scan when duplicate match vectors exist (first-match semantics).
+  /// vectors whose slots hold positions as of the index's last build,
+  /// read through a util::BuildPositions removal map. It is
+  /// point-maintained across replace/push_back/erase and rebuilt after
+  /// insert, reposition and sort, and once removals pass a quarter of
+  /// the built rules. Falls back to a linear scan when duplicate match
+  /// vectors exist (first-match semantics).
   [[nodiscard]] std::size_t find_by_match(
       std::span<const FieldMatch> target) const;
   /// Builds the match index now if it is not current, so the next
@@ -444,8 +449,12 @@ class FlatRules {
   [[nodiscard]] std::uint64_t hash_rule_matches(std::size_t pos)
       const noexcept;
   void build_index() const;
-  void index_insert(std::size_t pos) const;
-  void index_remove(std::size_t pos) const;
+  /// Adds the rule at live position `pos`, built at `build`.
+  void index_insert(std::size_t pos, std::size_t build) const;
+  /// Kills the slot of the rule at live position `pos`; returns its
+  /// build position, or kNpos when no slot holds it (a shadowed
+  /// duplicate).
+  std::size_t index_remove(std::size_t pos) const;
   [[nodiscard]] bool match_equals(std::size_t pos,
                                   std::span<const FieldMatch> m)
       const noexcept;
@@ -460,8 +469,10 @@ class FlatRules {
   std::size_t action_garbage_ = 0;
   std::uint64_t revision_ = next_revision();
 
-  // Lazy match-vector index: slot = pos + 1, 0 empty, ~0 dead.
+  // Lazy match-vector index: slot = build position + 1, 0 empty, ~0
+  // dead; index_positions_ maps build positions to live ones.
   mutable std::vector<std::uint32_t> index_;
+  mutable util::BuildPositions index_positions_;
   mutable bool index_dirty_ = true;
   mutable bool index_dups_ = false;
   mutable std::size_t index_live_ = 0;

@@ -1,6 +1,7 @@
 // ESwitch- and Lagopus-style switch models: both walk the table pipeline
 // per packet; they differ in how each table's classifier is instantiated
 // and in the fixed per-packet framework overhead.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "dataplane/switch.hpp"
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
+#include "util/sorted_erase.hpp"
 
 namespace maton::dp {
 
@@ -111,6 +113,7 @@ class TableWalkSwitch : public SwitchModel {
     stage_metrics_.reserve(num_tables);
     set_field_flags_.assign(num_tables, {});
     set_field_rules_ = 0;
+    erased_flags_.clear();
     for (std::size_t t = 0; t < num_tables; ++t) {
       const TableSpec& table = program().tables[t];
       classifiers_.push_back(instantiate(table));
@@ -133,9 +136,17 @@ class TableWalkSwitch : public SwitchModel {
   /// rebuild happens at all. Tables whose classifier declines, or that
   /// saw an insert or a re-position, are recompiled once per *touched
   /// table* in on_updates_applied. A patch also carries the table's
-  /// set-field flag for the one rule it touched.
+  /// set-field flag for the one rule it touched; a run of patched
+  /// removals (reported highest position first) drops its flags in one
+  /// pass when the run ends.
   void on_update(const RuleUpdate& update,
                  const ApplyOutcome& outcome) override {
+    if (!erased_flags_.empty() &&
+        (update.table != erased_flags_table_ ||
+         outcome.kind != ApplyOutcome::Kind::kRemoved ||
+         outcome.index >= erased_flags_.back())) {
+      erase_flags();
+    }
     std::uint8_t& touched = touched_[update.table];
     if (touched == kRebuild) return;  // rebuild already owed
     if (touched == kUntouched) touched_ids_.push_back(update.table);
@@ -156,9 +167,11 @@ class TableWalkSwitch : public SwitchModel {
       patched = classifier.apply_remove(table, outcome.index, update.target);
       if (patched) {
         metrics.patched_remove->add();
+        // Every flag still pending erasure lies above this one, so
+        // `flags` is still indexed by this rule's position.
         set_field_rules_ -= flags[outcome.index];
-        flags.erase(flags.begin() +
-                    static_cast<std::ptrdiff_t>(outcome.index));
+        erased_flags_table_ = update.table;
+        erased_flags_.push_back(outcome.index);
       }
     }
     touched = patched ? kPatched : kRebuild;
@@ -167,6 +180,7 @@ class TableWalkSwitch : public SwitchModel {
   /// Rebuilds the tables a decline or a structural edit left owing one;
   /// every step is per touched table.
   void on_updates_applied(std::span<const RuleUpdate> /*applied*/) override {
+    if (!erased_flags_.empty()) erase_flags();
     for (const std::size_t t : touched_ids_) {
       if (touched_[t] == kRebuild) {
         stage_metrics_[t].tmpl.rebuilds->add();
@@ -237,6 +251,18 @@ class TableWalkSwitch : public SwitchModel {
       if (action.kind == Action::Kind::kSetField) return 1;
     }
     return 0;
+  }
+
+  /// Drops the pending run's flags (erased_flags_, descending) from
+  /// their table in one pass.
+  void erase_flags() {
+    std::vector<std::uint8_t>& flags = set_field_flags_[erased_flags_table_];
+    std::reverse(erased_flags_.begin(), erased_flags_.end());
+    flags.resize(erase_sorted(flags.size(), erased_flags_,
+                              [&](std::size_t from, std::size_t to) {
+                                flags[to] = flags[from];
+                              }));
+    erased_flags_.clear();
   }
 
   /// Re-derives table `t`'s set-field flags from its rules (load and
@@ -403,6 +429,11 @@ class TableWalkSwitch : public SwitchModel {
   /// into its states buffer.
   std::vector<std::vector<std::uint8_t>> set_field_flags_;
   std::size_t set_field_rules_ = 0;
+  /// Positions (descending) of the current removal run's patched rules,
+  /// in table erased_flags_table_, whose flags are still in
+  /// set_field_flags_; their counts are already off set_field_rules_.
+  std::vector<std::size_t> erased_flags_;
+  std::size_t erased_flags_table_ = 0;
 
   std::vector<std::unique_ptr<QueueScratch>> scratch_;
   /// Per-table index maintenance owed by the current apply_updates call;

@@ -116,7 +116,7 @@ class TssClassifier final : public Classifier {
            const detail::ProbeBest& best) {
           return best.rule == kNoRule || e.priority > best.priority;
         });
-    positions_.to_live(out.first(keys.size()));
+    positions_.to_live(out.first(keys.size()), kNoRule);
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -139,7 +139,7 @@ class TssClassifier final : public Classifier {
 
   std::vector<FieldId> fields_;
   std::vector<detail::MaskedGroup> subtables_;
-  detail::BuildPositions positions_;
+  util::BuildPositions positions_;
 };
 
 class LinearClassifier final : public Classifier {
@@ -271,7 +271,7 @@ class LinearClassifier final : public Classifier {
           [](const detail::MaskedGroup::Entry& e,
              const detail::ProbeBest& best) { return e.rule < best.rule; });
     }
-    positions_.to_live(out.first(keys.size()));
+    positions_.to_live(out.first(keys.size()), kNoRule);
   }
 
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -403,7 +403,7 @@ class LinearClassifier final : public Classifier {
   std::vector<std::uint32_t> flat_begin_;
   std::vector<FieldId> fields_;  // union of matched fields, batch index
   std::vector<detail::MaskedGroup> groups_;
-  detail::BuildPositions positions_;
+  util::BuildPositions positions_;
 };
 
 }  // namespace

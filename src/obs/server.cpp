@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <thread>
 
 #if !defined(MATON_OBS_OFF)
@@ -114,6 +115,12 @@ struct ExpoServer::State {
   std::atomic<bool> stopping{false};
   std::atomic<bool> running{false};
   ScrapeDiff diff;  // touched only from the accept-loop thread
+  /// The connection being served (-1 between connections), so stop() can
+  /// wake a serve blocked on a slow or silent client. Guarded by
+  /// conn_mutex: stop() must never shut down a descriptor number the
+  /// loop has already closed and the process reused.
+  std::mutex conn_mutex;
+  int conn_fd = -1;
 
   void serve_connection(int fd) {
     // Read until the end of the request headers (or a sane cap); only
@@ -182,7 +189,19 @@ struct ExpoServer::State {
         if (errno == EINTR || errno == ECONNABORTED) continue;
         break;  // listening socket is gone; nothing left to serve
       }
+      {
+        const std::lock_guard<std::mutex> lock(conn_mutex);
+        if (stopping.load(std::memory_order_relaxed)) {
+          ::close(fd);
+          break;
+        }
+        conn_fd = fd;
+      }
       serve_connection(fd);
+      {
+        const std::lock_guard<std::mutex> lock(conn_mutex);
+        conn_fd = -1;
+      }
       ::shutdown(fd, SHUT_RDWR);
       ::close(fd);
     }
@@ -253,6 +272,11 @@ void ExpoServer::stop() {
   // job everywhere else.
   ::shutdown(state_->listen_fd, SHUT_RDWR);
   ::close(state_->listen_fd);
+  {
+    // A request in flight: wake its recv/send so the loop can exit.
+    const std::lock_guard<std::mutex> lock(state_->conn_mutex);
+    if (state_->conn_fd >= 0) ::shutdown(state_->conn_fd, SHUT_RDWR);
+  }
   if (state_->thread.joinable()) state_->thread.join();
   state_->listen_fd = -1;
   state_->port = 0;

@@ -22,8 +22,9 @@
 // Start via start("host:port") — port 0 binds an ephemeral port,
 // re-readable through port() — or start_from_env(), which reads
 // MATON_METRICS_ADDR and treats an unset variable as "don't serve".
-// stop() (also run by the destructor) closes the listening socket and
-// joins the thread.
+// stop() (also run by the destructor) closes the listening socket, shuts
+// down the connection being served (a slow or silent client cannot hold
+// it up) and joins the thread.
 //
 // Under MATON_OBS_OFF the server is compiled out: start() returns
 // kUnimplemented and no socket or thread is ever created, so binaries

@@ -1,10 +1,9 @@
 // Erasing a sorted set of positions from a sequence in one pass. The
 // survivors keep their order, so each one moves down by the number of
-// erased positions below it — the one fact every index over the
-// sequence needs to stay valid.
+// erased positions below it; an index over the sequence records the
+// erased positions in a util::BuildPositions map instead of renumbering.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -26,15 +25,6 @@ std::size_t erase_sorted(std::size_t n, std::span<const std::size_t> positions,
     }
   }
   return to;
-}
-
-/// How far the survivor at old position `value` moves down when
-/// `positions` (ascending) are erased: the count of positions below it.
-[[nodiscard]] inline std::size_t shift_below(
-    std::size_t value, std::span<const std::size_t> positions) {
-  return static_cast<std::size_t>(
-      std::lower_bound(positions.begin(), positions.end(), value) -
-      positions.begin());
 }
 
 }  // namespace maton

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "controlplane/representation.hpp"
@@ -451,6 +453,92 @@ TEST(SlicesRelation, DisjointAndIntersectingRegions) {
   EXPECT_EQ(slices_relation(a, b), SliceRelation::kDisjoint);
   EXPECT_EQ(slices_relation(a, c), SliceRelation::kIntersecting);
   EXPECT_EQ(slices_relation(a, {}), SliceRelation::kDisjoint);
+}
+
+/// The diagram answer: each slice's rules folded into one union of cubes
+/// in a diagram store, then DiagramStore::disjoint.
+SliceRelation diagram_relation(std::span<const dp::Rule> a,
+                               std::span<const dp::Rule> b) {
+  DiagramStore dd(1 << 20);
+  const auto region = [&dd](std::span<const dp::Rule> rules) {
+    NodeId acc = dd.false_leaf();
+    for (const dp::Rule& rule : rules) {
+      std::array<std::uint64_t, dp::kNumFields> mask{};
+      std::array<std::uint64_t, dp::kNumFields> value{};
+      bool satisfiable = true;
+      for (const dp::FieldMatch& m : rule.matches) {
+        const std::size_t f = dp::field_index(m.field);
+        if ((m.value & ~m.mask) != 0 ||
+            ((value[f] ^ m.value) & mask[f] & m.mask) != 0) {
+          satisfiable = false;
+        }
+        mask[f] |= m.mask;
+        value[f] |= m.value;
+      }
+      if (!satisfiable) continue;
+      std::vector<CubeBit> bits;  // ascending var: field, then high bit
+      for (std::size_t f = 0; f < dp::kNumFields; ++f) {
+        for (int bit = 63; bit >= 0; --bit) {
+          if (((mask[f] >> bit) & 1) != 0) {
+            bits.push_back({static_cast<std::uint32_t>(f * 64 + (63 - bit)),
+                            ((value[f] >> bit) & 1) != 0});
+          }
+        }
+      }
+      acc = dd.b_or(acc, dd.cube(bits));
+    }
+    return acc;
+  };
+  return dd.disjoint(region(a), region(b)) ? SliceRelation::kDisjoint
+                                           : SliceRelation::kIntersecting;
+}
+
+TEST(SlicesRelation, PairwiseAnswerEqualsTheDiagramAnswer) {
+  // Random slices over a small value space, so both answers occur:
+  // prefixes of one /24, a few ports, repeated matches on one field
+  // (conjunctions, some unsatisfiable) and value bits outside the mask.
+  Rng rng(0x511ce5);
+  const auto random_rule = [&rng] {
+    dp::Rule rule;
+    rule.priority = 1;
+    const std::uint64_t matches = rng.uniform(0, 3);
+    for (std::uint64_t k = 0; k < matches; ++k) {
+      switch (rng.uniform(0, 2)) {
+        case 0: {
+          const unsigned plen = static_cast<unsigned>(rng.uniform(24, 32));
+          const std::uint64_t mask =
+              (0xffffffffull << (32 - plen)) & 0xffffffffull;
+          std::uint64_t value = (0x0a000000ull | rng.uniform(0, 255)) & mask;
+          if (rng.chance(0.03)) value |= ~mask & 0xffffffffull & 1;
+          rule.matches.push_back({dp::FieldId::kIpDst, value, mask});
+          break;
+        }
+        case 1:
+          rule.matches.push_back(
+              {dp::FieldId::kTcpDst, 80 + 363 * rng.uniform(0, 2), 0xffff});
+          break;
+        default:
+          rule.matches.push_back(
+              {dp::FieldId::kIpProto, rng.chance(0.5) ? 6u : 17u, 0xff});
+          break;
+      }
+    }
+    return rule;
+  };
+  std::size_t disjoint = 0;
+  std::size_t intersecting = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<dp::Rule> a(rng.uniform(0, 6));
+    std::vector<dp::Rule> b(rng.uniform(0, 6));
+    for (dp::Rule& r : a) r = random_rule();
+    for (dp::Rule& r : b) r = random_rule();
+    const SliceRelation want = diagram_relation(a, b);
+    ASSERT_EQ(slices_relation(a, b), want) << "trial " << trial;
+    ASSERT_EQ(slices_relation(b, a), want) << "trial " << trial;
+    (want == SliceRelation::kDisjoint ? disjoint : intersecting) += 1;
+  }
+  EXPECT_GT(disjoint, 60u);
+  EXPECT_GT(intersecting, 60u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // to a full recompile the same way.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <variant>
 #include <vector>
@@ -22,10 +23,30 @@ namespace maton::cp {
 /// in place (provenance, slice index, row offsets), and reads the proof
 /// reference VerifyMode::kSymbolic maintains.
 struct GwlbBindingInternals {
+  using LiveSliceIndex =
+      std::vector<std::map<std::uint32_t, std::vector<std::size_t>>>;
+  /// The slice index with every position read through its table's
+  /// removal map: what the delta path sees.
+  static LiveSliceIndex live_slice_index(const GwlbBinding& b) {
+    LiveSliceIndex out(b.slice_index_.size());
+    for (std::size_t t = 0; t < b.slice_index_.size(); ++t) {
+      for (const auto& [service, builds] : b.slice_index_[t]) {
+        std::vector<std::size_t>& live = out[t][service];
+        for (const std::uint32_t build : builds) {
+          live.push_back(b.slice_removals_[t].live(build));
+        }
+      }
+    }
+    return out;
+  }
   static bool indexes_equal(const GwlbBinding& a, const GwlbBinding& b) {
     return a.provenance_ == b.provenance_ &&
-           a.slice_index_ == b.slice_index_ &&
+           live_slice_index(a) == live_slice_index(b) &&
            a.row_offsets_ == b.row_offsets_;
+  }
+  /// Removals table `t`'s slice index has recorded since its last build.
+  static std::size_t recorded_removals(const GwlbBinding& b, std::size_t t) {
+    return b.slice_removals_[t].removed();
   }
   static const dp::Program& reference(const GwlbBinding& b) {
     return b.reference_;
@@ -502,24 +523,49 @@ TEST(IncrementalCompile, ShrinkingSliceRemovalMatchesReference) {
 }
 
 TEST(IncrementalCompile, RemoveServiceKeepsIndexesEqualToARebuild) {
-  // The removal splice erases the service's positions from the program,
-  // provenance and slice index in place; what it leaves must be exactly
-  // what a full compile of the service model derives.
+  // The removal splice erases the service's positions from the program
+  // and provenance in place and records them in the slice index's
+  // removal map; read through that map, what it leaves must be exactly
+  // what a full compile of the service model derives. Six of sixteen
+  // services go, so every shared table passes the map's quarter share
+  // and rebuilds its slice index on the way.
   const auto rebuilt = [](const GwlbBinding& binding) {
     return GwlbBinding(binding.gwlb(), binding.representation(),
                        CompileMode::kFullRebuild);
   };
   for (const Representation repr : kAllReprs) {
-    const Gwlb gwlb = make_gwlb({.num_services = 12, .num_backends = 4});
+    const Gwlb gwlb = make_gwlb({.num_services = 16, .num_backends = 4});
     GwlbBinding inc(gwlb, repr, CompileMode::kIncremental);
-    for (const std::size_t victim : {4, 0, 11, 5}) {
+    const std::size_t entry = inc.program().entry;
+    bool recorded = false;
+    bool rebuilt_index = false;
+    for (const std::size_t victim : {4, 0, 15, 5, 9, 1}) {
+      const std::size_t before = GwlbBindingInternals::recorded_removals(
+          inc, entry);
       ASSERT_TRUE(inc.compile_intent(RemoveService{.service = victim}).is_ok())
           << to_string(repr) << " removing " << victim;
-      ASSERT_TRUE(GwlbBindingInternals::indexes_equal(inc, rebuilt(inc)))
+      const std::size_t after =
+          GwlbBindingInternals::recorded_removals(inc, entry);
+      recorded = recorded || after > before;
+      rebuilt_index = rebuilt_index || after < before;
+      const GwlbBinding reference = rebuilt(inc);
+      ASSERT_TRUE(GwlbBindingInternals::indexes_equal(inc, reference))
           << to_string(repr) << " removing " << victim;
+      ASSERT_TRUE(inc.program() == reference.program())
+          << to_string(repr) << " removing " << victim;
+      for (std::size_t s = 0; s < gwlb.services.size(); ++s) {
+        ASSERT_EQ(inc.entry_rules(s), reference.entry_rules(s))
+            << to_string(repr) << " removing " << victim << " service " << s;
+      }
     }
+    EXPECT_TRUE(recorded) << to_string(repr);
+    EXPECT_TRUE(rebuilt_index) << to_string(repr);
     ASSERT_TRUE(
         inc.compile_intent(MoveServicePort{.service = 6, .new_port = 50123})
+            .is_ok());
+    ASSERT_TRUE(
+        inc.compile_intent(ChangeBackend{.service = 14, .backend = 2,
+                                         .new_out = 777})
             .is_ok());
     EXPECT_TRUE(GwlbBindingInternals::indexes_equal(inc, rebuilt(inc)))
         << to_string(repr);

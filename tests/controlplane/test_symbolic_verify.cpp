@@ -91,25 +91,34 @@ TEST(SymbolicVerify, CollisionChurnStaysIncrementalAndProven) {
   EXPECT_LT(ratio, 0.1) << "fallbacks: " << inc.fallbacks;
 }
 
+/// Samples so far in maton_cp_intent_phase_ns{phase, intent, repr}.
+std::uint64_t phase_count(const char* phase, const char* intent,
+                          Representation repr) {
+  return obs::MetricRegistry::global()
+      .histogram("maton_cp_intent_phase_ns",
+                 {{"phase", phase},
+                  {"intent", intent},
+                  {"repr", std::string(to_string(repr))}})
+      .totals()
+      .count;
+}
+
 TEST(SymbolicVerify, EachVerifiedIntentRecordsEveryPhase) {
-  // maton_cp_intent_phase_ns{phase, repr}: one delta, one refresh and one
-  // prove sample per verified intent, on both compile paths; the initial
-  // proof at construction records none. The registry is process-wide, so
-  // the test reads deltas.
+  // maton_cp_intent_phase_ns{phase, intent, repr}: one delta, one refresh
+  // and one prove sample per verified intent, under the intent's own
+  // label, on both compile paths; the initial proof at construction
+  // records none. The registry is process-wide, so the test reads deltas.
   const Gwlb gwlb = make_gwlb({.num_services = 8, .num_backends = 4});
-  obs::MetricRegistry& registry = obs::MetricRegistry::global();
+  constexpr const char* kPhases[] = {"delta", "refresh", "prove"};
+  constexpr const char* kIntents[] = {"port", "ip", "backend", "remove"};
   for (const Representation repr :
        {Representation::kGoto, Representation::kUniversal}) {
-    const auto count = [&](const char* phase) {
-      return registry
-          .histogram("maton_cp_intent_phase_ns",
-                     {{"phase", phase}, {"repr", std::string(to_string(repr))}})
-          .totals()
-          .count;
-    };
-    const std::uint64_t delta0 = count("delta");
-    const std::uint64_t refresh0 = count("refresh");
-    const std::uint64_t prove0 = count("prove");
+    std::uint64_t before[3][4];
+    for (int p = 0; p < 3; ++p) {
+      for (int i = 0; i < 4; ++i) {
+        before[p][i] = phase_count(kPhases[p], kIntents[i], repr);
+      }
+    }
     for (const CompileMode mode :
          {CompileMode::kIncremental, CompileMode::kFullRebuild}) {
       GwlbBinding binding(gwlb, repr, mode, AnalyzeMode::kOff,
@@ -119,12 +128,53 @@ TEST(SymbolicVerify, EachVerifiedIntentRecordsEveryPhase) {
             binding.compile_intent(ChangeBackend{out % 8, 0, 700 + out})
                 .is_ok());
       }
-      EXPECT_EQ(binding.verify_stats().verified, 6u);
+      ASSERT_TRUE(
+          binding.compile_intent(MoveServicePort{.service = 2,
+                                                 .new_port = 40001})
+              .is_ok());
+      ASSERT_TRUE(
+          binding.compile_intent(ChangeServiceIp{.service = 3,
+                                                 .new_vip = 0xc6130001u})
+              .is_ok());
+      ASSERT_TRUE(binding.compile_intent(RemoveService{.service = 6}).is_ok());
+      EXPECT_EQ(binding.verify_stats().verified, 9u);
     }
     if constexpr (obs::kEnabled) {
-      EXPECT_EQ(count("delta") - delta0, 10u) << to_string(repr);
-      EXPECT_EQ(count("refresh") - refresh0, 10u) << to_string(repr);
-      EXPECT_EQ(count("prove") - prove0, 10u) << to_string(repr);
+      // Per compile path: 1 port, 1 ip, 5 backend and 1 remove intent.
+      constexpr std::uint64_t kWant[] = {2, 2, 10, 2};
+      for (int p = 0; p < 3; ++p) {
+        for (int i = 0; i < 4; ++i) {
+          EXPECT_EQ(phase_count(kPhases[p], kIntents[i], repr) - before[p][i],
+                    kWant[i])
+              << to_string(repr) << " " << kPhases[p] << " " << kIntents[i];
+        }
+      }
+    }
+  }
+}
+
+TEST(SymbolicVerify, AnUnprovenRemovalRecordsOnlyItsDelta) {
+  // Without proofs a removal's cost is its delta phase alone, a live
+  // histogram of its own next to the other intents'.
+  const Gwlb gwlb = make_gwlb({.num_services = 16, .num_backends = 4});
+  for (const Representation repr :
+       {Representation::kUniversal, Representation::kGoto}) {
+    const std::uint64_t delta0 = phase_count("delta", "remove", repr);
+    const std::uint64_t refresh0 = phase_count("refresh", "remove", repr);
+    const std::uint64_t prove0 = phase_count("prove", "remove", repr);
+    const std::uint64_t port0 = phase_count("delta", "port", repr);
+    GwlbBinding binding(gwlb, repr, CompileMode::kIncremental);
+    ASSERT_TRUE(binding.compile_intent(RemoveService{.service = 5}).is_ok());
+    ASSERT_TRUE(binding.compile_intent(RemoveService{.service = 9}).is_ok());
+    if constexpr (obs::kEnabled) {
+      EXPECT_EQ(phase_count("delta", "remove", repr) - delta0, 2u)
+          << to_string(repr);
+      EXPECT_EQ(phase_count("refresh", "remove", repr) - refresh0, 0u)
+          << to_string(repr);
+      EXPECT_EQ(phase_count("prove", "remove", repr) - prove0, 0u)
+          << to_string(repr);
+      EXPECT_EQ(phase_count("delta", "port", repr) - port0, 0u)
+          << to_string(repr);
     }
   }
 }
