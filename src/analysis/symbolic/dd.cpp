@@ -42,7 +42,7 @@ constexpr std::uint64_t pack(std::uint32_t hi, std::uint32_t lo) noexcept {
 }  // namespace
 
 DiagramStore::DiagramStore(std::size_t max_nodes)
-    : max_nodes_(max_nodes),
+    : max_nodes_(std::min(max_nodes, std::size_t{1} << kTagShift)),
       unique_(kInitialSlots, kInvalidNode),
       cache_(kInitialSlots) {
   expects(max_nodes_ >= 2, "DiagramStore: budget too small for leaves");
@@ -58,14 +58,15 @@ DiagramStore::DiagramStore(std::size_t max_nodes)
 NodeId DiagramStore::leaf(std::uint64_t payload) {
   Node n;
   n.var = kLeafVar;
-  n.payload = payload;
+  n.lo = static_cast<std::uint32_t>(payload);
+  n.hi = static_cast<std::uint32_t>(payload >> 32);
   n.hash = content_hash(n);
   return intern(n);
 }
 
 std::uint64_t DiagramStore::leaf_payload(NodeId id) const {
   expects(is_leaf(id), "leaf_payload on an inner node");
-  return nodes_[id].payload;
+  return payload_of(nodes_[id]);
 }
 
 NodeId DiagramStore::bit_node(std::uint32_t var, NodeId lo, NodeId hi) {
@@ -101,7 +102,7 @@ NodeId DiagramStore::value_node(std::uint32_t var, std::span<const Edge> edges,
   Node n;
   n.var = var;
   n.lo = def;
-  n.edges_begin = begin;
+  n.hi = begin;
   n.edges_count = count;
   n.hash = content_hash(n);
   const std::size_t before = nodes_.size();
@@ -283,8 +284,8 @@ bool DiagramStore::find_divergence(NodeId a, NodeId b,
   if (a == b) return false;
   if (is_leaf(a) && is_leaf(b)) {
     out.path = path;
-    out.left = nodes_[a].payload;
-    out.right = nodes_[b].payload;
+    out.left = payload_of(nodes_[a]);
+    out.right = payload_of(nodes_[b]);
     return true;
   }
   const std::uint32_t var = std::min(var_of(a), var_of(b));
@@ -377,7 +378,7 @@ std::vector<std::uint64_t> DiagramStore::branch_values(
 
 std::uint32_t DiagramStore::content_hash(const Node& n) const noexcept {
   if (n.var == kLeafVar) {
-    return static_cast<std::uint32_t>(mix(kLeafVar, n.payload));
+    return static_cast<std::uint32_t>(mix(kLeafVar, payload_of(n)));
   }
   if (n.edges_count == 0) {
     return static_cast<std::uint32_t>(mix(pack(n.var, n.lo), n.hi));
@@ -388,20 +389,18 @@ std::uint32_t DiagramStore::content_hash(const Node& n) const noexcept {
 }
 
 bool DiagramStore::same_content(const Node& a, const Node& b) const {
-  if (a.hash != b.hash || a.var != b.var || a.lo != b.lo || a.hi != b.hi ||
-      a.payload != b.payload || a.edges_count != b.edges_count) {
+  if (a.hash != b.hash || a.var != b.var || a.lo != b.lo ||
+      a.edges_count != b.edges_count) {
     return false;
   }
+  // hi is a bit node's 1-branch or a leaf's payload word, but a value
+  // node's edge index: compare its edges instead.
+  if (a.edges_count == 0) return a.hi == b.hi;
   const auto ea = edges_of(a);
   return std::equal(ea.begin(), ea.end(), edges_of(b).begin());
 }
 
 NodeId DiagramStore::intern(const Node& n) {
-  if (unique_.empty()) {
-    std::size_t slots = kInitialSlots;
-    while (slots < 2 * (nodes_.size() + 1)) slots *= 2;
-    rehash_unique(slots);
-  }
   const std::size_t mask = unique_.size() - 1;
   for (std::size_t slot = n.hash & mask;; slot = (slot + 1) & mask) {
     const NodeId cand = unique_[slot];
@@ -435,97 +434,89 @@ void DiagramStore::check_budget() const {
 }
 
 namespace {
-std::size_t cache_slot(std::uint32_t tag, NodeId a, NodeId b, NodeId c,
+std::size_t cache_slot(std::uint32_t key, NodeId b, NodeId c,
                        std::size_t mask) noexcept {
-  return static_cast<std::size_t>(mix(pack(a, b), pack(c, tag))) & mask;
+  return static_cast<std::size_t>(mix(pack(key, b), c)) & mask;
 }
 }  // namespace
 
 NodeId DiagramStore::cache_find(std::uint32_t tag, NodeId a, NodeId b,
                                 NodeId c) {
   ++stats_.memo_lookups;
-  if (cache_.empty()) return kInvalidNode;
-  const CacheEntry& entry =
-      cache_[cache_slot(tag, a, b, c, cache_.size() - 1)];
-  if (entry.tag != tag || entry.a != a || entry.b != b || entry.c != c) {
-    return kInvalidNode;
-  }
+  const std::uint32_t key = a | (tag << kTagShift);
+  const CacheEntry& entry = cache_[cache_slot(key, b, c, cache_.size() - 1)];
+  if (entry.key != key || entry.b != b || entry.c != c) return kInvalidNode;
   ++stats_.memo_hits;
   return entry.result;
 }
 
 void DiagramStore::cache_store(std::uint32_t tag, NodeId a, NodeId b,
                                NodeId c, NodeId result) {
-  if (cache_.empty()) {
-    cache_.resize(kInitialSlots);
-    cache_base_ = nodes_.size();
-  }
-  if (nodes_.size() - cache_base_ > cache_.size()) {
+  if (nodes_.size() - cache_base_ > 2 * cache_.size()) {
     // Grow with the store, carrying the live entries over (colliding
     // ones are dropped, as any later overwrite would).
     std::vector<CacheEntry> old(cache_.size() * 2);
     old.swap(cache_);
     const std::size_t mask = cache_.size() - 1;
     for (const CacheEntry& e : old) {
-      if (e.tag != 0) cache_[cache_slot(e.tag, e.a, e.b, e.c, mask)] = e;
+      if (e.key != 0) cache_[cache_slot(e.key, e.b, e.c, mask)] = e;
     }
   }
-  cache_[cache_slot(tag, a, b, c, cache_.size() - 1)] = {tag, a, b, c,
-                                                         result};
+  const std::uint32_t key = a | (tag << kTagShift);
+  cache_[cache_slot(key, b, c, cache_.size() - 1)] = {key, b, c, result};
 }
 
-void DiagramStore::compact(std::span<NodeId> roots, std::size_t spare) {
+void DiagramStore::compact(std::span<NodeId> roots) {
   // Children are interned before their parents, so one descending sweep
-  // marks everything reachable, and renumbering in ascending order keeps
-  // every child below its parent.
-  std::vector<char> live(nodes_.size(), 0);
-  live[false_] = live[true_] = 1;
-  for (const NodeId root : roots) live[root] = 1;
+  // marks everything reachable, and sliding the survivors down in
+  // ascending order keeps every child below its parent. A node's edges
+  // sit after those of every node created before it, so both write
+  // cursors trail their reads. The unique table is rebuilt below, so its
+  // slots (at least twice the nodes) hold the mark and then the new ids:
+  // kInvalidNode is garbage.
+  std::vector<NodeId>& remap = unique_;
+  std::fill_n(remap.begin(), nodes_.size(), kInvalidNode);
+  remap[false_] = remap[true_] = 0;
+  for (const NodeId root : roots) remap[root] = 0;
   for (std::size_t id = nodes_.size(); id-- > 0;) {
     const Node& n = nodes_[id];
-    if (live[id] == 0 || n.var == kLeafVar) continue;
-    live[n.lo] = 1;
-    if (n.edges_count == 0) live[n.hi] = 1;
-    for (const Edge& e : edges_of(n)) live[e.second] = 1;
+    if (remap[id] == kInvalidNode || n.var == kLeafVar) continue;
+    remap[n.lo] = 0;
+    if (n.edges_count == 0) remap[n.hi] = 0;
+    for (const Edge& e : edges_of(n)) remap[e.second] = 0;
   }
-  const auto survivors =
-      static_cast<std::size_t>(std::count(live.begin(), live.end(), 1));
-  std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
-  std::vector<Node> kept;
-  kept.reserve(survivors + spare);
-  std::vector<Edge> kept_edges;
-  kept_edges.reserve(edge_pool_.size());
+  NodeId kept = 0;
+  std::uint32_t kept_edges = 0;
   for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    if (live[id] == 0) continue;
+    if (remap[id] == kInvalidNode) continue;
     Node n = nodes_[id];
     if (n.var != kLeafVar) {
       n.lo = remap[n.lo];
       if (n.edges_count == 0) n.hi = remap[n.hi];
     }
-    const auto begin = static_cast<std::uint32_t>(kept_edges.size());
-    for (const Edge& e : edges_of(n)) {
-      kept_edges.emplace_back(e.first, remap[e.second]);
+    if (n.edges_count != 0) {
+      for (std::uint32_t i = 0; i < n.edges_count; ++i) {
+        const Edge e = edge_pool_[n.hi + i];
+        edge_pool_[kept_edges + i] = {e.first, remap[e.second]};
+      }
+      n.hi = kept_edges;
+      kept_edges += n.edges_count;
     }
-    n.edges_begin = begin;
-    remap[id] = static_cast<NodeId>(kept.size());
-    kept.push_back(n);
+    n.hash = content_hash(n);
+    nodes_[kept] = n;
+    remap[id] = kept++;
   }
-  nodes_.swap(kept);
-  edge_pool_.swap(kept_edges);
-  for (Node& n : nodes_) n.hash = content_hash(n);
+  nodes_.resize(kept);
+  edge_pool_.resize(kept_edges);
   for (NodeId& root : roots) root = remap[root];
   false_ = remap[false_];
   true_ = remap[true_];
 
-  release_indexes();
-}
-
-void DiagramStore::release_indexes() {
-  // Swap with empties: assigning {} would keep the capacity.
-  std::vector<NodeId>().swap(unique_);
-  std::vector<CacheEntry>().swap(cache_);
-  std::vector<std::uint32_t>().swap(rewrite_stamp_);
-  std::vector<NodeId>().swap(rewrite_image_);
+  rehash_unique(unique_.size());
+  std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+  cache_base_ = nodes_.size();
+  // The rewrite memo needs nothing: the next rewrite takes a fresh epoch,
+  // which no stale stamp holds.
 }
 
 }  // namespace maton::analysis::symbolic

@@ -63,9 +63,13 @@ struct StoreStats {
   std::size_t memo_lookups = 0;  ///< operator cache probes
   std::size_t table_hits = 0;    ///< tables whose diagram was reused
   std::size_t table_misses = 0;  ///< tables folded afresh
-  /// Tables whose content key was built: those misses, and the hits a
-  /// table's revision could not vouch for.
+  /// Tables whose content key was built: the misses other than
+  /// successor patches, and the hits a table's revision could not vouch
+  /// for.
   std::size_t tables_keyed = 0;
+  /// Misses patched without a key: same rules as the cached entry, some
+  /// successor diagrams changed.
+  std::size_t successor_patches = 0;
 };
 
 /// One bit constraint of a ternary cube, ascending-var order.
@@ -206,43 +210,43 @@ class DiagramStore {
   }
 
   /// Garbage collection for a store that lives across checks: keeps the
-  /// nodes reachable from `roots` (and the boolean leaves), renumbers
-  /// them in creation order and rewrites `roots` in place. The node arena
-  /// keeps room for `spare` more nodes, and the indexes are released
-  /// (see release_indexes). Leaf payloads and the lifetime tallies are
-  /// unchanged; any other NodeId is invalidated.
-  void compact(std::span<NodeId> roots, std::size_t spare);
-
-  /// Frees the unique table, the operator cache and the rewrite memo of
-  /// a store kept between checks, leaving only the nodes. The next
-  /// operation that interns rebuilds the unique table from the nodes'
-  /// cached hashes; the operator cache restarts empty.
-  void release_indexes();
+  /// nodes reachable from `roots` (and the boolean leaves), slides them
+  /// down inside the arena in creation order and rewrites `roots` in
+  /// place. The unique table is rebuilt at its capacity and the operator
+  /// cache is emptied; no buffer is freed or reallocated. Leaf payloads
+  /// and the lifetime tallies are unchanged; any other NodeId is
+  /// invalidated.
+  void compact(std::span<NodeId> roots);
 
  private:
   /// Ordering variable of leaves: after every real variable.
   static constexpr std::uint32_t kLeafVar = 0xffffffffu;
 
   enum class Kind : std::uint8_t { kLeaf, kBit, kValue };
-  /// 32 bytes. The kind is implicit: leaves carry kLeafVar, and a value
-  /// node always keeps at least one edge after reduction.
+  /// 20 bytes. The kind is implicit: leaves carry kLeafVar, and a value
+  /// node always keeps at least one edge after reduction. A leaf keeps
+  /// its payload in lo (low word) and hi (high word); a value node keeps
+  /// its first edge's pool index in hi.
   struct Node {
     std::uint32_t var = 0;
     std::uint32_t hash = 0;  ///< content hash, cached for table growth
     NodeId lo = 0;           ///< bit: 0-branch; value: default child
-    NodeId hi = 0;           ///< bit: 1-branch
-    std::uint64_t payload = 0;
-    std::uint32_t edges_begin = 0;
-    std::uint32_t edges_count = 0;
+    NodeId hi = 0;           ///< bit: 1-branch; value: first edge
+    std::uint32_t edges_count = 0;  ///< value: its edges; otherwise 0
   };
   static Kind kind(const Node& n) noexcept {
     if (n.var == kLeafVar) return Kind::kLeaf;
     return n.edges_count != 0 ? Kind::kValue : Kind::kBit;
   }
-  /// One slot of the operator cache; tag 0 marks an empty slot.
+  static std::uint64_t payload_of(const Node& n) noexcept {
+    return (std::uint64_t{n.hi} << 32) | n.lo;
+  }
+  /// NodeIds stay below 2^kTagShift (the budget is capped there), so a
+  /// cache entry keeps its operator tag above its first operand.
+  static constexpr unsigned kTagShift = 29;
+  /// One slot of the operator cache (16 bytes); key 0 marks an empty slot.
   struct CacheEntry {
-    std::uint32_t tag = 0;
-    NodeId a = 0;
+    std::uint32_t key = 0;  ///< first operand | tag << kTagShift
     NodeId b = 0;
     NodeId c = 0;
     NodeId result = 0;
@@ -260,8 +264,10 @@ class DiagramStore {
   [[nodiscard]] NodeId cofactor(NodeId id, std::uint32_t var,
                                 std::uint64_t branch_value,
                                 bool take_default) const;
+  /// A value node's edges; empty for the other kinds.
   [[nodiscard]] std::span<const Edge> edges_of(const Node& n) const noexcept {
-    return {edge_pool_.data() + n.edges_begin, n.edges_count};
+    if (n.edges_count == 0) return {};
+    return {edge_pool_.data() + n.hi, n.edges_count};
   }
   /// Sorted union of the edge values the operands test on `var`.
   [[nodiscard]] std::vector<std::uint64_t> branch_values(
@@ -295,7 +301,7 @@ class DiagramStore {
   template <typename OnLeaf, typename Cut>
   NodeId rewrite(NodeId root, const OnLeaf& on_leaf, const Cut& cut) {
     if (is_leaf(root)) {
-      const NodeId image = on_leaf(nodes_[root].payload);
+      const NodeId image = on_leaf(payload_of(nodes_[root]));
       return image == kInvalidNode ? root : image;
     }
     // A fresh epoch invalidates every older memo entry in O(1). Nested
@@ -322,7 +328,7 @@ class DiagramStore {
     const Node n = nodes_[id];
     NodeId image = kInvalidNode;
     if (n.var == kLeafVar) {
-      image = on_leaf(n.payload);
+      image = on_leaf(payload_of(n));
       if (image == kInvalidNode) return id;  // kept leaves skip the memo
     } else if (const NodeId to = cut(id); to != kInvalidNode) {
       image = rewrite_node(to, epoch, on_leaf, cut);
@@ -334,7 +340,7 @@ class DiagramStore {
       const NodeId def = rewrite_node(n.lo, epoch, on_leaf, cut);
       std::vector<Edge> edges(n.edges_count);
       for (std::uint32_t i = 0; i < n.edges_count; ++i) {
-        const Edge e = edge_pool_[n.edges_begin + i];
+        const Edge e = edge_pool_[n.hi + i];
         edges[i] = {e.first, rewrite_node(e.second, epoch, on_leaf, cut)};
       }
       image = value_node(n.var, edges, def);
@@ -350,10 +356,10 @@ class DiagramStore {
   /// Unique table: open addressing (linear probing) over NodeIds,
   /// kInvalidNode marks a free slot; at most half full.
   std::vector<NodeId> unique_;
-  /// Operator cache, direct-mapped and lossy; grows with the nodes
+  /// Operator cache, direct-mapped and lossy; keeps a slot per two nodes
   /// interned since it was last emptied (cache_base_: the store's size
   /// then). A lost entry only costs a recomputation: canonicity comes
-  /// from unique_. Both are empty after release_indexes().
+  /// from unique_. Both persist across the checks of a kept store.
   std::vector<CacheEntry> cache_;
   std::size_t cache_base_ = 0;
   /// Rewriter memo: image of node id under the rewrite whose epoch

@@ -83,11 +83,17 @@ void record(const SolveCounters& counters, const Result& result) {
       registry.counter("maton_symbolic_table_cache_hits_total");
   static obs::Counter& table_misses =
       registry.counter("maton_symbolic_table_cache_misses_total");
+  static obs::Counter& tables_keyed =
+      registry.counter("maton_symbolic_tables_keyed_total");
+  static obs::Counter& successor_patches =
+      registry.counter("maton_symbolic_successor_patches_total");
   nodes.add(result.stats.nodes);
   memo_hits.add(result.stats.memo_hits);
   memo_lookups.add(result.stats.memo_lookups);
   table_hits.add(result.stats.table_hits);
   table_misses.add(result.stats.table_misses);
+  tables_keyed.add(result.stats.tables_keyed);
+  successor_patches.add(result.stats.successor_patches);
 }
 
 Result run_guarded(const SolveCounters& counters, const Options& options,

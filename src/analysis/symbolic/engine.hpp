@@ -43,7 +43,7 @@ struct Options {
   /// Node budget of one diagram store. A ProgramProver's store lives
   /// across checks, so a warm check that overflows it drops the store and
   /// retries once from an empty one; only an overflow from empty is
-  /// kUnknown.
+  /// kUnknown. A store caps it at 2^29 nodes.
   std::size_t max_nodes = std::size_t{1} << 22;
 };
 
@@ -88,14 +88,16 @@ struct Result {
 /// intern, and a warm verdict is the verdict of a cold one. Before
 /// building a key, the prover asks the slot of the table's position: a
 /// table whose dp::FlatRules revision and default successor match what
-/// the position held in the previous check holds the same rules, so when
-/// its successors' diagrams are also unchanged the slot's entry is
-/// reused with no key built. A changed table is patched from the version
-/// its position held in the previous check. Entries the latest check did not use are dropped. Between
-/// checks the store keeps only its nodes, and it is compacted to the
-/// cached diagrams once it has grown by a fixed fraction since the last
-/// compaction (the first warm check compacts away the cold proof's
-/// garbage).
+/// the position held in the previous check holds the same rules as the
+/// slot's entry, so no key is built. The entry is reused when its
+/// successors' diagrams are unchanged, and patched in place inside the
+/// regions of the rules whose successor diagram moved otherwise. A
+/// changed table is patched from the version its position held in the
+/// previous check. Entries the latest check did not use are dropped.
+/// The store keeps its unique table and operator cache between checks,
+/// and it is compacted in place to the cached diagrams once it has
+/// doubled since the last compaction (the first warm check compacts
+/// away the cold proof's garbage).
 class ProgramProver {
  public:
   explicit ProgramProver(const Options& options = {});

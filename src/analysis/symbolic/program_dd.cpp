@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <chrono>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -242,8 +243,8 @@ struct TableSlot {
 struct ProgramProver::State {
   explicit State(const Options& opts) : options(opts) {}
 
-  /// Compacts the store to the cached diagrams once it has grown by more
-  /// than 1/kCompactGrowth of its size after the last compaction.
+  /// Compacts the store to the cached diagrams once it has grown to more
+  /// than kCompactGrowth times its size after the last compaction.
   void maintain();
   /// Drops the store and the table cache; the next check is cold.
   void reset() {
@@ -254,8 +255,8 @@ struct ProgramProver::State {
   /// One proof attempt in the current store (created if absent).
   Result prove(const dp::Program& a, const dp::Program& b);
 
-  /// A warm store is compacted once it has grown by a quarter.
-  static constexpr std::size_t kCompactGrowth = 4;
+  /// A warm store is compacted once it has doubled.
+  static constexpr std::size_t kCompactGrowth = 2;
 
   Options options;
   std::optional<DiagramStore> store;
@@ -274,6 +275,8 @@ struct ProgramProver::State {
   std::uint32_t epoch = 0;
   /// Store size after the last compaction (0: none yet).
   std::size_t live_nodes = 0;
+  /// maintain()'s root list, kept between compactions.
+  std::vector<NodeId> roots;
   std::size_t resets = 0;
   /// Tallies of the check in progress, before the current attempt.
   StoreStats spent;
@@ -333,18 +336,19 @@ class ProgramTranslator {
     }
     visiting_[ti] = 1;
     const dp::TableSpec& spec = program_.tables[ti];
-    NodeId root = unchanged_diagram(spec, slots_[ti]);
+    NodeId root = slot_diagram(spec, slots_[ti]);
     if (root == kInvalidNode) root = keyed_diagram(spec, slots_[ti]);
     visiting_[ti] = 0;
     memo_[ti] = root;
     return root;
   }
 
-  /// The slot's cached diagram when `spec` still holds the rules the slot
-  /// recorded (same revision and default successor) and every successor
-  /// diagram is the one the entry was keyed with; kInvalidNode otherwise.
-  /// Builds no key: O(records) comparisons of successor diagrams.
-  NodeId unchanged_diagram(const dp::TableSpec& spec, const TableSlot& slot) {
+  /// The slot's cached entry when `spec` still holds the rules the slot
+  /// recorded (same revision and default successor); kInvalidNode
+  /// otherwise. Builds no key: the successor diagrams are compared with
+  /// the entry's successor words, and an entry some of whose words
+  /// differ is patched in place for them (successor_patch).
+  NodeId slot_diagram(const dp::TableSpec& spec, const TableSlot& slot) {
     if (slot.revision != spec.rules.revision() || slot.next != spec.next) {
       return kInvalidNode;
     }
@@ -364,15 +368,42 @@ class ProgramTranslator {
       table_diagram(next);
     }
     if (entry.generation != slot.generation) return kInvalidNode;
+    stale_.clear();
     const std::size_t base = entry.succ_begin();
     for (std::size_t i = 0; i < slot.successors.size(); ++i) {
       const std::uint32_t next = slot.successors[i];
       const NodeId want =
           next == TableSlot::kNoSuccessor ? kInvalidNode : memo_[next];
-      if (entry.key[base + i] != want) return kInvalidNode;
+      if (entry.key[base + i] != want) stale_.emplace_back(i, want);
     }
-    ++prover_.spent.table_hits;
     entry.epoch = prover_.epoch;
+    if (stale_.empty()) {
+      ++prover_.spent.table_hits;
+      return entry.root;
+    }
+    return successor_patch(spec, entry);
+  }
+
+  /// Re-targets `entry`, whose records are `spec`'s satisfiable rules,
+  /// onto the successor diagrams of the records in stale_: only those
+  /// records' continuations changed, so the table is patched inside their
+  /// regions, and their successor words are rewritten. The records are
+  /// unchanged, so the entry keeps its hash and generation, and a slot of
+  /// the other side that resolves it compares words as before.
+  NodeId successor_patch(const dp::TableSpec& spec, TableEntry& entry) {
+    ++prover_.spent.table_misses;
+    ++prover_.spent.successor_patches;
+    rules_.clear();
+    for (std::size_t i = 0; i < spec.rules.size(); ++i) {
+      if (satisfiable(spec.rules[i].matches)) rules_.push_back(i);
+    }
+    expects(rules_.size() == entry.records.size(),
+            "successor patch: the table's rules are not the entry's");
+    changed_.clear();
+    for (const auto& [i, want] : stale_) changed_.push_back(entry.region(i));
+    entry.root = refold(spec, entry, entry.root);
+    const std::size_t base = entry.succ_begin();
+    for (const auto& [i, want] : stale_) entry.key[base + i] = want;
     return entry.root;
   }
 
@@ -398,10 +429,11 @@ class ProgramTranslator {
       ++prover_.spent.table_misses;
       const auto base = prover_.tables.find(slot.hash);
       root = base != prover_.tables.end() ? patch(spec, base->second)
-                                          : fold_all(spec);
+                                          : fold_all(spec, entry_);
+      // Copies, so the scratch keeps its capacity for the next key.
       TableEntry& entry = prover_.tables[hash];
-      entry.key = std::move(entry_.key);
-      entry.records = std::move(entry_.records);
+      entry.key = entry_.key;
+      entry.records = entry_.records;
       entry.root = root;
       entry.epoch = prover_.epoch;
       entry.generation = generation = ++prover_.generations;
@@ -458,10 +490,7 @@ class ProgramTranslator {
 
   /// The table's diagram from its previous version `base`: the rules the
   /// two share at the front and back keep their order and continuations,
-  /// so outside the region R of the rules in between the table still
-  /// computes base's function, and inside R only the rules that
-  /// intersect R can match: root = ite(R, fold of those rules, base).
-  /// Canonicity makes the result the NodeId a full fold would give.
+  /// so only the rules in between changed (refold).
   NodeId patch(const dp::TableSpec& spec, const TableEntry& base) {
     const std::size_t n = rules_.size();
     const std::size_t nb = base.records.size();
@@ -474,8 +503,6 @@ class ProgramTranslator {
            base.same_rule(nb - 1 - back, entry_, n - 1 - back)) {
       ++back;
     }
-    const std::size_t changed = (nb - front - back) + (n - front - back);
-    if (kPatchFraction * changed > n) return fold_all(spec);
     changed_.clear();
     for (std::size_t i = front; i < nb - back; ++i) {
       changed_.push_back(base.region(i));
@@ -483,42 +510,57 @@ class ProgramTranslator {
     for (std::size_t i = front; i < n - back; ++i) {
       changed_.push_back(entry_.region(i));
     }
+    return refold(spec, entry_, base.root);
+  }
+
+  /// The diagram of the table whose satisfiable rules are `records` (spec
+  /// positions in rules_), given `outside`, its function outside the
+  /// region R of the changed rules' regions in changed_. Inside R only the
+  /// records that meet R can match, so the result is ite(R, fold of
+  /// those records, outside); canonicity makes it the NodeId a full fold
+  /// would give. Once more than 1/kPatchFraction of the records changed,
+  /// the table is folded in full instead.
+  NodeId refold(const dp::TableSpec& spec, const TableEntry& records,
+                NodeId outside) {
+    const std::size_t n = rules_.size();
+    if (kPatchFraction * changed_.size() > n) return fold_all(spec, records);
     NodeId inside = dd_.false_leaf();
     for (const Region& r : changed_) {
       r.cube(cube_);
       inside = dd_.b_or(inside, dd_.cube(cube_));
     }
-    // Only the rules that can match inside R, in scan order.
+    // Only the records that can match inside R, in scan order.
     kept_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      const Region r = entry_.region(i);
+      const Region r = records.region(i);
       if (std::any_of(changed_.begin(), changed_.end(),
                       [&r](const Region& c) { return c.intersects(r); })) {
         kept_.push_back(i);
       }
     }
-    return dd_.ite(inside, fold(spec, kept_), base.root);
+    return dd_.ite(inside, fold(spec, records, kept_), outside);
   }
 
-  /// First-match fold of the given satisfiable rules (positions in
-  /// rules_, ascending): stored order is the scan order, so insert rules
+  /// First-match fold of the given records (ascending positions in
+  /// rules_): stored order is the scan order, so insert rules
   /// back-to-front and let each earlier rule's cube overwrite.
-  NodeId fold(const dp::TableSpec& spec, std::span<const std::size_t> rules) {
+  NodeId fold(const dp::TableSpec& spec, const TableEntry& records,
+              std::span<const std::size_t> kept) {
     NodeId acc = miss();
-    for (std::size_t k = rules.size(); k-- > 0;) {
-      const std::size_t i = rules[k];
-      entry_.region(i).cube(cube_);
+    for (std::size_t k = kept.size(); k-- > 0;) {
+      const std::size_t i = kept[k];
+      records.region(i).cube(cube_);
       acc = dd_.ite(dd_.cube(cube_), continuation(spec, spec.rules[rules_[i]]),
                     acc);
     }
     return acc;
   }
 
-  /// fold() over every satisfiable rule.
-  NodeId fold_all(const dp::TableSpec& spec) {
+  /// fold() over every record.
+  NodeId fold_all(const dp::TableSpec& spec, const TableEntry& records) {
     kept_.resize(rules_.size());
     std::iota(kept_.begin(), kept_.end(), std::size_t{0});
-    return fold(spec, kept_);
+    return fold(spec, records, kept_);
   }
 
   /// Diagram of "this rule hit": successor program transformed by the
@@ -568,7 +610,9 @@ class ProgramTranslator {
   // translated before it is filled).
   TableEntry entry_;
   std::vector<std::size_t> rules_;  ///< spec index of each record
-  std::vector<Region> changed_;
+  /// Records whose successor diagram moved, with the new diagram.
+  std::vector<std::pair<std::size_t, NodeId>> stale_;
+  std::vector<Region> changed_;     ///< regions of the changed rules
   std::vector<std::size_t> kept_;   ///< records a fold inserts
   std::vector<CubeBit> cube_;
 };
@@ -612,11 +656,15 @@ std::string describe_key(const dp::FlowKey& key) {
 }  // namespace
 
 void ProgramProver::State::maintain() {
-  if (!store.has_value() ||
-      store->num_nodes() <= live_nodes + live_nodes / kCompactGrowth) {
+  if (!store.has_value() || store->num_nodes() <= live_nodes * kCompactGrowth) {
     return;
   }
-  std::vector<NodeId> roots;
+  static obs::Counter& compactions = obs::MetricRegistry::global().counter(
+      "maton_symbolic_store_resets_total", {{"cause", "compact"}});
+  static obs::Histogram& compact_ns =
+      obs::MetricRegistry::global().histogram("maton_symbolic_compact_ns");
+  const auto start = std::chrono::steady_clock::now();
+  roots.clear();
   for (const auto& [hash, entry] : tables) {
     roots.push_back(entry.root);
     for (std::size_t i = entry.succ_begin(); i < entry.key.size(); ++i) {
@@ -625,7 +673,7 @@ void ProgramProver::State::maintain() {
       }
     }
   }
-  store->compact(roots, store->num_nodes() / kCompactGrowth);
+  store->compact(roots);
   std::size_t next = 0;
   for (auto& [hash, entry] : tables) {
     entry.root = roots[next++];
@@ -634,9 +682,11 @@ void ProgramProver::State::maintain() {
     }
   }
   live_nodes = store->num_nodes();
-  static obs::Counter& compactions = obs::MetricRegistry::global().counter(
-      "maton_symbolic_store_resets_total", {{"cause", "compact"}});
   compactions.add();
+  compact_ns.observe(static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
 }
 
 Result ProgramProver::State::prove(const dp::Program& a,
@@ -741,8 +791,6 @@ Result ProgramProver::check(const dp::Program& a, const dp::Program& b) {
     std::erase_if(st.tables, [&st](const auto& kv) {
       return kv.second.epoch != st.epoch;
     });
-    // Between checks the store holds only its nodes.
-    st.store->release_indexes();
   }
   result.stats = st.spent;
   detail::record(counters, result);

@@ -267,7 +267,7 @@ void GwlbBinding::init_reference_rows() {
   }
 }
 
-void GwlbBinding::lower_reference_rows(std::size_t stage,
+bool GwlbBinding::lower_reference_rows(std::size_t stage,
                                        std::size_t service) {
   const RepresentationDescriptor& desc = descriptor(repr_);
   const StageDescriptor& sd = desc.stages[stage];
@@ -281,7 +281,11 @@ void GwlbBinding::lower_reference_rows(std::size_t stage,
       if (--it->second == 0) rows.key_count.erase(it);
     }
   }
-  rows.rules[slot].clear();
+  // The slot's previous rows, kept to tell whether the service's rows
+  // moved.
+  std::vector<Rule>& lowered_rows = rows.rules[slot];
+  previous_rows_.swap(lowered_rows);
+  lowered_rows.clear();
   rows.keys[slot].clear();
   const std::optional<std::size_t> goto_target =
       sd.link == StageLink::kGotoPerService
@@ -297,9 +301,10 @@ void GwlbBinding::lower_reference_rows(std::size_t stage,
                                  goto_target);
     expects(lowered.is_ok(),
             "symbolic verify: reference table failed to lower");
-    rows.rules[slot].push_back(std::move(lowered).value());
+    lowered_rows.push_back(std::move(lowered).value());
     rows.keys[slot].push_back(std::move(key));
   }
+  return sd.per_service || lowered_rows != previous_rows_;
 }
 
 void GwlbBinding::refresh_reference(std::size_t service) {
@@ -310,11 +315,13 @@ void GwlbBinding::refresh_reference(std::size_t service) {
   // reassembled from them and the other services' rows as the last
   // refresh lowered them, in service order, then stable-sorted by
   // priority as dp::compile sorts a stage. Nothing is read back from
-  // program_.
+  // program_. A table the service's rows leave as it was is not
+  // reassembled, so it keeps its revision and the prover reuses its
+  // diagram without keying it.
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
   for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-    lower_reference_rows(k, service);
+    if (!lower_reference_rows(k, service)) continue;
     const StageDescriptor& sd = desc.stages[k];
     const std::vector<std::vector<Rule>>& slots = reference_rows_[k].rules;
     std::size_t count = 0;
@@ -326,6 +333,9 @@ void GwlbBinding::refresh_reference(std::size_t service) {
     }
     assembled.stable_sort_by_priority();
     TableSpec& table = reference_.tables[desc.table_of(k, service, n)];
+    // A per-service table holds the service's rows alone: compare them
+    // whole (its slot may have held another service's rows).
+    if (sd.per_service && assembled == table.rules) continue;
     table.name = sd.name;
     if (sd.per_service) table.name += std::to_string(service);
     table.rules = std::move(assembled);

@@ -219,8 +219,10 @@ class GwlbBinding {
   /// Re-emits and lowers `service`'s rows of descriptor stage `stage`
   /// into reference_rows_, moving its match keys from the old rows to
   /// the new ones; a key another row of the table holds is a contract
-  /// violation.
-  void lower_reference_rows(std::size_t stage, std::size_t service);
+  /// violation. False when the stage is shared and the service's rows
+  /// are the ones it held already; a per-service stage's slot may have
+  /// held another service's rows, so it always reports true.
+  bool lower_reference_rows(std::size_t stage, std::size_t service);
   /// Re-lowers `service`'s rows in the reference_ tables that hold them,
   /// one per descriptor stage, and reassembles each such table from
   /// reference_rows_ in the order dp::compile gives a stage's rules.
@@ -326,6 +328,8 @@ class GwlbBinding {
   };
   /// Per descriptor stage (VerifyMode::kSymbolic only).
   std::vector<ReferenceRows> reference_rows_;
+  /// lower_reference_rows' copy of the rows it replaces.
+  std::vector<dp::Rule> previous_rows_;
   /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
   /// only): successive proofs re-fold only the tables an intent changed.
   std::optional<analysis::symbolic::ProgramProver> prover_;

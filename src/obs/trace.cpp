@@ -173,14 +173,40 @@ std::uint32_t TracerRegistry::this_thread_tid() noexcept {
 }
 
 TraceRing& TracerRegistry::this_thread_ring() {
-  // The cache is sound because the only TracerRegistry is the leaked
-  // global(): the ring it hands out lives forever.
+  // A thread leases a ring on its first span and hands it back when it
+  // exits; the next thread to register takes it over with its events in
+  // place, so the registry holds as many rings as threads were ever alive
+  // at once. The cache is sound because the only TracerRegistry is the
+  // leaked global(): a ring outlives every thread that used it.
   thread_local TraceRing* ring = nullptr;
+  struct Lease {
+    Lease() = default;
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    ~Lease() {
+      TracerRegistry& registry = global();
+      const std::lock_guard<std::mutex> lock(registry.mutex_);
+      registry.free_.push_back(ring);
+      ring = nullptr;
+    }
+  };
   if (ring == nullptr) {
-    auto owned = std::make_unique<TraceRing>();
-    ring = owned.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    rings_.push_back(std::move(owned));
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (free_.empty()) {
+        rings_.push_back(std::make_unique<TraceRing>());
+        ring = rings_.back().get();
+        // Room for every ring to come back, so the lease's push_back
+        // never allocates (or throws) in a destructor.
+        free_.reserve(rings_.size());
+      } else {
+        ring = free_.back();
+        free_.pop_back();
+      }
+    }
+    // Constructed once per thread. A span recorded after the lease has
+    // ended (in a later thread_local destructor) takes a ring for good.
+    thread_local const Lease lease;
   }
   return *ring;
 }

@@ -75,7 +75,7 @@ struct TraceEvent {
 /// producers.
 class TraceRing {
  public:
-  static constexpr std::size_t kCapacity = std::size_t{1} << 13;
+  static constexpr std::size_t kCapacity = std::size_t{1} << 12;
 
   /// Appends a completed span, overwriting the oldest if full.
   void record(SpanName name, std::uint32_t tid, std::uint32_t depth,
@@ -112,15 +112,17 @@ class TraceRing {
 };
 
 /// Process-wide registry of per-thread rings: hands each thread its own
-/// ring on first use, and merges all rings into one deterministically
-/// ordered export.
+/// ring on first use, takes it back when the thread exits, and merges all
+/// rings into one deterministically ordered export.
 class TracerRegistry {
  public:
   [[nodiscard]] static TracerRegistry& global();
 
-  /// The calling thread's ring, created and registered on first use.
+  /// The calling thread's ring, taken on first use from the rings of
+  /// exited threads (their events stay in it) or created and registered.
   /// Rings are owned by the registry and never deallocated, so cached
-  /// references stay valid past thread exit.
+  /// references stay valid past thread exit; the registry holds at most
+  /// as many rings as threads have been alive at once.
   [[nodiscard]] TraceRing& this_thread_ring();
 
   /// Stable sequential id of the calling thread (0, 1, 2, ... in first-
@@ -154,8 +156,10 @@ class TracerRegistry {
 
  private:
   TracerRegistry() = default;
-  mutable std::mutex mutex_;  // guards rings_ (registration + iteration)
+  mutable std::mutex mutex_;  // guards rings_ and free_
   std::vector<std::unique_ptr<TraceRing>> rings_;
+  /// Rings of exited threads, handed to the next threads to register.
+  std::vector<TraceRing*> free_;
 };
 
 /// RAII phase timer. Construct at scope entry; the span is recorded

@@ -76,7 +76,7 @@ TEST(DiagramStore, CompactKeepsRootsCanonical) {
   std::vector<NodeId> roots = {build()};
   static_cast<void>(dd.b_and(dd.cube(xs), dd.b_not(dd.cube(ys))));  // garbage
   const std::size_t before = dd.num_nodes();
-  dd.compact(roots, 0);
+  dd.compact(roots);
   EXPECT_LT(dd.num_nodes(), before);
   // Survivors are renumbered and rehashed: rebuilding the function
   // interns onto the kept root, and the boolean leaves keep their ids.
@@ -84,8 +84,65 @@ TEST(DiagramStore, CompactKeepsRootsCanonical) {
   EXPECT_EQ(dd.leaf(0), dd.false_leaf());
   EXPECT_EQ(dd.leaf(1), dd.true_leaf());
   // Compacting to nothing leaves only the boolean leaves.
-  dd.compact({}, 0);
+  dd.compact({});
   EXPECT_EQ(dd.num_nodes(), 2u);
+}
+
+TEST(DiagramStore, RepeatedInPlaceCompactionsSlideValueEdges) {
+  DiagramStore dd(1 << 16);
+  // Var 20 dispatches on three values (10 * v + salt) to a bit test on
+  // var 30 + v; any other value reaches leaf 300.
+  const auto dispatch = [&dd](std::uint64_t salt) {
+    std::vector<DiagramStore::Edge> edges;
+    for (std::uint32_t v = 0; v < 3; ++v) {
+      const NodeId hit = dd.leaf(100 + salt);
+      const NodeId miss = dd.leaf(200);
+      edges.emplace_back(10 * v + salt, (salt + v) % 2 == 0
+                                            ? dd.bit_node(30 + v, miss, hit)
+                                            : dd.bit_node(30 + v, hit, miss));
+    }
+    return dd.value_node(20, edges, dd.leaf(300));
+  };
+  const std::vector<CubeBit> xs = {{3, true}, {7, false}};
+  std::vector<NodeId> roots;
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    // Garbage first, so the kept nodes and their value edges slide down
+    // over it. Its operator results stay cached until the compaction: the
+    // kept nodes take over the garbage's ids, and a stale entry would
+    // answer for them.
+    const NodeId junk = dispatch(1000 + round);
+    const NodeId junk_bits = dd.cube(xs);
+    static_cast<void>(dd.b_not(junk_bits));
+    static_cast<void>(dd.b_and(junk_bits, dd.b_not(junk_bits)));
+    static_cast<void>(dd.ite(junk_bits, junk, dd.leaf(300)));
+    roots.push_back(dispatch(round));
+    static_cast<void>(dispatch(2000 + round));  // garbage after, too
+    const std::size_t before = dd.num_nodes();
+    dd.compact(roots);
+    ASSERT_LT(dd.num_nodes(), before) << "round " << round;
+    const std::size_t kept = dd.num_nodes();
+    for (std::uint64_t salt = 0; salt <= round; ++salt) {
+      // Rebuilding a kept diagram interns onto its root, node for node.
+      EXPECT_EQ(dispatch(salt), roots[salt]) << "round " << round;
+      EXPECT_EQ(dd.max_edge_value(roots[salt], 20), 20 + salt);
+      // A divergence between two kept roots walks their slid edges.
+      if (salt > 0) {
+        const auto div = dd.first_divergence(roots[salt - 1], roots[salt]);
+        ASSERT_TRUE(div.has_value());
+        ASSERT_FALSE(div->path.empty());
+        EXPECT_EQ(div->path[0].var, 20u);
+      }
+    }
+    EXPECT_EQ(dd.num_nodes(), kept) << "round " << round;
+    // Operations after the compaction answer from the rebuilt indexes,
+    // never from a stale cache entry.
+    const NodeId x = dd.cube(xs);
+    EXPECT_EQ(dd.b_and(x, dd.b_not(x)), dd.false_leaf());
+    EXPECT_EQ(dd.b_or(x, dd.b_not(x)), dd.true_leaf());
+    const NodeId picked = dd.ite(x, roots[0], dd.leaf(300));
+    EXPECT_EQ(dd.ite(x, picked, dd.leaf(300)), picked);
+    EXPECT_EQ(dd.ite(dd.b_not(x), dd.leaf(300), roots[0]), picked);
+  }
 }
 
 TEST(DiagramStore, FirstDivergenceWalksToDifferingLeaves) {

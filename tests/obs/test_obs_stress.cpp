@@ -100,7 +100,9 @@ TEST(ObsStress, StopReturnsWhileRequestsAreInFlight) {
 TEST(ObsStress, RingsOfExitedThreadsStayRegisteredAndReadable) {
   // Waves of short-lived threads each register a ring by recording spans
   // and exit, while a reader merges and rolls up the rings throughout.
-  // Every span of every exited thread must still be there at the end.
+  // Every span of every exited thread must still be there at the end,
+  // and a wave reuses the rings of the waves before it: the registry
+  // grows by at most the peak number of live threads.
   TracerRegistry& registry = TracerRegistry::global();
   registry.clear();
   const std::size_t rings0 = registry.occupancy().rings;
@@ -138,8 +140,8 @@ TEST(ObsStress, RingsOfExitedThreadsStayRegisteredAndReadable) {
   done.store(true, std::memory_order_relaxed);
   reader.join();
 
-  EXPECT_GE(registry.occupancy().rings,
-            rings0 + static_cast<std::size_t>(kWaves * kThreadsPerWave));
+  EXPECT_LE(registry.occupancy().rings,
+            rings0 + static_cast<std::size_t>(kThreadsPerWave));
   const TraceRing::Contents merged = registry.merged();
   for (int wave = 0; wave < kWaves; ++wave) {
     for (int t = 0; t < kThreadsPerWave; ++t) {

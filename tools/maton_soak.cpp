@@ -369,6 +369,8 @@ int run(const SoakOptions& opts) {
             << "  \"symbolic_table_hits\": " << verify.table_hits << ",\n"
             << "  \"symbolic_table_misses\": " << verify.table_misses
             << ",\n"
+            << "  \"symbolic_tables_keyed\": " << verify.tables_keyed
+            << ",\n"
             << "  \"drift_checks\": " << state.drift_checks.load() << ",\n"
             << "  \"drift\": " << drift << ",\n"
             << "  \"cold_proofs\": " << state.cold_proofs.load() << ",\n"
