@@ -3,15 +3,17 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/classifier.hpp"
 #include "dataplane/flow_key.hpp"
 #include "dataplane/simd.hpp"
 #include "util/build_positions.hpp"
+#include "util/contract.hpp"
 
 namespace maton::dp::detail {
 
@@ -80,27 +82,32 @@ inline void transpose_chunk(std::span<const FlowKey> keys, std::size_t base,
 
 /// One mask-vector group of a tuple-space index: rules sharing a mask
 /// vector over the classifier's field set, resolved by one exact-match
-/// hash probe with an open chain for bucket collisions. Shared by
-/// TssClassifier (groups probed in decreasing best-priority order) and
-/// LinearClassifier's batch index (groups probed in ascending minimum-
-/// rule order); both order keys are maintained unconditionally so the
-/// same structure serves either probe discipline. Entries carry build
-/// positions (see util::BuildPositions).
+/// probe of a flat open-addressed table. Shared by TssClassifier (groups
+/// probed in decreasing best-priority order) and LinearClassifier's
+/// batch index (groups probed in ascending minimum-rule order); both
+/// order keys are maintained unconditionally so the same structure
+/// serves either probe discipline. Entries carry build positions (see
+/// util::BuildPositions).
+///
+/// Layout: a power-of-two number of slots, at most half full, linear
+/// probing. A slot is one meta word (build position in the high 32 bits,
+/// priority in the low 32, all ones when empty) followed inline by the
+/// group's masked value words, so a probe that hits its home slot reads
+/// one cache line. The home slot is the FNV-1a hash (hash_words, the
+/// hash simd::mask_hash_lanes computes) through a multiplicative
+/// finalizer that keeps the top bits: FNV-1a's low bits depend only on
+/// the words' low bits. Erase shifts the displaced run back, so the
+/// table never holds tombstones.
 struct MaskedGroup {
   static constexpr std::size_t kNone = ~std::size_t{0};
 
   struct Entry {
-    std::vector<std::uint64_t> values;
     std::size_t rule = 0;
     std::uint32_t priority = 0;
-    std::size_t overflow = kNone;  // chain into MaskedGroup::spill
   };
 
+  /// Set before the first insert: it fixes the slot width.
   std::vector<std::uint64_t> masks;
-  std::unordered_map<std::uint64_t, Entry> entries;
-  std::vector<Entry> spill;
-  /// Unlinked spill slots, reused by the next chained insert.
-  std::vector<std::size_t> free_spill;
   /// Highest rule priority in the group (TSS early-exit bound). TSS
   /// declines removals that would lower it.
   std::uint32_t best_priority = 0;
@@ -116,125 +123,197 @@ struct MaskedGroup {
 
   /// Inserts a masked value vector. Two rules with identical masked
   /// values overlap completely, so the first insertion — rule order =
-  /// priority order — wins and later duplicates are dropped.
-  void insert(const std::vector<std::uint64_t>& values, std::size_t rule,
+  /// priority order — wins and later duplicates are dropped. The table
+  /// doubles only when the new entry would fill more than half of it.
+  void insert(std::span<const std::uint64_t> values, std::size_t rule,
               std::uint32_t priority) {
-    auto [it, inserted] =
-        entries.try_emplace(hash_words(values), Entry{values, rule, priority,
-                                                      kNone});
-    if (!inserted) {
-      Entry* e = &it->second;
-      while (true) {
-        if (e->values == values) {  // duplicate key: first wins
-          dropped_duplicate = true;
-          break;
-        }
-        if (e->overflow == kNone) {
-          Entry added{values, rule, priority, kNone};
-          if (free_spill.empty()) {
-            e->overflow = spill.size();
-            spill.push_back(std::move(added));
-          } else {
-            e->overflow = free_spill.back();
-            free_spill.pop_back();
-            spill[e->overflow] = std::move(added);
-          }
-          break;
-        }
-        e = &spill[e->overflow];
-      }
-    }
+    expects(rule < kEmptyRule, "masked-group rules must fit in 32 bits");
     best_priority = std::max(best_priority, priority);
     min_rule = std::min(min_rule, rule);
+    if (slots_.empty()) rehash(kMinCapacity);
+    std::size_t slot = locate(values);
+    if (!is_empty(slot)) {  // duplicate key: first wins
+      dropped_duplicate = true;
+      return;
+    }
+    if ((size_ + 1) * 2 > capacity()) {
+      rehash(capacity() * 2);
+      slot = locate(values);
+    }
+    std::uint64_t* s = slot_words(slot);
+    s[0] = (std::uint64_t{rule} << 32) | priority;
+    std::copy(values.begin(), values.end(), s + 1);
+    ++size_;
   }
 
-  /// Unlinks `rule`'s entry for `values`; its spill slot, if any, goes
-  /// to the free list. Returns false — caller must rebuild — when the
-  /// group ever dropped a duplicate (the shadowed rule would have to
-  /// surface) or the entry is missing or owned by a different rule.
-  [[nodiscard]] bool erase(const std::vector<std::uint64_t>& values,
+  /// Removes `rule`'s entry for `values`, shifting the run after it back
+  /// so every entry stays reachable from its home slot. Returns false —
+  /// caller must rebuild — when the group ever dropped a duplicate (the
+  /// shadowed rule would have to surface) or the entry is missing or
+  /// owned by a different rule.
+  [[nodiscard]] bool erase(std::span<const std::uint64_t> values,
                            std::size_t rule) {
-    if (dropped_duplicate) return false;
-    const auto it = entries.find(hash_words(values));
-    if (it == entries.end()) return false;
-    Entry* prev = nullptr;
-    Entry* e = &it->second;
-    while (e != nullptr && e->values != values) {
-      prev = e;
-      e = e->overflow == kNone ? nullptr : &spill[e->overflow];
+    if (dropped_duplicate || size_ == 0) return false;
+    std::size_t hole = locate(values);
+    if (is_empty(hole) || entry_at(hole).rule != rule) return false;
+    const std::size_t stride = masks.size() + 1;
+    const std::size_t cap_mask = capacity() - 1;
+    for (std::size_t next = (hole + 1) & cap_mask; !is_empty(next);
+         next = (next + 1) & cap_mask) {
+      // The entry at `next` may fill the hole unless its home lies
+      // cyclically in (hole, next]: moving it before its home would
+      // hide it from probes.
+      const std::uint64_t* s = slot_words(next);
+      const std::size_t home = home_slot(hash_words({s + 1, masks.size()}));
+      if (((next - home) & cap_mask) < ((next - hole) & cap_mask)) continue;
+      std::copy(s, s + stride, slot_words(hole));
+      hole = next;
     }
-    if (e == nullptr || e->rule != rule) return false;
-    if (prev == nullptr) {
-      const std::size_t next = e->overflow;
-      if (next == kNone) {
-        entries.erase(it);
-      } else {
-        it->second = std::move(spill[next]);  // chain shares the hash key
-        free_slot(next);
-      }
-    } else {
-      const std::size_t freed = prev->overflow;
-      prev->overflow = e->overflow;
-      free_slot(freed);
-    }
+    slot_words(hole)[0] = kEmptyMeta;
+    --size_;
     return true;
   }
 
   /// Point update for an in-place rule modification (same rule index,
   /// same priority): moves `rule`'s entry from `old_values` to
   /// `new_values`. Returns false — caller must rebuild — when erase
-  /// would, or the new key already exists.
-  [[nodiscard]] bool replace_values(
-      const std::vector<std::uint64_t>& old_values,
-      const std::vector<std::uint64_t>& new_values, std::size_t rule,
-      std::uint32_t priority) {
-    if (old_values == new_values) return true;  // action-only modify
-    if (find(new_values) != nullptr) return false;
+  /// would, or the new key already exists. The erase runs first, so the
+  /// insert never grows the table.
+  [[nodiscard]] bool replace_values(std::span<const std::uint64_t> old_values,
+                                    std::span<const std::uint64_t> new_values,
+                                    std::size_t rule, std::uint32_t priority) {
+    if (std::equal(old_values.begin(), old_values.end(), new_values.begin(),
+                   new_values.end())) {
+      return true;  // action-only modify
+    }
+    if (find(new_values).has_value()) return false;
     if (!erase(old_values, rule)) return false;
     insert(new_values, rule, priority);
     return true;
   }
 
-  /// Exact probe with the pre-masked key words; nullptr on miss.
-  [[nodiscard]] const Entry* find(
+  /// Exact probe with the pre-masked key words.
+  [[nodiscard]] std::optional<Entry> find(
       std::span<const std::uint64_t> masked) const {
-    const auto it = entries.find(hash_words(masked));
-    if (it == entries.end()) return nullptr;
-    const Entry* e = &it->second;
-    while (e != nullptr) {
-      if (std::equal(masked.begin(), masked.end(), e->values.begin())) {
-        return e;
-      }
-      e = e->overflow == kNone ? nullptr : &spill[e->overflow];
-    }
-    return nullptr;
+    if (size_ == 0) return std::nullopt;
+    const std::size_t slot = locate(masked);
+    if (is_empty(slot)) return std::nullopt;
+    return entry_at(slot);
+  }
+
+  /// Pulls the home slot of a key hashing to `hash` towards L1, so a
+  /// later find_lanes of that key finds its line in flight. Both ends of
+  /// the slot are touched: a wide slot can straddle two lines.
+  void prefetch(std::uint64_t hash) const noexcept {
+    if (size_ == 0) return;
+    const std::uint64_t* s = slot_words(home_slot(hash));
+    prefetch_read(s);
+    prefetch_read(s + masks.size());
   }
 
   /// Exact probe against SoA chunk storage: the key's masked word `f`
   /// lives at `masked[f * stride]` and `hash` was computed by the batch
   /// kernel (simd::mask_hash_lanes) over exactly those words. Bit-
-  /// identical to find(): same hash, same chain walk, same compares —
+  /// identical to find(): same hash, same home slot, same compares —
   /// only the key layout is strided.
-  [[nodiscard]] const Entry* find_lanes(std::uint64_t hash,
-                                        const std::uint64_t* masked,
-                                        std::size_t stride) const {
-    const auto it = entries.find(hash);
-    if (it == entries.end()) return nullptr;
-    const Entry* e = &it->second;
-    while (e != nullptr) {
-      if (simd::equal_lanes(e->values.data(), masked, stride,
-                            masks.size())) {
-        return e;
+  [[nodiscard]] std::optional<Entry> find_lanes(std::uint64_t hash,
+                                                const std::uint64_t* masked,
+                                                std::size_t stride) const {
+    if (size_ == 0) return std::nullopt;
+    const std::size_t cap_mask = capacity() - 1;
+    for (std::size_t slot = home_slot(hash); !is_empty(slot);
+         slot = (slot + 1) & cap_mask) {
+      const std::uint64_t* s = slot_words(slot);
+      if (simd::equal_lanes(s + 1, masked, stride, masks.size())) {
+        return entry_at(slot);
       }
-      e = e->overflow == kNone ? nullptr : &spill[e->overflow];
     }
-    return nullptr;
+    return std::nullopt;
   }
 
+  /// Live entries.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Slots in the table (a power of two, or 0 before the first insert).
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
  private:
-  void free_slot(std::size_t slot) {
-    spill[slot] = Entry{};  // release the values buffer
-    free_spill.push_back(slot);
+  static constexpr std::size_t kMinCapacity = 8;
+  static constexpr std::uint64_t kEmptyMeta = ~std::uint64_t{0};
+  /// The build position of an empty slot's meta word: live rules stay
+  /// below it, so no live meta word is all ones.
+  static constexpr std::size_t kEmptyRule = 0xFFFFFFFFu;
+
+  [[nodiscard]] std::size_t home_slot(std::uint64_t hash) const noexcept {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  [[nodiscard]] std::uint64_t* slot_words(std::size_t slot) noexcept {
+    return slots_.data() + slot * (masks.size() + 1);
+  }
+  [[nodiscard]] const std::uint64_t* slot_words(
+      std::size_t slot) const noexcept {
+    return slots_.data() + slot * (masks.size() + 1);
+  }
+  [[nodiscard]] bool is_empty(std::size_t slot) const noexcept {
+    return slot_words(slot)[0] == kEmptyMeta;
+  }
+  [[nodiscard]] Entry entry_at(std::size_t slot) const noexcept {
+    const std::uint64_t meta = slot_words(slot)[0];
+    return {static_cast<std::size_t>(meta >> 32),
+            static_cast<std::uint32_t>(meta)};
+  }
+
+  /// The slot holding `values`, else the empty slot ending its probe
+  /// run. The table is never full, so the walk terminates.
+  [[nodiscard]] std::size_t locate(
+      std::span<const std::uint64_t> values) const {
+    const std::size_t cap_mask = capacity() - 1;
+    std::size_t slot = home_slot(hash_words(values));
+    while (!is_empty(slot) &&
+           !std::equal(values.begin(), values.end(), slot_words(slot) + 1)) {
+      slot = (slot + 1) & cap_mask;
+    }
+    return slot;
+  }
+
+  /// Re-inserts every entry into a fresh table of `cap` slots.
+  void rehash(std::size_t cap) {
+    const std::size_t stride = masks.size() + 1;
+    std::vector<std::uint64_t> old(cap * stride, kEmptyMeta);
+    old.swap(slots_);
+    const std::size_t old_cap = capacity_;
+    capacity_ = cap;
+    shift_ = static_cast<unsigned>(64 - std::countr_zero(cap));
+    for (std::size_t slot = 0; slot < old_cap; ++slot) {
+      const std::uint64_t* s = old.data() + slot * stride;
+      if (s[0] == kEmptyMeta) continue;
+      const std::size_t to = locate({s + 1, masks.size()});
+      std::copy(s, s + stride, slot_words(to));
+    }
+  }
+
+  /// capacity_ * (masks.size() + 1) words; see the struct comment.
+  std::vector<std::uint64_t> slots_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;  // 64 - log2(capacity_)
+};
+
+/// A rule's (mask, value) words over a classifier's field set, held on
+/// the stack: the patch paths pack up to two rules per update and must
+/// not allocate. Fields the rule does not match stay 0 (wildcard).
+struct PackedMatch {
+  std::array<std::uint64_t, kNumFields> mask{};
+  std::array<std::uint64_t, kNumFields> value{};
+  std::size_t fields = 0;
+
+  explicit PackedMatch(std::size_t n) : fields(n) {
+    expects(n <= kNumFields, "a classifier matches at most kNumFields fields");
+  }
+  [[nodiscard]] std::span<const std::uint64_t> masks() const noexcept {
+    return {mask.data(), fields};
+  }
+  [[nodiscard]] std::span<const std::uint64_t> values() const noexcept {
+    return {value.data(), fields};
   }
 };
 
@@ -242,9 +321,9 @@ struct MaskedGroup {
 /// have few distinct mask vectors.
 [[nodiscard]] inline MaskedGroup* find_group(
     std::vector<MaskedGroup>& groups,
-    const std::vector<std::uint64_t>& mask_vec) {
+    std::span<const std::uint64_t> mask_vec) {
   for (MaskedGroup& group : groups) {
-    if (group.masks == mask_vec) return &group;
+    if (std::ranges::equal(group.masks, mask_vec)) return &group;
   }
   return nullptr;
 }
@@ -254,10 +333,10 @@ struct MaskedGroup {
 /// at build time.
 [[nodiscard]] inline MaskedGroup& find_or_add_group(
     std::vector<MaskedGroup>& groups,
-    const std::vector<std::uint64_t>& mask_vec) {
+    std::span<const std::uint64_t> mask_vec) {
   if (MaskedGroup* group = find_group(groups, mask_vec)) return *group;
   groups.emplace_back();
-  groups.back().masks = mask_vec;
+  groups.back().masks.assign(mask_vec.begin(), mask_vec.end());
   return groups.back();
 }
 
@@ -297,8 +376,9 @@ void probe_groups_batch(std::span<const FlowKey> keys,
       best[i] = ProbeBest{};
       active[i] = static_cast<std::uint32_t>(i);
     }
-    const auto consider = [&](std::uint32_t i, const MaskedGroup::Entry* e) {
-      if (e != nullptr && better(*e, best[i])) {
+    const auto consider = [&](std::uint32_t i,
+                              std::optional<MaskedGroup::Entry> e) {
+      if (e.has_value() && better(*e, best[i])) {
         best[i] = {e->rule, e->priority};
       }
     };
@@ -314,11 +394,16 @@ void probe_groups_batch(std::span<const FlowKey> keys,
       if (simd::active_level() != simd::Level::kScalar && live * 4 >= n) {
         // Chunk-wide fused mask+hash: the 4-lane kernel covers the whole
         // chunk in ~n/4 steps, cheaper than live scalar probes once at
-        // least a quarter of the chunk is still undecided. Its hash and
+        // least a quarter of the chunk is still undecided. Every live
+        // key's home slot is prefetched before the first probe, so the
+        // chunk's cache misses overlap instead of queueing. The hash and
         // compares are the scalar probe's, so results are bit-identical
         // on every dispatch level.
         simd::mask_hash_lanes(lanes.data(), kBatchChunk, group.masks.data(),
                               nf, n, masked.data(), hashes.data());
+        for (std::size_t a = 0; a < live; ++a) {
+          group.prefetch(hashes[active[a]]);
+        }
         for (std::size_t a = 0; a < live; ++a) {
           const std::uint32_t i = active[a];
           consider(i, group.find_lanes(hashes[i], masked.data() + i,

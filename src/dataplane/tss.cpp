@@ -2,9 +2,7 @@
 // exact hash per group, probing groups in decreasing best-priority order
 // with early exit — the OVS megaflow lookup structure (§5, [28]).
 #include <algorithm>
-#include <bit>
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "dataplane/classifier.hpp"
@@ -22,11 +20,9 @@ class TssClassifier final : public Classifier {
     // Group rules by their full mask vector over the declared fields
     // (absent field match ⇒ mask 0, i.e. wildcard).
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
-      std::vector<std::uint64_t> mask_vec(fields_.size(), 0);
-      std::vector<std::uint64_t> value_vec(fields_.size(), 0);
-      pack(table.rules[r].matches, mask_vec, value_vec);
-      detail::find_or_add_group(subtables_, mask_vec)
-          .insert(value_vec, r, table.rules.priority_of(r));
+      const detail::PackedMatch packed = pack(table.rules[r].matches);
+      detail::find_or_add_group(subtables_, packed.masks())
+          .insert(packed.values(), r, table.rules.priority_of(r));
     }
     std::sort(subtables_.begin(), subtables_.end(),
               [](const detail::MaskedGroup& a, const detail::MaskedGroup& b) {
@@ -42,18 +38,17 @@ class TssClassifier final : public Classifier {
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
-    std::vector<std::uint64_t> old_mask(fields_.size(), 0);
-    std::vector<std::uint64_t> old_val(fields_.size(), 0);
-    pack(old_matches, old_mask, old_val);
-    std::vector<std::uint64_t> new_mask(fields_.size(), 0);
-    std::vector<std::uint64_t> new_val(fields_.size(), 0);
+    const detail::PackedMatch old_packed = pack(old_matches);
     const RuleView rule = table.rules[index];
-    pack(rule.matches, new_mask, new_val);
-    if (old_mask != new_mask) return false;
-    detail::MaskedGroup* sub = detail::find_group(subtables_, old_mask);
+    const detail::PackedMatch new_packed = pack(rule.matches);
+    if (!std::ranges::equal(old_packed.masks(), new_packed.masks())) {
+      return false;
+    }
+    detail::MaskedGroup* sub =
+        detail::find_group(subtables_, old_packed.masks());
     return sub != nullptr &&
-           sub->replace_values(old_val, new_val, positions_.build(index),
-                               rule.priority);
+           sub->replace_values(old_packed.values(), new_packed.values(),
+                               positions_.build(index), rule.priority);
   }
 
   /// Delta maintenance: a removal unlinks the rule's entry from its
@@ -66,15 +61,14 @@ class TssClassifier final : public Classifier {
       const TableSpec& /*table*/, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
     if (!positions_.can_remove()) return false;
-    std::vector<std::uint64_t> mask(fields_.size(), 0);
-    std::vector<std::uint64_t> val(fields_.size(), 0);
-    pack(old_matches, mask, val);
-    detail::MaskedGroup* sub = detail::find_group(subtables_, mask);
+    const detail::PackedMatch packed = pack(old_matches);
+    detail::MaskedGroup* sub = detail::find_group(subtables_, packed.masks());
     const std::size_t build = positions_.build(index);
     if (sub == nullptr || build == sub->min_rule) return false;
-    const detail::MaskedGroup::Entry* entry = sub->find(val);
-    if (entry == nullptr || entry->priority == sub->best_priority ||
-        !sub->erase(val, build)) {
+    const std::optional<detail::MaskedGroup::Entry> entry =
+        sub->find(packed.values());
+    if (!entry.has_value() || entry->priority == sub->best_priority ||
+        !sub->erase(packed.values(), build)) {
       return false;
     }
     positions_.remove(build);
@@ -91,8 +85,9 @@ class TssClassifier final : public Classifier {
       for (std::size_t f = 0; f < fields_.size(); ++f) {
         masked[f] = key.get(fields_[f]) & sub.masks[f];
       }
-      const auto* e = sub.find({masked, fields_.size()});
-      if (e != nullptr && (!best.has_value() || e->priority > best_priority)) {
+      const auto e = sub.find({masked, fields_.size()});
+      if (e.has_value() &&
+          (!best.has_value() || e->priority > best_priority)) {
         best = e->rule;
         best_priority = e->priority;
       }
@@ -125,16 +120,17 @@ class TssClassifier final : public Classifier {
 
  private:
   template <typename MatchSeq>
-  void pack(const MatchSeq& matches, std::vector<std::uint64_t>& mask_vec,
-            std::vector<std::uint64_t>& value_vec) const {
+  [[nodiscard]] detail::PackedMatch pack(const MatchSeq& matches) const {
+    detail::PackedMatch packed(fields_.size());
     for (const FieldMatch m : matches) {
       for (std::size_t f = 0; f < fields_.size(); ++f) {
         if (fields_[f] == m.field) {
-          mask_vec[f] = m.mask;
-          value_vec[f] = m.value;
+          packed.mask[f] = m.mask;
+          packed.value[f] = m.value;
         }
       }
     }
+    return packed;
   }
 
   std::vector<FieldId> fields_;
@@ -185,29 +181,28 @@ class LinearClassifier final : public Classifier {
         return false;  // new field: the group index would have to regrow
       }
     }
-    std::vector<std::uint64_t> old_mask(fields_.size(), 0);
-    std::vector<std::uint64_t> old_val(fields_.size(), 0);
-    std::vector<std::uint64_t> new_mask(fields_.size(), 0);
-    std::vector<std::uint64_t> new_val(fields_.size(), 0);
-    if (!pack_group(old_matches, old_mask, old_val) ||
-        !pack_group(rule.matches, new_mask, new_val)) {
+    detail::PackedMatch old_packed(fields_.size());
+    detail::PackedMatch new_packed(fields_.size());
+    if (!pack_group(old_matches, old_packed) ||
+        !pack_group(rule.matches, new_packed)) {
       return false;  // (un)satisfiable rules are absent from the index
     }
-    if (old_mask != new_mask) return false;
-    for (detail::MaskedGroup& group : groups_) {
-      if (group.masks != old_mask) continue;
-      if (!group.replace_values(old_val, new_val, build,
-                                table.rules.priority_of(index))) {
-        return false;
-      }
-      for (std::size_t m = 0; m < old_n; ++m) {
-        const FieldMatch fm = rule.matches[m];
-        flat_[off + m] = {fm.mask, fm.value,
-                          static_cast<std::uint32_t>(field_index(fm.field))};
-      }
-      return true;
+    if (!std::ranges::equal(old_packed.masks(), new_packed.masks())) {
+      return false;
     }
-    return false;
+    detail::MaskedGroup* group =
+        detail::find_group(groups_, old_packed.masks());
+    if (group == nullptr ||
+        !group->replace_values(old_packed.values(), new_packed.values(),
+                               build, table.rules.priority_of(index))) {
+      return false;
+    }
+    for (std::size_t m = 0; m < old_n; ++m) {
+      const FieldMatch fm = rule.matches[m];
+      flat_[off + m] = {fm.mask, fm.value,
+                        static_cast<std::uint32_t>(field_index(fm.field))};
+    }
+    return true;
   }
 
   /// Delta maintenance: a removal unlinks the rule's masked-group entry
@@ -234,11 +229,12 @@ class LinearClassifier final : public Classifier {
         return false;  // not the rule the index holds at this position
       }
     }
-    std::vector<std::uint64_t> mask(fields_.size(), 0);
-    std::vector<std::uint64_t> val(fields_.size(), 0);
-    if (pack_group(old_matches, mask, val)) {
-      detail::MaskedGroup* group = detail::find_group(groups_, mask);
-      if (group == nullptr || !group->erase(val, build)) return false;
+    detail::PackedMatch packed(fields_.size());
+    if (pack_group(old_matches, packed)) {
+      detail::MaskedGroup* group = detail::find_group(groups_, packed.masks());
+      if (group == nullptr || !group->erase(packed.values(), build)) {
+        return false;
+      }
     }
     flat_[off] = kNeverMatches;
     positions_.remove(build);
@@ -305,13 +301,12 @@ class LinearClassifier final : public Classifier {
     }
   }
 
-  /// Packs a rule's matches into (mask, value) vectors over fields_,
+  /// Packs a rule's matches into (mask, value) words over fields_,
   /// folding repeated matches on one field. Returns false when the rule
   /// is unsatisfiable (it can never match and is left out of the index).
   template <typename MatchSeq>
   [[nodiscard]] bool pack_group(const MatchSeq& matches,
-                                std::vector<std::uint64_t>& mask_vec,
-                                std::vector<std::uint64_t>& value_vec) const {
+                                detail::PackedMatch& packed) const {
     for (const FieldMatch m : matches) {
       if ((m.value & ~m.mask) != 0) {
         return false;  // requires bits the mask clears
@@ -322,10 +317,10 @@ class LinearClassifier final : public Classifier {
       // Conjunction of two masked equalities on one field: consistent
       // on the shared mask bits ⇒ union of masks/values, else the rule
       // can never match.
-      const std::uint64_t overlap = mask_vec[f] & m.mask;
-      if ((value_vec[f] & overlap) != (m.value & overlap)) return false;
-      mask_vec[f] |= m.mask;
-      value_vec[f] |= m.value;
+      const std::uint64_t overlap = packed.mask[f] & m.mask;
+      if ((packed.value[f] & overlap) != (m.value & overlap)) return false;
+      packed.mask[f] |= m.mask;
+      packed.value[f] |= m.value;
     }
     return true;
   }
@@ -345,11 +340,10 @@ class LinearClassifier final : public Classifier {
       }
     }
     for (std::size_t r = 0; r < rules.size(); ++r) {
-      std::vector<std::uint64_t> mask_vec(fields_.size(), 0);
-      std::vector<std::uint64_t> value_vec(fields_.size(), 0);
-      if (!pack_group(rules[r].matches, mask_vec, value_vec)) continue;
-      detail::find_or_add_group(groups_, mask_vec)
-          .insert(value_vec, r, rules.priority_of(r));
+      detail::PackedMatch packed(fields_.size());
+      if (!pack_group(rules[r].matches, packed)) continue;
+      detail::find_or_add_group(groups_, packed.masks())
+          .insert(packed.values(), r, rules.priority_of(r));
     }
     // Ascending min_rule lets the probe stop as soon as the current best
     // match precedes every remaining group.

@@ -13,7 +13,6 @@
 
 #include "controlplane/compiler.hpp"
 #include "dataplane/classifier.hpp"
-#include "dataplane/classifier_detail.hpp"
 #include "dataplane/switch.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
@@ -263,50 +262,6 @@ TEST(DeltaClassifier, RemovingAGroupWinnerOverADroppedDuplicateRebuilds) {
     const auto hit = classifier->lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(table.rules[*hit].actions[0].value, 2u);
-  }
-}
-
-TEST(MaskedGroupSpill, FreeListBoundsChainGarbage) {
-  // Two-word vectors whose FNV-1a hashes collide: after the first word
-  // the hash state is s(w0) = (basis ^ w0) * prime, so w1 = s(a0) ^ a1 ^
-  // s(w0) lands (w0, w1) on the same hash as (a0, a1).
-  const auto state = [](std::uint64_t w0) {
-    return (1469598103934665603ULL ^ w0) * 1099511628211ULL;
-  };
-  const auto colliding = [&](std::uint64_t w0) {
-    return std::vector<std::uint64_t>{w0, state(1) ^ 2 ^ state(w0)};
-  };
-  ASSERT_EQ(detail::hash_words(colliding(5)),
-            detail::hash_words(std::vector<std::uint64_t>{1, 2}));
-
-  detail::MaskedGroup group;
-  group.masks = {~std::uint64_t{0}, ~std::uint64_t{0}};
-  constexpr std::size_t kChain = 6;
-  std::vector<std::uint64_t> word(kChain);
-  for (std::size_t r = 0; r < kChain; ++r) {
-    word[r] = 1000 + r;
-    group.insert(colliding(word[r]), r, 1);
-  }
-  ASSERT_EQ(group.spill.size(), kChain - 1);  // one chain, one hash key
-
-  Rng rng(77);
-  std::uint64_t next_word = 5000;
-  for (int cycle = 0; cycle < 10000; ++cycle) {
-    const std::size_t r = rng.index(kChain);
-    if (cycle % 2 == 0) {
-      ASSERT_TRUE(group.replace_values(colliding(word[r]),
-                                       colliding(next_word), r, 1));
-    } else {
-      ASSERT_TRUE(group.erase(colliding(word[r]), r));
-      group.insert(colliding(next_word), r, 1);
-    }
-    word[r] = next_word++;
-    ASSERT_LE(group.spill.size(), kChain + 1) << "cycle " << cycle;
-  }
-  for (std::size_t r = 0; r < kChain; ++r) {
-    const auto* e = group.find(colliding(word[r]));
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->rule, r);
   }
 }
 
