@@ -201,9 +201,10 @@ BENCHMARK_CAPTURE(BM_BatchThreadsShared, eswitch_universal, "eswitch",
 /// SoA chunk, pinned to the scalar or SIMD dispatch level. items = keys,
 /// so items_per_second inverts to ns/key for the kernel alone — the
 /// vectorized portion of the batch probes, without hash-table lookups.
-/// Shapes mirror the three integration points: `tss` and `masked_group`
-/// run the fused mask+hash kernel (the per-subtable / per-group probe)
-/// at their typical field counts, `exact` runs the hash-only kernel.
+/// Shapes mirror the three integration points, all on the fused
+/// mask+hash kernel (the per-group probe) at their typical field counts:
+/// `tss` and `masked_group` with random masks, `exact` with full-width
+/// masks (its one group).
 void BM_Kernel(benchmark::State& state, const char* kernel,
                std::size_t fields, bool use_simd) {
   namespace simd = dp::simd;
@@ -223,18 +224,15 @@ void BM_Kernel(benchmark::State& state, const char* kernel,
   std::array<std::uint64_t, dp::kNumFields> masks{};
   Rng rng(7);
   for (std::size_t f = 0; f < fields; ++f) {
-    masks[f] = rng.uniform(0, ~std::uint64_t{0});
+    masks[f] = which == "exact" ? ~std::uint64_t{0}
+                                : rng.uniform(0, ~std::uint64_t{0});
     for (std::size_t i = 0; i < n; ++i) {
       lanes.data()[f * n + i] = rng.uniform(0, ~std::uint64_t{0});
     }
   }
   for (auto _ : state) {
-    if (which == "exact") {
-      simd::hash_lanes(lanes.data(), n, fields, n, hashes.data());
-    } else {
-      simd::mask_hash_lanes(lanes.data(), n, masks.data(), fields, n,
-                            masked.data(), hashes.data());
-    }
+    simd::mask_hash_lanes(lanes.data(), n, masks.data(), fields, n,
+                          masked.data(), hashes.data());
     benchmark::DoNotOptimize(hashes.data());
     benchmark::ClobberMemory();
   }
@@ -245,8 +243,8 @@ void BM_Kernel(benchmark::State& state, const char* kernel,
 }
 
 // Field counts: the gwlb TSS subtables match a 3-field tuple; the
-// masked-group probe covers wider ternary groups (5 fields); exact-match
-// hashes a 4-field key.
+// masked-group probe covers wider ternary groups (5 fields); the
+// exact-match group masks and hashes a 4-field key.
 BENCHMARK_CAPTURE(BM_Kernel, tss_scalar, "tss", 3, false);
 BENCHMARK_CAPTURE(BM_Kernel, tss_simd, "tss", 3, true);
 BENCHMARK_CAPTURE(BM_Kernel, masked_group_scalar, "masked_group", 5,

@@ -28,13 +28,6 @@ namespace maton::dp::detail {
   return h;
 }
 
-/// Smallest power of two >= n (and >= 8).
-[[nodiscard]] inline std::size_t table_capacity(std::size_t n) noexcept {
-  std::size_t cap = 8;
-  while (cap < n * 2) cap <<= 1;
-  return cap;
-}
-
 /// Read-prefetch hint: pulls the cache line holding `p` towards L1 while
 /// the batch kernels work on other keys. A no-op on compilers without the
 /// builtin — correctness never depends on it.
@@ -82,12 +75,13 @@ inline void transpose_chunk(std::span<const FlowKey> keys, std::size_t base,
 
 /// One mask-vector group of a tuple-space index: rules sharing a mask
 /// vector over the classifier's field set, resolved by one exact-match
-/// probe of a flat open-addressed table. Shared by TssClassifier (groups
-/// probed in decreasing best-priority order) and LinearClassifier's
-/// batch index (groups probed in ascending minimum-rule order); both
-/// order keys are maintained unconditionally so the same structure
-/// serves either probe discipline. Entries carry build positions (see
-/// util::BuildPositions).
+/// probe of a flat open-addressed table. The one rule index of the
+/// templates: ExactMatchClassifier is a single group whose masks are its
+/// fields' full widths, TssClassifier probes groups in decreasing
+/// best-priority order and LinearClassifier's batch index in ascending
+/// minimum-rule order; both order keys are maintained unconditionally so
+/// the same structure serves either probe discipline. Entries carry
+/// build positions (see util::BuildPositions).
 ///
 /// Layout: a power-of-two number of slots, at most half full, linear
 /// probing. A slot is one meta word (build position in the high 32 bits,
@@ -263,16 +257,22 @@ struct MaskedGroup {
   }
 
   /// The slot holding `values`, else the empty slot ending its probe
-  /// run. The table is never full, so the walk terminates.
+  /// run. The table is never full, so the walk terminates. The inline
+  /// words are compared in a plain loop: this is the per-packet probe of
+  /// the scalar lookups, and a library compare call costs more than the
+  /// few words it compares.
   [[nodiscard]] std::size_t locate(
       std::span<const std::uint64_t> values) const {
+    const std::size_t nf = masks.size();
     const std::size_t cap_mask = capacity() - 1;
-    std::size_t slot = home_slot(hash_words(values));
-    while (!is_empty(slot) &&
-           !std::equal(values.begin(), values.end(), slot_words(slot) + 1)) {
-      slot = (slot + 1) & cap_mask;
+    for (std::size_t slot = home_slot(hash_words(values));;
+         slot = (slot + 1) & cap_mask) {
+      const std::uint64_t* s = slot_words(slot);
+      if (s[0] == kEmptyMeta) return slot;
+      std::size_t f = 0;
+      while (f < nf && s[1 + f] == values[f]) ++f;
+      if (f == nf) return slot;
     }
-    return slot;
   }
 
   /// Re-inserts every entry into a fresh table of `cap` slots.
@@ -300,11 +300,23 @@ struct MaskedGroup {
 
 /// A rule's (mask, value) words over a classifier's field set, held on
 /// the stack: the patch paths pack up to two rules per update and must
-/// not allocate. Fields the rule does not match stay 0 (wildcard).
+/// not allocate. Fields the rule does not match are 0 (wildcard). Only
+/// the first `fields` words are set, and fold_matches sets each one
+/// itself: GCC turns a zeroing loop into `rep stos`, whose start-up
+/// cost was most of a fold's.
 struct PackedMatch {
-  std::array<std::uint64_t, kNumFields> mask{};
-  std::array<std::uint64_t, kNumFields> value{};
+  std::array<std::uint64_t, kNumFields> mask;
+  std::array<std::uint64_t, kNumFields> value;
   std::size_t fields = 0;
+  /// Bit f set when some match names field f of the set.
+  std::uint32_t matched = 0;
+  /// False when no key can satisfy the rule: a match requires bits its
+  /// mask clears, or two matches on one field disagree on shared mask
+  /// bits. Such a rule is left out of every index.
+  bool satisfiable = true;
+  /// True when a match names a field outside the set: the folded words
+  /// do not describe the rule, so a patch must decline.
+  bool outside = false;
 
   explicit PackedMatch(std::size_t n) : fields(n) {
     expects(n <= kNumFields, "a classifier matches at most kNumFields fields");
@@ -315,7 +327,61 @@ struct PackedMatch {
   [[nodiscard]] std::span<const std::uint64_t> values() const noexcept {
     return {value.data(), fields};
   }
+  /// Whether the folded rule can sit in a group with `group_masks`.
+  [[nodiscard]] bool indexable_in(
+      std::span<const std::uint64_t> group_masks) const noexcept {
+    return satisfiable && !outside && std::ranges::equal(masks(), group_masks);
+  }
 };
+
+/// The one reading of a rule's matches, shared by every template and by
+/// TableSpec::profile(): a conjunction of masked equalities folded over
+/// `fields`. Repeated matches on one field combine into the union of
+/// their masks and values, and make the rule unsatisfiable when they
+/// disagree on the bits both masks keep.
+template <typename MatchSeq>
+[[nodiscard]] PackedMatch fold_matches(std::span<const FieldId> fields,
+                                       const MatchSeq& matches) {
+  PackedMatch packed(fields.size());
+  for (const FieldMatch m : matches) {
+    const auto it = std::find(fields.begin(), fields.end(), m.field);
+    if (it == fields.end()) {
+      packed.outside = true;
+      continue;
+    }
+    const auto f = static_cast<std::size_t>(it - fields.begin());
+    const std::uint32_t bit = std::uint32_t{1} << f;
+    if ((packed.matched & bit) == 0) {
+      packed.matched |= bit;
+      packed.mask[f] = packed.value[f] = 0;
+    }
+    const std::uint64_t overlap = packed.mask[f] & m.mask;
+    if ((m.value & ~m.mask) != 0 ||
+        (packed.value[f] & overlap) != (m.value & overlap)) {
+      packed.satisfiable = false;
+    }
+    packed.mask[f] |= m.mask;
+    packed.value[f] |= m.value;
+  }
+  for (std::size_t f = 0; f < fields.size(); ++f) {
+    if ((packed.matched >> f & 1u) == 0) packed.mask[f] = packed.value[f] = 0;
+  }
+  return packed;
+}
+
+/// `fields` followed by every other field some rule matches on, in
+/// first-match order: a field set no rule reaches outside of.
+[[nodiscard]] inline std::vector<FieldId> matched_fields(
+    std::vector<FieldId> fields, const FlatRules& rules) {
+  for (const auto rule : rules) {
+    for (const FieldMatch m : rule.matches) {
+      if (std::find(fields.begin(), fields.end(), m.field) == fields.end()) {
+        fields.push_back(m.field);
+      }
+    }
+  }
+  return fields;
+}
 
 /// The group holding `mask_vec`, or nullptr. Linear scan: classifiers
 /// have few distinct mask vectors.

@@ -1,5 +1,6 @@
-// Exact-match classifier: open-addressing hash table over the packed
-// field vector — the "very fast exact-match template" of ESwitch (§5).
+// Exact-match classifier — the "very fast exact-match template" of
+// ESwitch (§5): one masked group whose masks are the declared fields'
+// full widths, so a lookup is one hash probe of the packed key.
 #include <algorithm>
 #include <array>
 #include <vector>
@@ -15,18 +16,17 @@ namespace {
 class ExactMatchClassifier final : public Classifier {
  public:
   explicit ExactMatchClassifier(const TableSpec& table)
-      : fields_(table.fields),
-        capacity_(detail::table_capacity(table.rules.size() + 1)),
-        slots_(capacity_, kEmpty) {
+      : fields_(table.fields) {
     expects(table.profile() == MatchProfile::kAllExact,
             "exact-match template requires an all-exact rule set");
-    keys_.reserve(table.rules.size() * fields_.size());
-
+    for (const FieldId f : fields_) {
+      group_.masks.push_back(field_full_mask(f));
+    }
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
-      // Pack the rule's values in declared field order.
-      std::vector<std::uint64_t> packed(fields_.size(), 0);
-      pack_matches(table.rules[r].matches, packed);
-      insert(packed, r);
+      const detail::PackedMatch packed =
+          detail::fold_matches(fields_, table.rules[r].matches);
+      if (!packed.satisfiable) continue;
+      group_.insert(packed.values(), r, table.rules.priority_of(r));
     }
   }
 
@@ -34,116 +34,52 @@ class ExactMatchClassifier final : public Classifier {
       const FlowKey& key) const override {
     std::uint64_t packed[kNumFields];
     for (std::size_t f = 0; f < fields_.size(); ++f) {
-      packed[f] = key.get(fields_[f]);
+      packed[f] = key.get(fields_[f]) & group_.masks[f];
     }
-    const std::span<const std::uint64_t> view(packed, fields_.size());
-    std::size_t slot = detail::hash_words(view) & (capacity_ - 1);
-    while (slots_[slot] != kEmpty) {
-      const std::size_t entry = slots_[slot];
-      if (entry != kTombstone && equals(entry, view)) return rule_of_[entry];
-      slot = (slot + 1) & (capacity_ - 1);
-    }
-    return std::nullopt;
+    const auto e = group_.find({packed, fields_.size()});
+    if (!e.has_value()) return std::nullopt;
+    return e->rule;
   }
 
-  /// Delta maintenance: an all-exact modify re-packs the rule's key and
-  /// moves its hash entry — the old slot is tombstoned, the key payload
-  /// is overwritten in place, and the entry re-probes to a fresh slot.
-  /// Declines when duplicates were dropped at build (a shadowed rule
-  /// could surface), when the new rule is no longer all-exact (template
-  /// change), or when accumulated tombstones warrant a rebuild.
+  /// Delta maintenance: a modify whose rule still matches every field
+  /// exactly moves its entry to the new key (an action-only modify
+  /// leaves it). Anything else — a wildcarded or narrowed field, a field
+  /// outside the set, an unsatisfiable rule, a dropped duplicate at
+  /// build, a collision with another rule's key — declines.
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
-    if (dups_ || tombstones_ * 4 > capacity_) return false;
-    const RuleView rule = table.rules[index];
-    for (const FieldMatch m : rule.matches) {
-      if (m.mask != field_full_mask(m.field)) return false;
-      if (std::find(fields_.begin(), fields_.end(), m.field) ==
-          fields_.end()) {
-        return false;
-      }
-    }
-    std::vector<std::uint64_t> old_key(fields_.size(), 0);
-    std::vector<std::uint64_t> new_key(fields_.size(), 0);
-    pack_matches(old_matches, old_key);
-    pack_matches(rule.matches, new_key);
-    if (old_key == new_key) return true;  // action-only modify
-    // Locate the old entry (unique: no dropped duplicates).
-    std::size_t old_slot = detail::hash_words(old_key) & (capacity_ - 1);
-    std::size_t entry = kEmpty;
-    while (slots_[old_slot] != kEmpty) {
-      const std::size_t e = slots_[old_slot];
-      if (e != kTombstone && equals(e, old_key)) {
-        entry = e;
-        break;
-      }
-      old_slot = (old_slot + 1) & (capacity_ - 1);
-    }
-    if (entry == kEmpty || rule_of_[entry] != index) return false;
-    // Walk the new key's chain: any live equal entry means a collision
-    // (rebuild decides the winner); remember the first reusable slot.
-    std::size_t ins = kEmpty;
-    std::size_t slot = detail::hash_words(new_key) & (capacity_ - 1);
-    while (slots_[slot] != kEmpty) {
-      const std::size_t e = slots_[slot];
-      if (e == kTombstone) {
-        if (ins == kEmpty) ins = slot;
-      } else if (equals(e, new_key)) {
-        return false;
-      }
-      slot = (slot + 1) & (capacity_ - 1);
-    }
-    const bool reused_tombstone = ins != kEmpty;
-    if (ins == kEmpty) ins = slot;
-    slots_[old_slot] = kTombstone;
-    ++tombstones_;
-    std::copy(new_key.begin(), new_key.end(),
-              keys_.begin() +
-                  static_cast<std::ptrdiff_t>(entry * fields_.size()));
-    slots_[ins] = entry;
-    if (reused_tombstone) --tombstones_;
-    return true;
+    const detail::PackedMatch old_packed =
+        detail::fold_matches(fields_, old_matches);
+    const detail::PackedMatch new_packed =
+        detail::fold_matches(fields_, table.rules[index].matches);
+    return old_packed.indexable_in(group_.masks) &&
+           new_packed.indexable_in(group_.masks) &&
+           group_.replace_values(old_packed.values(), new_packed.values(),
+                                 index, table.rules.priority_of(index));
   }
 
-  /// Two-pass chunked probe: pass 1 transposes the chunk into SoA lanes
-  /// and runs the word-parallel dp::simd hash kernel (bit-identical
-  /// FNV-1a, four keys per step), issuing a prefetch for every key's
-  /// home bucket; pass 2 probes with the bucket lines already in
-  /// flight, comparing the packed entry words against the key's strided
-  /// lane words.
+  /// The masked-group probe of one group: transpose the chunk, mask and
+  /// hash it with the word-parallel kernel, prefetch every key's home
+  /// slot, then probe with the lines already in flight.
   void lookup_batch(std::span<const FlowKey> keys,
                     std::span<std::size_t> out) const override {
-    const std::size_t nf = fields_.size();
     detail::LaneBlock lanes;
+    detail::LaneBlock masked;
     alignas(64) std::array<std::uint64_t, detail::kBatchChunk> hashes;
-    std::array<std::size_t, detail::kBatchChunk> home;
     for (std::size_t base = 0; base < keys.size();
          base += detail::kBatchChunk) {
       const std::size_t n =
           std::min(detail::kBatchChunk, keys.size() - base);
       detail::transpose_chunk(keys, base, n, fields_, lanes.data());
-      simd::hash_lanes(lanes.data(), detail::kBatchChunk, nf, n,
-                       hashes.data());
+      simd::mask_hash_lanes(lanes.data(), detail::kBatchChunk,
+                            group_.masks.data(), fields_.size(), n,
+                            masked.data(), hashes.data());
+      for (std::size_t i = 0; i < n; ++i) group_.prefetch(hashes[i]);
       for (std::size_t i = 0; i < n; ++i) {
-        home[i] = hashes[i] & (capacity_ - 1);
-        detail::prefetch_read(&slots_[home[i]]);
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        std::size_t slot = home[i];
-        std::size_t found = kNoRule;
-        while (slots_[slot] != kEmpty) {
-          const std::size_t entry = slots_[slot];
-          if (entry != kTombstone &&
-              simd::equal_lanes(keys_.data() + entry * nf,
-                                lanes.data() + i, detail::kBatchChunk,
-                                nf)) {
-            found = rule_of_[entry];
-            break;
-          }
-          slot = (slot + 1) & (capacity_ - 1);
-        }
-        out[base + i] = found;
+        const auto e = group_.find_lanes(hashes[i], masked.data() + i,
+                                         detail::kBatchChunk);
+        out[base + i] = e.has_value() ? e->rule : kNoRule;
       }
     }
   }
@@ -153,50 +89,8 @@ class ExactMatchClassifier final : public Classifier {
   }
 
  private:
-  static constexpr std::size_t kEmpty = ~std::size_t{0};
-  static constexpr std::size_t kTombstone = kEmpty - 1;
-
-  [[nodiscard]] bool equals(std::size_t entry,
-                            std::span<const std::uint64_t> key) const {
-    const std::uint64_t* stored = keys_.data() + entry * fields_.size();
-    for (std::size_t f = 0; f < key.size(); ++f) {
-      if (stored[f] != key[f]) return false;
-    }
-    return true;
-  }
-
-  template <typename MatchSeq>
-  void pack_matches(const MatchSeq& matches,
-                    std::vector<std::uint64_t>& packed) const {
-    for (const FieldMatch m : matches) {
-      for (std::size_t f = 0; f < fields_.size(); ++f) {
-        if (fields_[f] == m.field) packed[f] = m.value;
-      }
-    }
-  }
-
-  void insert(const std::vector<std::uint64_t>& packed, std::size_t rule) {
-    std::size_t slot = detail::hash_words(packed) & (capacity_ - 1);
-    while (slots_[slot] != kEmpty) {
-      if (equals(slots_[slot], packed)) {  // keep higher priority
-        dups_ = true;
-        return;
-      }
-      slot = (slot + 1) & (capacity_ - 1);
-    }
-    const std::size_t entry = rule_of_.size();
-    keys_.insert(keys_.end(), packed.begin(), packed.end());
-    rule_of_.push_back(rule);
-    slots_[slot] = entry;
-  }
-
   std::vector<FieldId> fields_;
-  std::size_t capacity_;
-  std::vector<std::size_t> slots_;     // slot → entry index or kEmpty
-  std::vector<std::uint64_t> keys_;    // entry-major packed keys
-  std::vector<std::size_t> rule_of_;   // entry → rule index
-  bool dups_ = false;                  // build dropped a duplicate key
-  std::size_t tombstones_ = 0;         // dead slots left by apply_modify
+  detail::MaskedGroup group_;
 };
 
 }  // namespace

@@ -84,34 +84,32 @@ class LpmClassifier final : public Classifier {
     expects(table.profile() == MatchProfile::kSinglePrefix,
             "LPM template requires a single-prefix rule set");
 
-    // Identify the prefix field: the one with any non-full mask.
-    prefix_field_ = table.fields.front();
+    // The prefix field is the one whose folded mask is ever not full;
+    // unsatisfiable rules never match and stay out of the tries.
+    const std::vector<FieldId>& fields = table.fields;
+    std::size_t prefix = 0;
     for (const auto rule : table.rules) {
-      for (const FieldMatch m : rule.matches) {
-        const unsigned w = field_width(m.field);
-        const std::uint64_t full =
-            w >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << w) - 1);
-        if (m.mask != full) prefix_field_ = m.field;
+      const detail::PackedMatch packed =
+          detail::fold_matches(fields, rule.matches);
+      if (!packed.satisfiable) continue;
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        if (packed.mask[f] != field_full_mask(fields[f])) prefix = f;
       }
     }
+    prefix_field_ = fields[prefix];
     prefix_width_ = field_width(prefix_field_);
-    for (const FieldId f : table.fields) {
+    for (const FieldId f : fields) {
       if (f != prefix_field_) exact_fields_.push_back(f);
     }
 
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
-      std::vector<std::uint64_t> exact_key(exact_fields_.size(), 0);
-      std::uint64_t prefix_value = 0;
-      unsigned plen = 0;
-      for (const FieldMatch& m : table.rules[r].matches) {
-        if (m.field == prefix_field_) {
-          prefix_value = m.value;
-          plen = static_cast<unsigned>(std::popcount(m.mask));
-        } else {
-          for (std::size_t f = 0; f < exact_fields_.size(); ++f) {
-            if (exact_fields_[f] == m.field) exact_key[f] = m.value;
-          }
-        }
+      const detail::PackedMatch packed =
+          detail::fold_matches(fields, table.rules[r].matches);
+      if (!packed.satisfiable) continue;
+      std::vector<std::uint64_t> exact_key;
+      exact_key.reserve(exact_fields_.size());
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        if (f != prefix) exact_key.push_back(packed.value[f]);
       }
       // Buckets chain on hash collisions across distinct exact keys.
       auto& bucket = groups_[detail::hash_words(exact_key)];
@@ -127,7 +125,9 @@ class LpmClassifier final : public Classifier {
         group = bucket.back().get();
         group->exact_key = exact_key;
       }
-      group->trie.insert(prefix_value, plen, r);
+      const auto plen =
+          static_cast<unsigned>(std::popcount(packed.mask[prefix]));
+      group->trie.insert(packed.value[prefix], plen, r);
     }
   }
 

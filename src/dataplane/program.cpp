@@ -6,6 +6,7 @@
 #include <map>
 #include <numeric>
 
+#include "dataplane/classifier_detail.hpp"
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
 #include "util/sorted_erase.hpp"
@@ -685,38 +686,29 @@ std::size_t FlatRules::memory_bytes() const noexcept {
 // ---------------------------------------------------------------------------
 
 MatchProfile TableSpec::profile() const {
-  // Which fields ever carry a non-full mask or go unmatched (wildcard)?
-  bool any_wildcard = false;
+  // Classify each field of each rule by its folded mask: unmatched
+  // (wildcard), full (exact), a prefix, or anything else. Unsatisfiable
+  // rules never match and no template indexes them; a match outside
+  // `fields` fits no template keyed on them.
   std::optional<FieldId> prefix_field;
-  bool multi_variable = false;
-
   for (const auto rule : rules) {
-    for (const FieldId f : fields) {
-      std::optional<FieldMatch> found;
-      for (const FieldMatch m : rule.matches) {
-        if (m.field == f) {
-          found = m;
-          break;
-        }
-      }
-      if (!found.has_value()) {
-        any_wildcard = true;
-        continue;
-      }
-      if (found->mask == full_mask(f)) continue;
-      if (!is_prefix_mask(f, found->mask)) return MatchProfile::kTernary;
-      if (prefix_field.has_value() && *prefix_field != f) {
-        multi_variable = true;
+    const detail::PackedMatch packed =
+        detail::fold_matches(fields, rule.matches);
+    if (packed.outside) return MatchProfile::kTernary;
+    if (!packed.satisfiable) continue;
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      const FieldId f = fields[i];
+      if ((packed.matched >> i & 1u) == 0) return MatchProfile::kTernary;
+      if (packed.mask[i] == full_mask(f)) continue;
+      if (!is_prefix_mask(f, packed.mask[i]) ||
+          (prefix_field.has_value() && *prefix_field != f)) {
+        return MatchProfile::kTernary;
       }
       prefix_field = f;
     }
   }
-  if (multi_variable || (any_wildcard && prefix_field.has_value())) {
-    return MatchProfile::kTernary;
-  }
-  if (any_wildcard) return MatchProfile::kTernary;
-  if (prefix_field.has_value()) return MatchProfile::kSinglePrefix;
-  return MatchProfile::kAllExact;
+  return prefix_field.has_value() ? MatchProfile::kSinglePrefix
+                                  : MatchProfile::kAllExact;
 }
 
 std::size_t Program::total_rules() const noexcept {

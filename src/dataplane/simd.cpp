@@ -23,30 +23,6 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 // ---- Scalar reference ----------------------------------------------------
 
-void mask_lanes_scalar(const std::uint64_t* lanes, std::size_t stride,
-                       const std::uint64_t* masks, std::size_t fields,
-                       std::size_t n, std::uint64_t* masked) {
-  for (std::size_t f = 0; f < fields; ++f) {
-    const std::uint64_t m = masks[f];
-    const std::uint64_t* src = lanes + f * stride;
-    std::uint64_t* dst = masked + f * stride;
-    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] & m;
-  }
-}
-
-void hash_lanes_scalar(const std::uint64_t* lanes, std::size_t stride,
-                       std::size_t fields, std::size_t n,
-                       std::uint64_t* hashes) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t h = kFnvOffset;
-    for (std::size_t f = 0; f < fields; ++f) {
-      h ^= lanes[f * stride + i];
-      h *= kFnvPrime;
-    }
-    hashes[i] = h;
-  }
-}
-
 void mask_hash_lanes_scalar(const std::uint64_t* lanes, std::size_t stride,
                             const std::uint64_t* masks, std::size_t fields,
                             std::size_t n, std::uint64_t* masked,
@@ -76,46 +52,6 @@ __attribute__((target("avx2"))) inline __m256i mul64(__m256i a, __m256i b) {
       _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b),
       _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32)));
   return _mm256_add_epi64(lo, _mm256_slli_epi64(hi, 32));
-}
-
-__attribute__((target("avx2"))) void mask_lanes_avx2(
-    const std::uint64_t* lanes, std::size_t stride,
-    const std::uint64_t* masks, std::size_t fields, std::size_t n,
-    std::uint64_t* masked) {
-  for (std::size_t f = 0; f < fields; ++f) {
-    const __m256i m = _mm256_set1_epi64x(
-        static_cast<long long>(masks[f]));
-    const std::uint64_t* src = lanes + f * stride;
-    std::uint64_t* dst = masked + f * stride;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256i w = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(src + i));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                          _mm256_and_si256(w, m));
-    }
-    for (; i < n; ++i) dst[i] = src[i] & masks[f];
-  }
-}
-
-__attribute__((target("avx2"))) void hash_lanes_avx2(
-    const std::uint64_t* lanes, std::size_t stride, std::size_t fields,
-    std::size_t n, std::uint64_t* hashes) {
-  const __m256i offset =
-      _mm256_set1_epi64x(static_cast<long long>(kFnvOffset));
-  const __m256i prime =
-      _mm256_set1_epi64x(static_cast<long long>(kFnvPrime));
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i h = offset;
-    for (std::size_t f = 0; f < fields; ++f) {
-      const __m256i w = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(lanes + f * stride + i));
-      h = mul64(_mm256_xor_si256(h, w), prime);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + i), h);
-  }
-  if (i < n) hash_lanes_scalar(lanes + i, stride, fields, n - i, hashes + i);
 }
 
 __attribute__((target("avx2"))) void mask_hash_lanes_avx2(
@@ -191,29 +127,6 @@ bool force_dispatch(Level level) noexcept {
 
 void reset_dispatch() noexcept {
   level_slot().store(resolve_startup_level(), std::memory_order_relaxed);
-}
-
-void mask_lanes(const std::uint64_t* lanes, std::size_t stride,
-                const std::uint64_t* masks, std::size_t fields,
-                std::size_t n, std::uint64_t* masked) {
-#if MATON_SIMD_AVX2_KERNELS
-  if (active_level() == Level::kAvx2) {
-    mask_lanes_avx2(lanes, stride, masks, fields, n, masked);
-    return;
-  }
-#endif
-  mask_lanes_scalar(lanes, stride, masks, fields, n, masked);
-}
-
-void hash_lanes(const std::uint64_t* lanes, std::size_t stride,
-                std::size_t fields, std::size_t n, std::uint64_t* hashes) {
-#if MATON_SIMD_AVX2_KERNELS
-  if (active_level() == Level::kAvx2) {
-    hash_lanes_avx2(lanes, stride, fields, n, hashes);
-    return;
-  }
-#endif
-  hash_lanes_scalar(lanes, stride, fields, n, hashes);
 }
 
 void mask_hash_lanes(const std::uint64_t* lanes, std::size_t stride,

@@ -44,20 +44,11 @@ bool force_dispatch(Level level) noexcept;
 /// Restores the startup-resolved dispatch level.
 void reset_dispatch() noexcept;
 
-/// masked[f * stride + i] = lanes[f * stride + i] & masks[f]
-/// for f in [0, fields), i in [0, n). `stride` is the lane stride of
-/// both `lanes` and `masked` (buffers may alias only if identical).
-void mask_lanes(const std::uint64_t* lanes, std::size_t stride,
-                const std::uint64_t* masks, std::size_t fields,
-                std::size_t n, std::uint64_t* masked);
-
-/// hashes[i] = detail::hash_words over key i's `fields` lane words.
-void hash_lanes(const std::uint64_t* lanes, std::size_t stride,
-                std::size_t fields, std::size_t n, std::uint64_t* hashes);
-
-/// Fused mask + hash: writes both the masked lanes and the FNV-1a hash
-/// of each key's masked words. One pass over the chunk — this is the
-/// TSS / masked-group probe kernel.
+/// Fused mask + hash: masked[f * stride + i] = lanes[f * stride + i] &
+/// masks[f] for f in [0, fields), i in [0, n), and hashes[i] =
+/// detail::hash_words over key i's masked words. One pass over the
+/// chunk — the probe kernel of every masked group (the exact template's
+/// one full-width group, TSS subtables, the linear batch index).
 void mask_hash_lanes(const std::uint64_t* lanes, std::size_t stride,
                      const std::uint64_t* masks, std::size_t fields,
                      std::size_t n, std::uint64_t* masked,

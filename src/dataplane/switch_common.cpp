@@ -152,6 +152,16 @@ Status apply_update_to_program(Program& program, const RuleUpdate& update,
       break;
     }
   }
+  if (update.kind != RuleUpdate::Kind::kRemove) {
+    // `fields` stays the union of the table's matched fields: templates
+    // index a table over them, so a field left out would go unread.
+    for (const FieldMatch m : update.rule.matches) {
+      if (std::find(table.fields.begin(), table.fields.end(), m.field) ==
+          table.fields.end()) {
+        table.fields.push_back(m.field);
+      }
+    }
+  }
   if (outcome != nullptr) *outcome = result;
   return Status::ok();
 }

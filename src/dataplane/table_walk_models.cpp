@@ -1,7 +1,6 @@
 // ESwitch- and Lagopus-style switch models: both walk the table pipeline
 // per packet; they differ in how each table's classifier is instantiated
 // and in the fixed per-packet framework overhead.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -14,7 +13,6 @@
 #include "dataplane/switch.hpp"
 #include "obs/metrics.hpp"
 #include "util/contract.hpp"
-#include "util/sorted_erase.hpp"
 
 namespace maton::dp {
 
@@ -111,9 +109,6 @@ class TableWalkSwitch : public SwitchModel {
     classifiers_.reserve(num_tables);
     stage_metrics_.clear();
     stage_metrics_.reserve(num_tables);
-    set_field_flags_.assign(num_tables, {});
-    set_field_rules_ = 0;
-    erased_flags_.clear();
     for (std::size_t t = 0; t < num_tables; ++t) {
       const TableSpec& table = program().tables[t];
       classifiers_.push_back(instantiate(table));
@@ -123,7 +118,6 @@ class TableWalkSwitch : public SwitchModel {
            &registry.counter("maton_dp_table_misses_total", labels),
            &registry.histogram("maton_dp_table_lookup_ns", labels),
            template_metrics(classifiers_[t]->name())});
-      recount_set_fields(t);
     }
     touched_.assign(num_tables, kUntouched);
     touched_ids_.clear();
@@ -135,44 +129,22 @@ class TableWalkSwitch : public SwitchModel {
   /// apply_remove) — when the template can patch its index in place no
   /// rebuild happens at all. Tables whose classifier declines, or that
   /// saw an insert or a re-position, are recompiled once per *touched
-  /// table* in on_updates_applied. A patch also carries the table's
-  /// set-field flag for the one rule it touched; a run of patched
-  /// removals (reported highest position first) drops its flags in one
-  /// pass when the run ends.
+  /// table* in on_updates_applied.
   void on_update(const RuleUpdate& update,
                  const ApplyOutcome& outcome) override {
-    if (!erased_flags_.empty() &&
-        (update.table != erased_flags_table_ ||
-         outcome.kind != ApplyOutcome::Kind::kRemoved ||
-         outcome.index >= erased_flags_.back())) {
-      erase_flags();
-    }
     std::uint8_t& touched = touched_[update.table];
     if (touched == kRebuild) return;  // rebuild already owed
     if (touched == kUntouched) touched_ids_.push_back(update.table);
     const TableSpec& table = program().tables[update.table];
     Classifier& classifier = *classifiers_[update.table];
     const TemplateMetrics& metrics = stage_metrics_[update.table].tmpl;
-    std::vector<std::uint8_t>& flags = set_field_flags_[update.table];
     bool patched = false;
     if (outcome.kind == ApplyOutcome::Kind::kModifiedInPlace) {
       patched = classifier.apply_modify(table, outcome.index, update.target);
-      if (patched) {
-        metrics.patched_modify->add();
-        const std::uint8_t now = sets_field(table.rules[outcome.index]);
-        set_field_rules_ = set_field_rules_ - flags[outcome.index] + now;
-        flags[outcome.index] = now;
-      }
+      if (patched) metrics.patched_modify->add();
     } else if (outcome.kind == ApplyOutcome::Kind::kRemoved) {
       patched = classifier.apply_remove(table, outcome.index, update.target);
-      if (patched) {
-        metrics.patched_remove->add();
-        // Every flag still pending erasure lies above this one, so
-        // `flags` is still indexed by this rule's position.
-        set_field_rules_ -= flags[outcome.index];
-        erased_flags_table_ = update.table;
-        erased_flags_.push_back(outcome.index);
-      }
+      if (patched) metrics.patched_remove->add();
     }
     touched = patched ? kPatched : kRebuild;
   }
@@ -180,7 +152,6 @@ class TableWalkSwitch : public SwitchModel {
   /// Rebuilds the tables a decline or a structural edit left owing one;
   /// every step is per touched table.
   void on_updates_applied(std::span<const RuleUpdate> /*applied*/) override {
-    if (!erased_flags_.empty()) erase_flags();
     for (const std::size_t t : touched_ids_) {
       if (touched_[t] == kRebuild) {
         stage_metrics_[t].tmpl.rebuilds->add();
@@ -188,7 +159,6 @@ class TableWalkSwitch : public SwitchModel {
         // Recompiling can change the chosen classifier template, which
         // is a metric label: take the new template's handles.
         stage_metrics_[t].tmpl = template_metrics(classifiers_[t]->name());
-        recount_set_fields(t);
       }
       touched_[t] = kUntouched;
     }
@@ -246,38 +216,6 @@ class TableWalkSwitch : public SwitchModel {
     return m;
   }
 
-  [[nodiscard]] static std::uint8_t sets_field(const RuleView& rule) {
-    for (const Action action : rule.actions) {
-      if (action.kind == Action::Kind::kSetField) return 1;
-    }
-    return 0;
-  }
-
-  /// Drops the pending run's flags (erased_flags_, descending) from
-  /// their table in one pass.
-  void erase_flags() {
-    std::vector<std::uint8_t>& flags = set_field_flags_[erased_flags_table_];
-    std::reverse(erased_flags_.begin(), erased_flags_.end());
-    flags.resize(erase_sorted(flags.size(), erased_flags_,
-                              [&](std::size_t from, std::size_t to) {
-                                flags[to] = flags[from];
-                              }));
-    erased_flags_.clear();
-  }
-
-  /// Re-derives table `t`'s set-field flags from its rules (load and
-  /// rebuild, which are O(table) anyway).
-  void recount_set_fields(std::size_t t) {
-    std::vector<std::uint8_t>& flags = set_field_flags_[t];
-    for (const std::uint8_t f : flags) set_field_rules_ -= f;
-    const FlatRules& rules = program().tables[t].rules;
-    flags.resize(rules.size());
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      flags[r] = sets_field(rules[r]);
-      set_field_rules_ += flags[r];
-    }
-  }
-
   /// Batch-walker scratch, one context per configured replay queue and
   /// reused across process_batch_queue calls so the steady-state path
   /// performs no allocations. Each context is heap-allocated separately
@@ -311,12 +249,10 @@ class TableWalkSwitch : public SwitchModel {
     if (num_tables == 0 || keys.empty()) return;
 
     expects(program().entry < num_tables, "program entry out of range");
-    // Programs without set-field actions never mutate packet state, so
-    // the walker can classify straight out of the caller's key array
-    // instead of copying every FlowKey into the scratch buffer.
-    const bool mutates = set_field_rules_ != 0;
-    if (mutates) s.states.assign(keys.begin(), keys.end());
-    const FlowKey* state_base = mutates ? s.states.data() : keys.data();
+    // Stages classify straight out of the caller's keys until the
+    // batch's first set-field action copies them into the states buffer.
+    // Nothing has been rewritten before that point, so the copy is exact.
+    const FlowKey* state_base = keys.data();
     s.buckets.resize(num_tables);
     for (auto& bucket : s.buckets) bucket.clear();
     for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -394,6 +330,10 @@ class TableWalkSwitch : public SwitchModel {
             if (action.kind == Action::Kind::kOutput) {
               result.out_port = action.value;
             } else {
+              if (state_base == keys.data()) {
+                s.states.assign(keys.begin(), keys.end());
+                state_base = s.states.data();
+              }
               s.states[p].set(action.field, action.value);
             }
           }
@@ -423,17 +363,6 @@ class TableWalkSwitch : public SwitchModel {
   /// at most one entry per classifier template.
   std::vector<std::pair<std::string, TemplateMetrics>> templates_;
   obs::Histogram* batch_chunk_size_ = nullptr;
-  /// Per table, per rule: whether the rule carries a set-field action.
-  /// Kept exact through patches and rebuilds, so set_field_rules_ (their
-  /// sum) is too; while it is zero the batch walker skips copying keys
-  /// into its states buffer.
-  std::vector<std::vector<std::uint8_t>> set_field_flags_;
-  std::size_t set_field_rules_ = 0;
-  /// Positions (descending) of the current removal run's patched rules,
-  /// in table erased_flags_table_, whose flags are still in
-  /// set_field_flags_; their counts are already off set_field_rules_.
-  std::vector<std::size_t> erased_flags_;
-  std::size_t erased_flags_table_ = 0;
 
   std::vector<std::unique_ptr<QueueScratch>> scratch_;
   /// Per-table index maintenance owed by the current apply_updates call;

@@ -16,11 +16,14 @@ namespace {
 class TssClassifier final : public Classifier {
  public:
   explicit TssClassifier(const TableSpec& table)
-      : fields_(table.fields), positions_(table.rules.size()) {
-    // Group rules by their full mask vector over the declared fields
-    // (absent field match ⇒ mask 0, i.e. wildcard).
+      : fields_(detail::matched_fields(table.fields, table.rules)),
+        positions_(table.rules.size()) {
+    // Group rules by their full mask vector over the fields (absent field
+    // match ⇒ mask 0, i.e. wildcard).
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
-      const detail::PackedMatch packed = pack(table.rules[r].matches);
+      const detail::PackedMatch packed =
+          detail::fold_matches(fields_, table.rules[r].matches);
+      if (!packed.satisfiable) continue;
       detail::find_or_add_group(subtables_, packed.masks())
           .insert(packed.values(), r, table.rules.priority_of(r));
     }
@@ -33,20 +36,21 @@ class TssClassifier final : public Classifier {
   /// Delta maintenance: a value-only modify (mask vector unchanged) is a
   /// point re-hash inside the rule's subtable — no group rebuild, no
   /// re-sort (the priority is unchanged by contract, so the probe order
-  /// bounds stay valid). A mask change moves the rule across subtables
-  /// and declines.
+  /// bounds stay valid). A mask change moves the rule across subtables,
+  /// and a new field or an unsatisfiable rule changes what the index
+  /// holds: those decline.
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
-    const detail::PackedMatch old_packed = pack(old_matches);
+    const detail::PackedMatch old_packed =
+        detail::fold_matches(fields_, old_matches);
     const RuleView rule = table.rules[index];
-    const detail::PackedMatch new_packed = pack(rule.matches);
-    if (!std::ranges::equal(old_packed.masks(), new_packed.masks())) {
-      return false;
-    }
+    const detail::PackedMatch new_packed =
+        detail::fold_matches(fields_, rule.matches);
     detail::MaskedGroup* sub =
         detail::find_group(subtables_, old_packed.masks());
-    return sub != nullptr &&
+    return sub != nullptr && old_packed.indexable_in(sub->masks) &&
+           new_packed.indexable_in(sub->masks) &&
            sub->replace_values(old_packed.values(), new_packed.values(),
                                positions_.build(index), rule.priority);
   }
@@ -61,10 +65,14 @@ class TssClassifier final : public Classifier {
       const TableSpec& /*table*/, std::size_t index,
       const std::vector<FieldMatch>& old_matches) override {
     if (!positions_.can_remove()) return false;
-    const detail::PackedMatch packed = pack(old_matches);
+    const detail::PackedMatch packed =
+        detail::fold_matches(fields_, old_matches);
     detail::MaskedGroup* sub = detail::find_group(subtables_, packed.masks());
     const std::size_t build = positions_.build(index);
-    if (sub == nullptr || build == sub->min_rule) return false;
+    if (sub == nullptr || !packed.indexable_in(sub->masks) ||
+        build == sub->min_rule) {
+      return false;
+    }
     const std::optional<detail::MaskedGroup::Entry> entry =
         sub->find(packed.values());
     if (!entry.has_value() || entry->priority == sub->best_priority ||
@@ -119,21 +127,7 @@ class TssClassifier final : public Classifier {
   }
 
  private:
-  template <typename MatchSeq>
-  [[nodiscard]] detail::PackedMatch pack(const MatchSeq& matches) const {
-    detail::PackedMatch packed(fields_.size());
-    for (const FieldMatch m : matches) {
-      for (std::size_t f = 0; f < fields_.size(); ++f) {
-        if (fields_[f] == m.field) {
-          packed.mask[f] = m.mask;
-          packed.value[f] = m.value;
-        }
-      }
-    }
-    return packed;
-  }
-
-  std::vector<FieldId> fields_;
+  std::vector<FieldId> fields_;  // declared fields, then any other matched
   std::vector<detail::MaskedGroup> subtables_;
   util::BuildPositions positions_;
 };
@@ -141,7 +135,9 @@ class TssClassifier final : public Classifier {
 class LinearClassifier final : public Classifier {
  public:
   explicit LinearClassifier(const TableSpec& table)
-      : nrules_(table.rules.size()), positions_(table.rules.size()) {
+      : nrules_(table.rules.size()),
+        fields_(detail::matched_fields({}, table.rules)),
+        positions_(table.rules.size()) {
     build_flat(table.rules);
     build_groups(table.rules);
   }
@@ -175,24 +171,16 @@ class LinearClassifier final : public Classifier {
     const std::size_t off = flat_begin_[build];
     const std::size_t old_n = flat_begin_[build + 1] - off;
     if (rule.matches.size() != old_n) return false;  // span widths fixed
-    for (const FieldMatch m : rule.matches) {
-      if (std::find(fields_.begin(), fields_.end(), m.field) ==
-          fields_.end()) {
-        return false;  // new field: the group index would have to regrow
-      }
-    }
-    detail::PackedMatch old_packed(fields_.size());
-    detail::PackedMatch new_packed(fields_.size());
-    if (!pack_group(old_matches, old_packed) ||
-        !pack_group(rule.matches, new_packed)) {
-      return false;  // (un)satisfiable rules are absent from the index
-    }
-    if (!std::ranges::equal(old_packed.masks(), new_packed.masks())) {
-      return false;
-    }
+    // A new field would regrow the group index, and (un)satisfiable rules
+    // are absent from it: both decline.
+    const detail::PackedMatch old_packed =
+        detail::fold_matches(fields_, old_matches);
+    const detail::PackedMatch new_packed =
+        detail::fold_matches(fields_, rule.matches);
     detail::MaskedGroup* group =
         detail::find_group(groups_, old_packed.masks());
-    if (group == nullptr ||
+    if (group == nullptr || !old_packed.indexable_in(group->masks) ||
+        !new_packed.indexable_in(group->masks) ||
         !group->replace_values(old_packed.values(), new_packed.values(),
                                build, table.rules.priority_of(index))) {
       return false;
@@ -229,8 +217,9 @@ class LinearClassifier final : public Classifier {
         return false;  // not the rule the index holds at this position
       }
     }
-    detail::PackedMatch packed(fields_.size());
-    if (pack_group(old_matches, packed)) {
+    const detail::PackedMatch packed =
+        detail::fold_matches(fields_, old_matches);
+    if (packed.satisfiable) {
       detail::MaskedGroup* group = detail::find_group(groups_, packed.masks());
       if (group == nullptr || !group->erase(packed.values(), build)) {
         return false;
@@ -290,6 +279,9 @@ class LinearClassifier final : public Classifier {
   /// small-table scan streams through memory instead of chasing per-rule
   /// indirection.
   void build_flat(const FlatRules& rules) {
+    std::size_t predicates = 0;
+    for (const auto rule : rules) predicates += rule.matches.size();
+    flat_.reserve(predicates);
     flat_begin_.reserve(rules.size() + 1);
     flat_begin_.push_back(0);
     for (const auto rule : rules) {
@@ -301,47 +293,16 @@ class LinearClassifier final : public Classifier {
     }
   }
 
-  /// Packs a rule's matches into (mask, value) words over fields_,
-  /// folding repeated matches on one field. Returns false when the rule
-  /// is unsatisfiable (it can never match and is left out of the index).
-  template <typename MatchSeq>
-  [[nodiscard]] bool pack_group(const MatchSeq& matches,
-                                detail::PackedMatch& packed) const {
-    for (const FieldMatch m : matches) {
-      if ((m.value & ~m.mask) != 0) {
-        return false;  // requires bits the mask clears
-      }
-      const std::size_t f = static_cast<std::size_t>(
-          std::find(fields_.begin(), fields_.end(), m.field) -
-          fields_.begin());
-      // Conjunction of two masked equalities on one field: consistent
-      // on the shared mask bits ⇒ union of masks/values, else the rule
-      // can never match.
-      const std::uint64_t overlap = packed.mask[f] & m.mask;
-      if ((packed.value[f] & overlap) != (m.value & overlap)) return false;
-      packed.mask[f] |= m.mask;
-      packed.value[f] |= m.value;
-    }
-    return true;
-  }
-
   /// Groups rules by their mask vector over the union of matched fields.
   /// Within a group two rules overlap only if their masked values are
   /// identical, so keeping the first (insertion order = rule order)
   /// preserves first-match semantics; across groups the probe takes the
-  /// minimum matching rule index.
+  /// minimum matching rule index. Unsatisfiable rules are left out.
   void build_groups(const FlatRules& rules) {
-    for (const auto rule : rules) {
-      for (const FieldMatch m : rule.matches) {
-        if (std::find(fields_.begin(), fields_.end(), m.field) ==
-            fields_.end()) {
-          fields_.push_back(m.field);
-        }
-      }
-    }
     for (std::size_t r = 0; r < rules.size(); ++r) {
-      detail::PackedMatch packed(fields_.size());
-      if (!pack_group(rules[r].matches, packed)) continue;
+      const detail::PackedMatch packed =
+          detail::fold_matches(fields_, rules[r].matches);
+      if (!packed.satisfiable) continue;
       detail::find_or_add_group(groups_, packed.masks())
           .insert(packed.values(), r, rules.priority_of(r));
     }
@@ -393,9 +354,9 @@ class LinearClassifier final : public Classifier {
   }
 
   std::size_t nrules_ = 0;  // rules at build time
+  std::vector<FieldId> fields_;  // union of matched fields, batch index
   std::vector<FlatMatch> flat_;
   std::vector<std::uint32_t> flat_begin_;
-  std::vector<FieldId> fields_;  // union of matched fields, batch index
   std::vector<detail::MaskedGroup> groups_;
   util::BuildPositions positions_;
 };

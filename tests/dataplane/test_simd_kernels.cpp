@@ -115,62 +115,6 @@ TEST(SimdKernels, MaskHashLanesMatchesReferenceOnBothLevels) {
   }
 }
 
-TEST(SimdKernels, HashLanesMatchesHashWordsOnBothLevels) {
-  Rng rng(9002);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t fields = rng.index(kNumFields + 1);
-    const std::size_t n = 1 + rng.index(kBatchChunk);
-    detail::LaneBlock lanes;
-    for (std::size_t f = 0; f < fields; ++f) {
-      for (std::size_t i = 0; i < n; ++i) {
-        lanes.data()[f * kBatchChunk + i] = random_word(rng);
-      }
-    }
-    on_both_dispatch_levels([&](simd::Level level) {
-      std::array<std::uint64_t, kBatchChunk> hashes{};
-      simd::hash_lanes(lanes.data(), kBatchChunk, fields, n,
-                       hashes.data());
-      std::vector<std::uint64_t> word(fields);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t f = 0; f < fields; ++f) {
-          word[f] = lanes.data()[f * kBatchChunk + i];
-        }
-        ASSERT_EQ(detail::hash_words(word), hashes[i])
-            << "level " << static_cast<int>(level) << " key " << i;
-      }
-    });
-  }
-}
-
-TEST(SimdKernels, MaskLanesMatchesReferenceOnBothLevels) {
-  Rng rng(9003);
-  for (int round = 0; round < 50; ++round) {
-    const std::size_t fields = rng.index(kNumFields + 1);
-    const std::size_t n = 1 + rng.index(kBatchChunk);
-    detail::LaneBlock lanes;
-    std::vector<std::uint64_t> masks(fields);
-    for (std::size_t f = 0; f < fields; ++f) {
-      masks[f] = random_mask(rng);
-      for (std::size_t i = 0; i < n; ++i) {
-        lanes.data()[f * kBatchChunk + i] = random_word(rng);
-      }
-    }
-    on_both_dispatch_levels([&](simd::Level level) {
-      detail::LaneBlock masked;
-      simd::mask_lanes(lanes.data(), kBatchChunk, masks.data(), fields, n,
-                       masked.data());
-      for (std::size_t f = 0; f < fields; ++f) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(lanes.data()[f * kBatchChunk + i] & masks[f],
-                    masked.data()[f * kBatchChunk + i])
-              << "level " << static_cast<int>(level) << " key " << i
-              << " field " << f;
-        }
-      }
-    });
-  }
-}
-
 TEST(SimdKernels, EqualLanesComparesStridedWords) {
   Rng rng(9004);
   for (int round = 0; round < 100; ++round) {

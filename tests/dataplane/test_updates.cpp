@@ -289,6 +289,123 @@ TEST_P(UpdateSemantics, EmptyBatchIsANoOp) {
   EXPECT_EQ(sw->process(key(1)).out_port, 10u);
 }
 
+Rule rule_on(std::uint32_t priority, std::vector<FieldMatch> matches,
+             std::uint64_t out) {
+  Rule r;
+  r.priority = priority;
+  r.matches = std::move(matches);
+  r.actions = {{Action::Kind::kOutput, FieldId::kMeta0, out}};
+  return r;
+}
+
+FlowKey dst_port(std::uint64_t dst, std::uint64_t port) {
+  FlowKey k = key(dst);
+  k.set(FieldId::kTcpDst, port);
+  return k;
+}
+
+/// Loads `program` into both table-walk models, applies `updates`, and
+/// checks process and process_batch against execute_reference on every
+/// probe key.
+void expect_walkers_match_reference(const Program& program,
+                                    std::span<const RuleUpdate> updates,
+                                    std::span<const FlowKey> probes) {
+  for (const auto make : {make_eswitch_model, make_lagopus_model}) {
+    auto sw = make();
+    ASSERT_TRUE(sw->load(program).is_ok());
+    ASSERT_TRUE(sw->apply_updates(updates).is_ok());
+    std::vector<ExecResult> batch(probes.size());
+    sw->process_batch(probes, batch);
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      const ExecResult want = execute_reference(sw->program(), probes[i]);
+      const ExecResult scalar = sw->process(probes[i]);
+      EXPECT_EQ(want.hit, scalar.hit) << sw->name() << " probe " << i;
+      EXPECT_EQ(want.out_port, scalar.out_port)
+          << sw->name() << " probe " << i;
+      EXPECT_EQ(want.hit, batch[i].hit) << sw->name() << " probe " << i;
+      EXPECT_EQ(want.out_port, batch[i].out_port)
+          << sw->name() << " probe " << i;
+    }
+  }
+}
+
+// Each template must read a rule's matches as the reference does: a
+// conjunction over every match, whatever the table declared.
+TEST(TemplatesReadMatchesAsReference, ModifyThatWildcardsAnExactField) {
+  Program program;
+  TableSpec table;
+  table.name = "exact";
+  table.fields = {FieldId::kIpDst, FieldId::kTcpDst};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    table.rules.push_back(rule_on(
+        48, {{FieldId::kIpDst, 0x0a000000 + i, kFull32},
+             {FieldId::kTcpDst, 80, 0xffff}},
+        10 + i));
+  }
+  program.tables.push_back(std::move(table));
+  RuleUpdate modify;
+  modify.kind = RuleUpdate::Kind::kModify;
+  modify.table = 0;
+  modify.target = {{FieldId::kIpDst, 0x0a000003, kFull32},
+                   {FieldId::kTcpDst, 80, 0xffff}};
+  modify.rule = rule_on(48, {{FieldId::kIpDst, 0x0a000003, kFull32}}, 42);
+  const std::vector<FlowKey> probes = {
+      dst_port(0x0a000003, 443), dst_port(0x0a000003, 80),
+      dst_port(0x0a000004, 80), dst_port(0x0a000004, 443),
+      dst_port(0x0b000000, 80)};
+  expect_walkers_match_reference(program, {&modify, 1}, probes);
+}
+
+TEST(TemplatesReadMatchesAsReference, UpdateOnAnUndeclaredField) {
+  Program program;
+  TableSpec table;
+  table.name = "dst";
+  table.fields = {FieldId::kIpDst};
+  table.rules = {rule_on(1, {{FieldId::kIpDst, 0x0a000001, kFull32}}, 2),
+                 rule_on(1, {{FieldId::kIpDst, 0x0a000002, kFull32}}, 3)};
+  program.tables.push_back(std::move(table));
+  RuleUpdate insert;
+  insert.kind = RuleUpdate::Kind::kInsert;
+  insert.table = 0;
+  insert.rule = rule_on(5,
+                        {{FieldId::kIpDst, 0x0a000001, kFull32},
+                         {FieldId::kTcpDst, 80, 0xffff}},
+                        42);
+  RuleUpdate modify;
+  modify.kind = RuleUpdate::Kind::kModify;
+  modify.table = 0;
+  modify.target = {{FieldId::kIpDst, 0x0a000002, kFull32}};
+  modify.rule = rule_on(1,
+                        {{FieldId::kIpDst, 0x0a000002, kFull32},
+                         {FieldId::kTcpDst, 80, 0xffff}},
+                        43);
+  const std::vector<FlowKey> probes = {
+      dst_port(0x0a000001, 443), dst_port(0x0a000001, 80),
+      dst_port(0x0a000002, 443), dst_port(0x0a000002, 80)};
+  expect_walkers_match_reference(program, {&insert, 1}, probes);
+  expect_walkers_match_reference(program, {&modify, 1}, probes);
+}
+
+TEST(TemplatesReadMatchesAsReference, RepeatedMatchesOnOneField) {
+  Program program;
+  TableSpec table;
+  table.name = "src";
+  table.fields = {FieldId::kIpSrc};
+  table.rules = {rule_on(24,
+                         {{FieldId::kIpSrc, 0x0a010000, 0xffff0000},
+                          {FieldId::kIpSrc, 0x0a000000, 0xff000000}},
+                         7),
+                 rule_on(8, {{FieldId::kIpSrc, 0x0a000000, 0xff000000}}, 8)};
+  program.tables.push_back(std::move(table));
+  std::vector<FlowKey> probes;
+  for (const std::uint64_t src : {0x0a020001ULL, 0x0a010203ULL, 0x0b000001ULL}) {
+    FlowKey k;
+    k.set(FieldId::kIpSrc, src);
+    probes.push_back(k);
+  }
+  expect_walkers_match_reference(program, {}, probes);
+}
+
 TEST(UpdateProgram, StandaloneHelper) {
   Program program = two_rule_program();
   RuleUpdate remove;
