@@ -6,6 +6,8 @@
 //     dp::Program;
 //   * universal-table build time;
 //   * one full TANE FD mine;
+//   * the binding's construction (bind: compile, the provenance
+//     cross-check and the slice indexes);
 //   * per-intent incremental compile latency (universal representation)
 //     over a mixed churn trace, split into rule_diff / slice_merge /
 //     switch_apply phases via the trace ring, with the updates applied
@@ -87,6 +89,7 @@ struct SizePoint {
   std::size_t dp_bytes_per_rule_flat = 0;
   double build_ms = 0.0;
   double mine_ms = 0.0;
+  double bind_ms = 0.0;
   std::size_t intents = 0;
   double inc_median_us = 0.0;
   double inc_p90_us = 0.0;
@@ -118,8 +121,10 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   pt.mine_ms = ms_since(start);
   expects(!mined.fds().empty(), "scale mine found no dependencies");
 
+  start = BenchClock::now();
   cp::GwlbBinding binding(std::move(gwlb), cp::Representation::kUniversal,
                           cp::CompileMode::kIncremental);
+  pt.bind_ms = ms_since(start);
   pt.rules = binding.program().total_rules();
   pt.dp_bytes_per_rule_flat =
       binding.program().rule_memory_bytes() / pt.rules;
@@ -213,7 +218,8 @@ int main(int argc, char** argv) {
 
   ReportTable table("fleet-scale metrics per size");
   table.set_header({"services", "rules", "B/rule col", "B/rule dp",
-                    "build ms", "mine ms", "inc p50 us", "apply p50 us",
+                    "build ms", "mine ms", "bind ms", "inc p50 us",
+                    "apply p50 us",
                     "RSS MB"});
 
   std::vector<SizePoint> points;
@@ -229,6 +235,7 @@ int main(int argc, char** argv) {
                    std::to_string(pt.dp_bytes_per_rule_flat),
                    format_double(pt.build_ms, 1),
                    format_double(pt.mine_ms, 1),
+                   format_double(pt.bind_ms, 1),
                    format_double(pt.inc_median_us, 1),
                    format_double(pt.switch_apply_p50_us, 1),
                    std::to_string(pt.peak_rss_mb)});
@@ -255,7 +262,8 @@ int main(int argc, char** argv) {
          << ", \"dp_bytes_per_rule_flat\": " << pt.dp_bytes_per_rule_flat
          << ",\n"
          << "     \"universal_build_ms\": " << pt.build_ms
-         << ", \"full_mine_ms\": " << pt.mine_ms << ",\n"
+         << ", \"full_mine_ms\": " << pt.mine_ms
+         << ", \"bind_ms\": " << pt.bind_ms << ",\n"
          << "     \"peak_rss_mb\": " << pt.peak_rss_mb
          << ", \"drift\": " << pt.drift << ",\n"
          << "     \"phases\": {\"rule_diff_p50_us\": " << pt.rule_diff_p50_us

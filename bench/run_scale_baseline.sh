@@ -4,7 +4,8 @@
 #
 #   - bytes/rule of the columnar universal table and of the flattened
 #     dp::Program (CI gates both against absolute ceilings);
-#   - universal build and full TANE mine wall times;
+#   - universal build, full TANE mine and binding construction (bind)
+#     wall times;
 #   - per-intent incremental compile latency with the rule_diff /
 #     slice_merge / switch_apply phase split;
 #   - peak RSS per tier and the drift gate (patched program == fresh

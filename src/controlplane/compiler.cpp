@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -157,6 +158,18 @@ void sort_slice(std::vector<Rule>& rules) {
                    });
 }
 
+/// Each descriptor stage's column → field assignment under `fields`, or
+/// why it does not resolve.
+std::vector<Result<std::vector<dp::FieldId>>> resolve_stages(
+    const RepresentationDescriptor& desc, const dp::FieldMap& fields) {
+  std::vector<Result<std::vector<dp::FieldId>>> out;
+  out.reserve(desc.stages.size());
+  for (const StageDescriptor& sd : desc.stages) {
+    out.push_back(dp::resolve_columns(sd.schema, fields));
+  }
+  return out;
+}
+
 }  // namespace
 
 std::vector<RuleUpdate> diff_programs(const Program& before,
@@ -200,6 +213,8 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
     expects(reference.is_ok(),
             "symbolic verify: reference pipeline failed to lower");
     reference_ = std::move(reference).value();
+    reference_stage_fields_ = resolve_stages(descriptor(repr_),
+                                             reference_fields_);
     init_reference_rows();
     prover_.emplace();
     run_post_compile_verify(std::nullopt);
@@ -287,21 +302,17 @@ bool GwlbBinding::lower_reference_rows(std::size_t stage,
   previous_rows_.swap(lowered_rows);
   lowered_rows.clear();
   rows.keys[slot].clear();
-  const std::optional<std::size_t> goto_target =
-      sd.link == StageLink::kGotoPerService
-          ? std::optional(
-                desc.table_of(stage + 1, service, gwlb_.services.size()))
-          : std::nullopt;
+  const auto& fields = reference_stage_fields_[stage];
+  expects(fields.is_ok(), "symbolic verify: reference table failed to lower");
+  const std::optional<std::size_t> goto_target = goto_of(stage, service);
+  dp::LoweredRow lowered;
   for (const core::Row& row : sd.rows(gwlb_.services[service], service)) {
     core::Row key;
     for (const std::size_t c : sd.schema.match_set()) key.push_back(row[c]);
     expects(++rows.key_count[key] == 1,
             "symbolic verify: reference table has duplicate match keys");
-    auto lowered = dp::lower_row(sd.schema, row, reference_fields_,
-                                 goto_target);
-    expects(lowered.is_ok(),
-            "symbolic verify: reference table failed to lower");
-    lowered_rows.push_back(std::move(lowered).value());
+    dp::lower_row(sd.schema, row, fields.value(), lowered);
+    lowered_rows.push_back(lowered.to_rule(goto_target));
     rows.keys[slot].push_back(std::move(key));
   }
   return sd.per_service || lowered_rows != previous_rows_;
@@ -417,47 +428,72 @@ Status GwlbBinding::rebuild_program() {
   auto compiled = dp::compile(pipeline_for(gwlb_, repr_), &field_map_);
   if (!compiled.is_ok()) return compiled.status();
   program_ = std::move(compiled).value();
+  stage_fields_ = resolve_stages(descriptor(repr_), field_map_);
   rebuild_provenance();
   rebuild_indexes();
   return Status::ok();
 }
 
 void GwlbBinding::rebuild_provenance() {
-  // Re-emit every service's slice into its table and stable-sort each
-  // table's concatenation: per-slice pre-sorting commutes with the global
-  // stable sort, so the result must reproduce the compiled table exactly.
-  // This doubles as the cross-check that the slice emitter cannot drift
-  // from the pipeline builder.
+  // Re-emit each table's rows the way pipeline_for emits them (every
+  // service's, in service order, for a shared stage; its own service's
+  // for a per-service one), lowered straight into flat storage next to
+  // the emitting service, and stable-sort that order by priority:
+  // dp::compile sorts the same rows the same way (per-slice pre-sorting
+  // commutes with it), so the result must reproduce the compiled table
+  // exactly. This doubles as the cross-check that the slice emitter
+  // cannot drift from the pipeline builder. The provenance vectors are
+  // sized before the scratch exists, so the two do not interleave on the
+  // heap, and one table's scratch is reused for the next.
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
-  provenance_.assign(program_.tables.size(), {});
-  std::vector<std::vector<std::pair<Rule, std::uint32_t>>> by_table(
-      program_.tables.size());
-  for (std::size_t s = 0; s < n; ++s) {
-    for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-      auto slice = service_slice(k, gwlb_.services[s], s);
-      expects(slice.is_ok(), "service slice failed to lower: " +
-                                 slice.status().message());
-      auto& emitted = by_table[desc.table_of(k, s, n)];
-      for (Rule& rule : slice.value()) {
-        emitted.emplace_back(std::move(rule), static_cast<std::uint32_t>(s));
-      }
-    }
-  }
+  provenance_.resize(program_.tables.size());
   for (std::size_t t = 0; t < program_.tables.size(); ++t) {
-    auto& emitted = by_table[t];
-    std::stable_sort(emitted.begin(), emitted.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first.priority > b.first.priority;
-                     });
-    const dp::FlatRules& rules = program_.tables[t].rules;
-    expects(emitted.size() == rules.size(),
-            "provenance drift: emitters disagree with compiled program");
-    provenance_[t].reserve(emitted.size());
-    for (std::size_t i = 0; i < emitted.size(); ++i) {
-      expects(emitted[i].first == rules[i],
+    provenance_[t].assign(program_.tables[t].rules.size(), 0);
+  }
+  dp::FlatRules emitted;
+  std::vector<std::uint32_t> emitted_by;
+  std::vector<std::uint32_t> order;
+  dp::LoweredRow lowered;
+  for (std::size_t k = 0; k < desc.stages.size(); ++k) {
+    const StageDescriptor& sd = desc.stages[k];
+    const std::size_t matches = sd.schema.match_set().size();
+    const std::size_t actions = sd.schema.action_set().size();
+    for (std::size_t c = 0; c < (sd.per_service ? n : 1); ++c) {
+      const auto& fields = stage_fields_[k];
+      expects(fields.is_ok(), "service slice failed to lower: " +
+                                  fields.status().message());
+      const std::size_t t = desc.table_of(k, c, n);
+      const dp::FlatRules& rules = program_.tables[t].rules;
+      emitted.clear();
+      emitted.reserve(rules.size(), rules.size() * matches,
+                      rules.size() * actions);
+      emitted_by.clear();
+      const std::size_t first = sd.per_service ? c : 0;
+      const std::size_t last = sd.per_service ? c + 1 : n;
+      for (std::size_t s = first; s < last; ++s) {
+        const std::optional<std::size_t> goto_target = goto_of(k, s);
+        for (const core::Row& row : sd.rows(gwlb_.services[s], s)) {
+          dp::lower_row(sd.schema, row, fields.value(), lowered);
+          emitted.append(lowered.priority, lowered.matches.span(),
+                         lowered.actions.span(), goto_target);
+          emitted_by.push_back(static_cast<std::uint32_t>(s));
+        }
+      }
+      expects(emitted.size() == rules.size(),
               "provenance drift: emitters disagree with compiled program");
-      provenance_[t].push_back(emitted[i].second);
+      order.resize(rules.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::stable_sort(order.begin(), order.end(),
+                       [&emitted](std::uint32_t a, std::uint32_t b) {
+                         return emitted.priority_of(a) >
+                                emitted.priority_of(b);
+                       });
+      for (std::size_t i = 0; i < rules.size(); ++i) {
+        expects(emitted[order[i]] == rules[i],
+                "provenance drift: emitters disagree with compiled program");
+        provenance_[t][i] = emitted_by[order[i]];
+      }
     }
   }
 }
@@ -547,20 +583,27 @@ void GwlbBinding::vip_remove(std::uint32_t vip, std::size_t service) {
 
 Result<std::vector<Rule>> GwlbBinding::service_slice(
     std::size_t stage, const GwlbService& svc, std::size_t s) const {
-  const RepresentationDescriptor& desc = descriptor(repr_);
-  const StageDescriptor& sd = desc.stages[stage];
-  const std::optional<std::size_t> goto_target =
-      sd.link == StageLink::kGotoPerService
-          ? std::optional(desc.table_of(stage + 1, s, gwlb_.services.size()))
-          : std::nullopt;
+  const StageDescriptor& sd = descriptor(repr_).stages[stage];
+  const auto& fields = stage_fields_[stage];
+  if (!fields.is_ok()) return fields.status();
+  const std::optional<std::size_t> goto_target = goto_of(stage, s);
   std::vector<Rule> rules;
+  dp::LoweredRow lowered;
   for (const core::Row& row : sd.rows(svc, s)) {
-    auto lowered = dp::lower_row(sd.schema, row, field_map_, goto_target);
-    if (!lowered.is_ok()) return lowered.status();
-    rules.push_back(std::move(lowered).value());
+    dp::lower_row(sd.schema, row, fields.value(), lowered);
+    rules.push_back(lowered.to_rule(goto_target));
   }
   sort_slice(rules);
   return rules;
+}
+
+std::optional<std::size_t> GwlbBinding::goto_of(std::size_t stage,
+                                                std::size_t s) const {
+  const RepresentationDescriptor& desc = descriptor(repr_);
+  if (desc.stages[stage].link != StageLink::kGotoPerService) {
+    return std::nullopt;
+  }
+  return desc.table_of(stage + 1, s, gwlb_.services.size());
 }
 
 std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(

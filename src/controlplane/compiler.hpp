@@ -246,6 +246,10 @@ class GwlbBinding {
   [[nodiscard]] Result<std::vector<dp::Rule>> service_slice(
       std::size_t stage, const workloads::GwlbService& svc,
       std::size_t s) const;
+  /// Goto target of service `s`'s rows in descriptor stage `stage`
+  /// (its table in the next stage under StageLink::kGotoPerService).
+  [[nodiscard]] std::optional<std::size_t> goto_of(std::size_t stage,
+                                                   std::size_t s) const;
 
   /// Why the most recent try_compile_incremental declined.
   enum class FallbackCause { kVipCollision, kSliceValidation };
@@ -265,6 +269,10 @@ class GwlbBinding {
   /// Attribute→field assignment of the last full compile; single-row
   /// re-lowering in the incremental path resolves against it.
   dp::FieldMap field_map_;
+  /// field_map_ resolved once per descriptor stage (dp::resolve_columns),
+  /// or why a stage does not resolve: what service_slice and the
+  /// provenance cross-check lower through.
+  std::vector<Result<std::vector<dp::FieldId>>> stage_fields_;
   /// provenance_[t][i] = service that emitted program_.tables[t].rules[i].
   /// Rebuilt (and validated against the emitters) on every full compile,
   /// maintained in place by the incremental patcher.
@@ -310,6 +318,8 @@ class GwlbBinding {
   dp::Program reference_;
   /// Attribute→field assignment of reference_'s own full compile.
   dp::FieldMap reference_fields_;
+  /// reference_fields_ resolved once per descriptor stage.
+  std::vector<Result<std::vector<dp::FieldId>>> reference_stage_fields_;
   /// Hash of a row's match cells (ReferenceRows::key_count).
   struct MatchKeyHash {
     std::size_t operator()(const core::Row& key) const noexcept;

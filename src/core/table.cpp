@@ -1,7 +1,6 @@
 #include "core/table.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/contract.hpp"
 #include "util/format.hpp"
@@ -13,17 +12,14 @@ namespace {
 using detail::kFnvOffset;
 using detail::kFnvPrime;
 
-/// FNV-1a over the selected columns of a row, for dedup sets.
-struct ProjectedRowHash {
-  std::size_t operator()(const std::vector<Value>& vals) const noexcept {
-    std::uint64_t h = kFnvOffset;
-    for (Value v : vals) {
-      h ^= v;
-      h *= kFnvPrime;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
+/// Slot of an FNV key hash in a table of 2^(64 - shift) slots. The FNV
+/// fold carries a cell's low bits only into the hash's low bits and its
+/// high bits only into the high ones, so fold the halves together and take
+/// the top bits of a Fibonacci multiply.
+[[nodiscard]] std::size_t key_slot(std::uint64_t h, unsigned shift) noexcept {
+  h ^= h >> 32;
+  return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ULL) >> shift);
+}
 
 }  // namespace
 
@@ -254,17 +250,16 @@ Table Table::project(const AttrSet& cols, std::string name) const {
                          : std::move(name),
             std::move(sub));
 
-  std::vector<const Column*> src;
-  src.reserve(old_cols.size());
-  for (std::size_t c : old_cols) src.push_back(&cols_[c]);
-
-  std::unordered_set<std::vector<Value>, ProjectedRowHash> seen;
-  seen.reserve(num_rows_);
-  std::vector<Value> proj(old_cols.size());
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (std::size_t k = 0; k < src.size(); ++k) proj[k] = (*src[k])[r];
-    if (seen.insert(proj).second) out.add_row(proj);
-  }
+  Row proj(old_cols.size());
+  scan_first_rows(cols, [&](std::size_t r, std::size_t first) {
+    if (first == r) {
+      for (std::size_t k = 0; k < old_cols.size(); ++k) {
+        proj[k] = cols_[old_cols[k]][r];
+      }
+      out.add_row(proj);
+    }
+    return true;
+  });
   return out;
 }
 
@@ -287,21 +282,47 @@ bool Table::unique_on(const AttrSet& cols) const {
 
 std::optional<std::pair<std::size_t, std::size_t>> Table::duplicate_on(
     const AttrSet& cols) const {
-  std::vector<const Column*> src;
-  src.reserve(cols.size());
+  std::optional<std::pair<std::size_t, std::size_t>> witness;
+  scan_first_rows(cols, [&](std::size_t r, std::size_t first) {
+    if (first == r) return true;
+    witness.emplace(first, r);
+    return false;
+  });
+  return witness;
+}
+
+template <typename Visit>
+void Table::scan_first_rows(const AttrSet& cols, Visit visit) const {
   for (std::size_t c : cols) {
     expects(c < schema_.size(), "column index out of range");
-    src.push_back(&cols_[c]);
   }
-  std::unordered_map<std::vector<Value>, std::size_t, ProjectedRowHash> seen;
-  seen.reserve(num_rows_);
-  std::vector<Value> proj(src.size());
-  for (std::size_t i = 0; i < num_rows_; ++i) {
-    for (std::size_t k = 0; k < src.size(); ++k) proj[k] = (*src[k])[i];
-    const auto [it, inserted] = seen.emplace(proj, i);
-    if (!inserted) return std::pair{it->second, i};
+  expects(num_rows_ < ~std::uint32_t{0}, "row set index overflow");
+  // Slots hold row + 1 (0 = empty), at least twice as many as rows, so
+  // linear probes stay short.
+  unsigned bits = 4;
+  while ((std::size_t{1} << bits) < num_rows_ * 2) ++bits;
+  std::vector<std::uint32_t> slots(std::size_t{1} << bits, 0);
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t r = 0; r < num_rows_; ++r) {
+    std::size_t slot = key_slot(hash_row_key(r, cols), 64 - bits);
+    std::size_t first = r;
+    for (; slots[slot] != 0; slot = (slot + 1) & mask) {
+      const std::size_t other = slots[slot] - 1;
+      bool same = true;
+      for (std::size_t c : cols) {
+        if (cols_[c][other] != cols_[c][r]) {
+          same = false;
+          break;
+        }
+      }
+      if (same) {
+        first = other;
+        break;
+      }
+    }
+    if (first == r) slots[slot] = static_cast<std::uint32_t>(r + 1);
+    if (!visit(r, first)) return;
   }
-  return std::nullopt;
 }
 
 std::uint64_t Table::hash_row_key(std::size_t row, const AttrSet& cols) const {
@@ -355,20 +376,12 @@ std::optional<std::size_t> Table::find_row(const AttrSet& cols,
 }
 
 std::size_t Table::distinct_count(const AttrSet& cols) const {
-  std::vector<const Column*> src;
-  src.reserve(cols.size());
-  for (std::size_t c : cols) {
-    expects(c < schema_.size(), "column index out of range");
-    src.push_back(&cols_[c]);
-  }
-  std::unordered_set<std::vector<Value>, ProjectedRowHash> seen;
-  seen.reserve(num_rows_);
-  std::vector<Value> proj(src.size());
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (std::size_t k = 0; k < src.size(); ++k) proj[k] = (*src[k])[r];
-    seen.insert(proj);
-  }
-  return seen.size();
+  std::size_t distinct = 0;
+  scan_first_rows(cols, [&](std::size_t r, std::size_t first) {
+    distinct += first == r ? 1 : 0;
+    return true;
+  });
+  return distinct;
 }
 
 std::uint64_t Table::column_fingerprint(std::size_t col) const {

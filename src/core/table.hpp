@@ -334,6 +334,14 @@ class Table {
   void invalidate_all_caches() noexcept;
   [[nodiscard]] std::uint64_t hash_row_key(std::size_t row,
                                            const AttrSet& cols) const;
+  /// The flat row set behind duplicate_on, project and distinct_count:
+  /// walks the rows in order and calls visit(r, first) with the first
+  /// row whose `cols` cells equal row r's (r itself for a key's first
+  /// occurrence), until visit returns false. One open-addressed array of
+  /// row indices, probed from the FNV fold of the key cells
+  /// (hash_row_key); a slot hit compares the cells column by column.
+  template <typename Visit>
+  void scan_first_rows(const AttrSet& cols, Visit visit) const;
 
   std::string name_;
   Schema schema_;

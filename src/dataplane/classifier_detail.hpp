@@ -369,6 +369,15 @@ template <typename MatchSeq>
   return packed;
 }
 
+/// The exact-match and LPM templates over a table whose profile the
+/// caller has computed: kAllExact, or kSinglePrefix on `prefix_field`.
+/// select_classifier_eswitch classifies a table once and hands the
+/// result over; make_exact_match and make_lpm check it themselves.
+[[nodiscard]] std::unique_ptr<Classifier> make_exact_match_profiled(
+    const TableSpec& table);
+[[nodiscard]] std::unique_ptr<Classifier> make_lpm_profiled(
+    const TableSpec& table, FieldId prefix_field);
+
 /// `fields` followed by every other field some rule matches on, in
 /// first-match order: a field set no rule reaches outside of.
 [[nodiscard]] inline std::vector<FieldId> matched_fields(

@@ -15,10 +15,9 @@ namespace {
 
 class ExactMatchClassifier final : public Classifier {
  public:
+  /// `table` has MatchProfile::kAllExact.
   explicit ExactMatchClassifier(const TableSpec& table)
       : fields_(table.fields) {
-    expects(table.profile() == MatchProfile::kAllExact,
-            "exact-match template requires an all-exact rule set");
     for (const FieldId f : fields_) {
       group_.masks.push_back(field_full_mask(f));
     }
@@ -96,6 +95,13 @@ class ExactMatchClassifier final : public Classifier {
 }  // namespace
 
 std::unique_ptr<Classifier> make_exact_match(const TableSpec& table) {
+  expects(table.profile() == MatchProfile::kAllExact,
+          "exact-match template requires an all-exact rule set");
+  return detail::make_exact_match_profiled(table);
+}
+
+std::unique_ptr<Classifier> detail::make_exact_match_profiled(
+    const TableSpec& table) {
   return std::make_unique<ExactMatchClassifier>(table);
 }
 

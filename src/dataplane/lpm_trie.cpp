@@ -80,28 +80,18 @@ class PrefixTrie {
 
 class LpmClassifier final : public Classifier {
  public:
-  explicit LpmClassifier(const TableSpec& table) {
-    expects(table.profile() == MatchProfile::kSinglePrefix,
-            "LPM template requires a single-prefix rule set");
-
-    // The prefix field is the one whose folded mask is ever not full;
-    // unsatisfiable rules never match and stay out of the tries.
+  /// `table` has MatchProfile::kSinglePrefix on `prefix_field`.
+  LpmClassifier(const TableSpec& table, FieldId prefix_field)
+      : prefix_field_(prefix_field), prefix_width_(field_width(prefix_field)) {
     const std::vector<FieldId>& fields = table.fields;
-    std::size_t prefix = 0;
-    for (const auto rule : table.rules) {
-      const detail::PackedMatch packed =
-          detail::fold_matches(fields, rule.matches);
-      if (!packed.satisfiable) continue;
-      for (std::size_t f = 0; f < fields.size(); ++f) {
-        if (packed.mask[f] != field_full_mask(fields[f])) prefix = f;
-      }
-    }
-    prefix_field_ = fields[prefix];
-    prefix_width_ = field_width(prefix_field_);
+    const auto prefix = static_cast<std::size_t>(
+        std::find(fields.begin(), fields.end(), prefix_field_) -
+        fields.begin());
     for (const FieldId f : fields) {
       if (f != prefix_field_) exact_fields_.push_back(f);
     }
 
+    // Unsatisfiable rules never match and stay out of the tries.
     for (std::size_t r = 0; r < table.rules.size(); ++r) {
       const detail::PackedMatch packed =
           detail::fold_matches(fields, table.rules[r].matches);
@@ -249,7 +239,15 @@ class LpmClassifier final : public Classifier {
 }  // namespace
 
 std::unique_ptr<Classifier> make_lpm(const TableSpec& table) {
-  return std::make_unique<LpmClassifier>(table);
+  FieldId prefix_field = FieldId::kIpDst;
+  expects(table.profile(&prefix_field) == MatchProfile::kSinglePrefix,
+          "LPM template requires a single-prefix rule set");
+  return detail::make_lpm_profiled(table, prefix_field);
+}
+
+std::unique_ptr<Classifier> detail::make_lpm_profiled(const TableSpec& table,
+                                                      FieldId prefix_field) {
+  return std::make_unique<LpmClassifier>(table, prefix_field);
 }
 
 }  // namespace maton::dp

@@ -91,57 +91,6 @@ FieldMatch lower_match(FieldId field, const core::Attribute& attr,
   return m;
 }
 
-/// One row → one Rule, given the pre-resolved column→field assignment.
-Rule lower_row_resolved(const core::Schema& schema, const core::Row& row,
-                        const std::vector<FieldId>& col_field,
-                        std::optional<std::size_t> goto_target) {
-  Rule rule;
-  std::uint32_t specificity = 0;
-  for (std::size_t c : schema.match_set()) {
-    const FieldMatch m = lower_match(col_field[c], schema.at(c), row[c]);
-    specificity += static_cast<std::uint32_t>(std::popcount(m.mask));
-    rule.matches.push_back(m);
-  }
-  // Longest-prefix-first semantics: more specific rules win.
-  rule.priority = specificity;
-
-  for (std::size_t c : schema.action_set()) {
-    const core::Attribute& attr = schema.at(c);
-    if (attr.name == "out") {
-      rule.actions.push_back({Action::Kind::kOutput, FieldId::kMeta0, row[c]});
-    } else {
-      Action set{Action::Kind::kSetField, col_field[c], row[c]};
-      // Only the attribute's declared bits are defined by this write;
-      // the dataflow pass flags wider reads (MA302).
-      set.width_bits = static_cast<std::uint8_t>(std::min<unsigned>(
-          attr.width_bits, field_width(col_field[c])));
-      rule.actions.push_back(set);
-    }
-  }
-  rule.goto_table = goto_target;
-  return rule;
-}
-
-/// Column → field assignment for `schema` from an existing field map.
-Result<std::vector<FieldId>> resolve_columns(const core::Schema& schema,
-                                             const FieldMap& field_map) {
-  std::vector<FieldId> col_field(schema.size());
-  for (std::size_t c = 0; c < schema.size(); ++c) {
-    const std::string& name = schema.at(c).name;
-    if (const auto builtin = builtin_field(name)) {
-      col_field[c] = *builtin;
-      continue;
-    }
-    const auto it = field_map.find(name);
-    if (it == field_map.end()) {
-      return invalid_argument("attribute '" + name +
-                              "' not present in the field map");
-    }
-    col_field[c] = it->second;
-  }
-  return col_field;
-}
-
 /// One stage → one table, given the pre-resolved column→field assignment
 /// and the stage → table index map.
 TableSpec lower_stage_resolved(const core::Stage& stage,
@@ -159,41 +108,18 @@ TableSpec lower_stage_resolved(const core::Stage& stage,
     }
   }
 
-  // Lower straight into the flattened pools: one scratch Rule's worth
-  // of matches/actions per row, appended without per-rule heap
-  // allocation.
+  // Lower straight into the flattened pools: one scratch row's worth of
+  // matches/actions, appended without per-rule heap allocation.
   spec.rules.reserve(stage.table.num_rows(),
                      stage.table.num_rows() * schema.match_set().size(),
                      stage.table.num_rows() * schema.action_set().size());
-  util::SmallVector<FieldMatch, 8> matches;
-  util::SmallVector<Action, 4> actions;
+  LoweredRow lowered;
   core::Row scratch;
   for (std::size_t r = 0; r < stage.table.num_rows(); ++r) {
     stage.table.copy_row_into(r, scratch);
-    matches.clear();
-    actions.clear();
-    std::uint32_t specificity = 0;
-    for (std::size_t c : schema.match_set()) {
-      const FieldMatch m =
-          lower_match(col_field[c], schema.at(c), scratch[c]);
-      specificity += static_cast<std::uint32_t>(std::popcount(m.mask));
-      matches.push_back(m);
-    }
-    for (std::size_t c : schema.action_set()) {
-      const core::Attribute& attr = schema.at(c);
-      if (attr.name == "out") {
-        actions.push_back(
-            {Action::Kind::kOutput, FieldId::kMeta0, scratch[c]});
-      } else {
-        Action set{Action::Kind::kSetField, col_field[c], scratch[c]};
-        set.width_bits = static_cast<std::uint8_t>(std::min<unsigned>(
-            attr.width_bits, field_width(col_field[c])));
-        actions.push_back(set);
-      }
-    }
+    lower_row(schema, scratch, col_field, lowered);
     spec.rules.append(
-        specificity, {matches.data(), matches.size()},
-        {actions.data(), actions.size()},
+        lowered.priority, lowered.matches.span(), lowered.actions.span(),
         stage.uses_goto() ? std::optional{table_index(stage.goto_targets[r])}
                           : std::nullopt);
   }
@@ -685,7 +611,7 @@ std::size_t FlatRules::memory_bytes() const noexcept {
 
 // ---------------------------------------------------------------------------
 
-MatchProfile TableSpec::profile() const {
+MatchProfile TableSpec::profile(FieldId* prefix_out) const {
   // Classify each field of each rule by its folded mask: unmatched
   // (wildcard), full (exact), a prefix, or anything else. Unsatisfiable
   // rules never match and no template indexes them; a match outside
@@ -707,8 +633,9 @@ MatchProfile TableSpec::profile() const {
       prefix_field = f;
     }
   }
-  return prefix_field.has_value() ? MatchProfile::kSinglePrefix
-                                  : MatchProfile::kAllExact;
+  if (!prefix_field.has_value()) return MatchProfile::kAllExact;
+  if (prefix_out != nullptr) *prefix_out = *prefix_field;
+  return MatchProfile::kSinglePrefix;
 }
 
 std::size_t Program::total_rules() const noexcept {
@@ -794,15 +721,57 @@ Result<Program> compile(const core::Pipeline& pipeline, FieldMap* field_map) {
   return program;
 }
 
-Result<Rule> lower_row(const core::Schema& schema, const core::Row& row,
-                       const FieldMap& field_map,
-                       std::optional<std::size_t> goto_target) {
-  if (row.size() != schema.size()) {
-    return invalid_argument("row width does not match schema width");
+Result<std::vector<FieldId>> resolve_columns(const core::Schema& schema,
+                                             const FieldMap& field_map) {
+  std::vector<FieldId> col_field(schema.size());
+  for (std::size_t c = 0; c < schema.size(); ++c) {
+    const std::string& name = schema.at(c).name;
+    if (const auto builtin = builtin_field(name)) {
+      col_field[c] = *builtin;
+      continue;
+    }
+    const auto it = field_map.find(name);
+    if (it == field_map.end()) {
+      return invalid_argument("attribute '" + name +
+                              "' not present in the field map");
+    }
+    col_field[c] = it->second;
   }
-  auto col_field = resolve_columns(schema, field_map);
-  if (!col_field.is_ok()) return col_field.status();
-  return lower_row_resolved(schema, row, col_field.value(), goto_target);
+  return col_field;
+}
+
+Rule LoweredRow::to_rule(std::optional<std::size_t> goto_table) const {
+  return {priority, std::vector<FieldMatch>(matches.begin(), matches.end()),
+          std::vector<Action>(actions.begin(), actions.end()), goto_table};
+}
+
+void lower_row(const core::Schema& schema, std::span<const core::Value> row,
+               std::span<const FieldId> col_field, LoweredRow& out) {
+  expects(row.size() == schema.size() && col_field.size() == schema.size(),
+          "row width does not match schema width");
+  out.matches.clear();
+  out.actions.clear();
+  std::uint32_t specificity = 0;
+  for (std::size_t c : schema.match_set()) {
+    const FieldMatch m = lower_match(col_field[c], schema.at(c), row[c]);
+    specificity += static_cast<std::uint32_t>(std::popcount(m.mask));
+    out.matches.push_back(m);
+  }
+  // Longest-prefix-first semantics: more specific rules win.
+  out.priority = specificity;
+  for (std::size_t c : schema.action_set()) {
+    const core::Attribute& attr = schema.at(c);
+    if (attr.name == "out") {
+      out.actions.push_back({Action::Kind::kOutput, FieldId::kMeta0, row[c]});
+    } else {
+      Action set{Action::Kind::kSetField, col_field[c], row[c]};
+      // Only the attribute's declared bits are defined by this write;
+      // the dataflow pass flags wider reads (MA302).
+      set.width_bits = static_cast<std::uint8_t>(std::min<unsigned>(
+          attr.width_bits, field_width(col_field[c])));
+      out.actions.push_back(set);
+    }
+  }
 }
 
 ExecResult execute_reference(const Program& program, const FlowKey& key,

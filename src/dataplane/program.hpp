@@ -495,7 +495,11 @@ struct TableSpec {
   /// chaining); nullopt ends the pipeline.
   std::optional<std::size_t> next;
 
-  [[nodiscard]] MatchProfile profile() const;
+  /// The table's structural profile. Under kSinglePrefix,
+  /// `prefix_field` (when given) receives the field that varies by
+  /// prefix; otherwise it is left as it was.
+  [[nodiscard]] MatchProfile profile(
+      FieldId* prefix_field = nullptr) const;
   friend bool operator==(const TableSpec&, const TableSpec&) = default;
 };
 
@@ -512,8 +516,9 @@ struct Program {
 /// Attribute-name → FieldId assignment a compilation settled on. Builtin
 /// header names resolve implicitly; the map records the metadata-register
 /// assignments (`meta.*` and other non-wire attributes). Re-lowering a
-/// single row against the map reproduces the compiler's output for that
-/// row, which is what the incremental intent compiler patches with.
+/// single row against the map (resolve_columns, then lower_row)
+/// reproduces the compiler's output for that row, which is what the
+/// incremental intent compiler patches with.
 using FieldMap = std::map<std::string, FieldId, std::less<>>;
 
 /// Lowers a core pipeline into a data-plane program.
@@ -523,14 +528,30 @@ using FieldMap = std::map<std::string, FieldId, std::less<>>;
 [[nodiscard]] Result<Program> compile(const core::Pipeline& pipeline,
                                       FieldMap* field_map = nullptr);
 
-/// Lowers one row of `schema` into a Rule exactly as compile() would:
+/// Column → field assignment of `schema` under `field_map`: builtin
+/// header names resolve implicitly, every other attribute name must be in
+/// the map (kInvalidArgument otherwise). Resolve a schema once, then
+/// lower its rows through lower_row.
+[[nodiscard]] Result<std::vector<FieldId>> resolve_columns(
+    const core::Schema& schema, const FieldMap& field_map);
+
+/// One lowered row: reusable scratch, so lowering row after row into it
+/// allocates nothing per row.
+struct LoweredRow {
+  std::uint32_t priority = 0;
+  util::SmallVector<FieldMatch, 8> matches;
+  util::SmallVector<Action, 4> actions;
+
+  /// The row as a boundary Rule with the given goto target.
+  [[nodiscard]] Rule to_rule(std::optional<std::size_t> goto_table) const;
+};
+
+/// Lowers one row of `schema` into `out` exactly as compile() does:
 /// masked matches in match-column order, specificity priority, actions in
-/// action-column order ("out" → output action), and the given goto
-/// target. Non-builtin attribute names must be present in `field_map`.
-[[nodiscard]] Result<Rule> lower_row(
-    const core::Schema& schema, const core::Row& row,
-    const FieldMap& field_map,
-    std::optional<std::size_t> goto_target = std::nullopt);
+/// action-column order ("out" → output action). `col_field` is the
+/// schema's column → field assignment (resolve_columns).
+void lower_row(const core::Schema& schema, std::span<const core::Value> row,
+               std::span<const FieldId> col_field, LoweredRow& out);
 
 /// Result of pushing one packet through a switch model.
 struct ExecResult {

@@ -373,14 +373,19 @@ std::unique_ptr<Classifier> make_linear(const TableSpec& table) {
 
 std::unique_ptr<Classifier> select_classifier_eswitch(
     const TableSpec& table) {
-  switch (table.profile()) {
+  // One classification; the chosen template trusts it rather than
+  // folding every rule again to re-check it.
+  FieldId prefix_field = FieldId::kIpDst;
+  switch (table.profile(&prefix_field)) {
     case MatchProfile::kAllExact:
-      return make_exact_match(table);
+      return detail::make_exact_match_profiled(table);
     case MatchProfile::kSinglePrefix:
       // ESwitch only has a single-field LPM template; a prefix column
       // mixed with other match fields falls through to the wildcard
       // processor.
-      if (table.fields.size() == 1) return make_lpm(table);
+      if (table.fields.size() == 1) {
+        return detail::make_lpm_profiled(table, prefix_field);
+      }
       return make_linear(table);
     case MatchProfile::kTernary:
       return make_linear(table);

@@ -6,6 +6,7 @@
 // to a full recompile the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <variant>
@@ -53,6 +54,48 @@ struct GwlbBindingInternals {
   }
   static const dp::FieldMap& reference_fields(const GwlbBinding& b) {
     return b.reference_fields_;
+  }
+  static const std::vector<std::vector<std::uint32_t>>& provenance(
+      const GwlbBinding& b) {
+    return b.provenance_;
+  }
+  static dp::Program& program(GwlbBinding& b) { return b.program_; }
+  static void rebuild_provenance(GwlbBinding& b) { b.rebuild_provenance(); }
+  /// Provenance derived the way the binding once derived it: every
+  /// service's lowered, sorted slice of every stage paired with the
+  /// service, and each table's pairs stable-sorted by priority. nullopt
+  /// when that re-emission does not reproduce the compiled program.
+  static std::optional<std::vector<std::vector<std::uint32_t>>>
+  reemitted_provenance(const GwlbBinding& b) {
+    const RepresentationDescriptor& desc = descriptor(b.repr_);
+    const std::size_t n = b.gwlb_.services.size();
+    std::vector<std::vector<std::pair<dp::Rule, std::uint32_t>>> by_table(
+        b.program_.tables.size());
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t k = 0; k < desc.stages.size(); ++k) {
+        auto slice = b.service_slice(k, b.gwlb_.services[s], s);
+        if (!slice.is_ok()) return std::nullopt;
+        for (dp::Rule& rule : slice.value()) {
+          by_table[desc.table_of(k, s, n)].emplace_back(
+              std::move(rule), static_cast<std::uint32_t>(s));
+        }
+      }
+    }
+    std::vector<std::vector<std::uint32_t>> out(by_table.size());
+    for (std::size_t t = 0; t < by_table.size(); ++t) {
+      auto& emitted = by_table[t];
+      std::stable_sort(emitted.begin(), emitted.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first.priority > b.first.priority;
+                       });
+      const dp::FlatRules& rules = b.program_.tables[t].rules;
+      if (emitted.size() != rules.size()) return std::nullopt;
+      for (std::size_t i = 0; i < emitted.size(); ++i) {
+        if (!(rules[i] == emitted[i].first)) return std::nullopt;
+        out[t].push_back(emitted[i].second);
+      }
+    }
+    return out;
   }
 };
 
@@ -328,6 +371,79 @@ INSTANTIATE_TEST_SUITE_P(AllRepresentations, IncrementalChurn,
                          [](const auto& info) {
                            return std::string(to_string(info.param));
                          });
+
+TEST(IncrementalCompile, ProvenanceMatchesThePairSortReEmission) {
+  // A 200-service fleet in which service 1 splits its load over four /2
+  // source prefixes instead of eight /3 ones: once it takes service 0's
+  // VIP, its rules overlap service 0's without repeating a match key
+  // wherever a shared table is keyed on ip_src and ip_dst. Universal keys
+  // (ip_src, ip_dst, tcp_dst), so the two must share a port there;
+  // rematch's entry is keyed on (ip_dst, tcp_dst), so they must not. Both
+  // then fall back to a full rebuild. Goto and metadata key their shared
+  // tables exactly: the collision is proven disjoint and patched in place.
+  for (const Representation repr : kAllReprs) {
+    Gwlb gwlb = make_gwlb({.num_services = 200, .num_backends = 8,
+                           .seed = 3});
+    workloads::GwlbService& narrow = gwlb.services[1];
+    narrow.src_prefixes.clear();
+    narrow.backends.clear();
+    for (std::uint64_t b = 0; b < 4; ++b) {
+      narrow.src_prefixes.push_back(((b << 30) << 8) | 2);  // addr << 8 | len
+      narrow.backends.push_back(90000 + b);
+    }
+    narrow.port = repr == Representation::kUniversal
+                      ? gwlb.services[0].port
+                      : static_cast<std::uint16_t>(gwlb.services[0].port ^ 1);
+    const ChangeServiceIp collide{.service = 1,
+                                  .new_vip = gwlb.services[0].vip};
+    const bool overlaps = repr == Representation::kUniversal ||
+                          repr == Representation::kRematch;
+    for (const CompileMode mode :
+         {CompileMode::kIncremental, CompileMode::kFullRebuild}) {
+      GwlbBinding binding(gwlb, repr, mode);
+      const auto built = GwlbBindingInternals::reemitted_provenance(binding);
+      ASSERT_TRUE(built.has_value()) << to_string(repr);
+      EXPECT_EQ(GwlbBindingInternals::provenance(binding), *built)
+          << to_string(repr);
+
+      ASSERT_TRUE(binding.compile_intent(collide).is_ok()) << to_string(repr);
+      if (mode == CompileMode::kIncremental) {
+        EXPECT_EQ(binding.incremental_stats().vip_collision_fallbacks,
+                  overlaps ? 1u : 0u)
+            << to_string(repr);
+      }
+      const auto after = GwlbBindingInternals::reemitted_provenance(binding);
+      ASSERT_TRUE(after.has_value()) << to_string(repr);
+      EXPECT_EQ(GwlbBindingInternals::provenance(binding), *after)
+          << to_string(repr);
+    }
+  }
+}
+
+TEST(IncrementalCompile, ProvenanceRejectsEmitterDrift) {
+  // The cross-check refuses a compiled table that the emitters do not
+  // reproduce: one rule changed, or one rule too many.
+  const Gwlb gwlb = make_gwlb({.num_services = 8, .num_backends = 4});
+  for (const Representation repr : kAllReprs) {
+    GwlbBinding changed(gwlb, repr, CompileMode::kIncremental);
+    dp::Program& program = GwlbBindingInternals::program(changed);
+    dp::FlatRules& entry = program.tables[program.entry].rules;
+    dp::Rule rule = entry[entry.size() - 1];
+    rule.actions.push_back({dp::Action::Kind::kOutput, dp::FieldId::kMeta0,
+                            77});
+    entry.replace(entry.size() - 1, rule);
+    EXPECT_THROW(GwlbBindingInternals::rebuild_provenance(changed),
+                 ContractViolation)
+        << to_string(repr);
+
+    GwlbBinding grown(gwlb, repr, CompileMode::kIncremental);
+    dp::Program& grown_program = GwlbBindingInternals::program(grown);
+    grown_program.tables[grown_program.entry].rules.push_back(rule);
+    EXPECT_THROW(GwlbBindingInternals::rebuild_provenance(grown),
+                 ContractViolation)
+        << to_string(repr);
+  }
+}
 
 TEST(IncrementalCompile, RemoveThenRetargetEdgeCases) {
   for (const Representation repr : kAllReprs) {

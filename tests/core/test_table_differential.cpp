@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -65,33 +67,36 @@ struct RefModel {
     return std::nullopt;
   }
 
+  Row key_of(const Row& r, const AttrSet& cols) const {
+    Row key;
+    for (std::size_t c : cols) key.push_back(r[c]);
+    return key;
+  }
+
+  /// (first row with the key, row) for the first row that repeats a key.
   std::optional<std::pair<std::size_t, std::size_t>> duplicate_on(
       const AttrSet& cols) const {
-    for (std::size_t j = 1; j < rows.size(); ++j) {
-      for (std::size_t i = 0; i < j; ++i) {
-        bool agree = true;
-        for (std::size_t c : cols) {
-          if (rows[i][c] != rows[j][c]) {
-            agree = false;
-            break;
-          }
-        }
-        if (agree) return std::pair{i, j};
-      }
+    std::map<Row, std::size_t> first;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      const auto [it, inserted] = first.emplace(key_of(rows[r], cols), r);
+      if (!inserted) return std::pair{it->second, r};
     }
     return std::nullopt;
   }
 
+  /// Distinct keys in first-occurrence order.
   std::vector<Row> project(const AttrSet& cols) const {
+    std::set<Row> seen;
     std::vector<Row> out;
     for (const Row& r : rows) {
-      Row proj;
-      for (std::size_t c : cols) proj.push_back(r[c]);
-      if (std::find(out.begin(), out.end(), proj) == out.end()) {
-        out.push_back(std::move(proj));
-      }
+      Row key = key_of(r, cols);
+      if (seen.insert(key).second) out.push_back(std::move(key));
     }
     return out;
+  }
+
+  std::size_t distinct_count(const AttrSet& cols) const {
+    return project(cols).size();
   }
 
   std::vector<Row> select_eq(std::size_t col, Value v) const {
@@ -135,6 +140,8 @@ void check_observables(const Table& table, const RefModel& ref, Rng& rng) {
 
   const AttrSet probe_cols = random_subset(rng, cols);
   ASSERT_EQ(table.duplicate_on(probe_cols), ref.duplicate_on(probe_cols));
+  ASSERT_EQ(table.distinct_count(probe_cols),
+            ref.distinct_count(probe_cols));
 
   // find_row: an existing key and a (likely) missing one.
   if (!ref.rows.empty()) {
@@ -224,6 +231,50 @@ TEST(TableDifferential, Seed1) { run_differential(1); }
 TEST(TableDifferential, Seed2) { run_differential(0xbeef); }
 TEST(TableDifferential, Seed3) { run_differential(0x5ca1e); }
 TEST(TableDifferential, Seed4) { run_differential(42424242); }
+
+// The row set at scale, over both column representations: a wide column
+// of per-row values spills to raw storage while the narrow ones stay
+// interned. Two duplicate keys are planted: the first repeats row 1234
+// (not row 0) at row 7000, the second repeats row 3000 at row 15000.
+TEST(TableDifferential, LargeTableWithSpilledColumnAndPlantedDuplicates) {
+  constexpr std::size_t kRows = 20000;
+  const Schema schema = make_schema(4);  // m0, m1, m2 | a
+  Table table("large", schema);
+  RefModel ref{schema, {}};
+  // Row r carries the match cells of row `key` (r itself unless planted).
+  const auto row_of = [](std::size_t r, std::size_t key) -> Row {
+    return {key % 97, key * 0x9e3779b97f4a7c15ULL, key % 13, r};
+  };
+  for (std::size_t r = 0; r < kRows; ++r) {
+    Row row = row_of(r, r == 7000 ? 1234 : r == 15000 ? 3000 : r);
+    table.add_row(row);
+    ref.rows.push_back(std::move(row));
+  }
+  ASSERT_TRUE(table.column(0).interned());
+  ASSERT_FALSE(table.column(1).interned());
+  ASSERT_TRUE(table.column(2).interned());
+  ASSERT_FALSE(table.column(3).interned());
+
+  const AttrSet match = schema.match_set();
+  ASSERT_EQ(table.duplicate_on(match),
+            (std::optional<std::pair<std::size_t, std::size_t>>{{1234, 7000}}));
+  EXPECT_FALSE(table.is_order_independent());
+  const AttrSet probes[] = {match,          AttrSet{1},    AttrSet{0},
+                            AttrSet{0, 2},  AttrSet{1, 3}, AttrSet{3},
+                            schema.all()};
+  for (const AttrSet& cols : probes) {
+    SCOPED_TRACE(cols.to_string());
+    ASSERT_EQ(table.duplicate_on(cols), ref.duplicate_on(cols));
+    ASSERT_EQ(table.distinct_count(cols), ref.distinct_count(cols));
+    const Table proj = table.project(cols);
+    const std::vector<Row> ref_proj = ref.project(cols);
+    ASSERT_EQ(proj.num_rows(), ref_proj.size());
+    for (std::size_t r = 0; r < ref_proj.size(); ++r) {
+      ASSERT_EQ(proj.row(r), ref_proj[r]);
+    }
+  }
+  EXPECT_EQ(table.distinct_count(match), kRows - 2);
+}
 
 // Copies must carry content but not caches; mutating the copy must not
 // disturb the original's caches (and vice versa).
