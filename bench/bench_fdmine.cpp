@@ -34,7 +34,7 @@ Table random_table(std::size_t rows, std::size_t cols, std::uint64_t domain,
     for (std::size_t c = 0; c < cols; ++c) {
       row.push_back(rng.uniform(0, domain));
     }
-    t.add_row(std::move(row));
+    t.add_row(row);
   }
   return t;
 }
@@ -125,7 +125,7 @@ void BM_MineTaneChurnCached(benchmark::State& state) {
     for (std::size_t r = 0; r < t.num_rows(); ++r) {
       core::Row row = t.row(r);
       row[7] = (row[7] + tick) % 5;
-      mutated.add_row(std::move(row));
+      mutated.add_row(row);
     }
     ++tick;
     benchmark::DoNotOptimize(

@@ -23,10 +23,10 @@ int main() {
   // 2. Fill it. Each (ip_dst, tcp_dst) service maps to a backend pool,
   //    and the pool alone decides the output port — a redundancy.
   core::Table table("acl", std::move(schema));
-  table.add_row({0xC0000201, 80, 1, 10});   // 192.0.2.1:80  -> pool 1
-  table.add_row({0xC0000201, 443, 1, 10});  // 192.0.2.1:443 -> pool 1
-  table.add_row({0xC0000202, 80, 2, 20});   // 192.0.2.2:80  -> pool 2
-  table.add_row({0xC0000203, 80, 2, 20});   // 192.0.2.3:80  -> pool 2
+  table.add_row(core::Row{0xC0000201, 80, 1, 10});   // 192.0.2.1:80  -> pool 1
+  table.add_row(core::Row{0xC0000201, 443, 1, 10});  // 192.0.2.1:443 -> pool 1
+  table.add_row(core::Row{0xC0000202, 80, 2, 20});   // 192.0.2.2:80  -> pool 2
+  table.add_row(core::Row{0xC0000203, 80, 2, 20});   // 192.0.2.3:80  -> pool 2
   std::cout << table.to_string() << "\n";
 
   // 3. Mine the dependencies that hold in this configuration.

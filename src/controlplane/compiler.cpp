@@ -44,14 +44,19 @@ std::string to_string(const Intent& intent) {
 
 namespace {
 
+constexpr std::uint64_t kHashSeed = 0x9e3779b97f4a7c15ULL;
+
+/// Folds `v` into the boost-style hash `h`.
+constexpr void hash_mix(std::uint64_t& h, std::uint64_t v) noexcept {
+  h ^= v + kHashSeed + (h << 6) + (h >> 2);
+}
+
 /// Hashes a rule's full content; `RuleT` is dp::Rule or dp::RuleView, so
 /// flattened tables hash without materializing boundary Rules.
 template <typename RuleT>
 [[nodiscard]] std::uint64_t hash_rule(const RuleT& r) noexcept {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
+  std::uint64_t h = kHashSeed;
+  const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   mix(r.priority);
   mix(r.goto_table.value_or(~std::uint64_t{0}));
   for (const dp::FieldMatch m : r.matches) {
@@ -259,11 +264,9 @@ void GwlbBinding::run_post_compile_analysis() {
 }
 
 std::size_t GwlbBinding::MatchKeyHash::operator()(
-    const core::Row& key) const noexcept {
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const core::Value v : key) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
+    const StageRow& key) const noexcept {
+  std::uint64_t h = kHashSeed;
+  for (const core::Value v : key) hash_mix(h, v);
   return static_cast<std::size_t>(h);
 }
 
@@ -291,7 +294,7 @@ bool GwlbBinding::lower_reference_rows(std::size_t stage,
   if (sd.per_service) {
     rows.key_count.clear();  // the table holds this service's rows alone
   } else {
-    for (const core::Row& key : rows.keys[slot]) {
+    for (const StageRow& key : rows.keys[slot]) {
       const auto it = rows.key_count.find(key);
       if (--it->second == 0) rows.key_count.erase(it);
     }
@@ -306,15 +309,21 @@ bool GwlbBinding::lower_reference_rows(std::size_t stage,
   expects(fields.is_ok(), "symbolic verify: reference table failed to lower");
   const std::optional<std::size_t> goto_target = goto_of(stage, service);
   dp::LoweredRow lowered;
-  for (const core::Row& row : sd.rows(gwlb_.services[service], service)) {
-    core::Row key;
-    for (const std::size_t c : sd.schema.match_set()) key.push_back(row[c]);
-    expects(++rows.key_count[key] == 1,
-            "symbolic verify: reference table has duplicate match keys");
-    dp::lower_row(sd.schema, row, fields.value(), lowered);
-    lowered_rows.push_back(lowered.to_rule(goto_target));
-    rows.keys[slot].push_back(std::move(key));
-  }
+  for_each_row(sd, gwlb_.services[service], service,
+               [&](std::span<const core::Value> row) {
+                 // The match cells, packed first; the rest stay zero.
+                 StageRow key{};
+                 std::size_t i = 0;
+                 for (const std::size_t c : sd.schema.match_set()) {
+                   key[i++] = row[c];
+                 }
+                 expects(++rows.key_count[key] == 1,
+                         "symbolic verify: reference table has duplicate "
+                         "match keys");
+                 dp::lower_row(sd.schema, row, fields.value(), lowered);
+                 lowered_rows.push_back(lowered.to_rule(goto_target));
+                 rows.keys[slot].push_back(key);
+               });
   return sd.per_service || lowered_rows != previous_rows_;
 }
 
@@ -414,8 +423,8 @@ void GwlbBinding::rebuild_universal() {
   mined_.reset();  // the universal table is about to change
   core::Table universal("gwlb.universal", gwlb_.universal.schema());
   for (const GwlbService& svc : gwlb_.services) {
-    for (core::Row& row : workloads::gwlb_universal_rows(svc)) {
-      universal.add_row(std::move(row));
+    for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
+      universal.add_row(workloads::gwlb_universal_row(svc, b));
     }
   }
   gwlb_.universal = std::move(universal);
@@ -435,13 +444,13 @@ Status GwlbBinding::rebuild_program() {
 }
 
 void GwlbBinding::rebuild_provenance() {
-  // Re-emit each table's rows the way pipeline_for emits them (every
-  // service's, in service order, for a shared stage; its own service's
-  // for a per-service one), lowered straight into flat storage next to
-  // the emitting service, and stable-sort that order by priority:
+  // Read each table's rows through the stage reader the way pipeline_for
+  // does (every service's, in service order, for a shared stage; its own
+  // service's for a per-service one), lowered straight into flat storage
+  // next to the service, and stable-sort that order by priority:
   // dp::compile sorts the same rows the same way (per-slice pre-sorting
   // commutes with it), so the result must reproduce the compiled table
-  // exactly. This doubles as the cross-check that the slice emitter
+  // exactly. This doubles as the cross-check that the delta path's slices
   // cannot drift from the pipeline builder. The provenance vectors are
   // sized before the scratch exists, so the two do not interleave on the
   // heap, and one table's scratch is reused for the next.
@@ -473,15 +482,16 @@ void GwlbBinding::rebuild_provenance() {
       const std::size_t last = sd.per_service ? c + 1 : n;
       for (std::size_t s = first; s < last; ++s) {
         const std::optional<std::size_t> goto_target = goto_of(k, s);
-        for (const core::Row& row : sd.rows(gwlb_.services[s], s)) {
-          dp::lower_row(sd.schema, row, fields.value(), lowered);
-          emitted.append(lowered.priority, lowered.matches.span(),
-                         lowered.actions.span(), goto_target);
-          emitted_by.push_back(static_cast<std::uint32_t>(s));
-        }
+        for_each_row(sd, gwlb_.services[s], s,
+                     [&](std::span<const core::Value> row) {
+                       dp::lower_row(sd.schema, row, fields.value(), lowered);
+                       emitted.append(lowered.priority, lowered.matches.span(),
+                                      lowered.actions.span(), goto_target);
+                       emitted_by.push_back(static_cast<std::uint32_t>(s));
+                     });
       }
       expects(emitted.size() == rules.size(),
-              "provenance drift: emitters disagree with compiled program");
+              "provenance drift: stage rows disagree with compiled program");
       order.resize(rules.size());
       std::iota(order.begin(), order.end(), 0u);
       std::stable_sort(order.begin(), order.end(),
@@ -491,7 +501,7 @@ void GwlbBinding::rebuild_provenance() {
                        });
       for (std::size_t i = 0; i < rules.size(); ++i) {
         expects(emitted[order[i]] == rules[i],
-                "provenance drift: emitters disagree with compiled program");
+                "provenance drift: stage rows disagree with compiled program");
         provenance_[t][i] = emitted_by[order[i]];
       }
     }
@@ -588,11 +598,12 @@ Result<std::vector<Rule>> GwlbBinding::service_slice(
   if (!fields.is_ok()) return fields.status();
   const std::optional<std::size_t> goto_target = goto_of(stage, s);
   std::vector<Rule> rules;
+  rules.reserve(row_count(sd, svc));
   dp::LoweredRow lowered;
-  for (const core::Row& row : sd.rows(svc, s)) {
+  for_each_row(sd, svc, s, [&](std::span<const core::Value> row) {
     dp::lower_row(sd.schema, row, fields.value(), lowered);
     rules.push_back(lowered.to_rule(goto_target));
-  }
+  });
   sort_slice(rules);
   return rules;
 }
@@ -619,7 +630,6 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
     std::vector<std::uint32_t> positions;  // ascending, pre-patch
     std::vector<Rule> before;
     std::vector<Rule> after;
-    bool same_shape = false;
   };
   // One patch per stage, in ascending table order: the order the
   // reference diff uses.
@@ -653,13 +663,15 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
     patch.after = std::move(after).value();
     // Same shape = same size and per-index priorities: the global stable
     // order then keeps every slice rule at its old position, so the
-    // patch can rewrite those rows in place.
-    patch.same_shape = patch.after.size() == patch.before.size();
-    for (std::size_t k = 0; patch.same_shape && k < patch.after.size();
-         ++k) {
-      if (patch.after[k].priority != patch.before[k].priority) {
-        patch.same_shape = false;
-      }
+    // patch can rewrite those rows in place. A lowered row's priority is
+    // the popcount of its masks and only a removal changes a service's
+    // prefixes, so every patch is same-shape or empty; any other would
+    // have to move rows across the table, and falls back.
+    const bool same_shape = std::ranges::equal(
+        patch.after, patch.before, {}, &Rule::priority, &Rule::priority);
+    if (!same_shape && !patch.after.empty()) {
+      last_fallback_cause_ = FallbackCause::kSliceValidation;
+      return std::nullopt;
     }
     patches.push_back(std::move(patch));
   }
@@ -743,16 +755,12 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   mined_.reset();
 
   // Then the program: per touched table (ascending), diff the slice and
-  // patch the new one in at its sorted positions. The same-shape fast
-  // path rewrites the slice's rows in place — O(slice) with provenance,
-  // the slice index, and every other row untouched. A slice that is
-  // gone (RemoveService) is erased in place: the survivors keep their
-  // order, so one pass each over the rules, provenance and the slice
-  // index drops it. Any other shape change (an emitter changing
-  // priorities) takes the merge splice, which reproduces the full
-  // compiler's order — priority descending, (service, ordinal) ascending
-  // among equals — so the patched program stays bit-identical to a
-  // rebuild either way.
+  // patch it. A same-shape slice is rewritten in place — O(slice) with
+  // provenance, the slice index, and every other row untouched. A slice
+  // that is gone (RemoveService) is erased in place: the survivors keep
+  // their order, so one pass each over the rules, provenance and the
+  // slice index drops it. Either way the patched program stays
+  // bit-identical to a rebuild.
   std::vector<RuleUpdate> updates;
   for (Patch& patch : patches) {
     {
@@ -762,49 +770,14 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
     if (patch.before == patch.after) continue;  // untouched slice
 
     const obs::TraceSpan merge_span("slice_merge");
-    TableSpec& spec = program_.tables[patch.table];
-    if (patch.same_shape) {
-      for (std::size_t k = 0; k < patch.positions.size(); ++k) {
-        spec.rules.replace(patch.positions[k], patch.after[k]);
-      }
-      continue;
-    }
     if (patch.after.empty()) {
       erase_slice(patch.table, service, patch.positions);
       continue;
     }
-
-    const std::vector<std::uint32_t>& old_prov = provenance_[patch.table];
-    // `before` was extracted from this table, so it cannot outnumber it;
-    // the guard keeps the reserve arithmetic from wrapping if that
-    // invariant ever breaks.
-    expects(patch.before.size() <= spec.rules.size(),
-            "slice larger than its table");
-    std::vector<Rule> merged;
-    std::vector<std::uint32_t> prov;
-    merged.reserve(spec.rules.size() + patch.after.size() -
-                   patch.before.size());
-    prov.reserve(merged.capacity());
-    std::size_t ai = 0;
-    for (std::size_t i = 0; i < spec.rules.size(); ++i) {
-      if (old_prov[i] == service) continue;
-      while (ai < patch.after.size() &&
-             (patch.after[ai].priority > spec.rules.priority_of(i) ||
-              (patch.after[ai].priority == spec.rules.priority_of(i) &&
-               service < old_prov[i]))) {
-        merged.push_back(std::move(patch.after[ai++]));
-        prov.push_back(static_cast<std::uint32_t>(service));
-      }
-      merged.push_back(spec.rules[i]);
-      prov.push_back(old_prov[i]);
+    dp::FlatRules& rules = program_.tables[patch.table].rules;
+    for (std::size_t k = 0; k < patch.positions.size(); ++k) {
+      rules.replace(patch.positions[k], patch.after[k]);
     }
-    for (; ai < patch.after.size(); ++ai) {
-      merged.push_back(std::move(patch.after[ai]));
-      prov.push_back(static_cast<std::uint32_t>(service));
-    }
-    spec.rules = dp::FlatRules(merged);
-    provenance_[patch.table] = std::move(prov);
-    rebuild_slice_index(patch.table);
   }
   return updates;
 }
@@ -901,8 +874,7 @@ MonitorPlan GwlbBinding::monitor_plan(std::size_t service) const {
   // All of the service's traffic passes its entries in the entry stage:
   // one counter each, summed in the controller.
   const std::size_t counters =
-      descriptor(repr_).stages.front().rows(gwlb_.services[service], service)
-          .size();
+      row_count(descriptor(repr_).stages.front(), gwlb_.services[service]);
   return {counters, std::max<std::size_t>(counters, 1) - 1};
 }
 
@@ -922,8 +894,9 @@ std::size_t GwlbBinding::identity_entries(std::size_t service) const {
   expects(service < gwlb_.services.size(), "service index out of range");
   std::size_t entries = 0;
   for (const StageDescriptor& stage : descriptor(repr_).stages) {
-    if (stage.schema.find("ip_dst").has_value()) {
-      entries += stage.rows(gwlb_.services[service], service).size();
+    if (std::ranges::find(stage.cells, workloads::kGwlbIpDst) !=
+        stage.cells.end()) {
+      entries += row_count(stage, gwlb_.services[service]);
     }
   }
   return entries;

@@ -274,8 +274,8 @@ class GwlbBinding {
   /// provenance cross-check lower through.
   std::vector<Result<std::vector<dp::FieldId>>> stage_fields_;
   /// provenance_[t][i] = service that emitted program_.tables[t].rules[i].
-  /// Rebuilt (and validated against the emitters) on every full compile,
-  /// maintained in place by the incremental patcher.
+  /// Rebuilt (and validated against the stage reader) on every full
+  /// compile, maintained in place by the incremental patcher.
   std::vector<std::vector<std::uint32_t>> provenance_;
   /// Inverse of provenance_: slice_index_[t][service] = ascending
   /// positions of the service's rules in program_.tables[t] as of the
@@ -283,16 +283,15 @@ class GwlbBinding {
   /// (slice_positions). Lets the delta path extract a slice in O(slice)
   /// instead of scanning the table; untouched by same-shape patches
   /// (positions are stable), not renumbered when a slice is erased (the
-  /// removal map records it), rebuilt per table after a shape-changing
-  /// merge or once a quarter of the table's built rules are gone.
+  /// removal map records it), rebuilt per table once a quarter of the
+  /// table's built rules are gone.
   std::vector<std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>>
       slice_index_;
   /// Per table: the removal map from slice_index_'s build positions to
   /// live positions.
   std::vector<util::BuildPositions> slice_removals_;
-  /// row_offsets_[s] = first universal-table row of service s. Valid
-  /// while slice shapes are stable; suffix-recomputed when a slice
-  /// grows or shrinks.
+  /// row_offsets_[s] = first universal-table row of service s;
+  /// suffix-recomputed when a service's slice is removed.
   std::vector<std::size_t> row_offsets_;
   /// Live services per VIP: the delta path's collision precheck in O(1),
   /// and — when a collision exists — the partner set whose slices the
@@ -312,9 +311,9 @@ class GwlbBinding {
   /// (VerifyMode::kSymbolic only): a full compile of the service model at
   /// construction, after which each applied intent re-lowers just its
   /// service's rows of the tables it maps to (refresh_reference). Its
-  /// tables come from the descriptor's row emitters, row lowering and the
-  /// priority sort — never from program_, the slice emitter, merge or the
-  /// in-place patches that maintain program_.
+  /// tables come from the stage reader, row lowering and the priority
+  /// sort — never from program_, service_slice or the in-place patches
+  /// that maintain program_.
   dp::Program reference_;
   /// Attribute→field assignment of reference_'s own full compile.
   dp::FieldMap reference_fields_;
@@ -322,7 +321,7 @@ class GwlbBinding {
   std::vector<Result<std::vector<dp::FieldId>>> reference_stage_fields_;
   /// Hash of a row's match cells (ReferenceRows::key_count).
   struct MatchKeyHash {
-    std::size_t operator()(const core::Row& key) const noexcept;
+    std::size_t operator()(const StageRow& key) const noexcept;
   };
   /// One descriptor stage's rows as refresh_reference last lowered them.
   /// A shared stage keeps one slot per service; a per-service stage one
@@ -330,11 +329,12 @@ class GwlbBinding {
   struct ReferenceRows {
     /// Per slot: the service's rows, lowered, in emission order.
     std::vector<std::vector<dp::Rule>> rules;
-    /// Per slot: the match cells of each of those rows.
-    std::vector<std::vector<core::Row>> keys;
+    /// Per slot: the match cells of each of those rows, packed first in
+    /// a fixed-width key (every row of a stage has as many).
+    std::vector<std::vector<StageRow>> keys;
     /// Rows per match key over the table's slots: all 1 when the table
     /// is order independent (core::Table::is_order_independent).
-    std::unordered_map<core::Row, std::uint32_t, MatchKeyHash> key_count;
+    std::unordered_map<StageRow, std::uint32_t, MatchKeyHash> key_count;
   };
   /// Per descriptor stage (VerifyMode::kSymbolic only).
   std::vector<ReferenceRows> reference_rows_;

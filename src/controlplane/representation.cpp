@@ -8,114 +8,66 @@
 namespace maton::cp {
 
 using core::AttrSet;
-using core::Row;
-using workloads::GwlbService;
 
 namespace {
-
-// Per-service row emitters. Every decomposition states a live service
-// once in its entry stage and once per backend in its LB stage.
-
-std::vector<Row> universal_rows(const GwlbService& svc, std::size_t) {
-  return workloads::gwlb_universal_rows(svc);
-}
-
-std::vector<Row> service_rows(const GwlbService& svc, std::size_t) {
-  if (svc.src_prefixes.empty()) return {};
-  return {{svc.vip, svc.port}};
-}
-
-/// The metadata join's entry also writes the tenant tag `s`.
-std::vector<Row> tagging_service_rows(const GwlbService& svc, std::size_t s) {
-  if (svc.src_prefixes.empty()) return {};
-  return {{svc.vip, svc.port, s}};
-}
-
-template <typename Cells>
-std::vector<Row> per_backend(const GwlbService& svc, Cells cells) {
-  std::vector<Row> rows;
-  rows.reserve(svc.src_prefixes.size());
-  for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
-    rows.push_back(cells(b));
-  }
-  return rows;
-}
-
-std::vector<Row> lb_rows(const GwlbService& svc, std::size_t) {
-  return per_backend(svc, [&svc](std::size_t b) -> Row {
-    return {svc.src_prefixes[b], svc.backends[b]};
-  });
-}
-
-std::vector<Row> tagged_lb_rows(const GwlbService& svc, std::size_t s) {
-  return per_backend(svc, [&svc, s](std::size_t b) -> Row {
-    return {s, svc.src_prefixes[b], svc.backends[b]};
-  });
-}
-
-std::vector<Row> rematch_lb_rows(const GwlbService& svc, std::size_t) {
-  return per_backend(svc, [&svc](std::size_t b) -> Row {
-    return {svc.src_prefixes[b], svc.vip, svc.backends[b]};
-  });
-}
-
-core::Schema schema_of(std::initializer_list<core::Attribute> attrs) {
-  core::Schema schema;
-  for (const core::Attribute& attr : attrs) schema.add(attr);
-  return schema;
-}
 
 /// Rows in Representation order.
 std::array<RepresentationDescriptor, 4> build_descriptors() {
   using namespace workloads;
-  const core::Schema universal = gwlb_universal_schema();
-  const core::Attribute& ip_src = universal.at(kGwlbIpSrc);
-  const core::Attribute& ip_dst = universal.at(kGwlbIpDst);
-  const core::Attribute& tcp_dst = universal.at(kGwlbTcpDst);
-  const core::Attribute& out = universal.at(kGwlbOut);
-  const core::Attribute tag_write{"meta.tenant", core::AttrKind::kAction,
-                                  core::ValueCodec::kPlain, 16};
-  const core::Attribute tag_match{"meta.tenant", core::AttrKind::kMatch,
-                                  core::ValueCodec::kPlain, 16};
-  const AttrSet all = universal.all();
-  const AttrSet selector =
-      AttrSet::single(kGwlbIpDst) | AttrSet::single(kGwlbTcpDst);
-
-  return {{
+  std::array<RepresentationDescriptor, 4> rows{{
       // Fig. 1a: the universal table itself.
       {"universal",
-       {{.name = "gwlb.universal", .schema = universal,
-         .rows = universal_rows, .reuses_universal = true}},
-       {all}},
+       {{.name = "gwlb.universal",
+         .cells = {kGwlbIpSrc, kGwlbIpDst, kGwlbTcpDst, kGwlbOut},
+         .row_per_backend = true,
+         .reuses_universal = true}}},
       // Fig. 1b: the entry jumps to a per-service LB table via goto_table.
-      // The LB stage is entered with the full selector context (the goto
-      // target is a function of ip_dst and tcp_dst), so its effective
-      // attribute set is the whole schema.
       {"goto",
-       {{.name = "gwlb.services", .schema = schema_of({ip_dst, tcp_dst}),
-         .rows = service_rows, .link = StageLink::kGotoPerService},
-        {.name = "gwlb.lb", .schema = schema_of({ip_src, out}),
-         .rows = lb_rows, .per_service = true}},
-       {selector, all}},
+       {{.name = "gwlb.services", .cells = {kGwlbIpDst, kGwlbTcpDst},
+         .link = StageLink::kGotoPerService},
+        {.name = "gwlb.lb", .cells = {kGwlbIpSrc, kGwlbOut},
+         .row_per_backend = true, .per_service = true}}},
       // Fig. 1c: the entry writes an opaque tenant tag that one shared LB
-      // stage matches next to ip_src. As for goto, the tag is a function
-      // of the selector, so the LB stage carries the whole schema.
+      // stage matches next to ip_src.
       {"metadata",
        {{.name = "gwlb.services",
-         .schema = schema_of({ip_dst, tcp_dst, tag_write}),
-         .rows = tagging_service_rows, .link = StageLink::kNext},
-        {.name = "gwlb.lb", .schema = schema_of({tag_match, ip_src, out}),
-         .rows = tagged_lb_rows}},
-       {selector, all}},
+         .cells = {kGwlbIpDst, kGwlbTcpDst, kServiceTag},
+         .link = StageLink::kNext},
+        {.name = "gwlb.lb", .cells = {kServiceTag, kGwlbIpSrc, kGwlbOut},
+         .row_per_backend = true}}},
       // Fig. 1d: the LB stage re-matches ip_dst but not tcp_dst. The join
       // is lossless only because ip_dst → tcp_dst (Theorem 1 applied).
       {"rematch",
-       {{.name = "gwlb.services", .schema = schema_of({ip_dst, tcp_dst}),
-         .rows = service_rows, .link = StageLink::kNext},
-        {.name = "gwlb.lb", .schema = schema_of({ip_src, ip_dst, out}),
-         .rows = rematch_lb_rows}},
-       {selector, all - AttrSet::single(kGwlbTcpDst)}},
+       {{.name = "gwlb.services", .cells = {kGwlbIpDst, kGwlbTcpDst},
+         .link = StageLink::kNext},
+        {.name = "gwlb.lb", .cells = {kGwlbIpSrc, kGwlbIpDst, kGwlbOut},
+         .row_per_backend = true}}},
   }};
+  const core::Schema universal = gwlb_universal_schema();
+  for (RepresentationDescriptor& d : rows) {
+    for (std::size_t k = 0; k < d.stages.size(); ++k) {
+      StageDescriptor& sd = d.stages[k];
+      expects(sd.cells.size() <= StageRow{}.size(), "stage row too wide");
+      for (const std::size_t source : sd.cells) {
+        sd.schema.add(source == kServiceTag
+                          ? core::Attribute{"meta.tenant",
+                                            k == 0 ? core::AttrKind::kAction
+                                                   : core::AttrKind::kMatch,
+                                            core::ValueCodec::kPlain, 16}
+                          : universal.at(source));
+      }
+    }
+  }
+  return rows;
+}
+
+/// The universal columns the cells of `columns` of `stage` project.
+AttrSet universal_columns(const StageDescriptor& stage, AttrSet columns) {
+  AttrSet out;
+  for (const std::size_t c : columns) {
+    if (stage.cells[c] != kServiceTag) out.insert(stage.cells[c]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -171,12 +123,13 @@ core::Stage emit_table(const workloads::Gwlb& gwlb, Representation repr,
   const std::size_t first = sd.per_service ? copy : 0;
   const std::size_t last = sd.per_service ? copy + 1 : n;
   for (std::size_t s = first; s < last; ++s) {
-    for (Row& row : sd.rows(gwlb.services[s], s)) {
-      out.table.add_row(std::move(row));
-      if (sd.link == StageLink::kGotoPerService) {
-        out.goto_targets.push_back(d.table_of(stage + 1, s, n));
-      }
-    }
+    for_each_row(sd, gwlb.services[s], s,
+                 [&](std::span<const core::Value> row) {
+                   out.table.add_row(row);
+                   if (sd.link == StageLink::kGotoPerService) {
+                     out.goto_targets.push_back(d.table_of(stage + 1, s, n));
+                   }
+                 });
   }
   return out;
 }
@@ -200,7 +153,23 @@ std::vector<AttrSet> decomposition_components(
     Representation repr, const core::Schema& universal_schema) {
   expects(universal_schema == workloads::gwlb_universal_schema(),
           "decomposition components are over the gwlb universal schema");
-  return descriptor(repr).components;
+  const RepresentationDescriptor& d = descriptor(repr);
+  const StageDescriptor& entry = d.stages.front();
+  const AttrSet selector = universal_columns(entry, entry.schema.match_set());
+  std::vector<AttrSet> components;
+  for (std::size_t k = 0; k < d.stages.size(); ++k) {
+    const StageDescriptor& sd = d.stages[k];
+    AttrSet component = universal_columns(sd, sd.schema.all());
+    bool matches_tag = false;
+    for (const std::size_t c : sd.schema.match_set()) {
+      matches_tag |= sd.cells[c] == kServiceTag;
+    }
+    const bool goto_entered =
+        k > 0 && d.stages[k - 1].link == StageLink::kGotoPerService;
+    if (matches_tag || goto_entered) component |= selector;
+    components.push_back(component);
+  }
+  return components;
 }
 
 }  // namespace maton::cp

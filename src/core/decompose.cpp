@@ -67,7 +67,7 @@ Table per_group_table(const Table& source, const AttrSet& cols,
     Row row;
     row.reserve(cols.size());
     for (std::size_t c : cols) row.push_back(source.at(rep, c));
-    out.add_row(std::move(row));
+    out.add_row(row);
   }
   return out;
 }
@@ -87,7 +87,7 @@ Table residual_table_with_group(const Table& source, const AttrSet& cols,
     row.reserve(cols.size() + 1);
     for (std::size_t c : cols) row.push_back(source.at(i, c));
     row.push_back(static_cast<Value>(grouping.row_group[i]));
-    if (seen.emplace(row, true).second) out.add_row(std::move(row));
+    if (seen.emplace(row, true).second) out.add_row(row);
   }
   return out;
 }
@@ -178,7 +178,7 @@ Result<Decomposition> decompose_on_fd(const Table& table, const Fd& fd,
           for (std::size_t g = 0; g < num_groups; ++g) {
             Row row = fd_table.row(g);
             row.push_back(static_cast<Value>(g));
-            with_meta.add_row(std::move(row));
+            with_meta.add_row(row);
           }
           fd_table = std::move(with_meta);
         }
@@ -222,7 +222,7 @@ Result<Decomposition> decompose_on_fd(const Table& table, const Fd& fd,
             Row row;
             row.reserve(z.size());
             for (std::size_t c : z) row.push_back(table.at(i, c));
-            if (seen.emplace(row, true).second) residual.add_row(std::move(row));
+            if (seen.emplace(row, true).second) residual.add_row(row);
           }
           targets[g] =
               pipeline.add_stage({std::move(residual), {}, std::nullopt});
@@ -260,7 +260,7 @@ Result<Decomposition> decompose_on_fd(const Table& table, const Fd& fd,
           row.push_back(static_cast<Value>(g));
           const std::size_t rep = grouping.group_representative[g];
           for (std::size_t c : old_cols) row.push_back(table.at(rep, c));
-          fd_table.add_row(std::move(row));
+          fd_table.add_row(row);
         }
         const std::size_t first =
             pipeline.add_stage({std::move(residual), {}, std::nullopt});
@@ -285,7 +285,7 @@ Result<Decomposition> decompose_on_fd(const Table& table, const Fd& fd,
           const auto [it, inserted] =
               seen.emplace(row, grouping.row_group[i]);
           if (inserted) {
-            res.add_row(std::move(row));
+            res.add_row(row);
             res_groups.push_back(grouping.row_group[i]);
           } else if (it->second != grouping.row_group[i]) {
             return failed_precondition(
@@ -307,7 +307,7 @@ Result<Decomposition> decompose_on_fd(const Table& table, const Fd& fd,
           row.reserve((x | y).size());
           const std::size_t rep = grouping.group_representative[g];
           for (std::size_t c : x | y) row.push_back(table.at(rep, c));
-          group_table.add_row(std::move(row));
+          group_table.add_row(row);
           group_stage[g] =
               pipeline.add_stage({std::move(group_table), {}, std::nullopt});
         }

@@ -159,7 +159,7 @@ Result<Table> flatten(const Pipeline& pipeline, const FlattenOptions& opts) {
     for (const Attribute& a : collector.action_attrs) {
       row.push_back(path.actions.at(a.name));
     }
-    if (seen.insert(row).second) out.add_row(std::move(row));
+    if (seen.insert(row).second) out.add_row(row);
   }
 
   if (!out.is_order_independent()) {

@@ -63,7 +63,7 @@ Table natural_join(const Table& left, const Table& right, std::string name) {
     for (std::size_t r : it->second) {
       Row row = left.row(l);
       for (std::size_t rc : right_only) row.push_back(right.at(r, rc));
-      out.add_row(std::move(row));
+      out.add_row(row);
     }
   }
   return out;
@@ -120,7 +120,7 @@ bool jd_holds(const Table& table, std::span<const AttrSet> components) {
     Row row;
     row.reserve(order.size());
     for (std::size_t c : order) row.push_back(r[c]);
-    if (seen.emplace(row, true).second) reordered.add_row(std::move(row));
+    if (seen.emplace(row, true).second) reordered.add_row(row);
   }
   Table original_set(table.name(), table.schema());
   std::unordered_map<std::vector<Value>, bool, VecHash> seen2;
@@ -148,7 +148,7 @@ bool is_lossless_split(const Table& table, const Fd& fd) {
     Row row;
     row.reserve(order.size());
     for (std::size_t c : order) row.push_back(r[c]);
-    reordered.add_row(std::move(row));
+    reordered.add_row(row);
   }
   // Projection dedup may have merged duplicates; compare as sets.
   Row scratch;

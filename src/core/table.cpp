@@ -172,9 +172,11 @@ void Table::invalidate_all_caches() noexcept {
   key_indexes_.clear();
 }
 
-void Table::add_row(const Row& row) {
-  expects(row.size() == schema_.size(),
-          "row width does not match schema width in table " + name_);
+void Table::add_row(std::span<const Value> row) {
+  // The message is built only on failure: appending stays allocation-free.
+  if (row.size() != schema_.size()) {
+    expects(false, "row width does not match schema width in table " + name_);
+  }
   for (std::size_t c = 0; c < cols_.size(); ++c) {
     // Columns fold appended cells into their fingerprints in place
     // (FNV-1a is a left fold over the sequence), so appends keep warm

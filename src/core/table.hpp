@@ -201,7 +201,7 @@ class Table {
   [[nodiscard]] bool empty() const noexcept { return num_rows_ == 0; }
 
   /// Appends an entry; the row width must equal the schema width.
-  void add_row(const Row& row);
+  void add_row(std::span<const Value> row);
 
   /// Pre-extends every column's capacity for `n` total entries.
   void reserve_rows(std::size_t n);

@@ -308,7 +308,7 @@ Result<ParsedSpec> parse_spec(std::string_view text) {
   if (schema.empty()) return invalid_argument("table has no columns");
 
   Table table(std::move(name), std::move(schema));
-  for (Row& row : rows) table.add_row(std::move(row));
+  for (const Row& row : rows) table.add_row(row);
   // Declared dependencies must actually hold in the instance, otherwise
   // the spec contradicts its own data.
   for (const Fd& fd : model_fds.fds()) {

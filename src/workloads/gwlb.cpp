@@ -9,7 +9,6 @@
 
 namespace maton::workloads {
 
-using core::Row;
 using core::Schema;
 using core::Table;
 using core::Value;
@@ -22,6 +21,8 @@ constexpr Value prefix_token(std::uint32_t addr, unsigned len) {
   return (static_cast<Value>(addr) << 8) | len;
 }
 
+}  // namespace
+
 Gwlb assemble(std::vector<GwlbService> services) {
   Gwlb gwlb;
   gwlb.services = std::move(services);
@@ -32,16 +33,14 @@ Gwlb assemble(std::vector<GwlbService> services) {
   }
   gwlb.universal.reserve_rows(total_rows);
   for (const GwlbService& svc : gwlb.services) {
-    for (Row& row : gwlb_universal_rows(svc)) {
-      gwlb.universal.add_row(std::move(row));
+    for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
+      gwlb.universal.add_row(gwlb_universal_row(svc, b));
     }
   }
   gwlb.model_fds.add(core::AttrSet::single(kGwlbIpDst),
                      core::AttrSet::single(kGwlbTcpDst));
   return gwlb;
 }
-
-}  // namespace
 
 Schema gwlb_universal_schema() {
   Schema schema;
@@ -50,16 +49,6 @@ Schema gwlb_universal_schema() {
   schema.add_match("tcp_dst", ValueCodec::kPort, 16);
   schema.add_action("out", ValueCodec::kPort, 16);
   return schema;
-}
-
-std::vector<Row> gwlb_universal_rows(const GwlbService& svc) {
-  std::vector<Row> rows;
-  rows.reserve(svc.src_prefixes.size());
-  for (std::size_t b = 0; b < svc.src_prefixes.size(); ++b) {
-    rows.push_back({svc.src_prefixes[b], svc.vip, svc.port,
-                    svc.backends[b]});
-  }
-  return rows;
 }
 
 Gwlb make_gwlb(const GwlbConfig& config) {

@@ -10,6 +10,7 @@
 // controlplane/representation.hpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,11 @@ inline constexpr std::size_t kGwlbIpSrc = 0;
 inline constexpr std::size_t kGwlbIpDst = 1;
 inline constexpr std::size_t kGwlbTcpDst = 2;
 inline constexpr std::size_t kGwlbOut = 3;
+inline constexpr std::size_t kGwlbColumns = 4;
+
+/// The instance over `services`: their universal table, in service and
+/// backend order, and the model dependency.
+[[nodiscard]] Gwlb assemble(std::vector<GwlbService> services);
 
 /// Randomized instance with the given shape (§5 uses 20 services × 8
 /// backends).
@@ -61,9 +67,11 @@ inline constexpr std::size_t kGwlbOut = 3;
 
 [[nodiscard]] core::Schema gwlb_universal_schema();
 
-/// Universal-table rows of one service: {src_prefix, vip, port, backend}
-/// per backend, in backend order. Empty for a removed service.
-[[nodiscard]] std::vector<core::Row> gwlb_universal_rows(
-    const GwlbService& svc);
+/// Universal-table row of backend `b` of a service:
+/// {src_prefix, vip, port, backend}, in kGwlb* column order.
+[[nodiscard]] inline std::array<core::Value, kGwlbColumns> gwlb_universal_row(
+    const GwlbService& svc, std::size_t b) {
+  return {svc.src_prefixes[b], svc.vip, svc.port, svc.backends[b]};
+}
 
 }  // namespace maton::workloads

@@ -9,6 +9,7 @@
 namespace maton::workloads {
 
 using core::AttrSet;
+using core::Row;
 using core::Schema;
 using core::Table;
 using core::Value;
@@ -81,7 +82,7 @@ L3Fwd make_l3fwd(const L3Config& config) {
     const std::size_t hop =
         p < config.num_nexthops ? p : rng.index(config.num_nexthops);
     const std::size_t port = hop % config.num_ports;
-    l3.universal.add_row({kEthIpv4, prefix_token(base, 24), kTtlDecrement,
+    l3.universal.add_row(Row{kEthIpv4, prefix_token(base, 24), kTtlDecrement,
                           port_smac(port), nexthop_dmac(hop),
                           static_cast<Value>(port + 1)});
   }
@@ -106,10 +107,10 @@ L3Fwd make_paper_l3_example() {
 
   // P1, P4 → D1 (group 1); P2 → D2 (group 2); P3 → D3 (group 3).
   // Groups 1 and 2 leave on port 1 (same source MAC), group 3 on port 2.
-  l3.universal.add_row({kEthIpv4, p1, kTtlDecrement, smac_port1, d1, 1});
-  l3.universal.add_row({kEthIpv4, p2, kTtlDecrement, smac_port1, d2, 1});
-  l3.universal.add_row({kEthIpv4, p3, kTtlDecrement, smac_port2, d3, 2});
-  l3.universal.add_row({kEthIpv4, p4, kTtlDecrement, smac_port1, d1, 1});
+  l3.universal.add_row(Row{kEthIpv4, p1, kTtlDecrement, smac_port1, d1, 1});
+  l3.universal.add_row(Row{kEthIpv4, p2, kTtlDecrement, smac_port1, d2, 1});
+  l3.universal.add_row(Row{kEthIpv4, p3, kTtlDecrement, smac_port2, d3, 2});
+  l3.universal.add_row(Row{kEthIpv4, p4, kTtlDecrement, smac_port1, d1, 1});
   return l3;
 }
 

@@ -4,6 +4,7 @@
 
 namespace maton::workloads {
 
+using core::Row;
 using core::Schema;
 using core::Table;
 using core::Value;
@@ -42,14 +43,14 @@ Sdx make_sdx_example() {
   sdx.universal = Table("sdx.universal", std::move(uni));
   // A prefers C for HTTP to prefixes C announces (P1); C balances its
   // ingress across C1/C2 on the hash bit; everything else goes to D.
-  sdx.universal.add_row({kP1, kHttp, 0, kSdxC1});
-  sdx.universal.add_row({kP1, kHttp, 1, kSdxC2});
-  sdx.universal.add_row({kP1, kOtherPort, 0, kSdxD});
-  sdx.universal.add_row({kP1, kOtherPort, 1, kSdxD});
-  sdx.universal.add_row({kP2, kHttp, 0, kSdxD});
-  sdx.universal.add_row({kP2, kHttp, 1, kSdxD});
-  sdx.universal.add_row({kP2, kOtherPort, 0, kSdxD});
-  sdx.universal.add_row({kP2, kOtherPort, 1, kSdxD});
+  sdx.universal.add_row(Row{kP1, kHttp, 0, kSdxC1});
+  sdx.universal.add_row(Row{kP1, kHttp, 1, kSdxC2});
+  sdx.universal.add_row(Row{kP1, kOtherPort, 0, kSdxD});
+  sdx.universal.add_row(Row{kP1, kOtherPort, 1, kSdxD});
+  sdx.universal.add_row(Row{kP2, kHttp, 0, kSdxD});
+  sdx.universal.add_row(Row{kP2, kHttp, 1, kSdxD});
+  sdx.universal.add_row(Row{kP2, kOtherPort, 0, kSdxD});
+  sdx.universal.add_row(Row{kP2, kOtherPort, 1, kSdxD});
 
   // --- Fig. 5b chained naively: incorrect. ---
   // T_an and T_out are fine, but C's inbound table, written on its own,
@@ -61,29 +62,29 @@ Sdx make_sdx_example() {
     an.add_match("ip_dst", ValueCodec::kIpv4Prefix, 32);
     an.add_action("meta.an", ValueCodec::kPlain, 8);
     Table t_an("sdx.an", std::move(an));
-    t_an.add_row({kP1, kAnnCAndD});
-    t_an.add_row({kP2, kAnnDOnly});
+    t_an.add_row(Row{kP1, kAnnCAndD});
+    t_an.add_row(Row{kP2, kAnnDOnly});
 
     Schema out;
     out.add_match("meta.an", ValueCodec::kPlain, 8);
     out.add_match("tcp_dst", ValueCodec::kPort, 16);
     Table t_out("sdx.out", std::move(out));
-    t_out.add_row({kAnnCAndD, kHttp});
-    t_out.add_row({kAnnCAndD, kOtherPort});
-    t_out.add_row({kAnnDOnly, kHttp});
-    t_out.add_row({kAnnDOnly, kOtherPort});
+    t_out.add_row(Row{kAnnCAndD, kHttp});
+    t_out.add_row(Row{kAnnCAndD, kOtherPort});
+    t_out.add_row(Row{kAnnDOnly, kHttp});
+    t_out.add_row(Row{kAnnDOnly, kOtherPort});
 
     Schema in;
     in.add_match("ip_dst", ValueCodec::kIpv4Prefix, 32);
     in.add_match("hash", ValueCodec::kPlain, 1);
     in.add_action("out", ValueCodec::kPort, 16);
     Table t_in("sdx.in", std::move(in));
-    t_in.add_row({kP1, 0, kSdxC1});  // C's balancing view of P1...
-    t_in.add_row({kP1, 1, kSdxC2});
-    t_in.add_row({kP1, 0, kSdxD});   // ...collides with the BGP default
-    t_in.add_row({kP1, 1, kSdxD});
-    t_in.add_row({kP2, 0, kSdxD});
-    t_in.add_row({kP2, 1, kSdxD});
+    t_in.add_row(Row{kP1, 0, kSdxC1});  // C's balancing view of P1...
+    t_in.add_row(Row{kP1, 1, kSdxC2});
+    t_in.add_row(Row{kP1, 0, kSdxD});   // ...collides with the BGP default
+    t_in.add_row(Row{kP1, 1, kSdxD});
+    t_in.add_row(Row{kP2, 0, kSdxD});
+    t_in.add_row(Row{kP2, 1, kSdxD});
 
     const std::size_t s0 = sdx.broken.add_stage({std::move(t_an), {}, {}});
     const std::size_t s1 = sdx.broken.add_stage({std::move(t_out), {}, {}});
@@ -101,28 +102,28 @@ Sdx make_sdx_example() {
     an.add_match("ip_dst", ValueCodec::kIpv4Prefix, 32);
     an.add_action("meta.an", ValueCodec::kPlain, 8);
     Table t_an("sdx.an", std::move(an));
-    t_an.add_row({kP1, kAnnCAndD});
-    t_an.add_row({kP2, kAnnDOnly});
+    t_an.add_row(Row{kP1, kAnnCAndD});
+    t_an.add_row(Row{kP2, kAnnDOnly});
 
     Schema out;
     out.add_match("meta.an", ValueCodec::kPlain, 8);
     out.add_match("tcp_dst", ValueCodec::kPort, 16);
     out.add_action("meta.member", ValueCodec::kPlain, 8);
     Table t_out("sdx.out", std::move(out));
-    t_out.add_row({kAnnCAndD, kHttp, kMemberC});
-    t_out.add_row({kAnnCAndD, kOtherPort, kMemberD});
-    t_out.add_row({kAnnDOnly, kHttp, kMemberD});
-    t_out.add_row({kAnnDOnly, kOtherPort, kMemberD});
+    t_out.add_row(Row{kAnnCAndD, kHttp, kMemberC});
+    t_out.add_row(Row{kAnnCAndD, kOtherPort, kMemberD});
+    t_out.add_row(Row{kAnnDOnly, kHttp, kMemberD});
+    t_out.add_row(Row{kAnnDOnly, kOtherPort, kMemberD});
 
     Schema in;
     in.add_match("meta.member", ValueCodec::kPlain, 8);
     in.add_match("hash", ValueCodec::kPlain, 1);
     in.add_action("out", ValueCodec::kPort, 16);
     Table t_in("sdx.in", std::move(in));
-    t_in.add_row({kMemberC, 0, kSdxC1});
-    t_in.add_row({kMemberC, 1, kSdxC2});
-    t_in.add_row({kMemberD, 0, kSdxD});
-    t_in.add_row({kMemberD, 1, kSdxD});
+    t_in.add_row(Row{kMemberC, 0, kSdxC1});
+    t_in.add_row(Row{kMemberC, 1, kSdxC2});
+    t_in.add_row(Row{kMemberD, 0, kSdxD});
+    t_in.add_row(Row{kMemberD, 1, kSdxD});
 
     const std::size_t s0 = sdx.repaired.add_stage({std::move(t_an), {}, {}});
     const std::size_t s1 = sdx.repaired.add_stage({std::move(t_out), {}, {}});

@@ -3,6 +3,7 @@
 namespace maton::workloads {
 
 using core::AttrSet;
+using core::Row;
 using core::Schema;
 using core::Table;
 using core::ValueCodec;
@@ -14,10 +15,10 @@ Table make_vlan_example() {
   schema.add_action("out", ValueCodec::kPort, 16);
 
   Table table("vlan.universal", std::move(schema));
-  table.add_row({1, 1, 1});
-  table.add_row({1, 2, 2});
-  table.add_row({2, 1, 1});
-  table.add_row({3, 1, 3});
+  table.add_row(Row{1, 1, 1});
+  table.add_row(Row{1, 2, 2});
+  table.add_row(Row{2, 1, 1});
+  table.add_row(Row{3, 1, 3});
   return table;
 }
 

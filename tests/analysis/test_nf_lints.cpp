@@ -21,10 +21,10 @@ core::Table denormalized_table() {
   schema.add_match("port");
   schema.add_action("out");
   core::Table table("fixture", schema);
-  table.add_row({1, 10, 80, 100});
-  table.add_row({2, 10, 80, 101});
-  table.add_row({1, 11, 443, 102});
-  table.add_row({2, 11, 443, 103});
+  table.add_row(core::Row{1, 10, 80, 100});
+  table.add_row(core::Row{2, 10, 80, 101});
+  table.add_row(core::Row{1, 11, 443, 102});
+  table.add_row(core::Row{2, 11, 443, 103});
   return table;
 }
 
@@ -45,7 +45,7 @@ bool has_code(const Report& report, std::string_view code) {
 
 TEST(NfLints, DuplicateMatchKeyIsErrorWithRowWitness) {
   core::Table table = denormalized_table();
-  table.add_row({1, 10, 80, 999});  // same match key as row 0
+  table.add_row(core::Row{1, 10, 80, 999});  // same match key as row 0
   Input input;
   input.tables.push_back({&table, nullptr});
   const Report report = run_schema_nf(input);
@@ -59,7 +59,7 @@ TEST(NfLints, DuplicateMatchKeyIsErrorWithRowWitness) {
 
 TEST(NfLints, ViolatedDeclaredFdIsErrorWithRowWitness) {
   core::Table table = denormalized_table();
-  table.add_row({3, 10, 8080, 104});  // vip 10 now maps to two ports
+  table.add_row(core::Row{3, 10, 8080, 104});  // vip 10 now maps to two ports
   core::FdSet declared;
   declared.add(core::AttrSet::single(1), core::AttrSet::single(2));
   Input input;
@@ -110,12 +110,12 @@ TEST(NfLints, PartialDependencyFixtureIsBelow2NF) {
   schema.add_match("vip");
   schema.add_action("out");
   core::Table table("fixture2nf", schema);
-  table.add_row({1, 0, 10, 100});
-  table.add_row({1, 1, 10, 101});
-  table.add_row({2, 0, 11, 102});
-  table.add_row({2, 1, 11, 103});
-  table.add_row({3, 0, 10, 104});
-  table.add_row({3, 1, 10, 105});
+  table.add_row(core::Row{1, 0, 10, 100});
+  table.add_row(core::Row{1, 1, 10, 101});
+  table.add_row(core::Row{2, 0, 11, 102});
+  table.add_row(core::Row{2, 1, 11, 103});
+  table.add_row(core::Row{3, 0, 10, 104});
+  table.add_row(core::Row{3, 1, 10, 105});
   Input input;
   input.tables.push_back({&table, nullptr});
   const Report report = run_schema_nf(input);

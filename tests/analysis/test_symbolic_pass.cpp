@@ -125,12 +125,12 @@ TEST(SymbolicPass, Ma603RefutesBrokenDecomposition) {
   schema.add_match("k", core::ValueCodec::kPlain, 8);
   schema.add_action("out", core::ValueCodec::kPlain, 8);
   core::Table universal("u", schema);
-  universal.add_row({1, 10});
-  universal.add_row({2, 20});
+  universal.add_row(core::Row{1, 10});
+  universal.add_row(core::Row{2, 20});
 
   core::Table broken("d", schema);
-  broken.add_row({1, 10});
-  broken.add_row({2, 21});  // different action for k=2
+  broken.add_row(core::Row{1, 10});
+  broken.add_row(core::Row{2, 21});  // different action for k=2
   const core::Pipeline pipeline = core::Pipeline::single(broken);
 
   Input input;

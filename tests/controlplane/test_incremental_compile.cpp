@@ -60,6 +60,20 @@ struct GwlbBindingInternals {
     return b.provenance_;
   }
   static dp::Program& program(GwlbBinding& b) { return b.program_; }
+  /// Sets `service`'s model to `svc`, runs the delta path against its
+  /// old state and restores it; true when the path declined for slice
+  /// validation.
+  static bool declines_for_slice_validation(GwlbBinding& b,
+                                            std::size_t service,
+                                            workloads::GwlbService svc) {
+    workloads::GwlbService old = std::move(b.gwlb_.services[service]);
+    b.gwlb_.services[service] = std::move(svc);
+    const bool declined =
+        !b.try_compile_incremental(service, old).has_value() &&
+        b.last_fallback_cause_ == GwlbBinding::FallbackCause::kSliceValidation;
+    b.gwlb_.services[service] = std::move(old);
+    return declined;
+  }
   static void rebuild_provenance(GwlbBinding& b) { b.rebuild_provenance(); }
   /// Provenance derived the way the binding once derived it: every
   /// service's lowered, sorted slice of every stage paired with the
@@ -120,23 +134,31 @@ bool updates_equal(const std::vector<dp::RuleUpdate>& a,
   return true;
 }
 
-/// Draws a random intent. VIPs come from a private counter in
-/// 198.19.0.0/16 (make_gwlb allocates from 198.18.0.0/15; this range is
-/// never reused), so ChangeServiceIp never collides and the incremental
-/// path stays on its fast path. Ports rotate through the ephemeral
-/// range. Removals are capped at a quarter of the fleet — services never
-/// come back, and intents drawn against an already-removed service are
-/// kept in the trace on purpose (they exercise the failed-intent no-op
-/// path on both compilers).
+/// At most a quarter of the fleet, but at least one service, is removed.
+std::size_t removal_cap(std::size_t services) {
+  return std::max<std::size_t>(1, services / 4);
+}
+
+/// Draws a random intent against `fleet`. VIPs come from a private
+/// counter in 198.19.0.0/16 (make_gwlb allocates from 198.18.0.0/15 and
+/// the paper example from 192.0.2.0/24; this range is never reused), so
+/// ChangeServiceIp never collides and the incremental path stays on its
+/// fast path. Ports rotate through the ephemeral range; a backend is
+/// drawn from the service's own. Removals are capped (removal_cap) —
+/// services never come back, and intents drawn against an
+/// already-removed service are kept in the trace on purpose (they
+/// exercise the failed-intent no-op path on both compilers).
 class IntentSource {
  public:
-  explicit IntentSource(std::uint64_t seed, std::size_t services,
-                        std::size_t backends)
-      : rng_(seed), services_(services), backends_(backends),
-        removals_left_(services / 4) {}
+  explicit IntentSource(std::uint64_t seed, const Gwlb& fleet)
+      : rng_(seed), removals_left_(removal_cap(fleet.services.size())) {
+    for (const workloads::GwlbService& svc : fleet.services) {
+      backends_.push_back(svc.backends.size());
+    }
+  }
 
   Intent next() {
-    const std::size_t service = rng_.index(services_);
+    const std::size_t service = rng_.index(backends_.size());
     switch (rng_.uniform(0, 9)) {
       case 0:
         if (removals_left_ > 0) {
@@ -154,7 +176,7 @@ class IntentSource {
       case 6:
         return ChangeBackend{
             .service = service,
-            .backend = rng_.index(backends_),
+            .backend = rng_.index(backends_[service]),
             .new_out = 100000 + vip_counter_ + rng_.uniform(0, 7)};
       default:
         return MoveServicePort{
@@ -171,24 +193,72 @@ class IntentSource {
   }
 
   Rng rng_;
-  std::size_t services_;
-  std::size_t backends_;
+  /// Backends per service in the fleet the trace started from.
+  std::vector<std::size_t> backends_;
   std::size_t removals_left_;
   std::uint64_t vip_counter_ = 0;
 };
 
-/// Replays `num_intents` random intents through an incremental binding
-/// and a full-rebuild reference binding in lockstep, checking after every
-/// step that the update sequence, the patched program, and the state of a
-/// switch driven by the updates are identical.
-void run_churn_differential(Representation repr, std::size_t num_services,
-                            std::size_t num_backends,
+/// The binding's proof reference against a full recompile of its service
+/// model: same program bit for bit, same field assignment.
+::testing::AssertionResult reference_is_a_full_recompile(
+    const GwlbBinding& binding) {
+  dp::FieldMap fields;
+  auto full = dp::compile(pipeline_for(binding.gwlb(), binding.representation()),
+                          &fields);
+  if (!full.is_ok()) {
+    return ::testing::AssertionFailure() << full.status().message();
+  }
+  const dp::Program& reference = GwlbBindingInternals::reference(binding);
+  if (reference.entry != full.value().entry ||
+      reference.tables.size() != full.value().tables.size()) {
+    return ::testing::AssertionFailure() << "reference shape differs";
+  }
+  for (std::size_t t = 0; t < reference.tables.size(); ++t) {
+    if (!(reference.tables[t] == full.value().tables[t])) {
+      return ::testing::AssertionFailure()
+             << "reference table " << t << " ("
+             << full.value().tables[t].name << ") is stale";
+    }
+  }
+  if (GwlbBindingInternals::reference_fields(binding) != fields) {
+    return ::testing::AssertionFailure() << "reference field map differs";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Services with 1, 2, 3 and 8 backends, twice over: make_gwlb's VIPs,
+/// ports and backends, with the paper example's splits (a /0 prefix, two
+/// /1s, 1:1:2 over three) or make_gwlb's eight /3s. The other fleets in
+/// these traces give every service as many backends.
+Gwlb mixed_fleet() {
+  const Gwlb paper = workloads::make_paper_example();
+  std::vector<workloads::GwlbService> services =
+      make_gwlb({.num_services = 8, .num_backends = 8, .seed = 3}).services;
+  for (std::size_t s = 0; s < services.size(); ++s) {
+    if (s % 4 == 3) continue;  // keeps its eight backends
+    // Paper tenants 3, 1 and 2 have 1, 2 and 3 backends.
+    const auto& split = paper.services[(s % 4 + 2) % 3].src_prefixes;
+    services[s].src_prefixes = split;
+    services[s].backends.resize(split.size());
+  }
+  return workloads::assemble(std::move(services));
+}
+
+/// Replays `num_intents` random intents against `gwlb` through an
+/// incremental binding and a full-rebuild reference binding in lockstep,
+/// checking after every step that the update sequence, the patched
+/// program, and the state of a switch driven by the updates are
+/// identical, and that the proof reference each binding maintains equals
+/// a full recompile.
+void run_churn_differential(Representation repr, const Gwlb& gwlb,
                             std::size_t num_intents, std::uint64_t seed) {
-  const Gwlb gwlb = make_gwlb({.num_services = num_services,
-                               .num_backends = num_backends,
-                               .seed = seed});
-  GwlbBinding inc(gwlb, repr, CompileMode::kIncremental);
-  GwlbBinding ref(gwlb, repr, CompileMode::kFullRebuild);
+  SCOPED_TRACE(std::to_string(gwlb.services.size()) + " services, " +
+               std::to_string(gwlb.universal.num_rows()) + " rows");
+  GwlbBinding inc(gwlb, repr, CompileMode::kIncremental, AnalyzeMode::kOff,
+                  VerifyMode::kSymbolic);
+  GwlbBinding ref(gwlb, repr, CompileMode::kFullRebuild, AnalyzeMode::kOff,
+                  VerifyMode::kSymbolic);
   ASSERT_TRUE(inc.program() == ref.program()) << to_string(repr);
 
   dp::HwTcamModel sw_inc;
@@ -196,13 +266,18 @@ void run_churn_differential(Representation repr, std::size_t num_services,
   ASSERT_TRUE(sw_inc.load(inc.program()).is_ok());
   ASSERT_TRUE(sw_ref.load(ref.program()).is_ok());
 
-  IntentSource source(seed * 7919 + 1, num_services, num_backends);
+  IntentSource source(seed * 7919 + 1, gwlb);
   std::size_t applied = 0;
+  std::size_t removals = 0;
   for (std::size_t step = 0; step < num_intents; ++step) {
     const Intent intent = source.next();
     const auto got = inc.compile_intent(intent);
     const auto want = ref.compile_intent(intent);
     ASSERT_EQ(got.is_ok(), want.is_ok())
+        << to_string(repr) << " step " << step << ": " << to_string(intent);
+    ASSERT_TRUE(reference_is_a_full_recompile(inc))
+        << to_string(repr) << " step " << step << ": " << to_string(intent);
+    ASSERT_TRUE(reference_is_a_full_recompile(ref))
         << to_string(repr) << " step " << step << ": " << to_string(intent);
     if (!got.is_ok()) {
       // Failed intents must be no-ops on both sides.
@@ -211,6 +286,7 @@ void run_churn_differential(Representation repr, std::size_t num_services,
       continue;
     }
     ++applied;
+    if (std::holds_alternative<RemoveService>(intent)) ++removals;
     ASSERT_TRUE(updates_equal(got.value(), want.value()))
         << to_string(repr) << " step " << step << ": " << to_string(intent);
     ASSERT_TRUE(inc.program() == ref.program())
@@ -234,21 +310,35 @@ void run_churn_differential(Representation repr, std::size_t num_services,
   EXPECT_EQ(inc.incremental_stats().fallbacks, 0u) << to_string(repr);
   EXPECT_EQ(ref.incremental_stats().hits, 0u);
   EXPECT_GT(applied, num_intents / 2);
+  // A removal shifts every later service's universal rows.
+  EXPECT_GT(removals, 0u);
+  for (const GwlbBinding* binding : {&inc, &ref}) {
+    EXPECT_EQ(binding->verify_stats().verified, applied + 1)
+        << binding->last_verify_note();
+    EXPECT_EQ(binding->verify_stats().failed, 0u);
+    EXPECT_EQ(binding->verify_stats().unknown, 0u);
+  }
 }
 
 class IncrementalChurn
     : public ::testing::TestWithParam<Representation> {};
 
 TEST_P(IncrementalChurn, FiveHundredIntentTraceMatchesReference) {
-  run_churn_differential(GetParam(), /*num_services=*/10,
-                         /*num_backends=*/4, /*num_intents=*/500,
-                         /*seed=*/11);
+  for (const Gwlb& fleet :
+       {make_gwlb({.num_services = 10, .num_backends = 4, .seed = 11}),
+        mixed_fleet()}) {
+    run_churn_differential(GetParam(), fleet, /*num_intents=*/500,
+                           /*seed=*/11);
+  }
 }
 
 TEST_P(IncrementalChurn, SmallInstanceDeepTrace) {
-  run_churn_differential(GetParam(), /*num_services=*/3,
-                         /*num_backends=*/2, /*num_intents=*/200,
-                         /*seed=*/23);
+  for (const Gwlb& fleet :
+       {make_gwlb({.num_services = 3, .num_backends = 2, .seed = 23}),
+        workloads::make_paper_example()}) {
+    run_churn_differential(GetParam(), fleet, /*num_intents=*/200,
+                           /*seed=*/23);
+  }
 }
 
 /// Draws a random intent against the live model that drives every
@@ -286,34 +376,6 @@ class CollidingIntentSource {
   Rng rng_;
   std::size_t removals_left_;
 };
-
-/// The binding's proof reference against a full recompile of its service
-/// model: same program bit for bit, same field assignment.
-::testing::AssertionResult reference_is_a_full_recompile(
-    const GwlbBinding& binding) {
-  dp::FieldMap fields;
-  auto full = dp::compile(pipeline_for(binding.gwlb(), binding.representation()),
-                          &fields);
-  if (!full.is_ok()) {
-    return ::testing::AssertionFailure() << full.status().message();
-  }
-  const dp::Program& reference = GwlbBindingInternals::reference(binding);
-  if (reference.entry != full.value().entry ||
-      reference.tables.size() != full.value().tables.size()) {
-    return ::testing::AssertionFailure() << "reference shape differs";
-  }
-  for (std::size_t t = 0; t < reference.tables.size(); ++t) {
-    if (!(reference.tables[t] == full.value().tables[t])) {
-      return ::testing::AssertionFailure()
-             << "reference table " << t << " ("
-             << full.value().tables[t].name << ") is stale";
-    }
-  }
-  if (GwlbBindingInternals::reference_fields(binding) != fields) {
-    return ::testing::AssertionFailure() << "reference field map differs";
-  }
-  return ::testing::AssertionSuccess();
-}
 
 TEST_P(IncrementalChurn, MaintainedProofReferenceMatchesAFullRecompile) {
   // The verifying binding re-lowers only the tables an intent's service
@@ -599,13 +661,9 @@ TEST(IncrementalCompile, PinnedUpdateCountsMatchFullRebuild) {
 }
 
 TEST(IncrementalCompile, ShrinkingSliceRemovalMatchesReference) {
-  // Regression for the slow-path merge's buffer pre-sizing: it reserves
-  // size() + |after| − |before|, which must be evaluated in that order
-  // (and guarded by |before| ≤ size()) because a shrinking slice —
-  // service removal is the maximal case, |after| = 0 — underflows the
-  // naive size() − |before| + |after| whenever an invariant breach makes
-  // the slice larger than its table. Removals must stay on the delta
-  // path and splice out exactly the service's slice in every table.
+  // Service removal is the maximal shrinking slice (|after| = 0). It must
+  // stay on the delta path and erase exactly the service's slice in
+  // every table, with the slice index sound for the survivors.
   for (const Representation repr : kAllReprs) {
     const Gwlb gwlb = make_gwlb({.num_services = 6, .num_backends = 8});
     GwlbBinding inc(gwlb, repr, CompileMode::kIncremental);
@@ -635,6 +693,26 @@ TEST(IncrementalCompile, ShrinkingSliceRemovalMatchesReference) {
     ASSERT_TRUE(inc.program() == ref.program()) << to_string(repr);
     EXPECT_EQ(inc.incremental_stats().fallbacks, 0u) << to_string(repr);
     EXPECT_EQ(inc.incremental_stats().hits, 4u) << to_string(repr);
+  }
+}
+
+TEST(IncrementalCompile, ReshapedSliceDeclinesBeforeMutating) {
+  // No intent changes a live service's prefixes, so every delta patch is
+  // same-shape or empty. A slice whose priorities move (one backend's
+  // prefix widened from /3 to /2) would have to move rules across its
+  // table: the delta path declines it in validation, nothing mutated.
+  const Gwlb gwlb = make_gwlb({.num_services = 4, .num_backends = 8});
+  for (const Representation repr : kAllReprs) {
+    GwlbBinding binding(gwlb, repr, CompileMode::kIncremental);
+    const dp::Program program = binding.program();
+    const core::Table universal = binding.gwlb().universal;
+    workloads::GwlbService reshaped = gwlb.services[1];
+    reshaped.src_prefixes[0] = (reshaped.src_prefixes[0] & ~0xffULL) | 2;
+    EXPECT_TRUE(GwlbBindingInternals::declines_for_slice_validation(
+        binding, 1, reshaped))
+        << to_string(repr);
+    EXPECT_TRUE(binding.program() == program) << to_string(repr);
+    EXPECT_TRUE(binding.gwlb().universal == universal) << to_string(repr);
   }
 }
 

@@ -162,8 +162,8 @@ TEST(Decompose, RejectsNon1NFInput) {
   s.add_match("b");
   s.add_action("x");
   Table t("dup", std::move(s));
-  t.add_row({1, 1, 10});
-  t.add_row({1, 1, 20});
+  t.add_row(core::Row{1, 1, 10});
+  t.add_row(core::Row{1, 1, 20});
   const auto dec = decompose_on_fd(t, {AttrSet{0}, AttrSet{1}}, {});
   ASSERT_FALSE(dec.is_ok());
   EXPECT_EQ(dec.status().code(), StatusCode::kFailedPrecondition);
@@ -195,23 +195,23 @@ TEST(FactorConstants, RejectsDegenerateInputs) {
   s.add_match("a");
   s.add_action("x");
   Table one("one", s);
-  one.add_row({1, 2});
+  one.add_row(core::Row{1, 2});
   EXPECT_FALSE(factor_constants(one).is_ok());
 
   Table varied("varied", s);
-  varied.add_row({1, 2});
-  varied.add_row({2, 3});
+  varied.add_row(core::Row{1, 2});
+  varied.add_row(core::Row{2, 3});
   EXPECT_FALSE(factor_constants(varied).is_ok());
 
   Table all_const("const", s);
-  all_const.add_row({1, 2});
-  all_const.add_row({1, 2});
+  all_const.add_row(core::Row{1, 2});
+  all_const.add_row(core::Row{1, 2});
   // Duplicate rows are not order-independent anyway; use distinct schema.
   Schema s2;
   s2.add_match("a");
   Table c2("c2", s2);
-  c2.add_row({1});
-  c2.add_row({1});
+  c2.add_row(core::Row{1});
+  c2.add_row(core::Row{1});
   EXPECT_FALSE(factor_constants(c2).is_ok());
 }
 

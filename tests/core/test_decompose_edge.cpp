@@ -25,9 +25,9 @@ TEST(DecomposeEdge, ActionLhsWithDeterminedMatchRhsCanBeValid) {
   s.add_match("b");
   s.add_action("c");
   Table t("t", std::move(s));
-  t.add_row({1, 10, 100});
-  t.add_row({2, 20, 200});
-  t.add_row({3, 10, 100});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 20, 200});
+  t.add_row(core::Row{3, 10, 100});
   const Fd fd{AttrSet{2}, AttrSet{1}};  // c -> b, action -> match
   ASSERT_TRUE(fd_holds(t, fd));
 
@@ -50,7 +50,7 @@ TEST(DecomposeEdge, MultiAttributeLhs) {
   for (Value a = 0; a < 2; ++a) {
     for (Value b = 0; b < 2; ++b) {
       for (Value d = 0; d < 2; ++d) {
-        t.add_row({a, b, d, 10 * a + b, port++});
+        t.add_row(core::Row{a, b, d, 10 * a + b, port++});
       }
     }
   }
@@ -74,9 +74,9 @@ TEST(DecomposeEdge, NestedDecompositionViaSplice) {
   s.add_action("c");
   s.add_action("out");
   Table t("t", std::move(s));
-  t.add_row({1, 10, 100, 1});
-  t.add_row({2, 10, 100, 2});
-  t.add_row({3, 20, 200, 3});
+  t.add_row(core::Row{1, 10, 100, 1});
+  t.add_row(core::Row{2, 10, 100, 2});
+  t.add_row(core::Row{3, 20, 200, 3});
   // a -> b -> c chain (b, c non-key actions).
   const auto first =
       decompose_on_fd(t, {AttrSet{1}, AttrSet{2}}, {JoinKind::kMetadata,

@@ -100,14 +100,14 @@ TEST(Flatten, InfeasiblePathsArePruned) {
   s0.add_match("a");
   s0.add_action("v");
   Table t0("t0", std::move(s0));
-  t0.add_row({1, 42});
+  t0.add_row(core::Row{1, 42});
 
   Schema s1;
   s1.add_match("v");
   s1.add_action("out");
   Table t1("t1", std::move(s1));
-  t1.add_row({42, 5});
-  t1.add_row({7, 9});
+  t1.add_row(core::Row{42, 5});
+  t1.add_row(core::Row{7, 9});
 
   Pipeline p;
   const std::size_t a = p.add_stage({std::move(t0), {}, {}});
@@ -126,20 +126,20 @@ TEST(Flatten, RejectsRaggedSchemas) {
   Schema s0;
   s0.add_match("svc");
   Table t0("t0", std::move(s0));
-  t0.add_row({1});
-  t0.add_row({2});
+  t0.add_row(core::Row{1});
+  t0.add_row(core::Row{2});
 
   Schema sa;
   sa.add_match("x");
   sa.add_action("out");
   Table ta("ta", std::move(sa));
-  ta.add_row({5, 1});
+  ta.add_row(core::Row{5, 1});
 
   Schema sb;
   sb.add_match("y");  // different match field than ta
   sb.add_action("out");
   Table tb("tb", std::move(sb));
-  tb.add_row({6, 2});
+  tb.add_row(core::Row{6, 2});
 
   Pipeline p;
   const std::size_t root = p.add_stage({std::move(t0), {}, {}});

@@ -13,8 +13,8 @@ Table simple_table() {
   s.add_match("a");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 100});
-  t.add_row({2, 200});
+  t.add_row(core::Row{1, 100});
+  t.add_row(core::Row{2, 200});
   return t;
 }
 
@@ -30,7 +30,7 @@ TEST(Equivalence, MetadataExcludedFromRowActions) {
   s.add_action("meta.g");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 7, 100});
+  t.add_row(core::Row{1, 7, 100});
   EXPECT_EQ(actions_of_row(t, 0), (PacketState{{"x", 100}}));
 }
 
@@ -45,8 +45,8 @@ TEST(Equivalence, DetectsWrongAction) {
   const Table t = simple_table();
   Table wrong = simple_table();
   Table w("w", t.schema());
-  w.add_row({1, 100});
-  w.add_row({2, 999});  // wrong output for a=2
+  w.add_row(core::Row{1, 100});
+  w.add_row(core::Row{2, 999});  // wrong output for a=2
   const auto report = check_equivalence(t, Pipeline::single(w));
   EXPECT_FALSE(report.equivalent);
   EXPECT_FALSE(report.counterexample.empty());
@@ -56,7 +56,7 @@ TEST(Equivalence, DetectsWrongAction) {
 TEST(Equivalence, DetectsMissingEntry) {
   const Table t = simple_table();
   Table w("w", t.schema());
-  w.add_row({1, 100});  // entry for a=2 missing
+  w.add_row(core::Row{1, 100});  // entry for a=2 missing
   const auto report = check_equivalence(t, Pipeline::single(w));
   EXPECT_FALSE(report.equivalent);
   EXPECT_NE(report.counterexample.find("misses"), std::string::npos);
@@ -65,9 +65,9 @@ TEST(Equivalence, DetectsMissingEntry) {
 TEST(Equivalence, DetectsExtraEntryViaRandomProbes) {
   const Table t = simple_table();
   Table w("w", t.schema());
-  w.add_row({1, 100});
-  w.add_row({2, 200});
-  w.add_row({0, 300});  // extra: matches the fresh probe value 0
+  w.add_row(core::Row{1, 100});
+  w.add_row(core::Row{2, 200});
+  w.add_row(core::Row{0, 300});  // extra: matches the fresh probe value 0
   const auto report =
       check_equivalence(t, Pipeline::single(w), {.random_probes = 512});
   EXPECT_FALSE(report.equivalent);

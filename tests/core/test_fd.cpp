@@ -27,9 +27,9 @@ TEST(Fd, ToString) {
 
 TEST(FdHolds, DetectsViolationsAndHolds) {
   Table t("t", abc_schema());
-  t.add_row({1, 1, 7, 0});
-  t.add_row({1, 2, 7, 1});
-  t.add_row({2, 1, 8, 0});
+  t.add_row(core::Row{1, 1, 7, 0});
+  t.add_row(core::Row{1, 2, 7, 1});
+  t.add_row(core::Row{2, 1, 8, 0});
   // a -> c holds (1→7, 2→8); a -> b does not (1 maps to both 1 and 2).
   EXPECT_TRUE(fd_holds(t, {AttrSet{0}, AttrSet{2}}));
   EXPECT_FALSE(fd_holds(t, {AttrSet{0}, AttrSet{1}}));
@@ -38,8 +38,8 @@ TEST(FdHolds, DetectsViolationsAndHolds) {
   // Empty LHS: holds only for constant columns.
   EXPECT_FALSE(fd_holds(t, {AttrSet{}, AttrSet{2}}));
   Table c("c", abc_schema());
-  c.add_row({1, 1, 5, 0});
-  c.add_row({2, 2, 5, 1});
+  c.add_row(core::Row{1, 1, 5, 0});
+  c.add_row(core::Row{2, 2, 5, 1});
   EXPECT_TRUE(fd_holds(c, {AttrSet{}, AttrSet{2}}));
 }
 

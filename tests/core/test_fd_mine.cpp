@@ -31,9 +31,9 @@ std::set<std::pair<std::uint64_t, std::uint64_t>> canonical(const FdSet& fds) {
 
 TEST(MineNaive, SimpleChain) {
   Table t("t", schema_of_width(3));
-  t.add_row({1, 10, 100});
-  t.add_row({2, 10, 100});
-  t.add_row({3, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 10, 100});
+  t.add_row(core::Row{3, 20, 200});
   const FdSet fds = mine_fds_naive(t);
   // f1 -> f2 and f2 -> f1 (both two-valued, aligned); f0 -> f1, f0 -> f2.
   EXPECT_TRUE(fds.implies({AttrSet{0}, AttrSet{1, 2}}));
@@ -44,10 +44,10 @@ TEST(MineNaive, SimpleChain) {
 
 TEST(MineNaive, MinimalityOfReportedLhs) {
   Table t("t", schema_of_width(3));
-  t.add_row({1, 1, 1});
-  t.add_row({1, 2, 2});
-  t.add_row({2, 1, 3});
-  t.add_row({2, 2, 4});
+  t.add_row(core::Row{1, 1, 1});
+  t.add_row(core::Row{1, 2, 2});
+  t.add_row(core::Row{2, 1, 3});
+  t.add_row(core::Row{2, 2, 4});
   // Only (f0,f1) -> f2 holds; no single column determines f2.
   const FdSet fds = mine_fds_naive(t);
   bool found_pair = false;
@@ -62,8 +62,8 @@ TEST(MineNaive, MinimalityOfReportedLhs) {
 
 TEST(MineNaive, ConstantColumnReportedWithEmptyLhs) {
   Table t("t", schema_of_width(2));
-  t.add_row({1, 7});
-  t.add_row({2, 7});
+  t.add_row(core::Row{1, 7});
+  t.add_row(core::Row{2, 7});
   const FdSet fds = mine_fds_naive(t);
   bool found = false;
   for (const Fd& fd : fds.fds()) {
@@ -74,10 +74,10 @@ TEST(MineNaive, ConstantColumnReportedWithEmptyLhs) {
 
 TEST(MineNaive, MaxLhsBoundsSearch) {
   Table t("t", schema_of_width(3));
-  t.add_row({1, 1, 1});
-  t.add_row({1, 2, 2});
-  t.add_row({2, 1, 3});
-  t.add_row({2, 2, 4});
+  t.add_row(core::Row{1, 1, 1});
+  t.add_row(core::Row{1, 2, 2});
+  t.add_row(core::Row{2, 1, 3});
+  t.add_row(core::Row{2, 2, 4});
   const FdSet bounded = mine_fds_naive(t, {.max_lhs = 1});
   for (const Fd& fd : bounded.fds()) {
     EXPECT_LE(fd.lhs.size(), 1u);
@@ -87,10 +87,10 @@ TEST(MineNaive, MaxLhsBoundsSearch) {
 
 TEST(TanePartition, SingleColumn) {
   Table t("t", schema_of_width(2));
-  t.add_row({1, 1});
-  t.add_row({1, 2});
-  t.add_row({2, 3});
-  t.add_row({1, 3});
+  t.add_row(core::Row{1, 1});
+  t.add_row(core::Row{1, 2});
+  t.add_row(core::Row{2, 3});
+  t.add_row(core::Row{1, 3});
   const auto p0 = tane::partition_by_column(t, 0);
   ASSERT_EQ(p0.classes.size(), 1u);  // {0,1,3}; singleton {2} stripped
   EXPECT_EQ(p0.classes[0], (std::vector<std::uint32_t>{0, 1, 3}));
@@ -104,10 +104,10 @@ TEST(TanePartition, SingleColumn) {
 
 TEST(TanePartition, ProductRefines) {
   Table t("t", schema_of_width(2));
-  t.add_row({1, 5});
-  t.add_row({1, 5});
-  t.add_row({1, 6});
-  t.add_row({2, 6});
+  t.add_row(core::Row{1, 5});
+  t.add_row(core::Row{1, 5});
+  t.add_row(core::Row{1, 6});
+  t.add_row(core::Row{2, 6});
   const auto p0 = tane::partition_by_column(t, 0);
   const auto p1 = tane::partition_by_column(t, 1);
   const auto prod = tane::product(p0, p1, t.num_rows());
@@ -119,9 +119,9 @@ TEST(TanePartition, ProductRefines) {
 
 TEST(TaneMine, AgreesWithNaiveOnChain) {
   Table t("t", schema_of_width(3));
-  t.add_row({1, 10, 100});
-  t.add_row({2, 10, 100});
-  t.add_row({3, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 10, 100});
+  t.add_row(core::Row{3, 20, 200});
   EXPECT_EQ(canonical(mine_fds_tane(t)), canonical(mine_fds_naive(t)));
 }
 
@@ -133,7 +133,7 @@ TEST(TaneMine, EmptyAndSingleRowTables) {
     EXPECT_TRUE(none.implies({AttrSet{}, AttrSet::single(c)}));
   }
   Table one("o", schema_of_width(3));
-  one.add_row({1, 2, 3});
+  one.add_row(core::Row{1, 2, 3});
   const FdSet single = mine_fds_tane(one);
   EXPECT_TRUE(single.implies({AttrSet{}, AttrSet{0, 1, 2}}));
 }
@@ -169,7 +169,7 @@ TEST(TaneMine, MaxLhsBound) {
   Table t("t", schema_of_width(4));
   Rng rng(7);
   for (int r = 0; r < 16; ++r) {
-    t.add_row({rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2),
+    t.add_row(core::Row{rng.uniform(0, 2), rng.uniform(0, 2), rng.uniform(0, 2),
                rng.uniform(0, 2)});
   }
   const FdSet bounded = mine_fds_tane(t, {.max_lhs = 1});

@@ -131,7 +131,7 @@ TEST(PartitionCache, HitMissAndInvalidationOnRowMutation) {
 
   // Mutating the table changes the column fingerprints: stale entries
   // stop being found and the mine repopulates under new keys.
-  t.add_row({0, 1, 0, 1});
+  t.add_row(core::Row{0, 1, 0, 1});
   (void)mine_fds_tane(t, {.cache = &cache});
   const auto after = cache.stats();
   EXPECT_EQ(after.hits, warm.hits);  // nothing reusable
@@ -196,7 +196,7 @@ TEST(PartitionCache, SubsetFingerprintTracksColumnContent) {
   EXPECT_NE(a.fingerprint(), b.fingerprint());
   Table c = a;
   const std::uint64_t before = c.fingerprint();
-  c.add_row({1, 2, 3});
+  c.add_row(core::Row{1, 2, 3});
   EXPECT_NE(c.fingerprint(), before);
 }
 
@@ -236,11 +236,11 @@ TEST(ProductScratch, ScratchGrowsAcrossDifferentRowCounts) {
 
 TEST(FdHolds, DuplicateLhsKeysCompareRhsInPlace) {
   Table t("t", schema_of_width(3));
-  t.add_row({1, 5, 9});
-  t.add_row({1, 5, 9});  // duplicate LHS, equal RHS
-  t.add_row({2, 6, 9});
+  t.add_row(core::Row{1, 5, 9});
+  t.add_row(core::Row{1, 5, 9});  // duplicate LHS, equal RHS
+  t.add_row(core::Row{2, 6, 9});
   EXPECT_TRUE(fd_holds(t, {AttrSet{0}, AttrSet{1, 2}}));
-  t.add_row({1, 5, 8});  // duplicate LHS, differing RHS
+  t.add_row(core::Row{1, 5, 8});  // duplicate LHS, differing RHS
   EXPECT_FALSE(fd_holds(t, {AttrSet{0}, AttrSet{1, 2}}));
   EXPECT_TRUE(fd_holds(t, {AttrSet{0}, AttrSet{1}}));  // f1 still constant
 }
@@ -248,19 +248,19 @@ TEST(FdHolds, DuplicateLhsKeysCompareRhsInPlace) {
 TEST(FdHolds, GroupsSplitOnActualValuesNotHashes) {
   // Two-column LHS where per-column groups overlap heavily.
   Table t("t", schema_of_width(3));
-  t.add_row({1, 1, 10});
-  t.add_row({1, 2, 20});
-  t.add_row({2, 1, 30});
-  t.add_row({2, 2, 40});
+  t.add_row(core::Row{1, 1, 10});
+  t.add_row(core::Row{1, 2, 20});
+  t.add_row(core::Row{2, 1, 30});
+  t.add_row(core::Row{2, 2, 40});
   EXPECT_TRUE(fd_holds(t, {AttrSet{0, 1}, AttrSet{2}}));
-  t.add_row({2, 2, 41});
+  t.add_row(core::Row{2, 2, 41});
   EXPECT_FALSE(fd_holds(t, {AttrSet{0, 1}, AttrSet{2}}));
 }
 
 TEST(FdHolds, EmptyLhsMeansConstant) {
   Table t("t", schema_of_width(2));
-  t.add_row({1, 7});
-  t.add_row({2, 7});
+  t.add_row(core::Row{1, 7});
+  t.add_row(core::Row{2, 7});
   EXPECT_TRUE(fd_holds(t, {AttrSet{}, AttrSet{1}}));
   EXPECT_FALSE(fd_holds(t, {AttrSet{}, AttrSet{0}}));
   EXPECT_TRUE(fd_holds(t, {AttrSet{0}, AttrSet{0}}));  // trivial

@@ -62,9 +62,9 @@ TEST(CandidateKeys, FromTableInstance) {
   s.add_match("b");
   s.add_action("c");
   Table t("t", s);
-  t.add_row({1, 1, 9});
-  t.add_row({1, 2, 9});
-  t.add_row({2, 1, 8});
+  t.add_row(core::Row{1, 1, 9});
+  t.add_row(core::Row{1, 2, 9});
+  t.add_row(core::Row{2, 1, 8});
   // (a,b) identifies rows; instance also has a -> c (1→9, 2→8) and
   // c -> a.
   const auto keys = candidate_keys(t);

@@ -21,15 +21,15 @@ Table make_mirror_table() {
   s.add_action("mirror", ValueCodec::kPort, 16);
   Table t("mirror", std::move(s));
   // Customer 1: ports {80, 443} × mirrors {7, 8} — all four rows.
-  t.add_row({1, 80, 7});
-  t.add_row({1, 80, 8});
-  t.add_row({1, 443, 7});
-  t.add_row({1, 443, 8});
+  t.add_row(core::Row{1, 80, 7});
+  t.add_row(core::Row{1, 80, 8});
+  t.add_row(core::Row{1, 443, 7});
+  t.add_row(core::Row{1, 443, 8});
   // Customer 2: ports {22} × mirrors {7}.
-  t.add_row({2, 22, 7});
+  t.add_row(core::Row{2, 22, 7});
   // Customer 3: shares port 80 but with its own mirror, so tcp_dst does
   // not multi-determine anything across customers.
-  t.add_row({3, 80, 9});
+  t.add_row(core::Row{3, 80, 9});
   return t;
 }
 

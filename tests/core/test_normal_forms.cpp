@@ -19,8 +19,8 @@ Schema make_schema(std::initializer_list<std::pair<const char*, AttrKind>> attrs
 TEST(NormalForms, DuplicateMatchKeysAreNot1NF) {
   Table t("t", make_schema({{"a", AttrKind::kMatch},
                             {"c", AttrKind::kAction}}));
-  t.add_row({1, 10});
-  t.add_row({1, 20});
+  t.add_row(core::Row{1, 10});
+  t.add_row(core::Row{1, 20});
   const NfReport report = analyze(t);
   EXPECT_FALSE(report.order_independent);
   EXPECT_EQ(report.highest(), NormalForm::kNotFirst);
@@ -32,10 +32,10 @@ TEST(NormalForms, PartialDependencyViolates2NF) {
                             {"b", AttrKind::kMatch},
                             {"c", AttrKind::kAction},
                             {"d", AttrKind::kAction}}));
-  t.add_row({1, 1, 10, 100});
-  t.add_row({1, 2, 10, 200});
-  t.add_row({2, 1, 20, 300});
-  t.add_row({2, 2, 20, 400});
+  t.add_row(core::Row{1, 1, 10, 100});
+  t.add_row(core::Row{1, 2, 10, 200});
+  t.add_row(core::Row{2, 1, 20, 300});
+  t.add_row(core::Row{2, 2, 20, 400});
 
   FdSet fds;
   fds.add(AttrSet{0, 1}, AttrSet{2, 3});
@@ -54,9 +54,9 @@ TEST(NormalForms, TransitiveDependencyViolates3NF) {
   Table t("t", make_schema({{"a", AttrKind::kMatch},
                             {"b", AttrKind::kAction},
                             {"c", AttrKind::kAction}}));
-  t.add_row({1, 10, 100});
-  t.add_row({2, 10, 100});
-  t.add_row({3, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 10, 100});
+  t.add_row(core::Row{3, 20, 200});
 
   FdSet fds;
   fds.add(AttrSet{0}, AttrSet{1});
@@ -76,9 +76,9 @@ TEST(NormalForms, BcnfViolationWithPrimeRhs) {
   Table t("t", make_schema({{"a", AttrKind::kMatch},
                             {"b", AttrKind::kMatch},
                             {"c", AttrKind::kAction}}));
-  t.add_row({1, 1, 10});
-  t.add_row({1, 2, 20});
-  t.add_row({2, 1, 10});
+  t.add_row(core::Row{1, 1, 10});
+  t.add_row(core::Row{1, 2, 20});
+  t.add_row(core::Row{2, 1, 10});
   const NfReport report = analyze(t, fds);
   EXPECT_EQ(report.highest(), NormalForm::kThird);
   ASSERT_EQ(report.bcnf_violations.size(), 1u);
@@ -88,9 +88,9 @@ TEST(NormalForms, BcnfViolationWithPrimeRhs) {
 TEST(NormalForms, FullyKeyDependentTableIsBcnf) {
   Table t("t", make_schema({{"a", AttrKind::kMatch},
                             {"b", AttrKind::kAction}}));
-  t.add_row({1, 10});
-  t.add_row({2, 20});
-  t.add_row({3, 30});
+  t.add_row(core::Row{1, 10});
+  t.add_row(core::Row{2, 20});
+  t.add_row(core::Row{3, 30});
   FdSet fds;
   fds.add(AttrSet{0}, AttrSet{1});
   EXPECT_EQ(analyze(t, fds).highest(), NormalForm::kBoyceCodd);
@@ -109,8 +109,8 @@ TEST(NormalForms, ImpliedPartialDependencyThroughPrimeAttribute) {
                             {"b", AttrKind::kMatch},
                             {"c", AttrKind::kAction},
                             {"d", AttrKind::kAction}}));
-  t.add_row({1, 1, 1, 9});
-  t.add_row({2, 2, 2, 8});
+  t.add_row(core::Row{1, 1, 1, 9});
+  t.add_row(core::Row{2, 2, 2, 8});
   const NfReport report = analyze(t, fds);
   EXPECT_FALSE(report.partial_dependencies.empty());
   EXPECT_EQ(report.highest(), NormalForm::kFirst);
@@ -150,9 +150,9 @@ TEST(NormalForms, ToStringNamesViolations) {
   Table t("t", make_schema({{"a", AttrKind::kMatch},
                             {"b", AttrKind::kAction},
                             {"c", AttrKind::kAction}}));
-  t.add_row({1, 10, 100});
-  t.add_row({2, 10, 100});
-  t.add_row({3, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 10, 100});
+  t.add_row(core::Row{3, 20, 200});
   FdSet fds;
   fds.add(AttrSet{0}, AttrSet{1});
   fds.add(AttrSet{1}, AttrSet{2});

@@ -10,8 +10,8 @@ Table simple_table() {
   s.add_match("a");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 100});
-  t.add_row({2, 200});
+  t.add_row(core::Row{1, 100});
+  t.add_row(core::Row{2, 200});
   return t;
 }
 
@@ -48,15 +48,15 @@ TEST(Pipeline, MetadataJoinAcrossStages) {
   s0.add_match("a");
   s0.add_action("meta.g");
   Table t0("t0", std::move(s0));
-  t0.add_row({1, 0});
-  t0.add_row({2, 1});
+  t0.add_row(core::Row{1, 0});
+  t0.add_row(core::Row{2, 1});
 
   Schema s1;
   s1.add_match("meta.g");
   s1.add_action("x");
   Table t1("t1", std::move(s1));
-  t1.add_row({0, 100});
-  t1.add_row({1, 200});
+  t1.add_row(core::Row{0, 100});
+  t1.add_row(core::Row{1, 200});
 
   Pipeline p;
   const std::size_t first = p.add_stage({std::move(t0), {}, {}});
@@ -80,13 +80,13 @@ TEST(Pipeline, MissAtSecondStageSuppressesFirstStageActions) {
   s0.add_match("a");
   s0.add_action("y");
   Table t0("t0", std::move(s0));
-  t0.add_row({1, 7});
+  t0.add_row(core::Row{1, 7});
 
   Schema s1;
   s1.add_match("b");
   s1.add_action("x");
   Table t1("t1", std::move(s1));
-  t1.add_row({5, 100});
+  t1.add_row(core::Row{5, 100});
 
   Pipeline p;
   const std::size_t first = p.add_stage({std::move(t0), {}, {}});
@@ -104,15 +104,15 @@ TEST(Pipeline, GotoJoinSelectsPerRowTargets) {
   Schema s0;
   s0.add_match("svc");
   Table t0("t0", std::move(s0));
-  t0.add_row({10});
-  t0.add_row({20});
+  t0.add_row(core::Row{10});
+  t0.add_row(core::Row{20});
 
   auto leaf = [](Value out) {
     Schema s;
     s.add_match("src");
     s.add_action("out");
     Table t("leaf", std::move(s));
-    t.add_row({1, out});
+    t.add_row(core::Row{1, out});
     return t;
   };
 
@@ -135,13 +135,13 @@ TEST(Pipeline, ActionRewriteVisibleToLaterMatch) {
   s0.add_match("a");
   s0.add_action("v");
   Table t0("t0", std::move(s0));
-  t0.add_row({1, 42});
+  t0.add_row(core::Row{1, 42});
 
   Schema s1;
   s1.add_match("v");
   s1.add_action("out");
   Table t1("t1", std::move(s1));
-  t1.add_row({42, 5});
+  t1.add_row(core::Row{42, 5});
 
   Pipeline p;
   const std::size_t a = p.add_stage({std::move(t0), {}, {}});
@@ -198,8 +198,8 @@ TEST(Pipeline, ValidateRejectsNonOrderIndependentStage) {
   s.add_match("a");
   s.add_action("x");
   Table t("dup", std::move(s));
-  t.add_row({1, 10});
-  t.add_row({1, 20});
+  t.add_row(core::Row{1, 10});
+  t.add_row(core::Row{1, 20});
   Pipeline p = Pipeline::single(std::move(t));
   const Status st = p.validate();
   ASSERT_FALSE(st.is_ok());
@@ -215,14 +215,14 @@ TEST(Pipeline, SpliceReplacesStageTransparently) {
   s0.add_match("a");
   s0.add_action("meta.g");
   Table t0("sub0", std::move(s0));
-  t0.add_row({1, 0});
-  t0.add_row({2, 1});
+  t0.add_row(core::Row{1, 0});
+  t0.add_row(core::Row{2, 1});
   Schema s1;
   s1.add_match("meta.g");
   s1.add_action("x");
   Table t1("sub1", std::move(s1));
-  t1.add_row({0, 100});
-  t1.add_row({1, 200});
+  t1.add_row(core::Row{0, 100});
+  t1.add_row(core::Row{1, 200});
   Pipeline sub;
   const std::size_t f = sub.add_stage({std::move(t0), {}, {}});
   const std::size_t g = sub.add_stage({std::move(t1), {}, {}});
@@ -241,19 +241,19 @@ TEST(Pipeline, SpliceInnerStageKeepsSuccessor) {
   Schema sa;
   sa.add_match("a");
   Table ta("ta", std::move(sa));
-  ta.add_row({1});
+  ta.add_row(core::Row{1});
 
   Schema sb;
   sb.add_match("a");
   sb.add_action("meta.m");
   Table tb("tb", std::move(sb));
-  tb.add_row({1, 3});
+  tb.add_row(core::Row{1, 3});
 
   Schema sc;
   sc.add_match("meta.m");
   sc.add_action("out");
   Table tc("tc", std::move(sc));
-  tc.add_row({3, 9});
+  tc.add_row(core::Row{3, 9});
 
   Pipeline p;
   const std::size_t a = p.add_stage({std::move(ta), {}, {}});
@@ -268,7 +268,7 @@ TEST(Pipeline, SpliceInnerStageKeepsSuccessor) {
   ss.add_match("a");
   ss.add_action("meta.m");
   Table ts("sub", std::move(ss));
-  ts.add_row({1, 3});
+  ts.add_row(core::Row{1, 3});
   p.splice(b, Pipeline::single(std::move(ts)));
 
   ASSERT_TRUE(p.validate().is_ok());

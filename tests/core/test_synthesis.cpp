@@ -124,8 +124,8 @@ TEST(Normalize, Already3NFTableIsUntouched) {
   s.add_match("a");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 10});
-  t.add_row({2, 20});
+  t.add_row(core::Row{1, 10});
+  t.add_row(core::Row{2, 20});
   const auto out = normalize(t);
   ASSERT_TRUE(out.is_ok());
   EXPECT_TRUE(out.value().trace.empty());
@@ -137,8 +137,8 @@ TEST(Normalize, RejectsNon1NFInput) {
   s.add_match("a");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 10});
-  t.add_row({1, 20});
+  t.add_row(core::Row{1, 10});
+  t.add_row(core::Row{1, 20});
   EXPECT_FALSE(normalize(t).is_ok());
 }
 

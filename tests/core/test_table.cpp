@@ -54,18 +54,18 @@ TEST(Schema, Names) {
 
 TEST(Table, AddRowValidatesWidth) {
   Table t("t", make_schema());
-  t.add_row({1, 2, 3});
+  t.add_row(core::Row{1, 2, 3});
   EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_THROW(t.add_row({1, 2}), ContractViolation);
+  EXPECT_THROW(t.add_row(core::Row{1, 2}), ContractViolation);
   EXPECT_EQ(t.at(0, 2), 3u);
   EXPECT_THROW((void)t.at(1, 0), ContractViolation);
 }
 
 TEST(Table, ProjectionDeduplicates) {
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({1, 20, 100});
-  t.add_row({2, 10, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{1, 20, 100});
+  t.add_row(core::Row{2, 10, 200});
   Table p = t.project(AttrSet{0, 2});
   EXPECT_EQ(p.num_rows(), 2u);  // (1,100) appears twice, merged
   EXPECT_EQ(p.num_cols(), 2u);
@@ -75,9 +75,9 @@ TEST(Table, ProjectionDeduplicates) {
 
 TEST(Table, SelectEq) {
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({1, 20, 200});
-  t.add_row({2, 10, 300});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{1, 20, 200});
+  t.add_row(core::Row{2, 10, 300});
   Table s = t.select_eq(0, 1);
   EXPECT_EQ(s.num_rows(), 2u);
   EXPECT_EQ(s.at(1, 2), 200u);
@@ -85,30 +85,30 @@ TEST(Table, SelectEq) {
 
 TEST(Table, UniqueOnAndOrderIndependence) {
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({1, 20, 100});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{1, 20, 100});
   EXPECT_TRUE(t.is_order_independent());
   EXPECT_TRUE(t.unique_on(AttrSet{0, 1}));
   EXPECT_FALSE(t.unique_on(AttrSet{0}));
   EXPECT_FALSE(t.unique_on(AttrSet{2}));  // both rows have c=100
 
-  t.add_row({1, 10, 999});  // duplicate match key
+  t.add_row(core::Row{1, 10, 999});  // duplicate match key
   EXPECT_FALSE(t.is_order_independent());
 }
 
 TEST(Table, EmptyColumnSetUniqueOnlyForSingleRow) {
   Table t("t", make_schema());
   EXPECT_TRUE(t.unique_on(AttrSet{}));
-  t.add_row({1, 2, 3});
+  t.add_row(core::Row{1, 2, 3});
   EXPECT_TRUE(t.unique_on(AttrSet{}));
-  t.add_row({4, 5, 6});
+  t.add_row(core::Row{4, 5, 6});
   EXPECT_FALSE(t.unique_on(AttrSet{}));
 }
 
 TEST(Table, FindRow) {
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({2, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 20, 200});
   const Value key[] = {2, 20};
   EXPECT_EQ(t.find_row(AttrSet{0, 1}, key), std::optional<std::size_t>{1});
   const Value miss[] = {2, 21};
@@ -120,16 +120,16 @@ TEST(Table, FindRow) {
 TEST(Table, FieldCountMatchesPaperArithmetic) {
   // §2: a table with r entries over k attributes holds r*k fields.
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({2, 20, 200});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{2, 20, 200});
   EXPECT_EQ(t.field_count(), 6u);
 }
 
 TEST(Table, DistinctCount) {
   Table t("t", make_schema());
-  t.add_row({1, 10, 100});
-  t.add_row({1, 20, 100});
-  t.add_row({2, 10, 100});
+  t.add_row(core::Row{1, 10, 100});
+  t.add_row(core::Row{1, 20, 100});
+  t.add_row(core::Row{2, 10, 100});
   EXPECT_EQ(t.distinct_count(AttrSet{0}), 2u);
   EXPECT_EQ(t.distinct_count(AttrSet{2}), 1u);
   EXPECT_EQ(t.distinct_count(AttrSet{0, 1}), 3u);
@@ -149,7 +149,7 @@ TEST(Table, FormatValueUsesCodec) {
 
 TEST(Table, ToStringMarksActions) {
   Table t("demo", make_schema());
-  t.add_row({1, 2, 3});
+  t.add_row(core::Row{1, 2, 3});
   const std::string s = t.to_string();
   EXPECT_NE(s.find("demo"), std::string::npos);
   EXPECT_NE(s.find("c!"), std::string::npos);  // actions are marked with !
@@ -159,7 +159,7 @@ TEST(Table, ToStringElidesLargeTables) {
   Table t("big", make_schema());
   const std::size_t n = Table::kRenderHead + Table::kRenderTail + 10;
   for (std::size_t r = 0; r < n; ++r) {
-    t.add_row({r, r + 1, r + 2});
+    t.add_row(core::Row{r, r + 1, r + 2});
   }
   const std::string s = t.to_string();
   EXPECT_NE(s.find("(" + std::to_string(n) + " entries)"), std::string::npos);
@@ -177,15 +177,15 @@ TEST(Table, ToStringElidesLargeTables) {
 TEST(Table, ToStringDoesNotElideAtThreshold) {
   Table t("edge", make_schema());
   for (std::size_t r = 0; r < Table::kRenderHead + Table::kRenderTail; ++r) {
-    t.add_row({r, r, r});
+    t.add_row(core::Row{r, r, r});
   }
   EXPECT_EQ(t.to_string().find("more rows"), std::string::npos);
 }
 
 TEST(Table, CachedFingerprintTracksMutation) {
   Table t("fp", make_schema());
-  t.add_row({1, 2, 3});
-  t.add_row({4, 5, 6});
+  t.add_row(core::Row{1, 2, 3});
+  t.add_row(core::Row{4, 5, 6});
   const std::uint64_t base_c0 = t.column_fingerprint(0);
   const std::uint64_t base_c1 = t.column_fingerprint(1);
   const std::uint64_t base_tab = t.fingerprint();
@@ -201,11 +201,11 @@ TEST(Table, CachedFingerprintTracksMutation) {
 
   // Appending folds into warm column fingerprints; the result must equal
   // a cold recompute on an identical table.
-  t.add_row({7, 8, 9});
+  t.add_row(core::Row{7, 8, 9});
   Table fresh("fp", make_schema());
-  fresh.add_row({1, 2, 3});
-  fresh.add_row({4, 5, 6});
-  fresh.add_row({7, 8, 9});
+  fresh.add_row(core::Row{1, 2, 3});
+  fresh.add_row(core::Row{4, 5, 6});
+  fresh.add_row(core::Row{7, 8, 9});
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_EQ(t.column_fingerprint(c), fresh.column_fingerprint(c));
   }

@@ -281,8 +281,8 @@ TEST(TableDifferential, LargeTableWithSpilledColumnAndPlantedDuplicates) {
 TEST(TableDifferential, CopyDropsCachesButKeepsContent) {
   Schema s = make_schema(3);
   Table a("a", s);
-  a.add_row({1, 2, 3});
-  a.add_row({4, 5, 6});
+  a.add_row(core::Row{1, 2, 3});
+  a.add_row(core::Row{4, 5, 6});
   const std::uint64_t fp = a.fingerprint();
   const Value key[] = {4, 5};
   ASSERT_EQ(a.find_row(AttrSet{0, 1}, key), std::optional<std::size_t>{1});

@@ -195,7 +195,7 @@ TEST(Compile, RunsOutOfMetadataRegisters) {
     s.add_action("odd_attr_" + std::to_string(i));
   }
   core::Table t("t", std::move(s));
-  t.add_row({1, 2, 3, 4, 5, 6});
+  t.add_row(core::Row{1, 2, 3, 4, 5, 6});
   const auto program = compile(core::Pipeline::single(t));
   ASSERT_FALSE(program.is_ok());
   EXPECT_EQ(program.status().code(), StatusCode::kInvalidArgument);

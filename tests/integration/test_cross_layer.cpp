@@ -30,7 +30,7 @@ core::Table random_table(Rng& rng) {
     if (!used.insert({dst, port}).second) continue;
     // Few pools → plenty of dependencies to normalize on.
     const core::Value pool = rng.uniform(0, 2);
-    t.add_row({dst, port, pool, 100 + pool});
+    t.add_row(core::Row{dst, port, pool, 100 + pool});
   }
   return t;
 }

@@ -21,8 +21,8 @@ Table simple_table() {
   s.add_match("a");
   s.add_action("x");
   Table t("t", std::move(s));
-  t.add_row({1, 100});
-  t.add_row({2, 200});
+  t.add_row(core::Row{1, 100});
+  t.add_row(core::Row{2, 200});
   return t;
 }
 
@@ -75,8 +75,8 @@ TEST(FromPipeline, RematchJoin) {
 TEST(FromPipeline, DetectsBrokenPipeline) {
   const Table t = simple_table();
   Table wrong("w", t.schema());
-  wrong.add_row({1, 100});
-  wrong.add_row({2, 999});
+  wrong.add_row(core::Row{1, 100});
+  wrong.add_row(core::Row{2, 999});
   const auto report =
       verify_against_netkat(t, core::Pipeline::single(wrong));
   EXPECT_FALSE(report.consistent);
