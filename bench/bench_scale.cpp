@@ -157,14 +157,17 @@ SizePoint run_size(std::size_t services, std::size_t backends,
   pt.inc_hits = binding.incremental_stats().hits;
   pt.inc_fallbacks = binding.incremental_stats().fallbacks;
 
-  // Split the churn into phases from the merged trace rings. Each ring
-  // holds 16k spans and all are cleared per tier, so nothing has wrapped
-  // out at these intent counts.
+  // Split the churn into phases from the merged trace rings, which are
+  // cleared per tier. A ring that wrapped would drop phase samples, so
+  // every span recorded must still be held.
   ExactQuantile rule_diff;
   ExactQuantile slice_merge;
   ExactQuantile switch_apply;
-  for (const obs::TraceEvent& e :
-       obs::TracerRegistry::global().merged().events) {
+  const obs::TraceRing::Contents spans =
+      obs::TracerRegistry::global().merged();
+  expects(spans.total_recorded == spans.events.size(),
+          "a trace ring wrapped: phase samples were dropped");
+  for (const obs::TraceEvent& e : spans.events) {
     const std::string_view name = e.name_view();
     const double us = static_cast<double>(e.dur_ns) / 1000.0;
     if (name == "rule_diff") rule_diff.add(us);

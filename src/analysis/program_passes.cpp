@@ -16,65 +16,8 @@ namespace {
 using detail::Sink;
 using detail::describe_rule;
 
-/// Effective single-field constraint of a rule: at most one FieldMatch
-/// per field is assumed (the compiler emits exactly one); extra matches
-/// on the same field are conjoined conservatively by the callers.
-[[nodiscard]] const dp::FieldMatch* find_match(const dp::Rule& rule,
-                                               dp::FieldId field) {
-  for (const dp::FieldMatch& m : rule.matches) {
-    if (m.field == field) return &m;
-  }
-  return nullptr;
-}
-
-/// True when every packet matching `specific` also matches `general`:
-/// each constraint of `general` must be implied by `specific`'s
-/// constraint on the same field (mask subsumption — exact, prefix and
-/// ternary masks all reduce to it).
-[[nodiscard]] bool subsumes(const dp::Rule& general,
-                            const dp::Rule& specific) {
-  for (const dp::FieldMatch& g : general.matches) {
-    const dp::FieldMatch* s = find_match(specific, g.field);
-    if (s == nullptr) {
-      // `specific` leaves the field free; only a no-op constraint is
-      // implied.
-      if (g.mask != 0) return false;
-      if (g.value != 0) return false;
-      continue;
-    }
-    if ((s->mask & g.mask) != g.mask) return false;
-    if ((s->value & g.mask) != g.value) return false;
-  }
-  return true;
-}
-
-/// True when some packet can match both rules: on every field both
-/// constrain, the fixed bits they share must agree.
-[[nodiscard]] bool overlaps(const dp::Rule& a, const dp::Rule& b) {
-  for (const dp::FieldMatch& ma : a.matches) {
-    const dp::FieldMatch* mb = find_match(b, ma.field);
-    if (mb == nullptr) continue;
-    if (((ma.value ^ mb->value) & (ma.mask & mb->mask)) != 0) return false;
-  }
-  return true;
-}
-
-/// True when the rule constrains some field twice with incompatible
-/// fixed bits (it can never match anything).
-[[nodiscard]] std::optional<dp::FieldId> contradictory_field(
-    const dp::Rule& rule) {
-  for (std::size_t i = 0; i < rule.matches.size(); ++i) {
-    for (std::size_t j = i + 1; j < rule.matches.size(); ++j) {
-      const dp::FieldMatch& a = rule.matches[i];
-      const dp::FieldMatch& b = rule.matches[j];
-      if (a.field != b.field) continue;
-      if (((a.value ^ b.value) & (a.mask & b.mask)) != 0) return a.field;
-    }
-  }
-  return std::nullopt;
-}
-
-[[nodiscard]] bool same_outcome(const dp::Rule& a, const dp::Rule& b) {
+[[nodiscard]] bool same_outcome(const dp::RuleView& a,
+                                const dp::RuleView& b) {
   return a.actions == b.actions && a.goto_table == b.goto_table;
 }
 
@@ -100,49 +43,54 @@ void run_shadowing_pass(const Input& input, const Options& options,
   if (input.program == nullptr) return;
   sink.mark_ran();
 
+  std::vector<dp::MatchRegion> regions;
   for (std::size_t t = 0; t < input.program->tables.size(); ++t) {
     const dp::TableSpec& table = input.program->tables[t];
-    // The pair-wise helpers below take boundary Rules; one materialization
-    // per table keeps them simple (analysis is not the fleet hot path).
-    const std::vector<dp::Rule> rules = table.rules.to_rules();
-    for (std::size_t j = 0; j < rules.size(); ++j) {
-      if (const auto field = contradictory_field(rules[j])) {
+    regions.clear();
+    for (const auto rule : table.rules) {
+      regions.push_back(dp::MatchRegion::of(rule.matches));
+    }
+    for (std::size_t j = 0; j < regions.size(); ++j) {
+      const dp::MatchRegion& region = regions[j];
+      if (!region.satisfiable) {
         sink.emit({Severity::kWarning, "MA103", "", t, j,
                    "rule in table '" + table.name +
                        "' can never match: contradictory constraints on " +
-                       std::string(to_string(*field)),
-                   describe_rule(rules[j])});
+                       std::string(to_string(region.conflict)),
+                   describe_rule(table.rules[j])});
         continue;
       }
       // Lookup is first-match in vector order (the compiler sorts by
       // priority descending), so only earlier rules can shadow.
       for (std::size_t i = 0; i < j; ++i) {
-        if (!subsumes(rules[i], rules[j])) continue;
+        if (!regions[i].contains(region)) continue;
         sink.emit({Severity::kWarning, "MA101", "", t, j,
                    "rule in table '" + table.name +
                        "' is fully shadowed by rule#" + std::to_string(i),
-                   "shadowed: " + describe_rule(rules[j]) +
+                   "shadowed: " + describe_rule(table.rules[j]) +
                        "; shadowing rule#" + std::to_string(i) + ": " +
-                       describe_rule(rules[i])});
+                       describe_rule(table.rules[i])});
         break;
       }
-      // Ambiguous overlap: same priority, intersecting match sets,
-      // different outcome — lookup order decides, which breaks the
-      // paper's order-independence requirement at the data-plane level.
+      // Ambiguous overlap: same priority, intersecting regions, different
+      // outcome — lookup order decides, which breaks the paper's
+      // order-independence requirement at the data-plane level.
       for (std::size_t i = 0; i < j; ++i) {
-        if (rules[i].priority != rules[j].priority) continue;
-        if (subsumes(rules[i], rules[j]) || subsumes(rules[j], rules[i])) {
+        if (table.rules.priority_of(i) != table.rules.priority_of(j)) {
+          continue;
+        }
+        if (regions[i].contains(region) || region.contains(regions[i])) {
           continue;  // already reported as MA101 (or identical)
         }
-        if (!overlaps(rules[i], rules[j])) continue;
-        if (same_outcome(rules[i], rules[j])) continue;
+        if (!regions[i].intersects(region)) continue;
+        if (same_outcome(table.rules[i], table.rules[j])) continue;
         sink.emit({Severity::kWarning, "MA102", "", t, j,
                    "rules #" + std::to_string(i) + " and #" +
                        std::to_string(j) + " in table '" + table.name +
                        "' overlap at equal priority with different "
                        "actions (order-dependent lookup)",
-                   describe_rule(rules[i]) + " vs " +
-                       describe_rule(rules[j])});
+                   describe_rule(table.rules[i]) + " vs " +
+                       describe_rule(table.rules[j])});
         break;
       }
     }

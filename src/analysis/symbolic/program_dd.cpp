@@ -119,67 +119,19 @@ class DpVerdicts {
   std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(16, kEmpty);
 };
 
-/// Conjunction of one rule's matches, per field: the key bits the rule
-/// fixes (mask) and their values.
-struct Region {
-  std::array<std::uint64_t, dp::kNumFields> mask{};
-  std::array<std::uint64_t, dp::kNumFields> value{};
-
-  /// Adds one match; false when the rule can then match no key (a value
-  /// bit outside its mask, or two matches requiring different values of
-  /// one bit).
-  bool add(std::size_t field, std::uint64_t v, std::uint64_t m) {
-    if ((v & ~m) != 0 || ((value[field] ^ v) & mask[field] & m) != 0) {
-      return false;
-    }
-    mask[field] |= m;
-    value[field] |= v;
-    return true;
-  }
-  /// Region of a match list; nullopt when it can match no key. Accepts
-  /// both the flattened MatchRange and the boundary
-  /// std::vector<FieldMatch>.
-  template <typename MatchList>
-  static std::optional<Region> of(const MatchList& matches) {
-    Region r;
-    for (const dp::FieldMatch m : matches) {
-      if (!r.add(dp::field_index(m.field), m.value, m.mask)) {
-        return std::nullopt;
-      }
-    }
-    return r;
-  }
-  [[nodiscard]] bool intersects(const Region& o) const {
-    for (std::size_t f = 0; f < dp::kNumFields; ++f) {
-      if (((value[f] ^ o.value[f]) & mask[f] & o.mask[f]) != 0) return false;
-    }
-    return true;
-  }
-  /// Ternary cube of the region, in ascending-var order.
-  void cube(std::vector<CubeBit>& out) const {
-    out.clear();
-    for (std::uint32_t rank = 0; rank < dp::kNumFields; ++rank) {
-      const std::size_t f = kFieldAtRank[rank];
-      for (std::uint64_t rest = mask[f]; rest != 0;) {
-        const auto bit = static_cast<unsigned>(63 - std::countl_zero(rest));
-        out.push_back({rank * 64 + (63 - bit), ((value[f] >> bit) & 1) != 0});
-        rest &= ~(std::uint64_t{1} << bit);
-      }
+/// Ternary cube of a satisfiable region, in ascending-var order.
+void cube(const dp::MatchRegion& region, std::vector<CubeBit>& out) {
+  out.clear();
+  for (std::uint32_t rank = 0; rank < dp::kNumFields; ++rank) {
+    const std::size_t f = kFieldAtRank[rank];
+    if ((region.matched >> f & 1u) == 0) continue;
+    for (std::uint64_t rest = region.mask[f]; rest != 0;) {
+      const auto bit = static_cast<unsigned>(63 - std::countl_zero(rest));
+      out.push_back(
+          {rank * 64 + (63 - bit), ((region.value[f] >> bit) & 1) != 0});
+      rest &= ~(std::uint64_t{1} << bit);
     }
   }
-};
-
-/// Region::of(matches).has_value() without building the region when
-/// every match names a different field (the common case).
-bool satisfiable(const dp::MatchRange& matches) {
-  std::uint32_t seen = 0;
-  for (const dp::FieldMatch m : matches) {
-    if ((m.value & ~m.mask) != 0) return false;
-    const std::uint32_t field = 1u << dp::field_index(m.field);
-    if ((seen & field) != 0) return Region::of(matches).has_value();
-    seen |= field;
-  }
-  return true;
 }
 
 /// One cached table diagram: the key it was folded from and its root.
@@ -213,11 +165,12 @@ struct TableEntry {
            std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
   /// Match region of record `i` (satisfiable by construction).
-  [[nodiscard]] Region region(std::size_t i) const {
+  [[nodiscard]] dp::MatchRegion region(std::size_t i) const {
     const auto words = record(i);
-    Region r;
+    dp::MatchRegion r;
     for (std::size_t m = 0; m < (words[0] & 0xffffffffu); ++m) {
-      r.add(words[1 + 3 * m], words[2 + 3 * m], words[3 + 3 * m]);
+      r.add({static_cast<FieldId>(words[1 + 3 * m]), words[2 + 3 * m],
+             words[3 + 3 * m]});
     }
     return r;
   }
@@ -395,7 +348,9 @@ class ProgramTranslator {
     ++prover_.spent.successor_patches;
     rules_.clear();
     for (std::size_t i = 0; i < spec.rules.size(); ++i) {
-      if (satisfiable(spec.rules[i].matches)) rules_.push_back(i);
+      if (dp::MatchRegion::of(spec.rules[i].matches).satisfiable) {
+        rules_.push_back(i);
+      }
     }
     expects(rules_.size() == entry.records.size(),
             "successor patch: the table's rules are not the entry's");
@@ -413,7 +368,7 @@ class ProgramTranslator {
   NodeId keyed_diagram(const dp::TableSpec& spec, TableSlot& slot) {
     // Successors first: the cache key names their diagrams.
     for (const dp::RuleView rule : spec.rules) {
-      if (!satisfiable(rule.matches)) continue;
+      if (!dp::MatchRegion::of(rule.matches).satisfiable) continue;
       if (const auto next = successor(spec, rule)) table_diagram(*next);
     }
     const std::uint64_t hash = build_key(spec);
@@ -463,7 +418,9 @@ class ProgramTranslator {
     rules_.clear();
     for (std::size_t i = 0; i < spec.rules.size(); ++i) {
       const dp::RuleView rule = spec.rules[i];
-      if (!satisfiable(rule.matches)) continue;  // can never match
+      if (!dp::MatchRegion::of(rule.matches).satisfiable) {
+        continue;  // can never match
+      }
       rules_.push_back(i);
       entry_.records.push_back(static_cast<std::uint32_t>(key.size()));
       key.push_back(rule.matches.size() | (rule.actions.size() << 32));
@@ -525,16 +482,17 @@ class ProgramTranslator {
     const std::size_t n = rules_.size();
     if (kPatchFraction * changed_.size() > n) return fold_all(spec, records);
     NodeId inside = dd_.false_leaf();
-    for (const Region& r : changed_) {
-      r.cube(cube_);
+    for (const dp::MatchRegion& r : changed_) {
+      cube(r, cube_);
       inside = dd_.b_or(inside, dd_.cube(cube_));
     }
     // Only the records that can match inside R, in scan order.
     kept_.clear();
     for (std::size_t i = 0; i < n; ++i) {
-      const Region r = records.region(i);
-      if (std::any_of(changed_.begin(), changed_.end(),
-                      [&r](const Region& c) { return c.intersects(r); })) {
+      const dp::MatchRegion r = records.region(i);
+      if (std::any_of(
+              changed_.begin(), changed_.end(),
+              [&r](const dp::MatchRegion& c) { return c.intersects(r); })) {
         kept_.push_back(i);
       }
     }
@@ -549,7 +507,7 @@ class ProgramTranslator {
     NodeId acc = miss();
     for (std::size_t k = kept.size(); k-- > 0;) {
       const std::size_t i = kept[k];
-      records.region(i).cube(cube_);
+      cube(records.region(i), cube_);
       acc = dd_.ite(dd_.cube(cube_), continuation(spec, spec.rules[rules_[i]]),
                     acc);
     }
@@ -612,7 +570,7 @@ class ProgramTranslator {
   std::vector<std::size_t> rules_;  ///< spec index of each record
   /// Records whose successor diagram moved, with the new diagram.
   std::vector<std::pair<std::size_t, NodeId>> stale_;
-  std::vector<Region> changed_;     ///< regions of the changed rules
+  std::vector<dp::MatchRegion> changed_;  ///< regions of the changed rules
   std::vector<std::size_t> kept_;   ///< records a fold inserts
   std::vector<CubeBit> cube_;
 };
@@ -806,23 +764,24 @@ SliceRelation slices_relation(std::span<const dp::Rule> a,
                               std::span<const dp::Rule> b) {
   const obs::TraceSpan span("symbolic_solve");
   // Each rule's region is one cube, so two unions of cubes meet exactly
-  // when some pair of their cubes does: no diagram store is needed.
+  // when some pair of their cubes does: no diagram store is needed. An
+  // unsatisfiable rule can never match and intersects nothing.
   const auto regions = [](std::span<const dp::Rule> rules) {
-    std::vector<Region> out;
+    std::vector<dp::MatchRegion> out;
     out.reserve(rules.size());
     for (const dp::Rule& rule : rules) {
-      if (const std::optional<Region> r = Region::of(rule.matches)) {
-        out.push_back(*r);  // an unsatisfiable rule can never match
-      }
+      out.push_back(dp::MatchRegion::of(rule.matches));
     }
     return out;
   };
-  const std::vector<Region> left = regions(a);
-  const std::vector<Region> right = regions(b);
-  const bool meet = std::any_of(left.begin(), left.end(), [&](const Region& l) {
-    return std::any_of(right.begin(), right.end(),
-                       [&](const Region& r) { return l.intersects(r); });
-  });
+  const std::vector<dp::MatchRegion> left = regions(a);
+  const std::vector<dp::MatchRegion> right = regions(b);
+  const bool meet =
+      std::any_of(left.begin(), left.end(), [&](const dp::MatchRegion& l) {
+        return std::any_of(
+            right.begin(), right.end(),
+            [&](const dp::MatchRegion& r) { return l.intersects(r); });
+      });
   const SliceRelation relation =
       meet ? SliceRelation::kIntersecting : SliceRelation::kDisjoint;
   // maton_symbolic_solves_total{check="slices"}, one counter per relation.

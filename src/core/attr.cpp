@@ -27,8 +27,10 @@ std::string_view to_string(ValueCodec codec) noexcept {
 
 std::size_t Schema::add(Attribute attr) {
   expects(!attr.name.empty(), "attribute name must be non-empty");
-  expects(!find(attr.name).has_value(),
-          "duplicate attribute name in schema: " + attr.name);
+  // Messages are built only on failure: a successful add allocates none.
+  if (find(attr.name).has_value()) {
+    expects(false, "duplicate attribute name in schema: " + attr.name);
+  }
   expects(attrs_.size() < AttrSet::kCapacity,
           "schema exceeds the supported number of columns");
   attrs_.push_back(std::move(attr));
@@ -60,7 +62,9 @@ std::optional<std::size_t> Schema::find(std::string_view name) const {
 
 std::size_t Schema::index_of(std::string_view name) const {
   const auto idx = find(name);
-  expects(idx.has_value(), "unknown attribute: " + std::string(name));
+  if (!idx.has_value()) {
+    expects(false, "unknown attribute: " + std::string(name));
+  }
   return *idx;
 }
 

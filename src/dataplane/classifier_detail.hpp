@@ -298,28 +298,40 @@ struct MaskedGroup {
   unsigned shift_ = 64;  // 64 - log2(capacity_)
 };
 
-/// A rule's (mask, value) words over a classifier's field set, held on
+/// A rule's MatchRegion projected onto a classifier's field set, held on
 /// the stack: the patch paths pack up to two rules per update and must
 /// not allocate. Fields the rule does not match are 0 (wildcard). Only
-/// the first `fields` words are set, and fold_matches sets each one
-/// itself: GCC turns a zeroing loop into `rep stos`, whose start-up
-/// cost was most of a fold's.
+/// the first `fields` words are set (see MatchRegion).
 struct PackedMatch {
   std::array<std::uint64_t, kNumFields> mask;
   std::array<std::uint64_t, kNumFields> value;
   std::size_t fields = 0;
-  /// Bit f set when some match names field f of the set.
+  /// Bit i set when some match names field i of the set.
   std::uint32_t matched = 0;
-  /// False when no key can satisfy the rule: a match requires bits its
-  /// mask clears, or two matches on one field disagree on shared mask
-  /// bits. Such a rule is left out of every index.
+  /// False when no key can satisfy the rule (MatchRegion::satisfiable).
+  /// Such a rule is left out of every index.
   bool satisfiable = true;
   /// True when a match names a field outside the set: the folded words
   /// do not describe the rule, so a patch must decline.
   bool outside = false;
 
-  explicit PackedMatch(std::size_t n) : fields(n) {
-    expects(n <= kNumFields, "a classifier matches at most kNumFields fields");
+  PackedMatch(std::span<const FieldId> set, const MatchRegion& region)
+      : fields(set.size()), satisfiable(region.satisfiable) {
+    expects(fields <= kNumFields,
+            "a classifier matches at most kNumFields fields");
+    std::uint32_t inside = 0;
+    for (std::size_t i = 0; i < fields; ++i) {
+      const std::size_t f = field_index(set[i]);
+      inside |= std::uint32_t{1} << f;
+      if ((region.matched >> f & 1u) != 0) {
+        matched |= std::uint32_t{1} << i;
+        mask[i] = region.mask[f];
+        value[i] = region.value[f];
+      } else {
+        mask[i] = value[i] = 0;
+      }
+    }
+    outside = (region.matched & ~inside) != 0;
   }
   [[nodiscard]] std::span<const std::uint64_t> masks() const noexcept {
     return {mask.data(), fields};
@@ -334,39 +346,12 @@ struct PackedMatch {
   }
 };
 
-/// The one reading of a rule's matches, shared by every template and by
-/// TableSpec::profile(): a conjunction of masked equalities folded over
-/// `fields`. Repeated matches on one field combine into the union of
-/// their masks and values, and make the rule unsatisfiable when they
-/// disagree on the bits both masks keep.
+/// A rule's matches read over `fields`, shared by every template and by
+/// TableSpec::profile(): the MatchRegion of the list, projected.
 template <typename MatchSeq>
 [[nodiscard]] PackedMatch fold_matches(std::span<const FieldId> fields,
                                        const MatchSeq& matches) {
-  PackedMatch packed(fields.size());
-  for (const FieldMatch m : matches) {
-    const auto it = std::find(fields.begin(), fields.end(), m.field);
-    if (it == fields.end()) {
-      packed.outside = true;
-      continue;
-    }
-    const auto f = static_cast<std::size_t>(it - fields.begin());
-    const std::uint32_t bit = std::uint32_t{1} << f;
-    if ((packed.matched & bit) == 0) {
-      packed.matched |= bit;
-      packed.mask[f] = packed.value[f] = 0;
-    }
-    const std::uint64_t overlap = packed.mask[f] & m.mask;
-    if ((m.value & ~m.mask) != 0 ||
-        (packed.value[f] & overlap) != (m.value & overlap)) {
-      packed.satisfiable = false;
-    }
-    packed.mask[f] |= m.mask;
-    packed.value[f] |= m.value;
-  }
-  for (std::size_t f = 0; f < fields.size(); ++f) {
-    if ((packed.matched >> f & 1u) == 0) packed.mask[f] = packed.value[f] = 0;
-  }
-  return packed;
+  return PackedMatch(fields, MatchRegion::of(matches));
 }
 
 /// The exact-match and LPM templates over a table whose profile the

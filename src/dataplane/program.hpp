@@ -22,6 +22,8 @@
 // unpacked into value/mask prefix matches.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -48,6 +50,81 @@ struct FieldMatch {
     return (key.get(field) & mask) == value;
   }
   friend bool operator==(const FieldMatch&, const FieldMatch&) = default;
+};
+
+/// The keys a rule's match list admits (Eq. 1: a conjunction of masked
+/// equalities), per field index. The one reading of a match list: the
+/// classifier templates project it onto their field sets, the prover
+/// turns it into cubes and the shadowing pass compares regions. Repeated
+/// matches on one field combine into the union of their masks and
+/// values. Only the words of matched fields are written: GCC turns a
+/// zeroing loop into `rep stos`, whose start-up cost was most of a
+/// fold's.
+struct MatchRegion {
+  std::array<std::uint64_t, kNumFields> mask;
+  std::array<std::uint64_t, kNumFields> value;
+  /// Bit f set when some match names field index f; the words of the
+  /// other fields are unset.
+  std::uint32_t matched = 0;
+  /// False when no key lies in the region: a match requires bits its
+  /// mask clears, or two matches on one field disagree on bits both
+  /// masks keep.
+  bool satisfiable = true;
+  /// The field of the first match that emptied the region.
+  FieldId conflict = FieldId::kInPort;
+
+  /// Region of a match list: a MatchRange, a std::vector<FieldMatch> or
+  /// a span of them.
+  template <typename MatchList>
+  [[nodiscard]] static MatchRegion of(const MatchList& matches) noexcept {
+    MatchRegion r;
+    for (const FieldMatch m : matches) r.add(m);
+    return r;
+  }
+
+  void add(const FieldMatch& m) noexcept {
+    const std::size_t f = field_index(m.field);
+    const std::uint32_t bit = std::uint32_t{1} << f;
+    if ((matched & bit) == 0) {
+      matched |= bit;
+      mask[f] = value[f] = 0;
+    }
+    if (satisfiable && ((m.value & ~m.mask) != 0 ||
+                        ((value[f] ^ m.value) & mask[f] & m.mask) != 0)) {
+      satisfiable = false;
+      conflict = m.field;
+    }
+    mask[f] |= m.mask;
+    value[f] |= m.value;
+  }
+
+  /// Whether some key lies in both regions.
+  [[nodiscard]] bool intersects(const MatchRegion& o) const noexcept {
+    if (!satisfiable || !o.satisfiable) return false;
+    for (std::uint32_t both = matched & o.matched; both != 0;
+         both &= both - 1) {
+      const auto f = static_cast<std::size_t>(std::countr_zero(both));
+      if (((value[f] ^ o.value[f]) & mask[f] & o.mask[f]) != 0) return false;
+    }
+    return true;
+  }
+
+  /// Whether every key of `o` lies in this region.
+  [[nodiscard]] bool contains(const MatchRegion& o) const noexcept {
+    if (!o.satisfiable) return true;
+    if (!satisfiable) return false;
+    for (std::uint32_t rest = matched; rest != 0; rest &= rest - 1) {
+      const auto f = static_cast<std::size_t>(std::countr_zero(rest));
+      // A field `o` does not match reads as mask 0, value 0.
+      const bool fixed = (o.matched >> f & 1u) != 0;
+      const std::uint64_t o_mask = fixed ? o.mask[f] : 0;
+      const std::uint64_t o_value = fixed ? o.value[f] : 0;
+      if ((o_mask & mask[f]) != mask[f] || (o_value & mask[f]) != value[f]) {
+        return false;
+      }
+    }
+    return true;
+  }
 };
 
 struct Action {

@@ -127,6 +127,45 @@ TEST(Shadowing, ContradictoryRuleCanNeverMatch) {
             std::string::npos);
 }
 
+// A rule's matches read as one region, as execute_reference reads them:
+// every match on a field counts, and value bits outside a mask do too.
+TEST(Shadowing, RepeatedMatchesOnAFieldAreConjoined) {
+  // 10/8 and 10.1/16 together admit exactly 10.1/16, which the earlier
+  // rule already takes.
+  const auto program = one_table({
+      rule(16, {{FieldId::kIpSrc, 0x0a010000, 0xffff0000}}),
+      rule(16,
+           {{FieldId::kIpSrc, 0x0a000000, 0xff000000},
+            {FieldId::kIpSrc, 0x0a010000, 0xffff0000}},
+           2),
+  });
+  const Report report = run_shadowing(program);
+  ASSERT_EQ(codes(report), std::vector<std::string>{"MA101"});
+  EXPECT_EQ(report.diagnostics[0].rule, 1u);
+}
+
+TEST(Shadowing, RepeatedMatchesDisjointFromAnEqualPriorityRule) {
+  // The conjunction is 10.1/16, disjoint from 10.2/16: no key reaches
+  // both rules, so lookup order decides nothing.
+  const auto program = one_table({
+      rule(16, {{FieldId::kIpSrc, 0x0a020000, 0xffff0000}}),
+      rule(16,
+           {{FieldId::kIpSrc, 0x0a000000, 0xff000000},
+            {FieldId::kIpSrc, 0x0a010000, 0xffff0000}},
+           2),
+  });
+  EXPECT_TRUE(run_shadowing(program).diagnostics.empty());
+}
+
+TEST(Shadowing, ValueBitOutsideTheMaskCanNeverMatch) {
+  // key & 0x0f never has bit 0x40 set.
+  const auto program = one_table({rule(4, {{FieldId::kTcpDst, 0x50, 0x0f}})});
+  const Report report = run_shadowing(program);
+  ASSERT_EQ(codes(report), std::vector<std::string>{"MA103"});
+  EXPECT_NE(report.diagnostics[0].message.find("tcp_dst"),
+            std::string::npos);
+}
+
 TEST(Shadowing, DeliberateShadowRendersInBothFormats) {
   // The acceptance fixture: a deliberately shadowed table must surface
   // MA101 with its witness through the text and JSON renderers alike.
