@@ -48,9 +48,9 @@ void Sink::emit(Diagnostic d) {
   ++emitted_;
 }
 
-std::string describe_rule(const dp::Rule& rule) {
+std::string describe_rule(const dp::RuleView& rule) {
   std::string out = "prio=" + std::to_string(rule.priority);
-  for (const dp::FieldMatch& m : rule.matches) {
+  for (const dp::FieldMatch m : rule.matches) {
     out += " ";
     out += to_string(m.field);
     out += "=";

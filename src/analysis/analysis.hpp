@@ -73,10 +73,10 @@ struct Input {
   std::optional<ProgramPairCheck> program_pair;
 
   /// Slice-isolation proof (MA602): are the packet regions of two rule
-  /// slices provably disjoint? Spans are borrowed views.
+  /// slices provably disjoint? The slices are borrowed.
   struct SliceIsolationCheck {
-    std::span<const dp::Rule> left;
-    std::span<const dp::Rule> right;
+    const dp::FlatRules* left = nullptr;
+    const dp::FlatRules* right = nullptr;
     std::string left_name;
     std::string right_name;
   };
@@ -162,7 +162,7 @@ class Sink {
 
 /// "ip_dst=0xc0000201/0xffffffff tcp_dst=0x50" rendering of a rule's
 /// matches (witness strings).
-[[nodiscard]] std::string describe_rule(const dp::Rule& rule);
+[[nodiscard]] std::string describe_rule(const dp::RuleView& rule);
 
 }  // namespace detail
 

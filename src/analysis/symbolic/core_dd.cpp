@@ -22,6 +22,7 @@
 
 #include "analysis/symbolic/engine.hpp"
 #include "analysis/symbolic/internal.hpp"
+#include "obs/trace.hpp"
 #include "util/contract.hpp"
 
 namespace maton::analysis::symbolic {
@@ -296,41 +297,43 @@ std::string describe_packet(const core::PacketState& packet) {
 Result check_pipelines(const core::Pipeline& a, const core::Pipeline& b,
                        const Options& options) {
   static const detail::SolveCounters counters("pipelines");
-  return detail::run_guarded(
-      counters, options, [&](DiagramStore& dd) {
-        CoreContext ctx(dd);
-        std::set<std::string> names;
-        collect_match_names(a, names);
-        collect_match_names(b, names);
-        ctx.build_universe(names);
+  const obs::TraceSpan span("symbolic_solve");
+  DiagramStore dd(options.max_nodes);
+  Result solved = detail::guarded(options, [&] {
+    CoreContext ctx(dd);
+    std::set<std::string> names;
+    collect_match_names(a, names);
+    collect_match_names(b, names);
+    ctx.build_universe(names);
 
-        const NodeId ra = PipelineTranslator(ctx, a).root();
-        const NodeId rb = PipelineTranslator(ctx, b).root();
-        Result result;
-        if (ra == rb) {
-          result.outcome = Outcome::kEquivalent;
-          return result;
-        }
-        const auto div = dd.first_divergence(ra, rb);
-        ensures(div.has_value(), "divergent roots without a divergence");
-        const core::PacketState packet =
-            packet_from_path(ctx, div->path, ra, rb);
-        const core::EvalResult ea = a.evaluate(packet);
-        const core::EvalResult eb = b.evaluate(packet);
-        if (ea.hit == eb.hit && (!ea.hit || ea.actions == eb.actions)) {
-          result.outcome = Outcome::kUnknown;
-          result.note = "counterexample failed scalar confirmation";
-          return result;
-        }
-        result.outcome = Outcome::kInequivalent;
-        Counterexample cex;
-        cex.packet = packet;
-        cex.description = describe_packet(packet) + " -> left " +
-                          describe_eval(ea) + " vs right " +
-                          describe_eval(eb);
-        result.counterexample = std::move(cex);
-        return result;
-      });
+    const NodeId ra = PipelineTranslator(ctx, a).root();
+    const NodeId rb = PipelineTranslator(ctx, b).root();
+    Result result;
+    if (ra == rb) {
+      result.outcome = Outcome::kEquivalent;
+      return result;
+    }
+    const auto div = dd.first_divergence(ra, rb);
+    ensures(div.has_value(), "divergent roots without a divergence");
+    const core::PacketState packet = packet_from_path(ctx, div->path, ra, rb);
+    const core::EvalResult ea = a.evaluate(packet);
+    const core::EvalResult eb = b.evaluate(packet);
+    if (ea.hit == eb.hit && (!ea.hit || ea.actions == eb.actions)) {
+      result.outcome = Outcome::kUnknown;
+      result.note = "counterexample failed scalar confirmation";
+      return result;
+    }
+    result.outcome = Outcome::kInequivalent;
+    Counterexample cex;
+    cex.packet = packet;
+    cex.description = describe_packet(packet) + " -> left " +
+                      describe_eval(ea) + " vs right " + describe_eval(eb);
+    result.counterexample = std::move(cex);
+    return result;
+  });
+  solved.stats = dd.stats();
+  detail::record(counters, solved);
+  return solved;
 }
 
 Result check_table_vs_pipeline(const core::Table& universal,

@@ -4,7 +4,6 @@
 
 #include "analysis/symbolic/internal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace maton::analysis::symbolic {
 
@@ -55,21 +54,6 @@ SolveCounters::SolveCounters(std::string_view check) {
   }
 }
 
-Result guarded(const Options& options, const std::function<Result()>& body) {
-  try {
-    return body();
-  } catch (const NodeBudgetExceeded&) {
-    Result result;
-    result.note = "node budget exceeded (" +
-                  std::to_string(options.max_nodes) + " nodes)";
-    return result;
-  } catch (const TranslationBail& bail) {
-    Result result;
-    result.note = bail.note;
-    return result;
-  }
-}
-
 void record(const SolveCounters& counters, const Result& result) {
   counters.by_outcome[static_cast<std::size_t>(result.outcome)]->add(1);
   auto& registry = obs::MetricRegistry::global();
@@ -94,16 +78,6 @@ void record(const SolveCounters& counters, const Result& result) {
   table_misses.add(result.stats.table_misses);
   tables_keyed.add(result.stats.tables_keyed);
   successor_patches.add(result.stats.successor_patches);
-}
-
-Result run_guarded(const SolveCounters& counters, const Options& options,
-                   const std::function<Result(DiagramStore&)>& body) {
-  const obs::TraceSpan span("symbolic_solve");
-  DiagramStore store(options.max_nodes);
-  Result result = guarded(options, [&] { return body(store); });
-  result.stats = store.stats();
-  record(counters, result);
-  return result;
 }
 
 }  // namespace detail

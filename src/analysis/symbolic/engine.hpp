@@ -148,7 +148,7 @@ enum class SliceRelation { kDisjoint, kIntersecting };
 /// of `b`'s (the MA602 slice-isolation proof and the incremental
 /// compiler's VIP-collision guard). A rule's region is one cube, so the
 /// answer is exact from the pairs of rules: O(|a|·|b|), no diagram store.
-[[nodiscard]] SliceRelation slices_relation(std::span<const dp::Rule> a,
-                                            std::span<const dp::Rule> b);
+[[nodiscard]] SliceRelation slices_relation(const dp::FlatRules& a,
+                                            const dp::FlatRules& b);
 
 }  // namespace maton::analysis::symbolic

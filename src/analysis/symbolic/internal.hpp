@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <functional>
 #include <string>
 
 #include "analysis/symbolic/engine.hpp"
@@ -16,7 +15,7 @@ namespace maton::analysis::symbolic::detail {
 
 /// Thrown by a front-end when translation cannot proceed for a
 /// non-budget reason (cyclic table graph, jump out of range). Caught by
-/// run_guarded; never escapes the API.
+/// guarded(); never escapes the API.
 struct TranslationBail {
   std::string note;
 };
@@ -28,21 +27,28 @@ struct SolveCounters {
   std::array<obs::Counter*, 3> by_outcome{};
 };
 
-/// Runs `body` under the engine's exception contract: NodeBudgetExceeded
-/// (over `options.max_nodes`) and TranslationBail become kUnknown
-/// results.
-[[nodiscard]] Result guarded(const Options& options,
-                             const std::function<Result()>& body);
+/// Runs `body` (`() -> Result`) under the engine's exception contract:
+/// NodeBudgetExceeded (over `options.max_nodes`) and TranslationBail
+/// become kUnknown results. A template, so a capturing body costs no
+/// std::function allocation per solve.
+template <typename Body>
+[[nodiscard]] Result guarded(const Options& options, Body&& body) {
+  try {
+    return body();
+  } catch (const NodeBudgetExceeded&) {
+    Result result;
+    result.note = "node budget exceeded (" +
+                  std::to_string(options.max_nodes) + " nodes)";
+    return result;
+  } catch (const TranslationBail& bail) {
+    Result result;
+    result.note = bail.note;
+    return result;
+  }
+}
 
 /// Feeds one finished solve into the maton_symbolic_* counters;
 /// `counters` is the front-end's solve counter.
 void record(const SolveCounters& counters, const Result& result);
-
-/// Runs `body` with a fresh store under guarded(), inside a
-/// "symbolic_solve" trace span, and records the result with the store's
-/// tallies.
-[[nodiscard]] Result run_guarded(
-    const SolveCounters& counters, const Options& options,
-    const std::function<Result(DiagramStore&)>& body);
 
 }  // namespace maton::analysis::symbolic::detail

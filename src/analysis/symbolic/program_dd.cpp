@@ -236,6 +236,21 @@ struct ProgramProver::State {
   /// Store tallies when the current attempt began (zero for a new store,
   /// whose boolean leaves are part of the attempt's work).
   StoreStats attempt_start;
+
+  /// A translator's per-check buffers, reused by every check (its two
+  /// programs are translated one after the other).
+  struct Scratch {
+    std::vector<NodeId> memo;  ///< the program's table diagrams
+    std::vector<char> visiting;
+    TableEntry entry;  ///< the table being keyed and folded
+    std::vector<std::size_t> rules;  ///< spec index of each record
+    /// Records whose successor diagram moved, with the new diagram.
+    std::vector<std::pair<std::size_t, NodeId>> stale;
+    std::vector<dp::MatchRegion> changed;  ///< regions of the changed rules
+    std::vector<std::size_t> kept;  ///< records a fold inserts
+    std::vector<CubeBit> cube;
+  };
+  Scratch scratch;
 };
 
 namespace {
@@ -249,9 +264,10 @@ class ProgramTranslator {
         verdicts_(prover.verdicts),
         program_(program),
         slots_(prover.slots[side]),
-        memo_(program.tables.size(), kInvalidNode),
-        visiting_(program.tables.size(), 0) {
+        s_(prover.scratch) {
     slots_.resize(program.tables.size());
+    s_.memo.assign(program.tables.size(), kInvalidNode);
+    s_.visiting.assign(program.tables.size(), 0);
   }
 
   /// Diagram of the whole program before the kHitUnset normalization.
@@ -283,16 +299,16 @@ class ProgramTranslator {
   }
 
   NodeId table_diagram(std::size_t ti) {
-    if (memo_[ti] != kInvalidNode) return memo_[ti];
-    if (visiting_[ti] != 0) {
+    if (s_.memo[ti] != kInvalidNode) return s_.memo[ti];
+    if (s_.visiting[ti] != 0) {
       throw detail::TranslationBail{"program table graph contains a cycle"};
     }
-    visiting_[ti] = 1;
+    s_.visiting[ti] = 1;
     const dp::TableSpec& spec = program_.tables[ti];
     NodeId root = slot_diagram(spec, slots_[ti]);
     if (root == kInvalidNode) root = keyed_diagram(spec, slots_[ti]);
-    visiting_[ti] = 0;
-    memo_[ti] = root;
+    s_.visiting[ti] = 0;
+    s_.memo[ti] = root;
     return root;
   }
 
@@ -321,16 +337,16 @@ class ProgramTranslator {
       table_diagram(next);
     }
     if (entry.generation != slot.generation) return kInvalidNode;
-    stale_.clear();
+    s_.stale.clear();
     const std::size_t base = entry.succ_begin();
     for (std::size_t i = 0; i < slot.successors.size(); ++i) {
       const std::uint32_t next = slot.successors[i];
       const NodeId want =
-          next == TableSlot::kNoSuccessor ? kInvalidNode : memo_[next];
-      if (entry.key[base + i] != want) stale_.emplace_back(i, want);
+          next == TableSlot::kNoSuccessor ? kInvalidNode : s_.memo[next];
+      if (entry.key[base + i] != want) s_.stale.emplace_back(i, want);
     }
     entry.epoch = prover_.epoch;
-    if (stale_.empty()) {
+    if (s_.stale.empty()) {
       ++prover_.spent.table_hits;
       return entry.root;
     }
@@ -338,7 +354,7 @@ class ProgramTranslator {
   }
 
   /// Re-targets `entry`, whose records are `spec`'s satisfiable rules,
-  /// onto the successor diagrams of the records in stale_: only those
+  /// onto the successor diagrams of the records in s_.stale: only those
   /// records' continuations changed, so the table is patched inside their
   /// regions, and their successor words are rewritten. The records are
   /// unchanged, so the entry keeps its hash and generation, and a slot of
@@ -346,19 +362,21 @@ class ProgramTranslator {
   NodeId successor_patch(const dp::TableSpec& spec, TableEntry& entry) {
     ++prover_.spent.table_misses;
     ++prover_.spent.successor_patches;
-    rules_.clear();
+    s_.rules.clear();
     for (std::size_t i = 0; i < spec.rules.size(); ++i) {
       if (dp::MatchRegion::of(spec.rules[i].matches).satisfiable) {
-        rules_.push_back(i);
+        s_.rules.push_back(i);
       }
     }
-    expects(rules_.size() == entry.records.size(),
+    expects(s_.rules.size() == entry.records.size(),
             "successor patch: the table's rules are not the entry's");
-    changed_.clear();
-    for (const auto& [i, want] : stale_) changed_.push_back(entry.region(i));
+    s_.changed.clear();
+    for (const auto& [i, want] : s_.stale) {
+      s_.changed.push_back(entry.region(i));
+    }
     entry.root = refold(spec, entry, entry.root);
     const std::size_t base = entry.succ_begin();
-    for (const auto& [i, want] : stale_) entry.key[base + i] = want;
+    for (const auto& [i, want] : s_.stale) entry.key[base + i] = want;
     return entry.root;
   }
 
@@ -375,7 +393,7 @@ class ProgramTranslator {
     NodeId root = kInvalidNode;
     std::uint64_t generation = 0;
     const auto hit = prover_.tables.find(hash);
-    if (hit != prover_.tables.end() && hit->second.key == entry_.key) {
+    if (hit != prover_.tables.end() && hit->second.key == s_.entry.key) {
       ++prover_.spent.table_hits;
       root = hit->second.root;
       hit->second.epoch = prover_.epoch;
@@ -384,11 +402,11 @@ class ProgramTranslator {
       ++prover_.spent.table_misses;
       const auto base = prover_.tables.find(slot.hash);
       root = base != prover_.tables.end() ? patch(spec, base->second)
-                                          : fold_all(spec, entry_);
+                                          : fold_all(spec, s_.entry);
       // Copies, so the scratch keeps its capacity for the next key.
       TableEntry& entry = prover_.tables[hash];
-      entry.key = entry_.key;
-      entry.records = entry_.records;
+      entry.key = s_.entry.key;
+      entry.records = s_.entry.records;
       entry.root = root;
       entry.epoch = prover_.epoch;
       entry.generation = generation = ++prover_.generations;
@@ -396,7 +414,7 @@ class ProgramTranslator {
     slot.revision = spec.rules.revision();
     slot.next = spec.next;
     slot.successors.clear();
-    for (const std::size_t index : rules_) {
+    for (const std::size_t index : s_.rules) {
       const auto next = successor(spec, spec.rules[index]);
       slot.successors.push_back(next.has_value()
                                     ? static_cast<std::uint32_t>(*next)
@@ -407,22 +425,22 @@ class ProgramTranslator {
     return root;
   }
 
-  /// Writes `spec`'s cache key into entry_, its satisfiable rules into
-  /// rules_ (successors already translated), and returns the hash of the
-  /// key's rule records.
+  /// Writes `spec`'s cache key into the scratch entry, its satisfiable
+  /// rules into the scratch rules (successors already translated), and
+  /// returns the hash of the key's rule records.
   std::uint64_t build_key(const dp::TableSpec& spec) {
     ++prover_.spent.tables_keyed;
-    std::vector<std::uint64_t>& key = entry_.key;
+    std::vector<std::uint64_t>& key = s_.entry.key;
     key.clear();
-    entry_.records.clear();
-    rules_.clear();
+    s_.entry.records.clear();
+    s_.rules.clear();
     for (std::size_t i = 0; i < spec.rules.size(); ++i) {
       const dp::RuleView rule = spec.rules[i];
       if (!dp::MatchRegion::of(rule.matches).satisfiable) {
         continue;  // can never match
       }
-      rules_.push_back(i);
-      entry_.records.push_back(static_cast<std::uint32_t>(key.size()));
+      s_.rules.push_back(i);
+      s_.entry.records.push_back(static_cast<std::uint32_t>(key.size()));
       key.push_back(rule.matches.size() | (rule.actions.size() << 32));
       for (const dp::FieldMatch m : rule.matches) {
         key.push_back(dp::field_index(m.field));
@@ -438,9 +456,9 @@ class ProgramTranslator {
     }
     std::uint64_t hash = key.size();
     for (const std::uint64_t word : key) hash = mix(hash, word);
-    for (const std::size_t index : rules_) {
+    for (const std::size_t index : s_.rules) {
       const auto next = successor(spec, spec.rules[index]);
-      key.push_back(next.has_value() ? memo_[*next] : kInvalidNode);
+      key.push_back(next.has_value() ? s_.memo[*next] : kInvalidNode);
     }
     return hash;
   }
@@ -449,76 +467,77 @@ class ProgramTranslator {
   /// two share at the front and back keep their order and continuations,
   /// so only the rules in between changed (refold).
   NodeId patch(const dp::TableSpec& spec, const TableEntry& base) {
-    const std::size_t n = rules_.size();
+    const std::size_t n = s_.rules.size();
     const std::size_t nb = base.records.size();
     std::size_t front = 0;
-    while (front < n && front < nb && base.same_rule(front, entry_, front)) {
+    while (front < n && front < nb &&
+           base.same_rule(front, s_.entry, front)) {
       ++front;
     }
     std::size_t back = 0;
     while (back < n - front && back < nb - front &&
-           base.same_rule(nb - 1 - back, entry_, n - 1 - back)) {
+           base.same_rule(nb - 1 - back, s_.entry, n - 1 - back)) {
       ++back;
     }
-    changed_.clear();
+    s_.changed.clear();
     for (std::size_t i = front; i < nb - back; ++i) {
-      changed_.push_back(base.region(i));
+      s_.changed.push_back(base.region(i));
     }
     for (std::size_t i = front; i < n - back; ++i) {
-      changed_.push_back(entry_.region(i));
+      s_.changed.push_back(s_.entry.region(i));
     }
-    return refold(spec, entry_, base.root);
+    return refold(spec, s_.entry, base.root);
   }
 
   /// The diagram of the table whose satisfiable rules are `records` (spec
-  /// positions in rules_), given `outside`, its function outside the
-  /// region R of the changed rules' regions in changed_. Inside R only the
+  /// positions in s_.rules), given `outside`, its function outside the
+  /// region R of the changed rules' regions in s_.changed. Inside R only the
   /// records that meet R can match, so the result is ite(R, fold of
   /// those records, outside); canonicity makes it the NodeId a full fold
   /// would give. Once more than 1/kPatchFraction of the records changed,
   /// the table is folded in full instead.
   NodeId refold(const dp::TableSpec& spec, const TableEntry& records,
                 NodeId outside) {
-    const std::size_t n = rules_.size();
-    if (kPatchFraction * changed_.size() > n) return fold_all(spec, records);
+    const std::size_t n = s_.rules.size();
+    if (kPatchFraction * s_.changed.size() > n) return fold_all(spec, records);
     NodeId inside = dd_.false_leaf();
-    for (const dp::MatchRegion& r : changed_) {
-      cube(r, cube_);
-      inside = dd_.b_or(inside, dd_.cube(cube_));
+    for (const dp::MatchRegion& r : s_.changed) {
+      cube(r, s_.cube);
+      inside = dd_.b_or(inside, dd_.cube(s_.cube));
     }
     // Only the records that can match inside R, in scan order.
-    kept_.clear();
+    s_.kept.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const dp::MatchRegion r = records.region(i);
       if (std::any_of(
-              changed_.begin(), changed_.end(),
+              s_.changed.begin(), s_.changed.end(),
               [&r](const dp::MatchRegion& c) { return c.intersects(r); })) {
-        kept_.push_back(i);
+        s_.kept.push_back(i);
       }
     }
-    return dd_.ite(inside, fold(spec, records, kept_), outside);
+    return dd_.ite(inside, fold(spec, records, s_.kept), outside);
   }
 
   /// First-match fold of the given records (ascending positions in
-  /// rules_): stored order is the scan order, so insert rules
+  /// s_.rules): stored order is the scan order, so insert rules
   /// back-to-front and let each earlier rule's cube overwrite.
   NodeId fold(const dp::TableSpec& spec, const TableEntry& records,
               std::span<const std::size_t> kept) {
     NodeId acc = miss();
     for (std::size_t k = kept.size(); k-- > 0;) {
       const std::size_t i = kept[k];
-      cube(records.region(i), cube_);
-      acc = dd_.ite(dd_.cube(cube_), continuation(spec, spec.rules[rules_[i]]),
-                    acc);
+      cube(records.region(i), s_.cube);
+      acc = dd_.ite(dd_.cube(s_.cube),
+                    continuation(spec, spec.rules[s_.rules[i]]), acc);
     }
     return acc;
   }
 
   /// fold() over every record.
   NodeId fold_all(const dp::TableSpec& spec, const TableEntry& records) {
-    kept_.resize(rules_.size());
-    std::iota(kept_.begin(), kept_.end(), std::size_t{0});
-    return fold(spec, records, kept_);
+    s_.kept.resize(s_.rules.size());
+    std::iota(s_.kept.begin(), s_.kept.end(), std::size_t{0});
+    return fold(spec, records, s_.kept);
   }
 
   /// Diagram of "this rule hit": successor program transformed by the
@@ -527,7 +546,7 @@ class ProgramTranslator {
   NodeId continuation(const dp::TableSpec& spec, const dp::RuleView& rule) {
     const std::optional<std::size_t> next = successor(spec, rule);
     NodeId c = next.has_value()
-                   ? memo_[*next]
+                   ? s_.memo[*next]
                    : dd_.leaf(verdicts_.payload(DpVerdicts::kHitUnset, 0));
     for (std::size_t j = rule.actions.size(); j-- > 0;) {
       const dp::Action action = rule.actions[j];
@@ -561,18 +580,8 @@ class ProgramTranslator {
   DiagramStore& dd_;
   DpVerdicts& verdicts_;
   const dp::Program& program_;
-  std::vector<TableSlot>& slots_;     ///< this side's State::slots
-  std::vector<NodeId> memo_;          ///< this program's table diagrams
-  std::vector<char> visiting_;
-  // Scratch of the table being keyed and folded (successors are
-  // translated before it is filled).
-  TableEntry entry_;
-  std::vector<std::size_t> rules_;  ///< spec index of each record
-  /// Records whose successor diagram moved, with the new diagram.
-  std::vector<std::pair<std::size_t, NodeId>> stale_;
-  std::vector<dp::MatchRegion> changed_;  ///< regions of the changed rules
-  std::vector<std::size_t> kept_;   ///< records a fold inserts
-  std::vector<CubeBit> cube_;
+  std::vector<TableSlot>& slots_;  ///< this side's State::slots
+  ProgramProver::State::Scratch& s_;
 };
 
 dp::FlowKey key_from_path(std::span<const PathStep> path) {
@@ -760,28 +769,18 @@ Result check_programs(const dp::Program& a, const dp::Program& b,
   return ProgramProver(options).check(a, b);
 }
 
-SliceRelation slices_relation(std::span<const dp::Rule> a,
-                              std::span<const dp::Rule> b) {
+SliceRelation slices_relation(const dp::FlatRules& a,
+                              const dp::FlatRules& b) {
   const obs::TraceSpan span("symbolic_solve");
   // Each rule's region is one cube, so two unions of cubes meet exactly
   // when some pair of their cubes does: no diagram store is needed. An
   // unsatisfiable rule can never match and intersects nothing.
-  const auto regions = [](std::span<const dp::Rule> rules) {
-    std::vector<dp::MatchRegion> out;
-    out.reserve(rules.size());
-    for (const dp::Rule& rule : rules) {
-      out.push_back(dp::MatchRegion::of(rule.matches));
-    }
-    return out;
-  };
-  const std::vector<dp::MatchRegion> left = regions(a);
-  const std::vector<dp::MatchRegion> right = regions(b);
-  const bool meet =
-      std::any_of(left.begin(), left.end(), [&](const dp::MatchRegion& l) {
-        return std::any_of(
-            right.begin(), right.end(),
-            [&](const dp::MatchRegion& r) { return l.intersects(r); });
-      });
+  const bool meet = std::any_of(a.begin(), a.end(), [&b](dp::RuleView l) {
+    const dp::MatchRegion left = dp::MatchRegion::of(l.matches);
+    return std::any_of(b.begin(), b.end(), [&left](dp::RuleView r) {
+      return left.intersects(dp::MatchRegion::of(r.matches));
+    });
+  });
   const SliceRelation relation =
       meet ? SliceRelation::kIntersecting : SliceRelation::kDisjoint;
   // maton_symbolic_solves_total{check="slices"}, one counter per relation.

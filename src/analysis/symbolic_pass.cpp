@@ -78,7 +78,7 @@ void run_symbolic_pass(const Input& input, const Options& options,
     sink.mark_ran();
     const std::string subject = "slices '" + check.left_name + "' vs '" +
                                 check.right_name + "'";
-    switch (symbolic::slices_relation(check.left, check.right)) {
+    switch (symbolic::slices_relation(*check.left, *check.right)) {
       case symbolic::SliceRelation::kDisjoint: {
         // The positive certificate is reported (like the NF-status
         // lints): isolation is a property callers rely on, so the proof
@@ -87,8 +87,8 @@ void run_symbolic_pass(const Input& input, const Options& options,
         d.severity = Severity::kInfo;
         d.code = "MA602";
         d.message = subject + " are proven disjoint";
-        d.witness = std::to_string(check.left.size()) + " vs " +
-                    std::to_string(check.right.size()) + " rules";
+        d.witness = std::to_string(check.left->size()) + " vs " +
+                    std::to_string(check.right->size()) + " rules";
         sink.emit(std::move(d));
         break;
       }
@@ -97,8 +97,8 @@ void run_symbolic_pass(const Input& input, const Options& options,
         d.severity = Severity::kWarning;
         d.code = "MA602";
         d.message = subject + " match overlapping packet regions";
-        d.witness = std::to_string(check.left.size()) + " vs " +
-                    std::to_string(check.right.size()) + " rules";
+        d.witness = std::to_string(check.left->size()) + " vs " +
+                    std::to_string(check.right->size()) + " rules";
         sink.emit(std::move(d));
         break;
       }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <numeric>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/symbolic/engine.hpp"
@@ -16,7 +15,6 @@
 namespace maton::cp {
 
 using dp::Program;
-using dp::Rule;
 using dp::RuleUpdate;
 using dp::TableSpec;
 using workloads::Gwlb;
@@ -51,10 +49,8 @@ constexpr void hash_mix(std::uint64_t& h, std::uint64_t v) noexcept {
   h ^= v + kHashSeed + (h << 6) + (h >> 2);
 }
 
-/// Hashes a rule's full content; `RuleT` is dp::Rule or dp::RuleView, so
-/// flattened tables hash without materializing boundary Rules.
-template <typename RuleT>
-[[nodiscard]] std::uint64_t hash_rule(const RuleT& r) noexcept {
+/// Hashes a rule's full content.
+[[nodiscard]] std::uint64_t hash_rule(const dp::RuleView& r) noexcept {
   std::uint64_t h = kHashSeed;
   const auto mix = [&h](std::uint64_t v) { hash_mix(h, v); };
   mix(r.priority);
@@ -74,65 +70,49 @@ template <typename RuleT>
 
 /// Appends the update set turning `old_rules` into `new_rules` in table
 /// `table`. Pairing semantics: each old rule consumes the *first*
-/// unmatched equal new rule (hash buckets keep new-index order, so the
-/// pairing is the one the original quadratic scan defined); unmatched
-/// leftovers pair up as modifies in order, the remainder becomes removes
-/// then inserts. O(old + new) expected. The sequences are any types
-/// indexable to rules comparable across each other (dp::FlatRules,
-/// std::vector<dp::Rule>).
-template <typename OldSeq, typename NewSeq>
-void diff_rules(std::size_t table, const OldSeq& old_rules,
-                const NewSeq& new_rules,
+/// unmatched equal new rule (the new rules are keyed by content hash and
+/// sorted, so equal hashes keep new-index order and the pairing is the
+/// one the original quadratic scan defined); unmatched leftovers pair up
+/// as modifies in order, the remainder becomes removes then inserts.
+/// O((old + new) log new).
+void diff_rules(std::size_t table, const dp::FlatRules& old_rules,
+                const dp::FlatRules& new_rules, detail::DiffScratch& s,
                 std::vector<RuleUpdate>& out) {
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-  buckets.reserve(new_rules.size());
+  constexpr std::uint32_t kTaken = ~std::uint32_t{0};
+  s.keyed.clear();
   for (std::size_t n = 0; n < new_rules.size(); ++n) {
-    buckets[hash_rule(new_rules[n])].push_back(
-        static_cast<std::uint32_t>(n));
+    s.keyed.emplace_back(hash_rule(new_rules[n]),
+                         static_cast<std::uint32_t>(n));
   }
-  std::vector<char> matched(new_rules.size(), 0);
-  std::vector<std::uint32_t> removed;
+  std::sort(s.keyed.begin(), s.keyed.end());
+  s.removed.clear();
   for (std::size_t o = 0; o < old_rules.size(); ++o) {
-    bool found = false;
-    if (const auto it = buckets.find(hash_rule(old_rules[o]));
-        it != buckets.end()) {
-      for (const std::uint32_t n : it->second) {
-        if (!matched[n] && new_rules[n] == old_rules[o]) {
-          matched[n] = 1;
-          found = true;
-          break;
-        }
-      }
+    const std::uint64_t h = hash_rule(old_rules[o]);
+    bool paired = false;
+    for (auto it = std::lower_bound(s.keyed.begin(), s.keyed.end(),
+                                    std::pair{h, std::uint32_t{0}});
+         !paired && it != s.keyed.end() && it->first == h; ++it) {
+      paired = it->second != kTaken && new_rules[it->second] == old_rules[o];
+      if (paired) it->second = kTaken;
     }
-    if (!found) removed.push_back(static_cast<std::uint32_t>(o));
+    if (!paired) s.removed.push_back(static_cast<std::uint32_t>(o));
   }
-  std::vector<std::uint32_t> added;
-  for (std::size_t n = 0; n < new_rules.size(); ++n) {
-    if (!matched[n]) added.push_back(static_cast<std::uint32_t>(n));
+  s.added.clear();
+  for (const auto& [h, n] : s.keyed) {
+    if (n != kTaken) s.added.push_back(n);
   }
+  std::sort(s.added.begin(), s.added.end());
 
-  const std::size_t modifies = std::min(removed.size(), added.size());
-  for (std::size_t i = 0; i < modifies; ++i) {
-    RuleUpdate u;
-    u.kind = RuleUpdate::Kind::kModify;
+  const std::size_t modifies = std::min(s.removed.size(), s.added.size());
+  for (std::size_t i = 0; i < std::max(s.removed.size(), s.added.size());
+       ++i) {
+    RuleUpdate& u = out.emplace_back();
+    u.kind = i < modifies             ? RuleUpdate::Kind::kModify
+             : i < s.removed.size() ? RuleUpdate::Kind::kRemove
+                                    : RuleUpdate::Kind::kInsert;
     u.table = table;
-    u.target = old_rules[removed[i]].matches;
-    u.rule = new_rules[added[i]];
-    out.push_back(std::move(u));
-  }
-  for (std::size_t i = modifies; i < removed.size(); ++i) {
-    RuleUpdate u;
-    u.kind = RuleUpdate::Kind::kRemove;
-    u.table = table;
-    u.target = old_rules[removed[i]].matches;
-    out.push_back(std::move(u));
-  }
-  for (std::size_t i = modifies; i < added.size(); ++i) {
-    RuleUpdate u;
-    u.kind = RuleUpdate::Kind::kInsert;
-    u.table = table;
-    u.rule = new_rules[added[i]];
-    out.push_back(std::move(u));
+    if (i < s.removed.size()) u.target = old_rules[s.removed[i]].matches;
+    if (i < s.added.size()) u.rule = new_rules[s.added[i]];
   }
 }
 
@@ -154,15 +134,6 @@ void phase_end(obs::Histogram& phase, PhaseClock::time_point start) noexcept {
   }
 }
 
-void sort_slice(std::vector<Rule>& rules) {
-  // The compiler's table order: priority descending, emission order
-  // among equals (stable).
-  std::stable_sort(rules.begin(), rules.end(),
-                   [](const Rule& a, const Rule& b) {
-                     return a.priority > b.priority;
-                   });
-}
-
 /// Each descriptor stage's column → field assignment under `fields`, or
 /// why it does not resolve.
 std::vector<Result<std::vector<dp::FieldId>>> resolve_stages(
@@ -175,15 +146,41 @@ std::vector<Result<std::vector<dp::FieldId>>> resolve_stages(
   return out;
 }
 
+/// placed[e] = the position row e of `rows` (emission order) takes in
+/// dp::compile's order of a stage's rules: priority descending, emission
+/// order among equals.
+void priority_places(const dp::FlatRules& rows,
+                     std::vector<std::uint32_t>& placed) {
+  std::vector<std::uint32_t> order(rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&rows](std::uint32_t a, std::uint32_t b) {
+                     return rows.priority_of(a) > rows.priority_of(b);
+                   });
+  placed.resize(rows.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    placed[order[i]] = static_cast<std::uint32_t>(i);
+  }
+}
+
+/// The order-independence check of a reference table: two rows with one
+/// match vector are a contract violation.
+void check_reference_keys(const dp::FlatRules& table) {
+  expects(!table.has_duplicate_matches(),
+          "symbolic verify: reference table has duplicate match keys");
+}
+
 }  // namespace
 
 std::vector<RuleUpdate> diff_programs(const Program& before,
                                       const Program& after) {
   expects(before.tables.size() == after.tables.size(),
           "representation rebuild changed the table count");
+  detail::DiffScratch scratch;
   std::vector<RuleUpdate> updates;
   for (std::size_t t = 0; t < before.tables.size(); ++t) {
-    diff_rules(t, before.tables[t].rules, after.tables[t].rules, updates);
+    diff_rules(t, before.tables[t].rules, after.tables[t].rules, scratch,
+               updates);
   }
   return updates;
 }
@@ -209,6 +206,7 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
     };
     phases_[i] = {phase("delta"), phase("refresh"), phase("prove")};
   }
+  patches_.resize(descriptor(repr_).stages.size());
   const Status built = rebuild_program();
   expects(built.is_ok(), "gwlb program failed to compile: " + built.message());
   if (analyze_ == AnalyzeMode::kPostCompile) run_post_compile_analysis();
@@ -220,7 +218,13 @@ GwlbBinding::GwlbBinding(Gwlb gwlb, Representation repr, CompileMode mode,
     reference_ = std::move(reference).value();
     reference_stage_fields_ = resolve_stages(descriptor(repr_),
                                              reference_fields_);
-    init_reference_rows();
+    reference_rows_.resize(descriptor(repr_).stages.size());
+    // Per-service tables need no row map: each holds one service's rows.
+    for (std::size_t k = 0; k < reference_rows_.size(); ++k) {
+      expects(reference_stage_fields_[k].is_ok(),
+              "symbolic verify: reference table failed to lower");
+      if (!descriptor(repr_).stages[k].per_service) rebuild_reference_stage(k);
+    }
     prover_.emplace();
     run_post_compile_verify(std::nullopt);
   }
@@ -263,102 +267,88 @@ void GwlbBinding::run_post_compile_analysis() {
   }
 }
 
-std::size_t GwlbBinding::MatchKeyHash::operator()(
-    const StageRow& key) const noexcept {
-  std::uint64_t h = kHashSeed;
-  for (const core::Value v : key) hash_mix(h, v);
-  return static_cast<std::size_t>(h);
+void GwlbBinding::lower_rows(std::size_t stage,
+                             std::span<const dp::FieldId> fields,
+                             const GwlbService& svc, std::size_t s,
+                             dp::FlatRules& out) const {
+  const StageDescriptor& sd = descriptor(repr_).stages[stage];
+  dp::Rule lowered;
+  lowered.goto_table = goto_of(stage, s);
+  for_each_row(sd, svc, s, [&](std::span<const core::Value> row) {
+    dp::lower_row(sd.schema, row, fields, lowered);
+    out.push_back(lowered);
+  });
 }
 
-void GwlbBinding::init_reference_rows() {
+void GwlbBinding::rebuild_reference_stage(std::size_t stage) {
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
-  reference_rows_.assign(desc.stages.size(), {});
-  for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-    ReferenceRows& stage = reference_rows_[k];
-    const bool per_service = desc.stages[k].per_service;
-    stage.rules.resize(per_service ? 1 : n);
-    stage.keys.resize(per_service ? 1 : n);
-    // A per-service stage's slot is filled by its first refresh.
-    if (per_service) continue;
-    for (std::size_t s = 0; s < n; ++s) lower_reference_rows(k, s);
-  }
-}
-
-bool GwlbBinding::lower_reference_rows(std::size_t stage,
-                                       std::size_t service) {
-  const RepresentationDescriptor& desc = descriptor(repr_);
-  const StageDescriptor& sd = desc.stages[stage];
   ReferenceRows& rows = reference_rows_[stage];
-  const std::size_t slot = sd.per_service ? 0 : service;
-  if (sd.per_service) {
-    rows.key_count.clear();  // the table holds this service's rows alone
-  } else {
-    for (const StageRow& key : rows.keys[slot]) {
-      const auto it = rows.key_count.find(key);
-      if (--it->second == 0) rows.key_count.erase(it);
-    }
+  const auto& fields = reference_stage_fields_[stage].value();
+  TableSpec& spec = reference_.tables[desc.table_of(stage, 0, n)];
+  spec.name = desc.stages[stage].name;  // re-lowered
+  dp::FlatRules& table = spec.rules;
+  rows.begin.assign(1, 0);
+  table.clear();
+  for (std::size_t s = 0; s < n; ++s) {
+    lower_rows(stage, fields, gwlb_.services[s], s, table);
+    rows.begin.push_back(static_cast<std::uint32_t>(table.size()));
   }
-  // The slot's previous rows, kept to tell whether the service's rows
-  // moved.
-  std::vector<Rule>& lowered_rows = rows.rules[slot];
-  previous_rows_.swap(lowered_rows);
-  lowered_rows.clear();
-  rows.keys[slot].clear();
-  const auto& fields = reference_stage_fields_[stage];
-  expects(fields.is_ok(), "symbolic verify: reference table failed to lower");
-  const std::optional<std::size_t> goto_target = goto_of(stage, service);
-  dp::LoweredRow lowered;
-  for_each_row(sd, gwlb_.services[service], service,
-               [&](std::span<const core::Value> row) {
-                 // The match cells, packed first; the rest stay zero.
-                 StageRow key{};
-                 std::size_t i = 0;
-                 for (const std::size_t c : sd.schema.match_set()) {
-                   key[i++] = row[c];
-                 }
-                 expects(++rows.key_count[key] == 1,
-                         "symbolic verify: reference table has duplicate "
-                         "match keys");
-                 dp::lower_row(sd.schema, row, fields.value(), lowered);
-                 lowered_rows.push_back(lowered.to_rule(goto_target));
-                 rows.keys[slot].push_back(key);
-               });
-  return sd.per_service || lowered_rows != previous_rows_;
+  priority_places(table, rows.placed);
+  table.stable_sort_by_priority();
+  check_reference_keys(table);
 }
 
 void GwlbBinding::refresh_reference(std::size_t service) {
   // Each of the service's rows lives in one table per stage, so only
   // those tables can differ from the last proof's reference, and in them
   // only the service's rows. Those are re-emitted from the service model
-  // and lowered the way the full compile lowers them; the table is
-  // reassembled from them and the other services' rows as the last
-  // refresh lowered them, in service order, then stable-sorted by
-  // priority as dp::compile sorts a stage. Nothing is read back from
-  // program_. A table the service's rows leave as it was is not
-  // reassembled, so it keeps its revision and the prover reuses its
-  // diagram without keying it.
+  // and lowered the way the full compile lowers them, and written over
+  // the rows they replace; nothing is read back from program_. A row the
+  // intent left as it was is not rewritten, so a table whose rows all
+  // stayed keeps its revision and the prover reuses its diagram without
+  // keying it.
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
   for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-    if (!lower_reference_rows(k, service)) continue;
     const StageDescriptor& sd = desc.stages[k];
-    const std::vector<std::vector<Rule>>& slots = reference_rows_[k].rules;
-    std::size_t count = 0;
-    for (const std::vector<Rule>& rules : slots) count += rules.size();
-    dp::FlatRules assembled;
-    assembled.reserve(count);
-    for (const std::vector<Rule>& rules : slots) {
-      for (const Rule& rule : rules) assembled.push_back(rule);
+    TableSpec& spec = reference_.tables[desc.table_of(k, service, n)];
+    dp::FlatRules& table = spec.rules;
+    slice_.clear();
+    lower_rows(k, reference_stage_fields_[k].value(),
+               gwlb_.services[service], service, slice_);
+    if (sd.per_service) {
+      // The table holds the service's rows alone.
+      slice_.stable_sort_by_priority();
+      if (!(slice_ == table)) {
+        table = slice_;
+        spec.name = sd.name;  // re-lowered
+        spec.name += std::to_string(service);
+      }
+      check_reference_keys(table);
+      continue;
     }
-    assembled.stable_sort_by_priority();
-    TableSpec& table = reference_.tables[desc.table_of(k, service, n)];
-    // A per-service table holds the service's rows alone: compare them
-    // whole (its slot may have held another service's rows).
-    if (sd.per_service && assembled == table.rules) continue;
-    table.name = sd.name;
-    if (sd.per_service) table.name += std::to_string(service);
-    table.rules = std::move(assembled);
+    // Rows that keep their count and priorities keep their places in the
+    // priority order; any other change re-sorts the table.
+    const ReferenceRows& rows = reference_rows_[k];
+    const std::size_t first = rows.begin[service];
+    const std::size_t count = rows.begin[service + 1] - first;
+    bool same_shape = slice_.size() == count;
+    for (std::size_t i = 0; same_shape && i < count; ++i) {
+      same_shape =
+          slice_.priority_of(i) == table.priority_of(rows.placed[first + i]);
+    }
+    if (!same_shape) {
+      rebuild_reference_stage(k);
+      continue;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t pos = rows.placed[first + i];
+      if (table[pos] == slice_[i]) continue;
+      table.replace(pos, slice_[i]);
+      spec.name = sd.name;  // re-lowered
+    }
+    check_reference_keys(table);
   }
 }
 
@@ -462,16 +452,15 @@ void GwlbBinding::rebuild_provenance() {
   }
   dp::FlatRules emitted;
   std::vector<std::uint32_t> emitted_by;
-  std::vector<std::uint32_t> order;
-  dp::LoweredRow lowered;
+  std::vector<std::uint32_t> placed;
   for (std::size_t k = 0; k < desc.stages.size(); ++k) {
     const StageDescriptor& sd = desc.stages[k];
     const std::size_t matches = sd.schema.match_set().size();
     const std::size_t actions = sd.schema.action_set().size();
+    const auto& fields = stage_fields_[k];
+    expects(fields.is_ok(),
+            "service slice failed to lower: " + fields.status().message());
     for (std::size_t c = 0; c < (sd.per_service ? n : 1); ++c) {
-      const auto& fields = stage_fields_[k];
-      expects(fields.is_ok(), "service slice failed to lower: " +
-                                  fields.status().message());
       const std::size_t t = desc.table_of(k, c, n);
       const dp::FlatRules& rules = program_.tables[t].rules;
       emitted.clear();
@@ -481,28 +470,16 @@ void GwlbBinding::rebuild_provenance() {
       const std::size_t first = sd.per_service ? c : 0;
       const std::size_t last = sd.per_service ? c + 1 : n;
       for (std::size_t s = first; s < last; ++s) {
-        const std::optional<std::size_t> goto_target = goto_of(k, s);
-        for_each_row(sd, gwlb_.services[s], s,
-                     [&](std::span<const core::Value> row) {
-                       dp::lower_row(sd.schema, row, fields.value(), lowered);
-                       emitted.append(lowered.priority, lowered.matches.span(),
-                                      lowered.actions.span(), goto_target);
-                       emitted_by.push_back(static_cast<std::uint32_t>(s));
-                     });
+        lower_rows(k, fields.value(), gwlb_.services[s], s, emitted);
+        emitted_by.resize(emitted.size(), static_cast<std::uint32_t>(s));
       }
       expects(emitted.size() == rules.size(),
               "provenance drift: stage rows disagree with compiled program");
-      order.resize(rules.size());
-      std::iota(order.begin(), order.end(), 0u);
-      std::stable_sort(order.begin(), order.end(),
-                       [&emitted](std::uint32_t a, std::uint32_t b) {
-                         return emitted.priority_of(a) >
-                                emitted.priority_of(b);
-                       });
-      for (std::size_t i = 0; i < rules.size(); ++i) {
-        expects(emitted[order[i]] == rules[i],
+      priority_places(emitted, placed);
+      for (std::size_t e = 0; e < emitted.size(); ++e) {
+        expects(emitted[e] == rules[placed[e]],
                 "provenance drift: stage rows disagree with compiled program");
-        provenance_[t][i] = emitted_by[order[i]];
+        provenance_[t][placed[e]] = emitted_by[e];
       }
     }
   }
@@ -538,18 +515,16 @@ void GwlbBinding::rebuild_slice_index(std::size_t table) {
   slice_removals_[table] = util::BuildPositions(prov.size());
 }
 
-std::vector<std::uint32_t> GwlbBinding::slice_positions(
-    std::size_t table, std::size_t service) const {
+void GwlbBinding::slice_positions(std::size_t table, std::size_t service,
+                                  std::vector<std::uint32_t>& out) const {
+  out.clear();
   const auto& index = slice_index_[table];
   const auto it = index.find(static_cast<std::uint32_t>(service));
-  if (it == index.end()) return {};
+  if (it == index.end()) return;
   const util::BuildPositions& removals = slice_removals_[table];
-  std::vector<std::uint32_t> live;
-  live.reserve(it->second.size());
   for (const std::uint32_t build : it->second) {
-    live.push_back(static_cast<std::uint32_t>(removals.live(build)));
+    out.push_back(static_cast<std::uint32_t>(removals.live(build)));
   }
-  return live;
 }
 
 void GwlbBinding::erase_slice(std::size_t table, std::size_t service,
@@ -591,21 +566,11 @@ void GwlbBinding::vip_remove(std::uint32_t vip, std::size_t service) {
   if (services.empty()) vip_services_.erase(it);
 }
 
-Result<std::vector<Rule>> GwlbBinding::service_slice(
-    std::size_t stage, const GwlbService& svc, std::size_t s) const {
-  const StageDescriptor& sd = descriptor(repr_).stages[stage];
-  const auto& fields = stage_fields_[stage];
-  if (!fields.is_ok()) return fields.status();
-  const std::optional<std::size_t> goto_target = goto_of(stage, s);
-  std::vector<Rule> rules;
-  rules.reserve(row_count(sd, svc));
-  dp::LoweredRow lowered;
-  for_each_row(sd, svc, s, [&](std::span<const core::Value> row) {
-    dp::lower_row(sd.schema, row, fields.value(), lowered);
-    rules.push_back(lowered.to_rule(goto_target));
-  });
-  sort_slice(rules);
-  return rules;
+void GwlbBinding::service_slice(std::size_t stage, const GwlbService& svc,
+                                std::size_t s, dp::FlatRules& out) const {
+  out.clear();
+  lower_rows(stage, stage_fields_[stage].value(), svc, s, out);
+  out.stable_sort_by_priority();
 }
 
 std::optional<std::size_t> GwlbBinding::goto_of(std::size_t stage,
@@ -624,56 +589,44 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   const GwlbService& svc = gwlb_.services[service];
   const bool old_live = !old_svc.src_prefixes.empty();
   const bool new_live = !svc.src_prefixes.empty();
-  struct Patch {
-    std::size_t stage = 0;
-    std::size_t table = 0;
-    std::vector<std::uint32_t> positions;  // ascending, pre-patch
-    std::vector<Rule> before;
-    std::vector<Rule> after;
+  const auto fall_back = [this](FallbackCause cause) {
+    last_fallback_cause_ = cause;
+    return std::nullopt;
   };
   // One patch per stage, in ascending table order: the order the
   // reference diff uses.
   const RepresentationDescriptor& desc = descriptor(repr_);
   const std::size_t n = gwlb_.services.size();
-  std::vector<Patch> patches;
   for (std::size_t stage = 0; stage < desc.stages.size(); ++stage) {
-    const std::size_t t = desc.table_of(stage, service, n);
-    Patch patch;
-    patch.stage = stage;
-    patch.table = t;
-    const dp::FlatRules& rules = program_.tables[t].rules;
-    patch.positions = slice_positions(t, service);
-    patch.before.reserve(patch.positions.size());
+    Patch& patch = patches_[stage];
+    patch.table = desc.table_of(stage, service, n);
+    const dp::FlatRules& rules = program_.tables[patch.table].rules;
+    slice_positions(patch.table, service, patch.positions);
+    patch.before.clear();
     for (const std::uint32_t pos : patch.positions) {
       patch.before.push_back(rules[pos]);
     }
     // Validation: the slice extracted from the live program must equal
     // what the descriptor emits for the pre-intent service state. A
     // mismatch means provenance drifted — fall back, nothing mutated.
-    auto want_before = service_slice(stage, old_svc, service);
-    if (!want_before.is_ok() || want_before.value() != patch.before) {
-      last_fallback_cause_ = FallbackCause::kSliceValidation;
-      return std::nullopt;
+    service_slice(stage, old_svc, service, slice_);
+    if (!(slice_ == patch.before)) {
+      return fall_back(FallbackCause::kSliceValidation);
     }
-    auto after = service_slice(stage, svc, service);
-    if (!after.is_ok()) {
-      last_fallback_cause_ = FallbackCause::kSliceValidation;
-      return std::nullopt;
-    }
-    patch.after = std::move(after).value();
+    service_slice(stage, svc, service, patch.after);
     // Same shape = same size and per-index priorities: the global stable
     // order then keeps every slice rule at its old position, so the
     // patch can rewrite those rows in place. A lowered row's priority is
     // the popcount of its masks and only a removal changes a service's
     // prefixes, so every patch is same-shape or empty; any other would
     // have to move rows across the table, and falls back.
-    const bool same_shape = std::ranges::equal(
-        patch.after, patch.before, {}, &Rule::priority, &Rule::priority);
-    if (!same_shape && !patch.after.empty()) {
-      last_fallback_cause_ = FallbackCause::kSliceValidation;
-      return std::nullopt;
+    bool same_shape = patch.after.size() == patch.before.size();
+    for (std::size_t i = 0; same_shape && i < patch.after.size(); ++i) {
+      same_shape = patch.after.priority_of(i) == patch.before.priority_of(i);
     }
-    patches.push_back(std::move(patch));
+    if (!same_shape && !patch.after.empty()) {
+      return fall_back(FallbackCause::kSliceValidation);
+    }
   }
 
   // Slice-local diffing identifies rules by content, so another live
@@ -684,37 +637,36 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   // colliding partner's slice in every affected table, no packet can hit
   // rules of both and the slice-local diff stays unambiguous. Only a
   // possible intersection falls back.
-  std::vector<std::uint32_t> partners;
+  partners_.clear();
   const auto collect_partners = [&](std::uint32_t vip) {
     const auto it = vip_services_.find(vip);
     if (it == vip_services_.end()) return;
     for (const std::uint32_t p : it->second) {
       if (p != static_cast<std::uint32_t>(service) &&
-          std::find(partners.begin(), partners.end(), p) == partners.end()) {
-        partners.push_back(p);
+          std::find(partners_.begin(), partners_.end(), p) ==
+              partners_.end()) {
+        partners_.push_back(p);
       }
     }
   };
   if (old_live) collect_partners(old_svc.vip);
   if (new_live) collect_partners(svc.vip);
-  if (!partners.empty()) {
+  if (!partners_.empty()) {
     const obs::TraceSpan isolation_span("slice_isolation_proof");
-    for (const Patch& patch : patches) {
-      std::vector<Rule> self = patch.before;
-      self.insert(self.end(), patch.after.begin(), patch.after.end());
-      for (const std::uint32_t p : partners) {
+    for (std::size_t stage = 0; stage < desc.stages.size(); ++stage) {
+      const Patch& patch = patches_[stage];
+      for (const std::uint32_t p : partners_) {
         // A partner with its own table in this stage holds no rules in
         // this one: trivially disjoint.
-        if (desc.table_of(patch.stage, p, n) != patch.table) continue;
-        auto partner = service_slice(patch.stage, gwlb_.services[p], p);
-        if (!partner.is_ok()) {
-          last_fallback_cause_ = FallbackCause::kSliceValidation;
-          return std::nullopt;
-        }
-        if (analysis::symbolic::slices_relation(self, partner.value()) !=
-            analysis::symbolic::SliceRelation::kDisjoint) {
-          last_fallback_cause_ = FallbackCause::kVipCollision;
-          return std::nullopt;
+        if (desc.table_of(stage, p, n) != patch.table) continue;
+        service_slice(stage, gwlb_.services[p], p, slice_);
+        // The service's rules before and after the intent are both
+        // live while the updates apply.
+        if (analysis::symbolic::slices_relation(patch.before, slice_) !=
+                analysis::symbolic::SliceRelation::kDisjoint ||
+            analysis::symbolic::slices_relation(patch.after, slice_) !=
+                analysis::symbolic::SliceRelation::kDisjoint) {
+          return fall_back(FallbackCause::kVipCollision);
         }
       }
     }
@@ -725,8 +677,10 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   // FD re-mine. The cached row offset replaces the O(service) prefix
   // scan; offsets stay valid while slice shapes do.
   const std::size_t offset = row_offsets_[service];
-  if (old_live) vip_remove(old_svc.vip, service);
-  if (new_live) vip_add(svc.vip, service);
+  if (old_live != new_live || old_svc.vip != svc.vip) {
+    if (old_live) vip_remove(old_svc.vip, service);
+    if (new_live) vip_add(svc.vip, service);
+  }
   if (svc.src_prefixes.size() != old_svc.src_prefixes.size()) {
     std::size_t off = offset + svc.src_prefixes.size();
     for (std::size_t s = service + 1; s < gwlb_.services.size(); ++s) {
@@ -760,12 +714,18 @@ std::optional<std::vector<RuleUpdate>> GwlbBinding::try_compile_incremental(
   // that is gone (RemoveService) is erased in place: the survivors keep
   // their order, so one pass each over the rules, provenance and the
   // slice index drops it. Either way the patched program stays
-  // bit-identical to a rebuild.
+  // bit-identical to a rebuild. The updates own their rules; sized for
+  // one per rule on each patch's larger side, they allocate once.
+  std::size_t most_updates = 0;
+  for (const Patch& patch : patches_) {
+    most_updates += std::max(patch.before.size(), patch.after.size());
+  }
   std::vector<RuleUpdate> updates;
-  for (Patch& patch : patches) {
+  updates.reserve(most_updates);
+  for (const Patch& patch : patches_) {
     {
       const obs::TraceSpan diff_span("rule_diff");
-      diff_rules(patch.table, patch.before, patch.after, updates);
+      diff_rules(patch.table, patch.before, patch.after, diff_, updates);
     }
     if (patch.before == patch.after) continue;  // untouched slice
 
@@ -799,7 +759,8 @@ Result<std::vector<RuleUpdate>> GwlbBinding::compile_intent(
     }
   }
 
-  const GwlbService old_svc = svc;
+  old_svc_ = svc;
+  const GwlbService& old_svc = old_svc_;
   if (const auto* move = std::get_if<MoveServicePort>(&intent)) {
     svc.port = move->new_port;
   } else if (const auto* reip = std::get_if<ChangeServiceIp>(&intent)) {
@@ -878,12 +839,11 @@ MonitorPlan GwlbBinding::monitor_plan(std::size_t service) const {
   return {counters, std::max<std::size_t>(counters, 1) - 1};
 }
 
-std::vector<Rule> GwlbBinding::entry_rules(std::size_t service) const {
+dp::FlatRules GwlbBinding::entry_rules(std::size_t service) const {
   expects(service < gwlb_.services.size(), "service index out of range");
-  const std::vector<std::uint32_t> positions =
-      slice_positions(program_.entry, service);
-  std::vector<Rule> rules;
-  rules.reserve(positions.size());
+  std::vector<std::uint32_t> positions;
+  slice_positions(program_.entry, service, positions);
+  dp::FlatRules rules;
   for (const std::uint32_t pos : positions) {
     rules.push_back(program_.tables[program_.entry].rules[pos]);
   }

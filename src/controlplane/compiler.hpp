@@ -101,6 +101,16 @@ struct MonitorPlan {
   std::size_t aggregation_steps = 0;
 };
 
+namespace detail {
+/// Buffers of a rule diff, kept so that a warm diff allocates nothing.
+struct DiffScratch {
+  /// (content hash, index) per new rule, sorted; pairing marks an index.
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed;
+  std::vector<std::uint32_t> removed;  ///< old rules left unpaired
+  std::vector<std::uint32_t> added;    ///< new rules left unpaired
+};
+}  // namespace detail
+
 /// Binds the gwlb service model to one concrete representation: builds
 /// the data-plane program, compiles intents into rule updates, and keeps
 /// its internal service model in sync as intents are applied.
@@ -158,7 +168,7 @@ class GwlbBinding {
 
   /// The service's rules in the entry table, in program order: the
   /// counters monitor_plan counts. Empty for a removed service.
-  [[nodiscard]] std::vector<dp::Rule> entry_rules(std::size_t service) const;
+  [[nodiscard]] dp::FlatRules entry_rules(std::size_t service) const;
 
   /// Entries that refer to the service's identity (VIP/port): its rows in
   /// every stage whose schema carries ip_dst — the state that can become
@@ -200,10 +210,10 @@ class GwlbBinding {
   /// the delta path maintains them in place.
   void rebuild_indexes();
   void rebuild_slice_index(std::size_t table);
-  /// Live positions (ascending) of `service`'s rules in `table`; empty
-  /// when it holds none there.
-  [[nodiscard]] std::vector<std::uint32_t> slice_positions(
-      std::size_t table, std::size_t service) const;
+  /// Writes the live positions (ascending) of `service`'s rules in
+  /// `table` into `out`; empty when it holds none there.
+  void slice_positions(std::size_t table, std::size_t service,
+                       std::vector<std::uint32_t>& out) const;
   /// Erases `service`'s rules at live `positions` (ascending) from
   /// `table`: rules and provenance in one pass each; the slice index
   /// drops the service and records its positions as removed.
@@ -214,18 +224,17 @@ class GwlbBinding {
   /// Runs the analyzer suite over program_ + the universal table and
   /// stores the report; bumps the clean/findings counters.
   void run_post_compile_analysis();
-  /// Builds reference_rows_ from the service model (construction only).
-  void init_reference_rows();
-  /// Re-emits and lowers `service`'s rows of descriptor stage `stage`
-  /// into reference_rows_, moving its match keys from the old rows to
-  /// the new ones; a key another row of the table holds is a contract
-  /// violation. False when the stage is shared and the service's rows
-  /// are the ones it held already; a per-service stage's slot may have
-  /// held another service's rows, so it always reports true.
-  bool lower_reference_rows(std::size_t stage, std::size_t service);
+  /// Appends to `out` service `s`'s (state `svc`) rules of descriptor
+  /// stage `stage`, lowered through `fields`, in emission order.
+  void lower_rows(std::size_t stage, std::span<const dp::FieldId> fields,
+                  const workloads::GwlbService& svc, std::size_t s,
+                  dp::FlatRules& out) const;
+  /// Re-lowers shared stage `stage`'s whole reference table and row map
+  /// from the service model, in dp::compile's order of a stage's rules.
+  void rebuild_reference_stage(std::size_t stage);
   /// Re-lowers `service`'s rows in the reference_ tables that hold them,
-  /// one per descriptor stage, and reassembles each such table from
-  /// reference_rows_ in the order dp::compile gives a stage's rules.
+  /// one per descriptor stage, rewriting the rows that changed; a shared
+  /// table whose count or priorities changed is rebuilt instead.
   void refresh_reference(std::size_t service);
   /// Where an applied intent's time goes, in ns, per phase.
   struct PhaseHistograms {
@@ -241,11 +250,11 @@ class GwlbBinding {
   void run_post_compile_verify(std::optional<std::size_t> touched,
                                const PhaseHistograms* phases = nullptr);
 
-  /// Lowered, slice-sorted rules service `s` (in state `svc`) contributes
-  /// to descriptor stage `stage`; empty when it contributes none.
-  [[nodiscard]] Result<std::vector<dp::Rule>> service_slice(
-      std::size_t stage, const workloads::GwlbService& svc,
-      std::size_t s) const;
+  /// Writes into `out` the lowered, slice-sorted rules service `s` (in
+  /// state `svc`) contributes to descriptor stage `stage`; empty when it
+  /// contributes none.
+  void service_slice(std::size_t stage, const workloads::GwlbService& svc,
+                     std::size_t s, dp::FlatRules& out) const;
   /// Goto target of service `s`'s rows in descriptor stage `stage`
   /// (its table in the next stage under StageLink::kGotoPerService).
   [[nodiscard]] std::optional<std::size_t> goto_of(std::size_t stage,
@@ -269,9 +278,10 @@ class GwlbBinding {
   /// Attribute→field assignment of the last full compile; single-row
   /// re-lowering in the incremental path resolves against it.
   dp::FieldMap field_map_;
-  /// field_map_ resolved once per descriptor stage (dp::resolve_columns),
-  /// or why a stage does not resolve: what service_slice and the
-  /// provenance cross-check lower through.
+  /// field_map_ resolved once per descriptor stage (dp::resolve_columns):
+  /// what service_slice and the provenance cross-check lower through.
+  /// Every stage resolves once a compile succeeded (the cross-check
+  /// requires it).
   std::vector<Result<std::vector<dp::FieldId>>> stage_fields_;
   /// provenance_[t][i] = service that emitted program_.tables[t].rules[i].
   /// Rebuilt (and validated against the stage reader) on every full
@@ -298,6 +308,23 @@ class GwlbBinding {
   /// symbolic isolation proof must clear before the patch may proceed.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>>
       vip_services_;
+
+  /// The touched table of one descriptor stage on the delta path.
+  struct Patch {
+    std::size_t table = 0;
+    std::vector<std::uint32_t> positions;  ///< ascending, pre-patch
+    dp::FlatRules before;  ///< the service's rules there, pre-patch
+    dp::FlatRules after;   ///< what the descriptor emits post-intent
+  };
+  // Scratch of the delta path, kept across intents so that a warm intent
+  // reuses it instead of allocating: one patch per descriptor stage, a
+  // slice to validate against or prove isolation from, the colliding
+  // partners, the diff's buffers and the pre-intent copy of the service.
+  std::vector<Patch> patches_;
+  dp::FlatRules slice_;
+  std::vector<std::uint32_t> partners_;
+  detail::DiffScratch diff_;
+  workloads::GwlbService old_svc_;
   IncrementalStats inc_stats_;
   FallbackCause last_fallback_cause_ = FallbackCause::kSliceValidation;
   VerifyMode verify_ = VerifyMode::kOff;
@@ -319,27 +346,17 @@ class GwlbBinding {
   dp::FieldMap reference_fields_;
   /// reference_fields_ resolved once per descriptor stage.
   std::vector<Result<std::vector<dp::FieldId>>> reference_stage_fields_;
-  /// Hash of a row's match cells (ReferenceRows::key_count).
-  struct MatchKeyHash {
-    std::size_t operator()(const StageRow& key) const noexcept;
-  };
-  /// One descriptor stage's rows as refresh_reference last lowered them.
-  /// A shared stage keeps one slot per service; a per-service stage one
-  /// slot, for the table refreshed last.
+  /// Where a shared descriptor stage's rows sit in reference_, as
+  /// refresh_reference last lowered them. Service s's rows are emission
+  /// rows [begin[s], begin[s + 1]) of the table, in service then
+  /// emission order; placed[e] is the table position of emission row e.
   struct ReferenceRows {
-    /// Per slot: the service's rows, lowered, in emission order.
-    std::vector<std::vector<dp::Rule>> rules;
-    /// Per slot: the match cells of each of those rows, packed first in
-    /// a fixed-width key (every row of a stage has as many).
-    std::vector<std::vector<StageRow>> keys;
-    /// Rows per match key over the table's slots: all 1 when the table
-    /// is order independent (core::Table::is_order_independent).
-    std::unordered_map<StageRow, std::uint32_t, MatchKeyHash> key_count;
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> placed;
   };
-  /// Per descriptor stage (VerifyMode::kSymbolic only).
+  /// Per descriptor stage (VerifyMode::kSymbolic only; empty for a
+  /// per-service stage).
   std::vector<ReferenceRows> reference_rows_;
-  /// lower_reference_rows' copy of the rows it replaces.
-  std::vector<dp::Rule> previous_rows_;
   /// Persistent prover of run_post_compile_verify (VerifyMode::kSymbolic
   /// only): successive proofs re-fold only the tables an intent changed.
   std::optional<analysis::symbolic::ProgramProver> prover_;
@@ -353,10 +370,11 @@ class GwlbBinding {
 };
 
 /// Minimal update set turning `before` into `after`: per table, each old
-/// rule consumes the first unmatched equal new rule (hash-multiset, O(n)
-/// expected); the leftovers pair up as modifies in order, the remainder
-/// becomes removes then inserts. Exposed for the pairing-semantics tests
-/// and as the reference the incremental slice diff is held to.
+/// rule consumes the first unmatched equal new rule (O(n log n) over
+/// sorted content hashes); the leftovers pair up as modifies in order,
+/// the remainder becomes removes then inserts. Exposed for the
+/// pairing-semantics tests and as the reference the incremental slice
+/// diff is held to.
 [[nodiscard]] std::vector<dp::RuleUpdate> diff_programs(
     const dp::Program& before, const dp::Program& after);
 

@@ -20,7 +20,7 @@ Result<ServiceTraffic> TrafficMonitor::read_service(
   // All of the service's traffic is matched by its entry-table rules — M
   // per-backend rules on the universal representation, a single service
   // rule on the normalized ones.
-  const std::vector<dp::Rule> rules = binding_.entry_rules(service);
+  const dp::FlatRules rules = binding_.entry_rules(service);
   if (rules.empty()) {
     return internal_error("no entry-table rules carry the service's "
                           "identity; binding out of sync with program");
@@ -34,7 +34,7 @@ Result<ServiceTraffic> TrafficMonitor::read_service(
 
   const obs::TraceSpan span("monitor_read");
   ServiceTraffic traffic;
-  for (const dp::Rule& rule : rules) {
+  for (const dp::RuleView rule : rules) {
     const auto count =
         target_.read_rule_counter(binding_.program().entry, rule.matches);
     if (!count.is_ok()) return count.status();

@@ -1,6 +1,7 @@
 #include "core/table.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/contract.hpp"
 #include "util/format.hpp"
@@ -31,19 +32,40 @@ void Column::reserve(std::size_t n) {
   }
 }
 
+std::uint32_t Column::find_id(Value v) const noexcept {
+  if (slots_.empty()) return kNoId;
+  const auto shift = static_cast<unsigned>(std::countl_zero(slots_.size()) + 1);
+  for (std::size_t s = key_slot(v, shift); slots_[s] != 0;
+       s = (s + 1) & (slots_.size() - 1)) {
+    if (pool_[slots_[s] - 1] == v) return slots_[s] - 1;
+  }
+  return kNoId;
+}
+
+std::uint32_t Column::intern(Value v) {
+  pool_.push_back(v);
+  // Past half full, re-index the whole pool at twice the size.
+  const bool grow = pool_.size() * 2 > slots_.size();
+  if (grow) slots_.assign(std::max<std::size_t>(16, slots_.size() * 2), 0);
+  const auto shift = static_cast<unsigned>(std::countl_zero(slots_.size()) + 1);
+  for (std::size_t id = grow ? 0 : pool_.size() - 1; id < pool_.size(); ++id) {
+    std::size_t s = key_slot(pool_[id], shift);
+    while (slots_[s] != 0) s = (s + 1) & (slots_.size() - 1);
+    slots_[s] = static_cast<std::uint32_t>(id + 1);
+  }
+  return static_cast<std::uint32_t>(pool_.size() - 1);
+}
+
 void Column::push_back(Value v) {
   if (interned_) {
-    std::uint32_t id = 0;
-    if (const auto it = lookup_.find(v); it != lookup_.end()) {
-      id = it->second;
-    } else if (pool_.size() + 1 > spill_threshold(ids_.size() + 1)) {
-      spill();
-      raw_.push_back(v);
-      return;
-    } else {
-      id = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(v);
-      lookup_.emplace(v, id);
+    std::uint32_t id = find_id(v);
+    if (id == kNoId) {
+      if (pool_.size() + 1 > spill_threshold(ids_.size() + 1)) {
+        spill();
+        raw_.push_back(v);
+        return;
+      }
+      id = intern(v);
     }
     ids_.push_back(id);
     if (fp_valid_) fp_ = (fp_ ^ v) * kFnvPrime;
@@ -56,16 +78,13 @@ void Column::push_back(Value v) {
 bool Column::set(std::size_t r, Value v) {
   if ((*this)[r] == v) return false;
   if (interned_) {
-    if (const auto it = lookup_.find(v); it != lookup_.end()) {
-      ids_[r] = it->second;
+    if (const std::uint32_t id = find_id(v); id != kNoId) {
+      ids_[r] = id;
     } else if (pool_.size() + 1 > spill_threshold(size())) {
       spill();
       raw_[r] = v;
     } else {
-      const auto id = static_cast<std::uint32_t>(pool_.size());
-      pool_.push_back(v);
-      lookup_.emplace(v, id);
-      ids_[r] = id;
+      ids_[r] = intern(v);
     }
   } else {
     raw_[r] = v;
@@ -94,7 +113,8 @@ void Column::spill() {
   ids_.shrink_to_fit();
   pool_.clear();
   pool_.shrink_to_fit();
-  lookup_.clear();
+  slots_.clear();
+  slots_.shrink_to_fit();
   interned_ = false;
   // The fingerprint folds values in either representation, so a warm
   // fold stays valid across the spill.
@@ -137,12 +157,8 @@ bool Column::content_equals(const Column& other) const {
 std::size_t Column::memory_bytes() const noexcept {
   std::size_t bytes = ids_.capacity() * sizeof(std::uint32_t) +
                       pool_.capacity() * sizeof(Value) +
-                      raw_.capacity() * sizeof(Value);
-  // unordered_map estimate: node (key + mapped + next pointer) per entry
-  // plus the bucket array.
-  bytes += lookup_.size() *
-           (sizeof(Value) + sizeof(std::uint32_t) + sizeof(void*));
-  bytes += lookup_.bucket_count() * sizeof(void*);
+                      raw_.capacity() * sizeof(Value) +
+                      slots_.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 

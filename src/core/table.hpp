@@ -106,11 +106,18 @@ class Column {
     return rows / 2 > 4096 ? rows / 2 : 4096;
   }
   void spill();
+  static constexpr std::uint32_t kNoId = ~std::uint32_t{0};
+  /// Id of `v` in pool_, or kNoId.
+  [[nodiscard]] std::uint32_t find_id(Value v) const noexcept;
+  /// Appends `v` (not yet in pool_) to the pool and indexes it.
+  std::uint32_t intern(Value v);
 
   bool interned_ = true;
   std::vector<std::uint32_t> ids_;  // interned cells: pool indices
   std::vector<Value> pool_;         // id → value, append-only
-  std::unordered_map<Value, std::uint32_t> lookup_;  // value → id
+  /// value → id: open addressing over pool_, slot = id + 1 (0 empty), at
+  /// most half full, so a new value costs no allocation of its own.
+  std::vector<std::uint32_t> slots_;
   std::vector<Value> raw_;          // wide-domain cells, post-spill
   mutable std::uint64_t fp_ = detail::kFnvOffset;  // fold of the values
   mutable bool fp_valid_ = true;  // empty sequence: offset is correct

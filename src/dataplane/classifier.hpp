@@ -57,7 +57,7 @@ class Classifier {
   /// implementation always declines.
   [[nodiscard]] virtual bool apply_modify(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) {
+      std::span<const FieldMatch> old_matches) {
     (void)table;
     (void)index;
     (void)old_matches;
@@ -71,7 +71,7 @@ class Classifier {
   /// rebuild. The base implementation always declines.
   [[nodiscard]] virtual bool apply_remove(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) {
+      std::span<const FieldMatch> old_matches) {
     (void)table;
     (void)index;
     (void)old_matches;

@@ -47,7 +47,7 @@ class ExactMatchClassifier final : public Classifier {
   /// build, a collision with another rule's key — declines.
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     const detail::PackedMatch old_packed =
         detail::fold_matches(fields_, old_matches);
     const detail::PackedMatch new_packed =

@@ -192,7 +192,7 @@ class LpmClassifier final : public Classifier {
   /// declines (the rule would move between tries or trie nodes).
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     return table.rules[index].matches == old_matches;
   }
 

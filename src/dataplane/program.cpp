@@ -113,15 +113,15 @@ TableSpec lower_stage_resolved(const core::Stage& stage,
   spec.rules.reserve(stage.table.num_rows(),
                      stage.table.num_rows() * schema.match_set().size(),
                      stage.table.num_rows() * schema.action_set().size());
-  LoweredRow lowered;
+  Rule lowered;
   core::Row scratch;
   for (std::size_t r = 0; r < stage.table.num_rows(); ++r) {
     stage.table.copy_row_into(r, scratch);
     lower_row(schema, scratch, col_field, lowered);
-    spec.rules.append(
-        lowered.priority, lowered.matches.span(), lowered.actions.span(),
-        stage.uses_goto() ? std::optional{table_index(stage.goto_targets[r])}
-                          : std::nullopt);
+    if (stage.uses_goto()) {
+      lowered.goto_table = table_index(stage.goto_targets[r]);
+    }
+    spec.rules.push_back(lowered);
   }
 
   // Priority order: most specific first; stable to keep insertion order
@@ -223,26 +223,23 @@ std::uint16_t FlatRules::intern_mask(std::uint64_t mask) {
   return static_cast<std::uint16_t>(mask_pool_.size() - 1);
 }
 
-void FlatRules::append(std::uint32_t priority,
-                       std::span<const FieldMatch> matches,
-                       std::span<const Action> actions,
-                       std::optional<std::size_t> goto_table) {
+void FlatRules::push_back(const Rule& r) {
   Ref ref;
-  ref.priority = priority;
+  ref.priority = r.priority;
   ref.match_off = static_cast<std::uint32_t>(mfield_.size());
-  ref.match_count = static_cast<std::uint16_t>(matches.size());
+  ref.match_count = static_cast<std::uint16_t>(r.matches.size());
   ref.action_off = static_cast<std::uint32_t>(acts_.size());
-  ref.action_count = static_cast<std::uint16_t>(actions.size());
+  ref.action_count = static_cast<std::uint16_t>(r.actions.size());
   ref.goto_plus1 =
-      goto_table.has_value()
-          ? static_cast<std::uint32_t>(*goto_table) + 1
+      r.goto_table.has_value()
+          ? static_cast<std::uint32_t>(*r.goto_table) + 1
           : 0;
-  for (const FieldMatch& m : matches) {
+  for (const FieldMatch& m : r.matches) {
     mfield_.push_back(static_cast<std::uint8_t>(field_index(m.field)));
     mvalue_.push_back(m.value);
     mmask_.push_back(intern_mask(m.mask));
   }
-  for (const Action& a : actions) {
+  for (const Action& a : r.actions) {
     acts_.push_back({a.value, static_cast<std::uint8_t>(a.kind),
                      static_cast<std::uint8_t>(field_index(a.field)),
                      a.width_bits});
@@ -405,10 +402,13 @@ std::size_t FlatRules::reposition(std::size_t pos) {
 
 void FlatRules::stable_sort_by_priority() {
   revision_ = next_revision();
-  std::stable_sort(refs_.begin(), refs_.end(),
-                   [](const Ref& a, const Ref& b) {
-                     return a.priority > b.priority;
-                   });
+  const auto by_priority = [](const Ref& a, const Ref& b) {
+    return a.priority > b.priority;
+  };
+  // Rules often arrive in order already (a gwlb service's rows share one
+  // priority); std::stable_sort would still take a temporary buffer.
+  if (std::is_sorted(refs_.begin(), refs_.end(), by_priority)) return;
+  std::stable_sort(refs_.begin(), refs_.end(), by_priority);
   index_dirty_ = true;
 }
 
@@ -593,13 +593,6 @@ std::size_t FlatRules::find_by_match(
   return kNpos;
 }
 
-std::vector<Rule> FlatRules::to_rules() const {
-  std::vector<Rule> out;
-  out.reserve(size());
-  for (std::size_t i = 0; i < size(); ++i) out.push_back((*this)[i]);
-  return out;
-}
-
 std::size_t FlatRules::memory_bytes() const noexcept {
   return refs_.capacity() * sizeof(Ref) +
          mfield_.capacity() * sizeof(std::uint8_t) +
@@ -740,13 +733,8 @@ Result<std::vector<FieldId>> resolve_columns(const core::Schema& schema,
   return col_field;
 }
 
-Rule LoweredRow::to_rule(std::optional<std::size_t> goto_table) const {
-  return {priority, std::vector<FieldMatch>(matches.begin(), matches.end()),
-          std::vector<Action>(actions.begin(), actions.end()), goto_table};
-}
-
 void lower_row(const core::Schema& schema, std::span<const core::Value> row,
-               std::span<const FieldId> col_field, LoweredRow& out) {
+               std::span<const FieldId> col_field, Rule& out) {
   expects(row.size() == schema.size() && col_field.size() == schema.size(),
           "row width does not match schema width");
   out.matches.clear();

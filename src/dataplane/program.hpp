@@ -6,14 +6,19 @@
 // matching), its rules in priority order, and per-rule actions (output,
 // set-field for header rewrites and metadata tags, goto-table).
 //
-// Rule storage is flattened: a TableSpec holds one contiguous SoA match
-// pool (field / value / mask arrays), one packed action pool, and a
-// 20-byte ref per rule carrying (offset, count) spans into the pools —
-// no per-rule heap vectors. `Rule` remains the boundary type for
-// constructing and exchanging single rules; `FlatRules` yields
-// `RuleView` proxies whose members mirror `Rule` so consumers read
-// `rule.priority` / `rule.matches` / `rule.actions` / `rule.goto_table`
-// unchanged.
+// A rule (priority, a conjunction of masked matches, a list of actions
+// and an optional goto) exists in two forms. `Rule` owns one rule and
+// stores it inline: its matches and actions sit in small vectors sized
+// for what the compiler emits, so building, copying or returning one
+// allocates nothing unless a rule is unusually long. It is what a row
+// lowers into and what a RuleUpdate carries, since an update must
+// outlive the binding scratch it was compiled in. `RuleView` borrows a
+// rule stored in a `FlatRules` table: a TableSpec holds one contiguous
+// SoA match pool (field / value / mask arrays), one packed action pool,
+// and a 20-byte ref per rule carrying (offset, count) spans into the
+// pools. The view's members mirror `Rule`'s, so readers of either form
+// read `rule.priority` / `rule.matches` / `rule.actions` /
+// `rule.goto_table` alike.
 //
 // The compiler maps core attribute names onto the FieldId registry:
 // well-known header names map directly, `meta.*` attributes are assigned
@@ -73,10 +78,10 @@ struct MatchRegion {
   /// The field of the first match that emptied the region.
   FieldId conflict = FieldId::kInPort;
 
-  /// Region of a match list: a MatchRange, a std::vector<FieldMatch> or
-  /// a span of them.
-  template <typename MatchList>
-  [[nodiscard]] static MatchRegion of(const MatchList& matches) noexcept {
+  /// Region of a match list: a MatchRange, a MatchList or a span of
+  /// matches.
+  template <typename Matches>
+  [[nodiscard]] static MatchRegion of(const Matches& matches) noexcept {
     MatchRegion r;
     for (const FieldMatch m : matches) r.add(m);
     return r;
@@ -142,10 +147,17 @@ struct Action {
   friend bool operator==(const Action&, const Action&) = default;
 };
 
+/// An owned rule's matches and actions: inline up to the lengths the
+/// compiler emits (a match per field of a stage, a few actions), heap
+/// beyond.
+using MatchList = util::SmallVector<FieldMatch, 8>;
+using ActionList = util::SmallVector<Action, 4>;
+
+/// The owning rule, stored inline (see the file comment).
 struct Rule {
   std::uint32_t priority = 0;
-  std::vector<FieldMatch> matches;
-  std::vector<Action> actions;
+  MatchList matches;
+  ActionList actions;
   /// Next table index on hit; nullopt falls through to the table default.
   std::optional<std::size_t> goto_table;
 
@@ -159,9 +171,7 @@ struct Rule {
 };
 
 /// View over one rule's span of the SoA match pool. Iteration and
-/// indexing yield `FieldMatch` by value; an implicit conversion
-/// materializes a `std::vector<FieldMatch>` where the boundary type is
-/// needed (RuleUpdate targets, diff pairing). Views are transient: any
+/// indexing yield `FieldMatch` by value. Views are transient: any
 /// mutation of the owning FlatRules invalidates them.
 class MatchRange {
  public:
@@ -202,12 +212,11 @@ class MatchRange {
   [[nodiscard]] iterator begin() const noexcept { return {this, 0}; }
   [[nodiscard]] iterator end() const noexcept { return {this, count_}; }
 
-  // NOLINTNEXTLINE(google-explicit-constructor): intentional bridge to
-  // the boundary type so assignment sites stay mechanical.
-  operator std::vector<FieldMatch>() const {
-    std::vector<FieldMatch> out;
-    out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
+  /// An owned copy of the matches (inline, like a Rule's).
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  operator MatchList() const {
+    MatchList out;
+    out.assign(*this);
     return out;
   }
 
@@ -228,12 +237,15 @@ class MatchRange {
     return true;
   }
   friend bool operator==(const MatchRange& a,
-                         const std::vector<FieldMatch>& b) noexcept {
+                         std::span<const FieldMatch> b) noexcept {
     if (a.count_ != b.size()) return false;
     for (std::size_t i = 0; i < a.count_; ++i) {
       if (a[i] != b[i]) return false;
     }
     return true;
+  }
+  friend bool operator==(const MatchRange& a, const MatchList& b) noexcept {
+    return a == b.span();
   }
 
  private:
@@ -289,14 +301,6 @@ class ActionRange {
     return iterator(p_ + count_);
   }
 
-  // NOLINTNEXTLINE(google-explicit-constructor)
-  operator std::vector<Action>() const {
-    std::vector<Action> out;
-    out.reserve(count_);
-    for (std::size_t i = 0; i < count_; ++i) out.push_back((*this)[i]);
-    return out;
-  }
-
   friend bool operator==(const ActionRange& a, const ActionRange& b) noexcept {
     if (a.count_ != b.count_) return false;
     for (std::size_t i = 0; i < a.count_; ++i) {
@@ -305,7 +309,7 @@ class ActionRange {
     return true;
   }
   friend bool operator==(const ActionRange& a,
-                         const std::vector<Action>& b) noexcept {
+                         std::span<const Action> b) noexcept {
     if (a.count_ != b.size()) return false;
     for (std::size_t i = 0; i < a.count_; ++i) {
       if (a[i] != b[i]) return false;
@@ -331,11 +335,14 @@ struct RuleView {
     return matches.matches_key(key);
   }
 
-  [[nodiscard]] Rule to_rule() const {
-    return {priority, matches, actions, goto_table};
-  }
+  /// An owned copy of the rule.
   // NOLINTNEXTLINE(google-explicit-constructor)
-  operator Rule() const { return to_rule(); }
+  operator Rule() const {
+    Rule r{.priority = priority, .goto_table = goto_table};
+    r.matches.assign(matches);
+    r.actions.assign(actions);
+    return r;
+  }
 
   friend bool operator==(const RuleView& a, const RuleView& b) noexcept {
     return a.priority == b.priority && a.goto_table == b.goto_table &&
@@ -343,7 +350,7 @@ struct RuleView {
   }
   friend bool operator==(const RuleView& a, const Rule& b) noexcept {
     return a.priority == b.priority && a.goto_table == b.goto_table &&
-           a.matches == b.matches && a.actions == b.actions;
+           a.matches == b.matches && a.actions == b.actions.span();
   }
 };
 
@@ -371,18 +378,6 @@ class FlatRules {
   FlatRules& operator=(const FlatRules&) = default;
   FlatRules(FlatRules&& other) noexcept { *this = std::move(other); }
   FlatRules& operator=(FlatRules&& other) noexcept;
-  // NOLINTNEXTLINE(google-explicit-constructor): lets vector<Rule>
-  // literals and aggregate TableSpec initializers keep working.
-  FlatRules(const std::vector<Rule>& rules) {
-    std::size_t matches = 0;
-    std::size_t actions = 0;
-    for (const Rule& r : rules) {
-      matches += r.matches.size();
-      actions += r.actions.size();
-    }
-    reserve(rules.size(), matches, actions);
-    for (const Rule& r : rules) push_back(r);
-  }
   FlatRules(std::initializer_list<Rule> rules) {
     reserve(rules.size());
     for (const Rule& r : rules) push_back(r);
@@ -438,13 +433,7 @@ class FlatRules {
   [[nodiscard]] iterator begin() const noexcept { return {this, 0}; }
   [[nodiscard]] iterator end() const noexcept { return {this, size()}; }
 
-  /// Appends a rule built from pool-ready pieces (no boundary Rule).
-  void append(std::uint32_t priority, std::span<const FieldMatch> matches,
-              std::span<const Action> actions,
-              std::optional<std::size_t> goto_table);
-  void push_back(const Rule& r) {
-    append(r.priority, r.matches, r.actions, r.goto_table);
-  }
+  void push_back(const Rule& r);
 
   /// Replaces the rule at `pos` in place (position and index stable).
   void replace(std::size_t pos, const Rule& r);
@@ -486,9 +475,13 @@ class FlatRules {
   void build_match_index() const {
     if (index_dirty_) build_index();
   }
-
-  /// Materializes the boundary representation (legacy layout).
-  [[nodiscard]] std::vector<Rule> to_rules() const;
+  /// Whether two rules share a match vector (builds the match index if
+  /// it is not current). A duplicate that a replace has since resolved
+  /// still reads true until the index is next rebuilt.
+  [[nodiscard]] bool has_duplicate_matches() const {
+    build_match_index();
+    return index_dups_;
+  }
 
   /// Heap bytes of refs and pools (capacity-based, like the table's
   /// accounting), including pool garbage not yet compacted.
@@ -612,23 +605,14 @@ using FieldMap = std::map<std::string, FieldId, std::less<>>;
 [[nodiscard]] Result<std::vector<FieldId>> resolve_columns(
     const core::Schema& schema, const FieldMap& field_map);
 
-/// One lowered row: reusable scratch, so lowering row after row into it
-/// allocates nothing per row.
-struct LoweredRow {
-  std::uint32_t priority = 0;
-  util::SmallVector<FieldMatch, 8> matches;
-  util::SmallVector<Action, 4> actions;
-
-  /// The row as a boundary Rule with the given goto target.
-  [[nodiscard]] Rule to_rule(std::optional<std::size_t> goto_table) const;
-};
-
 /// Lowers one row of `schema` into `out` exactly as compile() does:
 /// masked matches in match-column order, specificity priority, actions in
 /// action-column order ("out" → output action). `col_field` is the
-/// schema's column → field assignment (resolve_columns).
+/// schema's column → field assignment (resolve_columns). The row's goto
+/// target is the stage's, not the row's: `out.goto_table` is left as it
+/// was. Lowering row after row into one Rule allocates nothing per row.
 void lower_row(const core::Schema& schema, std::span<const core::Value> row,
-               std::span<const FieldId> col_field, LoweredRow& out);
+               std::span<const FieldId> col_field, Rule& out);
 
 /// Result of pushing one packet through a switch model.
 struct ExecResult {

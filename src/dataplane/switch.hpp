@@ -33,8 +33,9 @@ struct RuleUpdate {
   std::size_t table = 0;
   /// Identifies the existing rule by its exact match vector
   /// (kRemove / kModify).
-  std::vector<FieldMatch> target;
-  /// The new rule (kInsert / kModify).
+  MatchList target;
+  /// The new rule (kInsert / kModify). Owned, like the target: an update
+  /// outlives the compile that produced it.
   Rule rule;
 };
 
@@ -112,7 +113,7 @@ class RuleCounters {
   /// Merged (all-shard) count for the rule with the given match vector.
   [[nodiscard]] Result<std::uint64_t> read(
       const Program& program, std::size_t table,
-      const std::vector<FieldMatch>& target) const;
+      std::span<const FieldMatch> target) const;
 
  private:
   /// Merged (all-shard) count by position — ascending queue-id fold.
@@ -208,8 +209,8 @@ class SwitchModel {
   /// (the modified rule inherits the old count) and start at zero for
   /// inserts. This is what §2's monitorability discussion reads.
   [[nodiscard]] Result<std::uint64_t> read_rule_counter(
-      std::size_t table, const std::vector<FieldMatch>& target) const {
-    return counters_.read(program_, table, target);
+      std::size_t table, const MatchList& target) const {
+    return counters_.read(program_, table, target.span());
   }
 
   /// The installed program with every applied update.

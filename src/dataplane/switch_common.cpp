@@ -325,7 +325,7 @@ std::uint64_t RuleCounters::merged(std::size_t table,
 
 Result<std::uint64_t> RuleCounters::read(
     const Program& program, std::size_t table,
-    const std::vector<FieldMatch>& target) const {
+    std::span<const FieldMatch> target) const {
   if (table >= program.tables.size()) {
     return invalid_argument("counter read targets a non-existent table");
   }

@@ -41,7 +41,7 @@ class TssClassifier final : public Classifier {
   /// holds: those decline.
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     const detail::PackedMatch old_packed =
         detail::fold_matches(fields_, old_matches);
     const RuleView rule = table.rules[index];
@@ -63,7 +63,7 @@ class TssClassifier final : public Classifier {
   /// subtable among equal keys).
   [[nodiscard]] bool apply_remove(
       const TableSpec& /*table*/, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     if (!positions_.can_remove()) return false;
     const detail::PackedMatch packed =
         detail::fold_matches(fields_, old_matches);
@@ -165,7 +165,7 @@ class LinearClassifier final : public Classifier {
   /// fields, mask changes, satisfiability flips) declines.
   [[nodiscard]] bool apply_modify(
       const TableSpec& table, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     const RuleView rule = table.rules[index];
     const std::size_t build = positions_.build(index);
     const std::size_t off = flat_begin_[build];
@@ -201,7 +201,7 @@ class LinearClassifier final : public Classifier {
   /// BuildPositions' bound.
   [[nodiscard]] bool apply_remove(
       const TableSpec& /*table*/, std::size_t index,
-      const std::vector<FieldMatch>& old_matches) override {
+      std::span<const FieldMatch> old_matches) override {
     if (!positions_.can_remove()) return false;
     const std::size_t build = positions_.build(index);
     const std::size_t off = flat_begin_[build];

@@ -59,12 +59,18 @@ std::vector<dp::Rule> rules_of(const dp::TableSpec& table) {
   return {table.rules.begin(), table.rules.end()};
 }
 
+dp::FlatRules flat(const std::vector<dp::Rule>& rules) {
+  dp::FlatRules out;
+  for (const dp::Rule& rule : rules) out.push_back(rule);
+  return out;
+}
+
 /// Rewrites table `t` of `program` through `edit(std::vector<dp::Rule>&)`.
 template <typename Edit>
 void edit_table(dp::Program& program, std::size_t t, Edit&& edit) {
   std::vector<dp::Rule> rules = rules_of(program.tables[t]);
   edit(rules);
-  program.tables[t].rules = dp::FlatRules(rules);
+  program.tables[t].rules = flat(rules);
 }
 
 /// One random edit of `program`: rewrite a rule, reorder two rules,
@@ -201,7 +207,7 @@ dp::Program routes(std::uint64_t first, const std::vector<dp::Rule>& tail) {
   rules.insert(rules.end(), tail.begin(), tail.end());
   rules.push_back(route(std::nullopt, 9));
   dp::Program program;
-  program.tables.push_back({.name = "t", .rules = dp::FlatRules(rules)});
+  program.tables.push_back({.name = "t", .rules = flat(rules)});
   return program;
 }
 

@@ -20,7 +20,7 @@ dp::TableSpec table(std::string name, std::vector<dp::Rule> rules,
                     std::optional<std::size_t> next = std::nullopt) {
   dp::TableSpec t;
   t.name = std::move(name);
-  t.rules = std::move(rules);
+  for (const dp::Rule& r : rules) t.rules.push_back(r);
   t.next = next;
   return t;
 }

@@ -14,7 +14,7 @@ dp::Rule rule(std::uint32_t priority,
               std::uint64_t out = 1) {
   dp::Rule r;
   r.priority = priority;
-  r.matches = std::move(matches);
+  r.matches.assign(matches);
   r.actions.push_back({dp::Action::Kind::kOutput, FieldId::kMeta0, out});
   return r;
 }
@@ -23,7 +23,7 @@ dp::Program one_table(std::vector<dp::Rule> rules) {
   dp::Program program;
   dp::TableSpec table;
   table.name = "t0";
-  table.rules = std::move(rules);
+  for (const dp::Rule& r : rules) table.rules.push_back(r);
   program.tables.push_back(std::move(table));
   return program;
 }

@@ -504,9 +504,9 @@ TEST(SlicesRelation, DisjointAndIntersectingRegions) {
                   dp::field_full_mask(dp::FieldId::kIpDst)}};
     return r;
   };
-  const std::vector<dp::Rule> a = {vip_rule(0xa000001)};
-  const std::vector<dp::Rule> b = {vip_rule(0xa000002)};
-  const std::vector<dp::Rule> c = {vip_rule(0xa000001), vip_rule(0xb000001)};
+  const dp::FlatRules a = {vip_rule(0xa000001)};
+  const dp::FlatRules b = {vip_rule(0xa000002)};
+  const dp::FlatRules c = {vip_rule(0xa000001), vip_rule(0xb000001)};
   EXPECT_EQ(slices_relation(a, b), SliceRelation::kDisjoint);
   EXPECT_EQ(slices_relation(a, c), SliceRelation::kIntersecting);
   EXPECT_EQ(slices_relation(a, {}), SliceRelation::kDisjoint);
@@ -514,16 +514,16 @@ TEST(SlicesRelation, DisjointAndIntersectingRegions) {
 
 /// The diagram answer: each slice's rules folded into one union of cubes
 /// in a diagram store, then DiagramStore::disjoint.
-SliceRelation diagram_relation(std::span<const dp::Rule> a,
-                               std::span<const dp::Rule> b) {
+SliceRelation diagram_relation(const dp::FlatRules& a,
+                               const dp::FlatRules& b) {
   DiagramStore dd(1 << 20);
-  const auto region = [&dd](std::span<const dp::Rule> rules) {
+  const auto region = [&dd](const dp::FlatRules& rules) {
     NodeId acc = dd.false_leaf();
-    for (const dp::Rule& rule : rules) {
+    for (const dp::RuleView rule : rules) {
       std::array<std::uint64_t, dp::kNumFields> mask{};
       std::array<std::uint64_t, dp::kNumFields> value{};
       bool satisfiable = true;
-      for (const dp::FieldMatch& m : rule.matches) {
+      for (const dp::FieldMatch m : rule.matches) {
         const std::size_t f = dp::field_index(m.field);
         if ((m.value & ~m.mask) != 0 ||
             ((value[f] ^ m.value) & mask[f] & m.mask) != 0) {
@@ -585,10 +585,12 @@ TEST(SlicesRelation, PairwiseAnswerEqualsTheDiagramAnswer) {
   std::size_t disjoint = 0;
   std::size_t intersecting = 0;
   for (int trial = 0; trial < 600; ++trial) {
-    std::vector<dp::Rule> a(rng.uniform(0, 6));
-    std::vector<dp::Rule> b(rng.uniform(0, 6));
-    for (dp::Rule& r : a) r = random_rule();
-    for (dp::Rule& r : b) r = random_rule();
+    const std::uint64_t a_size = rng.uniform(0, 6);
+    const std::uint64_t b_size = rng.uniform(0, 6);
+    dp::FlatRules a;
+    dp::FlatRules b;
+    for (std::uint64_t i = 0; i < a_size; ++i) a.push_back(random_rule());
+    for (std::uint64_t i = 0; i < b_size; ++i) b.push_back(random_rule());
     const SliceRelation want = diagram_relation(a, b);
     ASSERT_EQ(slices_relation(a, b), want) << "trial " << trial;
     ASSERT_EQ(slices_relation(b, a), want) << "trial " << trial;

@@ -126,7 +126,7 @@ TEST(Differential, OneRuleMutated) {
     Rng rng(seed);
     dp::TableSpec& spec = right.tables[1 + rng.index(gwlb.services.size())];
     const std::size_t pos = rng.index(spec.rules.size());
-    dp::Rule mutated = spec.rules.to_rules()[pos];
+    dp::Rule mutated = spec.rules[pos];
     for (dp::Action& action : mutated.actions) action.value ^= 1;
     spec.rules.replace(pos, mutated);
 
@@ -147,9 +147,8 @@ TEST(Differential, PrioritySwapped) {
     // function is unchanged, and canonicity must prove it.
     dp::TableSpec& spec = right.tables[0];
     ASSERT_GE(spec.rules.size(), 2u);
-    const std::vector<dp::Rule> rules = spec.rules.to_rules();
-    dp::Rule first = rules[0];
-    dp::Rule second = rules[1];
+    dp::Rule first = spec.rules[0];
+    dp::Rule second = spec.rules[1];
     std::swap(first.priority, second.priority);
     spec.rules.replace(0, second);
     spec.rules.replace(1, first);
@@ -171,7 +170,7 @@ TEST(Differential, MaskWidened) {
     // previously missed or that belonged to lower-priority rules.
     dp::TableSpec& spec = right.tables[0];
     Rng rng(seed);
-    dp::Rule widened = spec.rules.to_rules()[rng.index(spec.rules.size())];
+    dp::Rule widened = spec.rules[rng.index(spec.rules.size())];
     ASSERT_FALSE(widened.matches.empty());
     widened.matches[0].mask &= ~std::uint64_t{0xff};
     widened.matches[0].value &= widened.matches[0].mask;

@@ -31,8 +31,7 @@ dp::Program tiny_program(std::uint64_t out_port) {
   return program;
 }
 
-std::vector<dp::Rule> slice_matching(std::uint64_t value,
-                                     std::uint64_t mask) {
+dp::FlatRules slice_matching(std::uint64_t value, std::uint64_t mask) {
   dp::Rule rule;
   rule.priority = 1;
   rule.matches.push_back(
@@ -50,7 +49,9 @@ const Diagnostic* find_code(const Report& report, std::string_view code) {
 TEST(SymbolicPass, SkippedWithoutInputs) {
   const Report report = run(Input{});
   for (const PassStats& pass : report.passes) {
-    if (pass.name == "symbolic") EXPECT_FALSE(pass.ran);
+    if (pass.name == "symbolic") {
+      EXPECT_FALSE(pass.ran);
+    }
   }
 }
 
@@ -92,15 +93,15 @@ TEST(SymbolicPass, Ma601SilentOnEquivalentPrograms) {
 }
 
 TEST(SymbolicPass, Ma602ReportsProofAndViolation) {
-  const std::vector<dp::Rule> low = slice_matching(0x00, 0xf0);
-  const std::vector<dp::Rule> high = slice_matching(0x10, 0xf0);
-  const std::vector<dp::Rule> all = slice_matching(0, 0);
+  const dp::FlatRules low = slice_matching(0x00, 0xf0);
+  const dp::FlatRules high = slice_matching(0x10, 0xf0);
+  const dp::FlatRules all = slice_matching(0, 0);
 
   Input input;
   input.slices.push_back(
-      {.left = low, .right = high, .left_name = "a", .right_name = "b"});
+      {.left = &low, .right = &high, .left_name = "a", .right_name = "b"});
   input.slices.push_back(
-      {.left = low, .right = all, .left_name = "a", .right_name = "c"});
+      {.left = &low, .right = &all, .left_name = "a", .right_name = "c"});
   const Report report = run(input);
 
   std::size_t infos = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <optional>
 #include <variant>
@@ -85,13 +86,13 @@ struct GwlbBindingInternals {
     const std::size_t n = b.gwlb_.services.size();
     std::vector<std::vector<std::pair<dp::Rule, std::uint32_t>>> by_table(
         b.program_.tables.size());
+    dp::FlatRules slice;
     for (std::size_t s = 0; s < n; ++s) {
       for (std::size_t k = 0; k < desc.stages.size(); ++k) {
-        auto slice = b.service_slice(k, b.gwlb_.services[s], s);
-        if (!slice.is_ok()) return std::nullopt;
-        for (dp::Rule& rule : slice.value()) {
+        b.service_slice(k, b.gwlb_.services[s], s, slice);
+        for (const dp::RuleView rule : slice) {
           by_table[desc.table_of(k, s, n)].emplace_back(
-              std::move(rule), static_cast<std::uint32_t>(s));
+              rule, static_cast<std::uint32_t>(s));
         }
       }
     }
@@ -426,6 +427,45 @@ TEST_P(IncrementalChurn, MaintainedProofReferenceMatchesAFullRecompile) {
           << to_string(repr);
     }
   }
+}
+
+TEST_P(IncrementalChurn, ReturnedUpdatesOwnTheirRules) {
+  // The delta path compiles into scratch the binding reuses on the next
+  // intent, so the updates it returns must not point into it: the three
+  // update vectors of intents k, k + 1 and k + 2, applied in order only
+  // after all three were compiled, must still rebuild the program. The
+  // intents touch different services, so an update that aliased the
+  // scratch would apply a later intent's rows.
+  GwlbBinding binding(make_gwlb({.num_services = 12, .num_backends = 4,
+                                 .seed = 5}),
+                      GetParam());
+  Rng rng(5);
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(
+        binding.compile_intent(draw_mixed_intent(rng, binding.gwlb(), {}))
+            .is_ok());
+  }
+  dp::Program copy = binding.program();
+  const std::size_t fallbacks = binding.incremental_stats().fallbacks;
+  // 198.19.10.11 lies outside make_gwlb's VIPs: no collision fallback.
+  const std::array<Intent, 3> intents = {
+      ChangeBackend{.service = 1, .backend = 2, .new_out = 4242},
+      MoveServicePort{.service = 6, .new_port = 31337},
+      ChangeServiceIp{.service = 9, .new_vip = 0xc6130a0bu}};
+  std::vector<std::vector<dp::RuleUpdate>> updates;
+  for (const Intent& intent : intents) {
+    auto compiled = binding.compile_intent(intent);
+    ASSERT_TRUE(compiled.is_ok()) << to_string(intent);
+    ASSERT_FALSE(compiled.value().empty()) << to_string(intent);
+    updates.push_back(std::move(compiled).value());
+  }
+  EXPECT_EQ(binding.incremental_stats().fallbacks, fallbacks);
+  for (const std::vector<dp::RuleUpdate>& batch : updates) {
+    for (const dp::RuleUpdate& update : batch) {
+      ASSERT_TRUE(dp::apply_update_to_program(copy, update).is_ok());
+    }
+  }
+  EXPECT_TRUE(copy == binding.program());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRepresentations, IncrementalChurn,

@@ -5,6 +5,7 @@
 // including miss-heavy batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "controlplane/compiler.hpp"
@@ -17,6 +18,15 @@
 
 namespace maton::dp {
 namespace {
+
+/// std::erase_if over a rule's inline match or action list.
+template <typename List, typename Pred>
+std::size_t erase_if(List& list, Pred pred) {
+  const auto kept = std::remove_if(list.begin(), list.end(), pred);
+  const auto erased = static_cast<std::size_t>(list.end() - kept);
+  list.resize(list.size() - erased);
+  return erased;
+}
 
 constexpr FieldId kFields[] = {FieldId::kIpSrc, FieldId::kIpDst,
                                FieldId::kTcpDst};
@@ -358,13 +368,13 @@ TEST_P(BatchProcess, MatchesScalarWhilePatchesAddAndDropTheOnlySetField) {
     } else if (op == 1) {
       update.kind = RuleUpdate::Kind::kInsert;
       update.rule.priority = rule.priority - 1;
-      std::erase_if(update.rule.matches, [](const FieldMatch& m) {
+      erase_if(update.rule.matches, [](const FieldMatch& m) {
         return m.field == FieldId::kTcpDst;
       });
       for (FieldMatch& m : update.rule.matches) {
         if (m.field == FieldId::kIpDst) m.value = 0xc6130000 + round;
       }
-    } else if (std::erase_if(update.rule.actions, [](const Action& a) {
+    } else if (erase_if(update.rule.actions, [](const Action& a) {
                  return a.kind == Action::Kind::kSetField;
                }) == 0) {
       update.rule.actions.push_back(

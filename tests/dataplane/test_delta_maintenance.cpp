@@ -139,7 +139,7 @@ void expect_same_answers(const Classifier& patched, const Classifier& fresh,
 /// rule with that match vector, when vectors repeat.
 void expect_index_current(const FlatRules& rules) {
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    const std::vector<FieldMatch> target = rules[i].matches;
+    const MatchList target = rules[i].matches;
     std::size_t first = 0;
     while (!(rules[first].matches == target)) ++first;
     ASSERT_EQ(rules.find_by_match(target), first) << "rule " << i;

@@ -41,15 +41,15 @@ TEST(FlatRulesRevision, EachMutatorDrawsAFreshRevision) {
   FlatRules rules = sample();
   std::set<std::uint64_t> seen{rules.revision()};
   const Rule extra = route(4, 25, 4);
+  const FlatRules other = sample();
   const auto check = [&](const char* what, auto&& mutate) {
     SCOPED_TRACE(what);
     expect_fresh(rules, seen, mutate);
   };
-  check("append", [&](FlatRules& r) {
-    r.append(extra.priority, extra.matches, extra.actions, std::nullopt);
-  });
   check("push_back", [&](FlatRules& r) { r.push_back(extra); });
+  check("push_back view", [&](FlatRules& r) { r.push_back(other[1]); });
   check("replace", [&](FlatRules& r) { r.replace(0, route(9, 30, 9)); });
+  check("replace view", [&](FlatRules& r) { r.replace(0, other[2]); });
   check("insert", [&](FlatRules& r) { r.insert(1, route(5, 20, 5)); });
   check("insert_sorted", [&](FlatRules& r) {
     (void)r.insert_sorted(route(6, 15, 6));
@@ -141,7 +141,6 @@ TEST(FlatRulesRevision, ConstLookupsKeepTheRevision) {
   view.build_match_index();
   EXPECT_EQ(view.find_by_match(route(2, 0, 0).matches), 1u);
   EXPECT_EQ(view.find_by_match(route(42, 0, 0).matches), FlatRules::kNpos);
-  (void)view.to_rules();
   (void)view.memory_bytes();
   for (const RuleView rule : view) (void)rule.priority;
   EXPECT_TRUE(view == sample());

@@ -89,7 +89,7 @@ void expect_index_matches_scan(const FlatRules& rules,
     first.try_emplace(words_of(rules[i].matches), i);
   }
   for (std::size_t i = 0; i < rules.size(); i += stride) {
-    const std::vector<FieldMatch> target = rules[i].matches;
+    const MatchList target = rules[i].matches;
     ASSERT_EQ(rules.find_by_match(target),
               first.at(words_of(rules[i].matches)))
         << "rule " << i << " of " << rules.size();

@@ -65,7 +65,10 @@ TEST(MatchRegion, AgreesWithBruteForceOnEveryKey) {
     const std::vector<FieldMatch> b = random_matches(rng);
     // `a` is read from a table's match pool, `b` from the boundary type.
     FlatRules table;
-    table.push_back({1, a, {}, std::nullopt});
+    Rule rule;
+    rule.priority = 1;
+    rule.matches.assign(a);
+    table.push_back(rule);
     const MatchRegion ra = MatchRegion::of(table[0].matches);
     const MatchRegion rb = MatchRegion::of(b);
     bool a_any = false;

@@ -293,7 +293,7 @@ Rule rule_on(std::uint32_t priority, std::vector<FieldMatch> matches,
              std::uint64_t out) {
   Rule r;
   r.priority = priority;
-  r.matches = std::move(matches);
+  r.matches.assign(matches);
   r.actions = {{Action::Kind::kOutput, FieldId::kMeta0, out}};
   return r;
 }

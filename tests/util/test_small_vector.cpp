@@ -60,5 +60,57 @@ TEST(SmallVector, CopyIsDeep) {
   EXPECT_EQ(c[0], 0);
 }
 
+TEST(SmallVector, MovingASpilledVectorTakesItsBuffer) {
+  SmallVector<int, 2> a;
+  for (int i = 0; i < 10; ++i) a.push_back(i);
+  const int* buffer = a.data();
+  SmallVector<int, 2> b(std::move(a));
+  // The heap buffer changed hands: no allocation, no element copies.
+  EXPECT_EQ(b.data(), buffer);
+  ASSERT_EQ(b.size(), 10u);
+  EXPECT_EQ(b[9], 9);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.capacity(), 2u);
+
+  SmallVector<int, 2> c = {7};
+  c = std::move(b);
+  EXPECT_EQ(c.data(), buffer);
+  EXPECT_EQ(c.size(), 10u);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  a.push_back(1);  // a moved-from vector is usable
+  EXPECT_EQ(a.size(), 1u);
+}
+
+TEST(SmallVector, MovingAnInlineVectorCopiesItsElements) {
+  SmallVector<int, 4> a = {1, 2, 3};
+  SmallVector<int, 4> b(std::move(a));
+  EXPECT_EQ(b, (SmallVector<int, 4>{1, 2, 3}));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  // Into a spilled target: the target keeps its own buffer.
+  SmallVector<int, 4> c;
+  for (int i = 0; i < 9; ++i) c.push_back(i);
+  const int* buffer = c.data();
+  c = std::move(b);
+  EXPECT_EQ(c.data(), buffer);
+  EXPECT_EQ(c, (SmallVector<int, 4>{1, 2, 3}));
+}
+
+TEST(SmallVector, BracedListsEqualityAndResize) {
+  const SmallVector<int, 2> a = {1, 2, 3};
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.front(), 1);
+  EXPECT_EQ(a.back(), 3);
+  EXPECT_EQ(a, (SmallVector<int, 2>{1, 2, 3}));
+  EXPECT_NE(a, (SmallVector<int, 2>{1, 2}));
+  EXPECT_NE(a, (SmallVector<int, 2>{1, 2, 4}));
+  SmallVector<int, 2> b = a;
+  b.resize(1);
+  EXPECT_EQ(b, (SmallVector<int, 2>{1}));
+  b.resize(4);
+  EXPECT_EQ(b, (SmallVector<int, 2>{1, 0, 0, 0}));
+  b.assign(a);
+  EXPECT_EQ(b, a);
+}
+
 }  // namespace
 }  // namespace maton::util

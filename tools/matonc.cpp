@@ -311,7 +311,7 @@ int run_builtin_analyze(const CliOptions& opts, std::ostream& os,
                                   .name = name};
 
   const cp::GwlbBinding universal(model, cp::Representation::kUniversal);
-  std::vector<std::vector<dp::Rule>> slices;
+  std::vector<dp::FlatRules> slices;
   std::vector<std::size_t> slice_services;
   for (std::size_t s = 0; s < model.services.size(); ++s) {
     if (model.services[s].src_prefixes.empty()) continue;
@@ -320,8 +320,8 @@ int run_builtin_analyze(const CliOptions& opts, std::ostream& os,
   }
   for (std::size_t i = 0; i + 1 < slices.size(); ++i) {
     input.slices.push_back(
-        {.left = slices[i],
-         .right = slices[i + 1],
+        {.left = &slices[i],
+         .right = &slices[i + 1],
          .left_name = "service " + std::to_string(slice_services[i]),
          .right_name = "service " + std::to_string(slice_services[i + 1])});
   }
